@@ -1,10 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Supplies exactly the layers the classifier needs: strided 2D convolution,
-LeakyReLU, a single-layer LSTM (built from primitives, so backward-through-
-time falls out of the tape), dense, inverted dropout, stabilized softmax
-cross-entropy, an AdamW step with decoupled weight decay, and a central
-finite-difference gradient checker.
+Supplies exactly the layers the classifier needs: a fused channels-last
+convolution + LeakyReLU for the heads, a single-layer LSTM (built from
+primitives, so backward-through-time falls out of the tape), dense, inverted
+dropout, stabilized softmax cross-entropy, an AdamW step with decoupled
+weight decay, and a central finite-difference gradient checker. The generic
+NCHW ``conv2d`` and ``leaky_relu`` remain as the reference the fused op is
+checked against.
 
 Training runs in float32 by default; gradient-check suites build in float64
 for finite-difference headroom.
@@ -36,18 +38,21 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar")
+        # depth-first post-order, kept on an explicit stack: an unrolled
+        # LSTM makes the graph thousands of nodes deep
         order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
@@ -61,9 +66,14 @@ class Tensor:
                 node._parents = ()
                 node._backward = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add ``g`` to the gradient; an ``owned`` array is fresh and is kept
+        rather than copied when it is the first contribution."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -275,6 +285,100 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1),
     return out
 
 
+def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
+                  time_pad=(0, 0)) -> Tensor:
+    """LeakyReLU of a channels-last convolution, fused into one tape node.
+
+    ``x`` is (N, T, W, C) and ``weight`` (O, C, kh, kw), the ``conv2d``
+    layout. The kernel tiles W with stride kw; along T it slides at stride
+    1 over ``time_pad`` = (before, after) zeros. Each of the kh time taps is
+    one GEMM over a sample's (T*W/kw, kw*C) rows, shift-added into the
+    (N, To, W/kw, O) output, so no padded copy or patch matrix is built.
+    Only the LeakyReLU's sign mask is kept for backward.
+    """
+    n, t_len, w_, c = x.data.shape
+    o, cw, kh, kw = weight.data.shape
+    pb, pa = time_pad
+    if cw != c:
+        raise ShapeMismatch(f"conv_leaky_cl channels: input {c}, weight {cw}")
+    if bias.data.shape != (o,):
+        raise ShapeMismatch(f"conv_leaky_cl bias shape {bias.data.shape}, expected ({o},)")
+    if w_ % kw != 0:
+        raise ShapeMismatch(f"conv_leaky_cl width {w_} not a multiple of kernel {kw}")
+    t_out = t_len + pb + pa - kh + 1
+    if t_out < 1:
+        raise ShapeMismatch("kernel longer than padded time axis")
+    wo, k = w_ // kw, kw * c
+    # the work runs one sample at a time so that each GEMM's output, the
+    # shift-adds and the LeakyReLU passes over it stay in cache
+    xs = x.data.reshape(n, t_len * wo, k)
+    # tap i as a (kw*C, O) matrix, rows ordered like the reshaped input
+    taps = [weight.data[:, :, i, :].transpose(2, 1, 0).reshape(k, o)
+            for i in range(kh)]
+    plain = kh == 1 and pb == pa == 0
+
+    def spans(i):
+        """Output and input rows of one sample that tap i connects."""
+        lo, hi = max(0, pb - i), min(t_out, t_len + pb - i)
+        return (slice(lo * wo, hi * wo),
+                slice((lo + i - pb) * wo, (hi + i - pb) * wo))
+
+    y = np.empty((n, t_out * wo, o), np.result_type(xs, taps[0]))
+    mask = np.empty(y.shape, bool)
+    tap_out = np.empty((t_len * wo, o), y.dtype)
+    for s in range(n):
+        ys = y[s]
+        if plain:
+            np.matmul(xs[s], taps[0], out=ys)
+            ys += bias.data
+        else:
+            ys[...] = bias.data
+            for i in range(kh):
+                out_r, in_r = spans(i)
+                np.matmul(xs[s], taps[i], out=tap_out)
+                ys[out_r] += tap_out[in_r]
+        np.maximum(ys, ys * slope, out=ys)
+        np.greater_equal(ys, 0, out=mask[s])
+    out = Tensor(y.reshape(n, t_out, wo, o), parents=(x, weight, bias))
+
+    def backward(g):
+        g = g.reshape(y.shape)
+        gb = np.zeros(o, g.dtype)
+        gw = np.zeros((kh, k, o), g.dtype)
+        gx = np.empty(xs.shape, g.dtype) if x.requires_grad else None
+        gx_tap = np.empty((t_out * wo, k), g.dtype)
+        for s in range(n):
+            gz = mask[s].astype(g.dtype)
+            gz *= 1.0 - slope
+            gz += slope
+            gz *= g[s]
+            if bias.requires_grad:
+                gb += gz.sum(axis=0)
+            if weight.requires_grad:
+                for i in range(kh):
+                    out_r, in_r = spans(i)
+                    gw[i] += xs[s, in_r].T @ gz[out_r]
+            if gx is None:
+                continue
+            if plain:
+                np.matmul(gz, taps[0].T, out=gx[s])
+            else:
+                gx[s] = 0
+                for i in range(kh):
+                    out_r, in_r = spans(i)
+                    np.matmul(gz, taps[i].T, out=gx_tap)
+                    gx[s, in_r] += gx_tap[out_r]
+        if bias.requires_grad:
+            bias._accumulate(gb)
+        if weight.requires_grad:
+            weight._accumulate(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+        if gx is not None:
+            x._accumulate(gx.reshape(x.data.shape), owned=True)
+
+    out._backward = backward
+    return out
+
+
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map of (N,I) by (O,I) weights."""
     if x.data.shape[-1] != weight.data.shape[1]:
@@ -293,29 +397,22 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def permute(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.transpose(inverse))
-
-    out._backward = backward
-    return out
-
-
 def dropout(x: Tensor, rate: float, train: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: identity in eval mode, rescaled mask in train mode."""
+            rng: np.random.Generator | None = None, draw_axes=None) -> Tensor:
+    """Inverted dropout: identity in eval mode, rescaled mask in train mode.
+
+    ``draw_axes`` draws the mask over ``x``'s axes in that order and
+    transposes it back, so a layout change can keep the random stream.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
         return x
     if rng is None:
         rng = np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
+    keep = rng.random(tuple(x.shape[a] for a in axes)) >= rate
+    mask = keep.transpose(np.argsort(axes)).astype(x.data.dtype) / (1.0 - rate)
     return mul(x, Tensor(mask))
 
 

@@ -101,10 +101,6 @@ class EmptyDataset(HloblabError):
     pass
 
 
-class UnknownCommand(HloblabError):
-    pass
-
-
 class ConfigError(HloblabError):
     def __init__(self, key, detail=""):
         self.key = key

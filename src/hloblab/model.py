@@ -5,9 +5,13 @@ edges). A (1x2)/stride-(1x2) convolution first merges each (price, volume)
 pair, a stride-arity convolution merges each simplex, two time-axis (4x1)
 convolutions (zero-padded to preserve the 100-step extent) model short-range
 temporal structure, and a (1 x head-cardinality) convolution with dropout
-mixes across simplices. The three (100 x 32) head outputs are concatenated
-into a (100 x 96) sequence feeding a 32-unit LSTM whose final state a linear
-layer maps to the three class logits.
+mixes across simplices. Every convolution is followed by a LeakyReLU; the
+heads run channels-last, (N, T, width, C), so each layer is one fused
+``engine.conv_leaky_cl`` matmul and the head output is already the
+(N, T, C) sequence. Weights keep the (O, C, kh, kw) convolution layout.
+The three (100 x 32) head outputs are concatenated into a (100 x 96)
+sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
+three class logits.
 """
 
 from __future__ import annotations
@@ -93,25 +97,22 @@ class _Head:
                 rng: np.random.Generator | None) -> Tensor:
         slope = config.leaky_slope
 
-        def conv(t, pair, **kwargs):
+        def conv(t, pair, time_pad=(0, 0)):
             w, b = pair
-            return engine.conv2d(t, w.tensor, b.tensor, **kwargs)
+            return engine.conv_leaky_cl(t, w.tensor, b.tensor, slope, time_pad)
 
-        h = conv(x, self.conv_pv, stride=(1, 2))
-        h = engine.leaky_relu(h, slope)
-        h = conv(h, self.conv_simplex, stride=(1, self.arity))
-        h = engine.leaky_relu(h, slope)
+        n, _, t, w = x.shape
+        h = conv(engine.reshape(x, (n, t, w, 1)), self.conv_pv)
+        h = conv(h, self.conv_simplex)
         # time padding (1, 2) keeps the 100-step extent through the 4x1 kernels
-        h = conv(h, self.conv_time1, padding=((1, 2), (0, 0)))
-        h = engine.leaky_relu(h, slope)
-        h = conv(h, self.conv_time2, padding=((1, 2), (0, 0)))
-        h = engine.leaky_relu(h, slope)
+        h = conv(h, self.conv_time1, time_pad=(1, 2))
+        h = conv(h, self.conv_time2, time_pad=(1, 2))
         h = conv(h, self.conv_mix)
-        h = engine.leaky_relu(h, slope)
-        h = engine.dropout(h, config.dropout_rate, train, rng)
-        # (N, C, T, 1) -> (N, T, C)
-        n, c, t, _ = h.shape
-        return engine.reshape(engine.permute(h, (0, 2, 1, 3)), (n, t, c))
+        h = engine.reshape(h, (n, t, h.shape[3]))
+        # the mask is drawn over (N, C, T), the unit order of the NCHW
+        # conv2d reference head, so a given rng drops the same units in both
+        return engine.dropout(h, config.dropout_rate, train, rng,
+                              draw_axes=(0, 2, 1))
 
 
 class HlobModel:

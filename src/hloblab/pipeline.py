@@ -101,7 +101,9 @@ def _clean_day(cfg: RunConfig, day: str) -> lob.LobSeries:
 
 
 def _check_digest(stored: str, cfg: RunConfig, artifact: str) -> None:
-    if stored and stored != cfg.digest():
+    if not stored:
+        raise DigestMismatch(f"{artifact} carries no config digest")
+    if stored != cfg.digest():
         raise DigestMismatch(f"{artifact} was produced under a different config")
 
 

@@ -155,6 +155,18 @@ class TestPipelineStages:
         assert cli.dispatch(["tmfg", "--config", tampered]) == 2
         assert "different config" in capsys.readouterr().err
 
+    def test_missing_digest_detected(self, tmp_path, capsys):
+        cfg_path = str(write_config(tmp_path))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        path = tmp_path / "out" / "simplices.json"
+        obj = json.loads(path.read_text())
+        del obj["config_digest"]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 2
+        assert "simplices.json" in capsys.readouterr().err
+
     def test_report_without_eval_is_user_error(self, tmp_path):
         cfg_path = str(write_config(tmp_path))
         (tmp_path / "out").mkdir()

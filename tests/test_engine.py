@@ -8,6 +8,7 @@ from hloblab.engine import (
     Parameter,
     Tensor,
     conv2d,
+    conv_leaky_cl,
     dense,
     dropout,
     grad_check,
@@ -17,6 +18,7 @@ from hloblab.engine import (
     softmax_cross_entropy,
 )
 from hloblab.errors import BadLabel, ShapeMismatch
+from hloblab.model import HlobConfig, _Head
 
 
 def tensor64(rng, shape):
@@ -137,6 +139,87 @@ class TestConv2d:
         with pytest.raises(ShapeMismatch):
             conv2d(Tensor(np.zeros((1, 2, 4, 4))),
                    Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros(1)))
+
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestConvLeakyChannelsLast:
+    # (input width, in channels, kernel (kh, kw), time padding) of the five
+    # layers of the "tri" head, whose oracle is conv2d followed by leaky_relu
+    HEAD_LAYERS = {
+        "conv_pv": (312, 1, (1, 2), (0, 0)),
+        "conv_simplex": (156, 32, (1, 3), (0, 0)),
+        "conv_time1": (52, 32, (4, 1), (1, 2)),
+        "conv_time2": (52, 32, (4, 1), (1, 2)),
+        "conv_mix": (52, 32, (1, 52), (0, 0)),
+    }
+
+    @pytest.mark.parametrize("layer", sorted(HEAD_LAYERS))
+    def test_matches_conv2d_then_leaky_relu(self, layer):
+        width, c, (kh, kw), pad = self.HEAD_LAYERS[layer]
+        rng = np.random.default_rng(20)
+        x_cl = rng.standard_normal((2, 100, width, c))
+        w_data = rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw)
+        b_data = rng.standard_normal(32)
+
+        x = Tensor(x_cl.copy(), requires_grad=True)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        out = conv_leaky_cl(x, w, b, 0.01, pad)
+        TestGradCheck.sum_sq(out).backward()
+
+        xr = Tensor(x_cl.transpose(0, 3, 1, 2).copy(), requires_grad=True)
+        wr = Tensor(w_data.copy(), requires_grad=True)
+        br = Tensor(b_data.copy(), requires_grad=True)
+        ref = leaky_relu(conv2d(xr, wr, br, stride=(1, kw),
+                                padding=(pad, (0, 0))), 0.01)
+        TestGradCheck.sum_sq(ref).backward()
+
+        assert out.shape == (2, 100, width // kw, 32)
+        assert max_rel(out.data.transpose(0, 3, 1, 2), ref.data) < 1e-12
+        assert max_rel(x.grad.transpose(0, 3, 1, 2), xr.grad) < 1e-12
+        assert max_rel(w.grad, wr.grad) < 1e-12
+        assert max_rel(b.grad, br.grad) < 1e-12
+
+    def test_gradients_with_time_padding(self):
+        rng = np.random.default_rng(21)
+        x = tensor64(rng, (2, 5, 4, 3))
+        w = tensor64(rng, (4, 3, 4, 2))
+        b = tensor64(rng, (4,))
+
+        def loss(xt, wt, bt):
+            return TestGradCheck.sum_sq(conv_leaky_cl(xt, wt, bt, 0.01, (1, 2)))
+
+        assert grad_check(lambda t: loss(t, w, b), x) < 1e-6
+        assert grad_check(lambda t: loss(x, t, b), w) < 1e-6
+        assert grad_check(lambda t: loss(x, w, t), b) < 1e-6
+
+    def test_width_not_tiled_by_kernel(self):
+        with pytest.raises(ShapeMismatch):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 5, 2))),
+                          Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)),
+                          0.01)
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 4, 2))),
+                          Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
+                          0.01)
+
+    def test_head_dropout_mask_keeps_nchw_draw(self):
+        cfg = HlobConfig()
+        head = _Head("tri", 3, 52, cfg, np.random.default_rng(0), np.float64)
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 1, 100, 312)))
+        kept = head.forward(x, cfg, train=True, rng=np.random.default_rng(2))
+        full = head.forward(x, cfg, train=False, rng=None)
+        # the draw of the NCHW head: one uniform per (N, C, T, 1) unit
+        keep = np.random.default_rng(2).random((2, 32, 100, 1)) >= cfg.dropout_rate
+        mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+        expect = full.data * mask[..., 0].transpose(0, 2, 1)
+        assert kept.shape == (2, 100, 32)
+        np.testing.assert_array_equal(kept.data, expect)
 
 
 class TestLeakyRelu:

@@ -36,13 +36,13 @@ def tiny_model(seed=0):
     return HlobModel(TINY_CONFIG, seed=seed, dtype=np.float64)
 
 
-def make_windows(rng, n, day, label_cycle=(-1, 0, 1), signal=0.0):
+def make_windows(rng, n, day, label_cycle=(-1, 0, 1), signal=0.0, length=10):
     windows = []
     for i in range(n):
         label = label_cycle[i % len(label_cycle)]
-        feats = rng.standard_normal((10, 40)) + signal * label
+        feats = rng.standard_normal((length, 40)) + signal * label
         windows.append(LabeledWindow(features=feats, label=label, day=day,
-                                     origin=9 + i))
+                                     origin=length - 1 + i))
     return windows
 
 
@@ -138,6 +138,25 @@ class TestTrainLoop:
     def test_empty_inputs(self):
         with pytest.raises(EmptyDataset):
             train(tiny_model(), {}, [], TINY_COMPLEX, TrainConfig())
+
+    def test_long_window_trains(self):
+        # the unrolled LSTM puts thousands of nodes in a chain; backward
+        # must order them without recursing once per node
+        rng = np.random.default_rng(7)
+        config = HlobConfig(window_len=400, channels=4, head_widths=(8, 6, 4),
+                            arities=(4, 3, 2), cardinalities=(1, 1, 1),
+                            lstm_hidden=4)
+        model = HlobModel(config, seed=0, dtype=np.float64)
+        train_days = {"d1": make_windows(rng, 3, "d1", length=400)}
+        val = make_windows(rng, 3, "v1", length=400)
+        before = [p.data.copy() for p in model.parameters()]
+        _, history = train(model, train_days, val, TINY_COMPLEX,
+                           TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=1,
+                                       seed=8))
+        assert len(history["val_loss"]) == 1
+        assert np.isfinite(history["val_loss"][0])
+        assert any(not np.array_equal(b, p.data)
+                   for b, p in zip(before, model.parameters()))
 
     def test_learns_separable_toy_set(self):
         rng = np.random.default_rng(5)
