@@ -13,7 +13,14 @@ import sys
 
 from . import pipeline
 from .config import RunConfig
-from .errors import ConfigError, HloblabError
+from .errors import (
+    ConfigError,
+    EmptyAfterClean,
+    HloblabError,
+    InvalidBook,
+    MalformedRow,
+    RowCountMismatch,
+)
 
 log = logging.getLogger(__name__)
 
@@ -21,6 +28,9 @@ USER_ERROR = 1
 INTERNAL_ERROR = 2
 
 GRADCHECK_TOLERANCE = 1e-6  # float64 suite
+
+# bad input files: the user's data, not the program, is at fault
+INPUT_ERRORS = (MalformedRow, RowCountMismatch, InvalidBook, EmptyAfterClean)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +73,7 @@ def dispatch(argv=None) -> int:
             return _run_gradcheck()
         cfg = RunConfig.load(args.config)
         return _run_verb(args.command, cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
     except HloblabError as exc:

@@ -31,6 +31,16 @@ class MissingLevels(HloblabError):
     pass
 
 
+class InvalidBook(HloblabError):
+    """A day breaks a book invariant; ``index`` is the 0-based snapshot."""
+
+    def __init__(self, day, index, check):
+        self.day = day
+        self.index = index
+        self.check = check
+        super().__init__(f"invalid book on {day} at snapshot {index}: {check}")
+
+
 # --- preprocessing ---
 
 class InsufficientHistory(HloblabError):

@@ -4,11 +4,15 @@ Prices are kept as integers in 1e-4 currency units (the LOBSTER convention)
 end-to-end; conversion to currency happens only at reporting. Timestamps are
 integer nanoseconds since midnight, parsed by decimal-string splitting so the
 9-digit fractional part never touches floating point.
+
+Parsing, serialization and validation work on a whole day at once; only the
+error path of :func:`parse_lobster_pair` goes row by row, to name the line.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import (
     CrossedBook,
     EmptyAfterClean,
+    InvalidBook,
     MalformedRow,
     MissingLevels,
     RowCountMismatch,
@@ -25,12 +30,21 @@ log = logging.getLogger(__name__)
 
 N_LEVELS = 10
 N_BOOK_COLS = 4 * N_LEVELS
+N_MSG_COLS = 6  # time, type, id, size, price, direction
 
 SESSION_OPEN_NS = 34_200 * 10**9   # 09:30
 SESSION_CLOSE_NS = 57_600 * 10**9  # 16:00
 
 # column offsets within one level block (ask_p, ask_v, bid_p, bid_v)
 ASK_P, ASK_V, BID_P, BID_V = 0, 1, 2, 3
+
+_OB_FORMAT = ",".join(["%d"] * N_BOOK_COLS)
+_MSG_FORMAT = "%d.%09d," + ",".join(["%d"] * (N_MSG_COLS - 1))
+_SERIALIZE_BLOCK = 256  # rows turned into Python ints at a time
+
+# what np.loadtxt accepts for an int64 field, once surrounding space is gone
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
 def price_units(currency: float) -> int:
@@ -117,10 +131,37 @@ class LobSeries:
         return (self.snapshot(i) for i in range(self.T))
 
     def validate(self) -> None:
-        if np.any(np.diff(self.timestamps) < 0):
-            raise ValueError("timestamps not non-decreasing")
-        for snap in self.snapshots():
-            snap.validate()
+        """Check the book invariants of every snapshot at once.
+
+        Raises :class:`InvalidBook` for the first bad snapshot, naming the
+        first check it fails in the order :meth:`LobSnapshot.validate` uses.
+        """
+        back = np.flatnonzero(np.diff(self.timestamps) < 0)
+        if len(back):
+            raise InvalidBook(self.day, int(back[0]) + 1,
+                              "timestamps not non-decreasing")
+        if self.T == 0:
+            return
+        book = self.book
+        ask_p, ask_v = book[:, ASK_P::4], book[:, ASK_V::4]
+        bid_p, bid_v = book[:, BID_P::4], book[:, BID_V::4]
+        if ask_p.shape[1] != N_LEVELS:
+            raise MissingLevels(f"expected {N_LEVELS} levels")
+        checks = [
+            ("ask prices not strictly increasing",
+             np.any(np.diff(ask_p, axis=1) <= 0, axis=1)),
+            ("bid prices not strictly decreasing",
+             np.any(np.diff(bid_p, axis=1) >= 0, axis=1)),
+            ("negative volume",
+             np.any(ask_v < 0, axis=1) | np.any(bid_v < 0, axis=1)),
+            ("crossed book", ask_p[:, 0] <= bid_p[:, 0]),
+        ]
+        failed = np.stack([mask for _, mask in checks])
+        bad_rows = np.flatnonzero(failed.any(axis=0))
+        if len(bad_rows):
+            row = int(bad_rows[0])
+            check = checks[int(np.argmax(failed[:, row]))][0]
+            raise InvalidBook(self.day, row, check)
 
 
 def _parse_time_ns(text: str) -> int:
@@ -130,32 +171,39 @@ def _parse_time_ns(text: str) -> int:
     else:
         whole, frac = text, ""
     frac = (frac + "000000000")[:9]
-    return int(whole) * 10**9 + int(frac)
+    ns = int(whole) * 10**9 + int(frac)
+    if not _INT64.min <= ns <= _INT64.max:
+        raise ValueError(f"timestamp out of int64 nanoseconds: {text!r}")
+    return ns
 
 
-def _format_time_ns(ns: int) -> str:
-    return f"{ns // 10**9}.{ns % 10**9:09d}"
+def _strict_ints(fields, stream: str) -> list[int]:
+    """Convert integer fields exactly as ``np.loadtxt`` does for int64.
 
-
-def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
-                       day: str = "1970-01-01") -> LobSeries:
-    """Parse an aligned (orderbook, message) row pair into a LobSeries.
-
-    Row i of each stream produces snapshot i. Crossed-book rows are reported
-    with their 1-based line number but kept; :func:`clean_session` drops them.
+    A field is an optional sign and ASCII digits, with optional surrounding
+    whitespace, and must fit int64. Anything else (``1.5``, ``1_000``,
+    ``0x10``, an overflow) raises ``ValueError`` naming the 1-based field.
     """
-    orderbook_rows = list(orderbook_rows)
-    message_rows = list(message_rows)
-    if len(orderbook_rows) != len(message_rows):
-        raise RowCountMismatch(
-            f"{len(orderbook_rows)} orderbook rows vs {len(message_rows)} message rows"
-        )
+    values = []
+    for k, text in enumerate(fields, 1):
+        text = text.strip()
+        value = int(text) if _INT_FIELD.fullmatch(text) else None
+        if value is None or not _INT64.min <= value <= _INT64.max:
+            raise ValueError(f"{stream} field {k} is not an int64 integer: {text!r}")
+        values.append(value)
+    return values
 
+
+def _parse_rows(orderbook_rows: list[str], message_rows: list[str]):
+    """Row-by-row parse that raises :class:`MalformedRow` at the first bad line.
+
+    The reference for the whole-day read in :func:`parse_lobster_pair`, which
+    runs it only when that read fails.
+    """
     n = len(orderbook_rows)
     timestamps = np.empty(n, np.int64)
     book = np.empty((n, N_BOOK_COLS), np.int64)
-    messages = np.empty((n, 5), np.int64)
-
+    messages = np.empty((n, N_MSG_COLS - 1), np.int64)
     for i, (ob_row, msg_row) in enumerate(zip(orderbook_rows, message_rows)):
         line_no = i + 1
         ob_fields = ob_row.strip().split(",")
@@ -163,16 +211,61 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
             raise MalformedRow(line_no, f"expected {N_BOOK_COLS} orderbook fields, "
                                         f"got {len(ob_fields)}")
         msg_fields = msg_row.strip().split(",")
-        if len(msg_fields) != 6:
-            raise MalformedRow(line_no, f"expected 6 message fields, got {len(msg_fields)}")
+        if len(msg_fields) != N_MSG_COLS:
+            raise MalformedRow(line_no, f"expected {N_MSG_COLS} message fields, "
+                                        f"got {len(msg_fields)}")
         try:
-            book[i] = [int(f) for f in ob_fields]
+            book[i] = _strict_ints(ob_fields, "orderbook")
             timestamps[i] = _parse_time_ns(msg_fields[0])
-            messages[i] = [int(f) for f in msg_fields[1:]]
+            messages[i] = _strict_ints(msg_fields[1:], "message")
         except ValueError as exc:
             raise MalformedRow(line_no, str(exc)) from None
-        if book[i, ASK_P] <= book[i, BID_P]:
-            log.warning("%s", CrossedBook(line_no))
+    return timestamps, book, messages
+
+
+def _load_ints(rows: list[str], usecols=None) -> np.ndarray:
+    # max_rows sizes the result once; grown by realloc, it would sit in the
+    # brk heap and fragment it
+    return np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2,
+                      comments=None, usecols=usecols, max_rows=len(rows))
+
+
+def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
+                       day: str = "1970-01-01") -> LobSeries:
+    """Parse an aligned (orderbook, message) row pair into a LobSeries.
+
+    Row i of each stream produces snapshot i. Integer fields are parsed
+    strictly (see :func:`_strict_ints`). Crossed-book rows are reported
+    with their 1-based line number but kept; :func:`clean_session` drops them.
+
+    The day is read whole: one comma count per row checks the field counts
+    and ``np.loadtxt`` converts the integer columns. If either finds a
+    problem, :func:`_parse_rows` rescans row by row to name the first bad line.
+    """
+    orderbook_rows = list(orderbook_rows)
+    message_rows = list(message_rows)
+    if len(orderbook_rows) != len(message_rows):
+        raise RowCountMismatch(
+            f"{len(orderbook_rows)} orderbook rows vs {len(message_rows)} message rows"
+        )
+    if not orderbook_rows:
+        return LobSeries(meta=meta, day=day)
+
+    try:
+        if (any(row.count(",") != N_BOOK_COLS - 1 for row in orderbook_rows)
+                or any(row.count(",") != N_MSG_COLS - 1 for row in message_rows)):
+            raise ValueError("field count")
+        book = _load_ints(orderbook_rows)
+        messages = _load_ints(message_rows, usecols=range(1, N_MSG_COLS))
+        timestamps = np.array([_parse_time_ns(row[:row.index(",")])
+                               for row in message_rows], np.int64)
+    except ValueError:
+        # rows with a line break inside them fail np.loadtxt only; the
+        # rescan then returns them parsed
+        timestamps, book, messages = _parse_rows(orderbook_rows, message_rows)
+
+    for idx in np.flatnonzero(book[:, ASK_P] <= book[:, BID_P]):
+        log.warning("%s", CrossedBook(int(idx) + 1))
 
     return LobSeries(meta=meta, day=day, timestamps=timestamps, book=book,
                      messages=messages)
@@ -184,11 +277,13 @@ def serialize_lobster_pair(series: LobSeries) -> tuple[list[str], list[str]]:
     Round-trips byte-for-byte against sources with canonical 9-digit
     fractional timestamps.
     """
-    ob_rows = [",".join(str(v) for v in row) for row in series.book]
-    msg_rows = [
-        _format_time_ns(int(ts)) + "," + ",".join(str(v) for v in msg)
-        for ts, msg in zip(series.timestamps, series.messages)
-    ]
+    ts = series.timestamps
+    msg = np.column_stack([ts // 10**9, ts % 10**9, series.messages])
+    ob_rows, msg_rows = [], []
+    for start in range(0, series.T, _SERIALIZE_BLOCK):
+        stop = start + _SERIALIZE_BLOCK
+        ob_rows += [_OB_FORMAT % tuple(row) for row in series.book[start:stop].tolist()]
+        msg_rows += [_MSG_FORMAT % tuple(row) for row in msg[start:stop].tolist()]
     return ob_rows, msg_rows
 
 

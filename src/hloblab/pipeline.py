@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,26 @@ def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
     )
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old file or the new one.
+
+    The text goes to a temporary file next to ``path``, which then replaces
+    it; on any failure the temporary file is removed and ``path`` is untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_day(directory, series: lob.LobSeries) -> None:
     msg_path, ob_path = day_paths(directory, series.meta.ticker, series.day)
     ob_rows, msg_rows = lob.serialize_lobster_pair(series)
-    ob_path.write_text("\n".join(ob_rows) + "\n" if ob_rows else "")
-    msg_path.write_text("\n".join(msg_rows) + "\n" if msg_rows else "")
+    write_atomic(ob_path, "\n".join(ob_rows) + "\n" if ob_rows else "")
+    write_atomic(msg_path, "\n".join(msg_rows) + "\n" if msg_rows else "")
 
 
 def _read_day(directory, meta: lob.StockMeta, day: str) -> lob.LobSeries:
@@ -123,8 +139,8 @@ def run_mi(cfg: RunConfig) -> Path:
                                              rng_seed=seed * 99_991 + i))
     avg = infonet.average_mi(daily)
     json_path = out_dir / "mi_avg.json"
-    json_path.write_text(infonet.mi_matrix_to_json(avg, cfg.digest()) + "\n")
-    (out_dir / "mi_avg.csv").write_text(infonet.mi_matrix_to_csv(avg))
+    write_atomic(json_path, infonet.mi_matrix_to_json(avg, cfg.digest()) + "\n")
+    write_atomic(out_dir / "mi_avg.csv", infonet.mi_matrix_to_csv(avg))
     return json_path
 
 
@@ -139,7 +155,7 @@ def run_tmfg(cfg: RunConfig) -> Path:
     path = out_dir / "simplices.json"
     obj = json.loads(infonet.simplices_to_json(complex_, cfg.digest()))
     obj["retained_weight"] = score
-    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
     return path
 
 
@@ -203,8 +219,7 @@ def run_train(cfg: RunConfig) -> Path:
                                  train_config(cfg))
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt_path, extra={"run_config_digest": cfg.digest()})
-    (out_dir / "history.json").write_text(
-        json.dumps(history, sort_keys=True) + "\n")
+    write_atomic(out_dir / "history.json", json.dumps(history, sort_keys=True) + "\n")
     return ckpt_path
 
 
@@ -224,7 +239,7 @@ def run_eval(cfg: RunConfig) -> Path:
         ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
         horizon=cfg.get_int("horizon"))
     path = out_dir / "eval_report.json"
-    path.write_text(json.dumps({
+    write_atomic(path, json.dumps({
         "ticker": report.ticker,
         "year": report.year,
         "horizon": report.horizon,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hloblab import cli, pipeline
+from hloblab import cli, lob, pipeline
 from hloblab.config import DEFAULTS, RunConfig, parse_config_text
 from hloblab.errors import ConfigError
 
@@ -108,6 +108,77 @@ class TestDispatchErrors:
         # a tampered digest is an internal error (exit 2), covered below
         path = write_config(tmp_path, **{"split.train": ""})
         assert cli.dispatch(["mi", "--config", str(path)]) == 1
+
+
+class TestIngestInputErrors:
+    def _synth(self, tmp_path):
+        cfg_path = str(write_config(tmp_path, **{"synth.n_events": "200"}))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        return cfg_path, pipeline.day_paths(tmp_path / "data", "SYN", DAYS[3])
+
+    def test_bad_bid_ladder_is_user_error(self, tmp_path, capsys):
+        cfg_path, (_, ob_path) = self._synth(tmp_path)
+        rows = ob_path.read_text().splitlines()
+        fields = rows[100].split(",")   # mid-day, inside the trimmed window
+        fields[4 + lob.BID_P] = fields[lob.BID_P]   # bid level 2 = level 1
+        rows[100] = ",".join(fields)
+        ob_path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid book on 1970-01-04 at snapshot ")
+        assert err.rstrip().endswith("bid prices not strictly decreasing")
+        assert err.count("\n") == 1
+
+    def test_malformed_row_is_user_error(self, tmp_path, capsys):
+        cfg_path, (msg_path, _) = self._synth(tmp_path)
+        rows = msg_path.read_text().splitlines()
+        rows[6] = rows[6].replace(",", ",1_000,", 1)
+        msg_path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed row at line 7: ")
+        assert err.count("\n") == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            pipeline.write_atomic(path, "new \ud800\n")   # fails while writing
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_failed_ingest_keeps_cleaned_days(self, tmp_path, monkeypatch):
+        cfg_path = str(write_config(tmp_path))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 0
+        clean_dir = tmp_path / "out" / "cleaned"
+        before = {p.name: p.read_bytes() for p in clean_dir.iterdir()}
+
+        serialize = lob.serialize_lobster_pair
+
+        def unwritable(series):
+            ob_rows, msg_rows = serialize(series)
+            return ob_rows, msg_rows[:-1] + ["\ud800"]
+
+        monkeypatch.setattr(lob, "serialize_lobster_pair", unwritable)
+        with pytest.raises(UnicodeEncodeError):
+            pipeline.run_ingest(RunConfig.load(cfg_path))
+        assert {p.name: p.read_bytes() for p in clean_dir.iterdir()} == before
+
+    def test_stages_leave_only_their_artifacts(self, tmp_path):
+        cfg_path = str(write_config(tmp_path))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        out_dir = tmp_path / "out"
+        found = sorted(str(p.relative_to(out_dir))
+                       for p in out_dir.rglob("*") if p.is_file())
+        days = sorted(f"cleaned/{p.name}" for d in DAYS
+                      for p in pipeline.day_paths(out_dir / "cleaned", "SYN", d))
+        assert found == sorted(days + ["mi_avg.csv", "mi_avg.json", "simplices.json"])
 
 
 class TestPipelineStages:

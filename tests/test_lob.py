@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hloblab import lob
 from hloblab.errors import (
     EmptyAfterClean,
+    InvalidBook,
     MalformedRow,
     MissingLevels,
     RowCountMismatch,
@@ -57,8 +60,12 @@ class TestParse:
         assert snap.timestamp == 34200000000001
 
     def test_empty_streams(self):
-        series = parse_lobster_pair([], [], META)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = parse_lobster_pair([], [], META)
         assert series.T == 0
+        assert series.book.shape == (0, lob.N_BOOK_COLS)
+        assert series.messages.shape == (0, 5)
 
     def test_malformed_row_reports_line(self):
         rows = [make_orderbook_row(), "1,2,3", make_orderbook_row()]
@@ -71,6 +78,60 @@ class TestParse:
         row = make_orderbook_row().replace("1000500", "abc", 1)
         with pytest.raises(MalformedRow):
             parse_lobster_pair([row], [make_message_row()], META)
+
+    def test_int64_limits_accepted(self):
+        top, bottom = str(2**63 - 1), str(-2**63)
+        row = make_orderbook_row().replace("10,", f"{top},", 1)
+        msg = f"36100.5,1,{bottom},10,1000500,1"
+        series = parse_lobster_pair([row], [msg], META)
+        assert series.book[0, 1] == 2**63 - 1
+        assert series.messages[0, 1] == -2**63
+
+    @pytest.mark.parametrize("line, ob_edit, msg_edit", [
+        pytest.param(2, lambda r: "", None, id="blank-line"),
+        pytest.param(3, lambda r: r.replace("1000500", "1000#500", 1), None,
+                     id="hash-in-field"),
+        pytest.param(2, lambda r: r + ",7", None, id="41-fields"),
+        pytest.param(3, lambda r: r.replace("1000500", "1.5", 1), None, id="decimal"),
+        pytest.param(2, lambda r: r.replace("1000500", "1_000", 1), None,
+                     id="underscore"),   # int() accepts it
+        pytest.param(4, lambda r: r.replace("10,", "99999999999999999999,", 1), None,
+                     id="beyond-int64"),
+        pytest.param(3, None, lambda m: m.rsplit(",", 1)[0], id="5-message-fields"),
+        pytest.param(2, None, lambda m: m.replace(",42,", ",4.2,"), id="message-decimal"),
+        pytest.param(3, None, lambda m: "x" + m, id="bad-timestamp"),
+    ])
+    def test_edge_cases_name_the_line(self, line, ob_edit, msg_edit):
+        rows = [make_orderbook_row()] * 4
+        msgs = [make_message_row()] * 4
+        if ob_edit:
+            rows[line - 1] = ob_edit(rows[line - 1])
+        if msg_edit:
+            msgs[line - 1] = msg_edit(msgs[line - 1])
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair(rows, msgs, META)
+        assert err.value.line_number == line
+
+    def test_first_bad_line_wins_across_checks(self):
+        # a bad value on line 2 is reported before a bad field count on line 4
+        rows = [make_orderbook_row()] * 5
+        rows[1] = rows[1].replace("1000500", "abc", 1)
+        rows[3] = "1,2,3"
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair(rows, [make_message_row()] * 5, META)
+        assert err.value.line_number == 2
+
+    def test_whitespace_and_signs_accepted(self):
+        row = make_orderbook_row()
+        padded = " " + row.replace(",", " ,\t", 3).replace("1000500", "+1000500", 1) + "\r"
+        series = parse_lobster_pair([padded, row], [make_message_row()] * 2, META)
+        np.testing.assert_array_equal(series.book[0], series.book[1])
+
+    def test_row_with_inner_line_break_parses_row_by_row(self):
+        row = make_orderbook_row()
+        broken = row.replace(",", "\r,", 1)
+        series = parse_lobster_pair([broken, row], [make_message_row()] * 2, META)
+        np.testing.assert_array_equal(series.book[0], series.book[1])
 
     def test_row_count_mismatch(self):
         with pytest.raises(RowCountMismatch):
@@ -91,6 +152,94 @@ class TestParse:
         out_ob, out_msg = serialize_lobster_pair(series)
         assert out_ob == ob_rows
         assert out_msg == msg_rows
+
+
+class TestCodec:
+    @pytest.mark.parametrize("regime", ["compact", "sparse"])
+    def test_round_trip_20k_day(self, regime):
+        series = synthesize_lob(seed=13, n_events=20_000, regime=regime, meta=META)
+        ob_rows, msg_rows = serialize_lobster_pair(series)
+        parsed = parse_lobster_pair(ob_rows, msg_rows, META)
+        for name in ("timestamps", "book", "messages"):
+            got, want = getattr(parsed, name), getattr(series, name)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert serialize_lobster_pair(parsed) == (ob_rows, msg_rows)
+
+    def test_serialize_matches_str_of_each_field(self):
+        series = synthesize_lob(seed=2, n_events=50, regime="sparse", meta=META)
+        series.book[3, 5] = -7
+        series.timestamps[4] = 57_600 * 10**9 + 5
+        ob_rows, msg_rows = serialize_lobster_pair(series)
+        for i in range(series.T):
+            assert ob_rows[i] == ",".join(str(v) for v in series.book[i])
+            ts = int(series.timestamps[i])
+            assert msg_rows[i] == (f"{ts // 10**9}.{ts % 10**9:09d},"
+                                   + ",".join(str(v) for v in series.messages[i]))
+
+    def test_row_by_row_parse_agrees(self):
+        series = synthesize_lob(seed=4, n_events=300, regime="sparse", meta=META)
+        ob_rows, msg_rows = serialize_lobster_pair(series)
+        timestamps, book, messages = lob._parse_rows(ob_rows, msg_rows)
+        np.testing.assert_array_equal(timestamps, series.timestamps)
+        np.testing.assert_array_equal(book, series.book)
+        np.testing.assert_array_equal(messages, series.messages)
+
+
+def _plant(book, row, defect, rng):
+    """Break one invariant of snapshot ``row`` in place."""
+    level = int(rng.integers(1, 10))
+    if defect == "ask":
+        book[row, 4 * level + lob.ASK_P] = book[row, 4 * (level - 1) + lob.ASK_P]
+    elif defect == "bid":
+        book[row, 4 * level + lob.BID_P] = book[row, 4 * (level - 1) + lob.BID_P] + 1
+    elif defect == "volume":
+        side = lob.ASK_V if rng.integers(2) else lob.BID_V
+        book[row, 4 * level + side] = -1
+    else:  # crossed: shift the whole ask ladder down to the best bid
+        book[row, lob.ASK_P::4] -= book[row, lob.ASK_P] - book[row, lob.BID_P]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("defect", ["ask", "bid", "volume", "crossed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_snapshot_oracle(self, defect, seed):
+        rng = np.random.default_rng(seed)
+        series = synthesize_lob(seed=seed, n_events=400, regime="sparse", meta=META,
+                                day="2024-03-01")
+        row = int(rng.integers(series.T))
+        _plant(series.book, row, defect, rng)
+        with pytest.raises(ValueError) as oracle:
+            series.snapshot(row).validate()
+        with pytest.raises(InvalidBook) as err:
+            series.validate()
+        assert err.value.index == row
+        assert err.value.check == str(oracle.value)
+        assert err.value.day == "2024-03-01"
+        assert str(err.value) == (f"invalid book on 2024-03-01 at snapshot {row}: "
+                                  f"{oracle.value}")
+
+    def test_first_row_and_first_check_win(self):
+        series = synthesize_lob(seed=5, n_events=200, regime="compact", meta=META)
+        rng = np.random.default_rng(0)
+        _plant(series.book, 150, "ask", rng)
+        _plant(series.book, 90, "volume", rng)
+        _plant(series.book, 90, "bid", rng)
+        with pytest.raises(InvalidBook) as err:
+            series.validate()
+        assert (err.value.index, err.value.check) == \
+            (90, "bid prices not strictly decreasing")
+
+    def test_timestamps_going_back(self):
+        series = synthesize_lob(seed=5, n_events=100, regime="compact", meta=META)
+        series.timestamps[60] = series.timestamps[59] - 1
+        with pytest.raises(InvalidBook) as err:
+            series.validate()
+        assert (err.value.index, err.value.check) == \
+            (60, "timestamps not non-decreasing")
+
+    def test_empty_series_is_valid(self):
+        lob.LobSeries(meta=META, day="1970-01-01").validate()
 
 
 class TestClean:
