@@ -12,9 +12,19 @@ class RowCountMismatch(HloblabError):
 
 
 class MalformedRow(HloblabError):
-    def __init__(self, line_number, detail=""):
+    """A bad row; the message adds the day and the file when they are known."""
+
+    def __init__(self, line_number, detail="", day=None, file=None):
         self.line_number = line_number
-        super().__init__(f"malformed row at line {line_number}: {detail}")
+        self.day = day
+        self.file = file
+        where = []
+        if day is not None:
+            where.append(f"day {day}")
+        if file is not None:
+            where.append(f"file {file}")
+        suffix = f" ({', '.join(where)})" if where else ""
+        super().__init__(f"malformed row at line {line_number}: {detail}{suffix}")
 
 
 class CrossedBook(HloblabError):
@@ -95,6 +105,16 @@ class ConfigInconsistent(HloblabError):
 
 class NonFiniteLogit(HloblabError):
     pass
+
+
+class NonFiniteLoss(HloblabError):
+    """Training produced a NaN or infinite loss; ``batch`` counts from 1."""
+
+    def __init__(self, epoch, batch, loss):
+        self.epoch = epoch
+        self.batch = batch
+        super().__init__(f"non-finite training loss {loss} at epoch {epoch}, "
+                         f"batch {batch}")
 
 
 class IoFailure(HloblabError):

@@ -45,6 +45,10 @@ _SERIALIZE_BLOCK = 256  # rows turned into Python ints at a time
 # what np.loadtxt accepts for an int64 field, once surrounding space is gone
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+# a timestamp: ASCII seconds, optionally "." and 1-9 fractional digits
+_TIME_FIELD = re.compile(r"\s*([0-9]+)(?:\.([0-9]{1,9}))?\s*")
+# a whole time column in the canonical form serialize_lobster_pair writes
+_CANONICAL_TIMES = re.compile(r"[0-9]+\.[0-9]{9}(?:\n[0-9]+\.[0-9]{9})*")
 
 
 def price_units(currency: float) -> int:
@@ -165,16 +169,36 @@ class LobSeries:
 
 
 def _parse_time_ns(text: str) -> int:
-    """Parse a LOBSTER seconds-since-midnight decimal string to integer ns."""
-    if "." in text:
-        whole, frac = text.split(".", 1)
-    else:
-        whole, frac = text, ""
-    frac = (frac + "000000000")[:9]
-    ns = int(whole) * 10**9 + int(frac)
-    if not _INT64.min <= ns <= _INT64.max:
+    """Parse a LOBSTER seconds-since-midnight decimal string to integer ns.
+
+    Accepts ASCII digits, optionally followed by ``.`` and 1-9 digits, with
+    surrounding whitespace; anything else raises ``ValueError``.
+    """
+    match = _TIME_FIELD.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad timestamp: {text!r}")
+    whole, frac = match.groups()
+    ns = int(whole) * 10**9 + int((frac or "").ljust(9, "0"))
+    if ns > _INT64.max:
         raise ValueError(f"timestamp out of int64 nanoseconds: {text!r}")
     return ns
+
+
+def _parse_times(message_rows: list[str]) -> np.ndarray:
+    """Timestamps of a whole day; ``ValueError`` if any row's is malformed.
+
+    A column in the canonical form is checked with one regex over the joined
+    column and read as integers with the decimal point removed; any other
+    column goes through :func:`_parse_time_ns` row by row.
+    """
+    fields = [row[:row.index(",")] for row in message_rows]
+    column = "\n".join(fields)
+    if _CANONICAL_TIMES.fullmatch(column):
+        try:
+            return np.array(column.replace(".", "").split("\n"), np.int64)
+        except OverflowError:
+            raise ValueError("timestamp out of int64 nanoseconds") from None
+    return np.array([_parse_time_ns(text) for text in fields], np.int64)
 
 
 def _strict_ints(fields, stream: str) -> list[int]:
@@ -194,32 +218,37 @@ def _strict_ints(fields, stream: str) -> list[int]:
     return values
 
 
-def _parse_rows(orderbook_rows: list[str], message_rows: list[str]):
+def _split_fields(row: str, n: int, stream: str) -> list[str]:
+    fields = row.strip().split(",")
+    if len(fields) != n:
+        raise ValueError(f"expected {n} {stream} fields, got {len(fields)}")
+    return fields
+
+
+def _parse_rows(orderbook_rows: list[str], message_rows: list[str],
+                day: str | None = None, files=(None, None)):
     """Row-by-row parse that raises :class:`MalformedRow` at the first bad line.
 
     The reference for the whole-day read in :func:`parse_lobster_pair`, which
-    runs it only when that read fails.
+    runs it only when that read fails. The error names ``day`` and the file
+    of ``files`` (orderbook, message) that holds the bad row.
     """
     n = len(orderbook_rows)
     timestamps = np.empty(n, np.int64)
     book = np.empty((n, N_BOOK_COLS), np.int64)
     messages = np.empty((n, N_MSG_COLS - 1), np.int64)
     for i, (ob_row, msg_row) in enumerate(zip(orderbook_rows, message_rows)):
-        line_no = i + 1
-        ob_fields = ob_row.strip().split(",")
-        if len(ob_fields) != N_BOOK_COLS:
-            raise MalformedRow(line_no, f"expected {N_BOOK_COLS} orderbook fields, "
-                                        f"got {len(ob_fields)}")
-        msg_fields = msg_row.strip().split(",")
-        if len(msg_fields) != N_MSG_COLS:
-            raise MalformedRow(line_no, f"expected {N_MSG_COLS} message fields, "
-                                        f"got {len(msg_fields)}")
         try:
-            book[i] = _strict_ints(ob_fields, "orderbook")
+            book[i] = _strict_ints(_split_fields(ob_row, N_BOOK_COLS, "orderbook"),
+                                   "orderbook")
+        except ValueError as exc:
+            raise MalformedRow(i + 1, str(exc), day, files[0]) from None
+        try:
+            msg_fields = _split_fields(msg_row, N_MSG_COLS, "message")
             timestamps[i] = _parse_time_ns(msg_fields[0])
             messages[i] = _strict_ints(msg_fields[1:], "message")
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+            raise MalformedRow(i + 1, str(exc), day, files[1]) from None
     return timestamps, book, messages
 
 
@@ -231,12 +260,15 @@ def _load_ints(rows: list[str], usecols=None) -> np.ndarray:
 
 
 def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
-                       day: str = "1970-01-01") -> LobSeries:
+                       day: str = "1970-01-01", files=(None, None)) -> LobSeries:
     """Parse an aligned (orderbook, message) row pair into a LobSeries.
 
     Row i of each stream produces snapshot i. Integer fields are parsed
-    strictly (see :func:`_strict_ints`). Crossed-book rows are reported
-    with their 1-based line number but kept; :func:`clean_session` drops them.
+    strictly (see :func:`_strict_ints`), timestamps too (see
+    :func:`_parse_time_ns`); a :class:`MalformedRow` names the line, ``day``
+    and the file of ``files`` (orderbook, message) it is in. Crossed-book
+    rows are reported with their 1-based line number but kept;
+    :func:`clean_session` drops them.
 
     The day is read whole: one comma count per row checks the field counts
     and ``np.loadtxt`` converts the integer columns. If either finds a
@@ -257,12 +289,12 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
             raise ValueError("field count")
         book = _load_ints(orderbook_rows)
         messages = _load_ints(message_rows, usecols=range(1, N_MSG_COLS))
-        timestamps = np.array([_parse_time_ns(row[:row.index(",")])
-                               for row in message_rows], np.int64)
+        timestamps = _parse_times(message_rows)
     except ValueError:
         # rows with a line break inside them fail np.loadtxt only; the
         # rescan then returns them parsed
-        timestamps, book, messages = _parse_rows(orderbook_rows, message_rows)
+        timestamps, book, messages = _parse_rows(orderbook_rows, message_rows,
+                                                 day, files)
 
     for idx in np.flatnonzero(book[:, ASK_P] <= book[:, BID_P]):
         log.warning("%s", CrossedBook(int(idx) + 1))
@@ -353,6 +385,9 @@ def classify_tick_size(mean_spread_units: float, tick_units: int) -> str:
     return "medium"
 
 
+SYNTH_REGIMES = ("compact", "sparse")
+
+
 def synthesize_lob(seed: int, n_events: int, regime: str, meta: StockMeta,
                    day: str = "1970-01-01",
                    start_s: float = 36_100.0, end_s: float = 55_700.0) -> LobSeries:
@@ -363,7 +398,7 @@ def synthesize_lob(seed: int, n_events: int, regime: str, meta: StockMeta,
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    if regime not in ("compact", "sparse"):
+    if regime not in SYNTH_REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
 
     rng = np.random.default_rng(seed)

@@ -25,6 +25,7 @@ import numpy as np
 from . import engine
 from .engine import LstmParams, Parameter, Tensor
 from .errors import ConfigInconsistent, DigestMismatch, IoFailure, NonFiniteLogit
+from .files import write_atomic
 
 HEAD_NAMES = ("tetra", "tri", "edge")
 
@@ -191,7 +192,7 @@ def save_checkpoint(model: HlobModel, path, optimizer: engine.AdamW | None = Non
     """Write parameters (and optimizer moments) as little-endian payloads.
 
     Layout: magic, 8-byte header length, JSON header, then raw buffers in
-    header order.
+    header order. The file is replaced atomically (see :func:`write_atomic`).
     """
     entries = []
     buffers = []
@@ -223,12 +224,8 @@ def save_checkpoint(model: HlobModel, path, optimizer: engine.AdamW | None = Non
     }
     blob = json.dumps(header, sort_keys=True).encode()
     try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for raw in buffers:
-                fh.write(raw)
+        write_atomic(path, b"".join([CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"),
+                                     blob, *buffers]))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

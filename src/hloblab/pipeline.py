@@ -7,9 +7,13 @@ artifact records the run config digest for tamper detection.
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import io
 import json
 import logging
-import os
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ import numpy as np
 from . import engine, infonet, lob, preprocess, train as train_mod
 from .config import RunConfig
 from .errors import ConfigError, DigestMismatch
+from .files import write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
 from .preprocess import HISTORY_DAYS, LabeledWindow
@@ -26,11 +31,14 @@ log = logging.getLogger(__name__)
 
 
 def meta_from_config(cfg: RunConfig) -> lob.StockMeta:
-    return lob.StockMeta(
-        ticker=cfg.get_str("ticker"),
-        tick_size=cfg.get_float("tick_size"),
-        lot_size=cfg.get_int("lot_size"),
-    )
+    tick_size = cfg.get_float("tick_size")
+    if not (math.isfinite(tick_size) and lob.price_units(tick_size) >= 1):
+        raise ConfigError("tick_size", f"must be at least 0.0001, got {tick_size}")
+    lot_size = cfg.get_int("lot_size")
+    if lot_size < 1:
+        raise ConfigError("lot_size", f"must be at least 1, got {lot_size}")
+    return lob.StockMeta(ticker=cfg.get_str("ticker"), tick_size=tick_size,
+                         lot_size=lot_size)
 
 
 def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
@@ -41,37 +49,102 @@ def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
     )
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` so readers see the old file or the new one.
+# A cleaned day is also saved as one int64 .npy table beside its CSVs: column
+# 0 the timestamps, then the 40 book and the 5 message columns. The file is
+# named by the digest of the two CSVs, so an edited CSV no longer matches it.
+_CACHE_COLUMNS = 1 + lob.N_BOOK_COLS + lob.N_MSG_COLS - 1
+_CACHE_DIGEST = re.compile(r"[0-9a-f]{64}")
 
-    The text goes to a temporary file next to ``path``, which then replaces
-    it; on any failure the temporary file is removed and ``path`` is untouched.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+def _day_digest(ob_sha256: bytes, msg_sha256: bytes) -> str:
+    """Digest of a day's CSVs: sha256 of the orderbook's then the message's sha256."""
+    return hashlib.sha256(ob_sha256 + msg_sha256).hexdigest()
+
+
+def _cache_path(directory, ticker: str, day: str, digest: str) -> Path:
+    return Path(directory) / f"{ticker}_{day}_{digest}.npy"
+
+
+def _file_sha256(path: Path) -> tuple[bytes, int]:
+    """sha256 of a file, read in 1 MiB chunks, and its number of lines."""
+    h, lines = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+            lines += chunk.count(b"\n")
+    return h.digest(), lines
+
+
+def _cache_file(series: lob.LobSeries) -> np.ndarray:
+    """The bytes ``np.save`` writes for ``series`` as a table, in one buffer."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": "<i8", "fortran_order": False, "shape": (series.T, _CACHE_COLUMNS)})
+    start = header.tell()
+    buf = np.empty(start + 8 * _CACHE_COLUMNS * series.T, np.uint8)
+    buf[:start] = np.frombuffer(header.getbuffer(), np.uint8)
+    table = buf[start:].view("<i8").reshape(series.T, _CACHE_COLUMNS)
+    table[:, 0] = series.timestamps
+    table[:, 1:1 + lob.N_BOOK_COLS] = series.book
+    table[:, 1 + lob.N_BOOK_COLS:] = series.messages
+    return buf
+
+
+def _write_cache(directory, series: lob.LobSeries, digest: str) -> None:
+    """Save ``series`` under ``digest`` and remove older saves of its day."""
+    path = _cache_path(directory, series.meta.ticker, series.day, digest)
+    write_atomic(path, _cache_file(series))
+    prefix = f"{series.meta.ticker}_{series.day}_"
+    for old in path.parent.glob(glob.escape(prefix) + "*.npy"):
+        if old != path and _CACHE_DIGEST.fullmatch(old.name[len(prefix):-len(".npy")]):
+            old.unlink()
+
+
+def _load_cache(path: Path, n_rows: int, meta: lob.StockMeta,
+                day: str) -> lob.LobSeries | None:
+    """The day saved at ``path``, or None if it is missing or not an n_rows table."""
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        with open(path, "rb") as fh:
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if table.dtype != np.dtype("<i8") or table.shape != (n_rows, _CACHE_COLUMNS):
+        return None
+    return lob.LobSeries(meta=meta, day=day, timestamps=table[:, 0],
+                         book=table[:, 1:1 + lob.N_BOOK_COLS],
+                         messages=table[:, 1 + lob.N_BOOK_COLS:])
 
 
-def _write_day(directory, series: lob.LobSeries) -> None:
+def _csv_bytes(rows: list[str]) -> bytes:
+    return ("\n".join(rows) + "\n").encode() if rows else b""
+
+
+def _write_day(directory, series: lob.LobSeries) -> str:
+    """Write ``series`` as its two CSVs; returns their :func:`_day_digest`."""
     msg_path, ob_path = day_paths(directory, series.meta.ticker, series.day)
     ob_rows, msg_rows = lob.serialize_lobster_pair(series)
-    write_atomic(ob_path, "\n".join(ob_rows) + "\n" if ob_rows else "")
-    write_atomic(msg_path, "\n".join(msg_rows) + "\n" if msg_rows else "")
+    ob_bytes, msg_bytes = _csv_bytes(ob_rows), _csv_bytes(msg_rows)
+    write_atomic(ob_path, ob_bytes)
+    write_atomic(msg_path, msg_bytes)
+    return _day_digest(hashlib.sha256(ob_bytes).digest(),
+                      hashlib.sha256(msg_bytes).digest())
+
+
+def _existing_day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
+    msg_path, ob_path = day_paths(directory, ticker, day)
+    if not msg_path.exists() or not ob_path.exists():
+        raise ConfigError("days", f"missing files for day {day} in {directory}")
+    return msg_path, ob_path
 
 
 def _read_day(directory, meta: lob.StockMeta, day: str) -> lob.LobSeries:
-    msg_path, ob_path = day_paths(directory, meta.ticker, day)
-    if not msg_path.exists() or not ob_path.exists():
-        raise ConfigError("days", f"missing files for day {day} in {directory}")
+    msg_path, ob_path = _existing_day_paths(directory, meta.ticker, day)
     return lob.parse_lobster_pair(
         ob_path.read_text().splitlines(),
         msg_path.read_text().splitlines(),
         meta,
         day=day,
+        files=(str(ob_path), str(msg_path)),
     )
 
 
@@ -81,14 +154,21 @@ def run_synth(cfg: RunConfig) -> list[str]:
     days = cfg.get_days("days")
     if not days:
         raise ConfigError("days", "no days configured")
+    n_events = cfg.get_int("synth.n_events")
+    if n_events < 1:
+        raise ConfigError("synth.n_events", f"must be at least 1, got {n_events}")
+    regime = cfg.get_str("synth.regime")
+    if regime not in lob.SYNTH_REGIMES:
+        raise ConfigError("synth.regime", f"expected one of "
+                          f"{', '.join(lob.SYNTH_REGIMES)}, got {regime!r}")
     data_dir = Path(cfg.get_str("data_dir"))
     data_dir.mkdir(parents=True, exist_ok=True)
     base_seed = cfg.get_int("seed")
     for i, day in enumerate(days):
         series = lob.synthesize_lob(
             seed=base_seed * 100_003 + i,
-            n_events=cfg.get_int("synth.n_events"),
-            regime=cfg.get_str("synth.regime"),
+            n_events=n_events,
+            regime=regime,
             meta=meta,
             day=day,
         )
@@ -97,23 +177,35 @@ def run_synth(cfg: RunConfig) -> list[str]:
 
 
 def run_ingest(cfg: RunConfig) -> list[str]:
-    """Parse and clean every configured day into out_dir/cleaned."""
+    """Parse and clean every configured day into out_dir/cleaned.
+
+    Each day is written as its two CSVs, then saved as a ``.npy`` table named
+    by their digest, which later stages load instead of parsing the CSVs.
+    """
     meta = meta_from_config(cfg)
     clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
     clean_dir.mkdir(parents=True, exist_ok=True)
+    data_dir = cfg.get_str("data_dir")
+    trim_start_s, trim_end_s = cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s")
     days = cfg.get_days("days")
     for day in days:
-        raw = _read_day(cfg.get_str("data_dir"), meta, day)
-        cleaned = lob.clean_session(raw, cfg.get_float("trim_start_s"),
-                                    cfg.get_float("trim_end_s"))
+        cleaned = lob.clean_session(_read_day(data_dir, meta, day),
+                                    trim_start_s, trim_end_s)
         cleaned.validate()
-        _write_day(clean_dir, cleaned)
+        _write_cache(clean_dir, cleaned, _write_day(clean_dir, cleaned))
     return days
 
 
 def _clean_day(cfg: RunConfig, day: str) -> lob.LobSeries:
-    return _read_day(Path(cfg.get_str("out_dir")) / "cleaned",
-                     meta_from_config(cfg), day)
+    """One cleaned day: its ``.npy`` if that matches the CSVs, else their parse."""
+    clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
+    meta = meta_from_config(cfg)
+    msg_path, ob_path = _existing_day_paths(clean_dir, meta.ticker, day)
+    ob_sha256, n_rows = _file_sha256(ob_path)
+    msg_sha256, _ = _file_sha256(msg_path)
+    path = _cache_path(clean_dir, meta.ticker, day, _day_digest(ob_sha256, msg_sha256))
+    series = _load_cache(path, n_rows, meta, day)
+    return series if series is not None else _read_day(clean_dir, meta, day)
 
 
 def _check_digest(stored: str, cfg: RunConfig, artifact: str) -> None:

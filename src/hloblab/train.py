@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .errors import EmptyDataset, IoFailure, LengthMismatch, MissingClass
+from .errors import EmptyDataset, IoFailure, LengthMismatch, MissingClass, NonFiniteLoss
+from .files import write_atomic
 from .infonet import SimplicialComplex, assemble_head_inputs, head_column_indices
 from .model import HlobModel, predict_proba
 from .preprocess import LabeledWindow, balanced_sample, label_to_class, sequential_batches
@@ -94,7 +95,9 @@ def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]]
     """Train with per-day balanced sampling and validation-loss early stopping.
 
     Returns (best parameter state, history). The state maps parameter names
-    to (data, m, v) arrays from the best-validation-loss epoch.
+    to (data, m, v) arrays from the best-validation-loss epoch. A NaN or
+    infinite batch loss raises :class:`NonFiniteLoss` before that batch
+    updates any parameter.
     """
     if not train_windows_by_day or not val_windows:
         raise EmptyDataset("need nonempty training and validation sets")
@@ -124,10 +127,12 @@ def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]]
         epoch_rng.shuffle(pool)
 
         running, seen = 0.0, 0
-        for batch in sequential_batches(pool, config.batch_size):
+        for number, batch in enumerate(sequential_batches(pool, config.batch_size), 1):
             inputs, class_ids = _batch_inputs(batch, complex_)
             logits = model.forward(inputs, train=True, rng=epoch_rng)
             loss = engine.softmax_cross_entropy(logits, class_ids)
+            if not np.isfinite(loss.data):
+                raise NonFiniteLoss(epoch, number, float(loss.data))
             loss.backward()
             optimizer.step()
             running += float(loss.data) * len(batch)
@@ -291,7 +296,7 @@ def emit_report(reports: list[EvalReport], out_dir, config_digest: str = "",
                     f"{float(np.mean([r.mcc for r in sub]))!r},"
                     f"{float(np.mean([r.p_t for r in sub]))!r},"
                     f"{float(np.mean([r.tt for r in sub]))!r}")
-            path.write_text("\n".join(lines) + "\n")
+            write_atomic(path, "\n".join(lines) + "\n")
             written.append(str(path))
 
             qpath = out_dir / f"quadrants_h{h}.csv"
@@ -302,11 +307,11 @@ def emit_report(reports: list[EvalReport], out_dir, config_digest: str = "",
                 qlines.append(f"point,{r.ticker},{r.year},{r.tt},{r.p_t!r}")
             qlines.append(f"threshold_tt_p25,,,{tt_thr!r},")
             qlines.append(f"threshold_pt_p75,,,,{pt_thr!r}")
-            qpath.write_text("\n".join(qlines) + "\n")
+            write_atomic(qpath, "\n".join(qlines) + "\n")
             written.append(str(qpath))
 
         manifest = out_dir / "run_manifest.json"
-        manifest.write_text(json.dumps(
+        write_atomic(manifest, json.dumps(
             {"config_digest": config_digest, "seed": seed,
              "n_reports": len(reports), "horizons": horizons,
              "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S")},

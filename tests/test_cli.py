@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -30,6 +32,14 @@ def write_config(tmp_path, **overrides):
     path.write_text("# test configuration\n" +
                     "".join(f"{k} = {v}\n" for k, v in values.items()))
     return path
+
+
+def csv_sha256(directory, day):
+    """The digest naming a cleaned day's .npy: sha256 of the orderbook CSV's
+    sha256 followed by the message CSV's sha256."""
+    msg_path, ob_path = pipeline.day_paths(directory, "SYN", day)
+    return hashlib.sha256(hashlib.sha256(ob_path.read_bytes()).digest() +
+                          hashlib.sha256(msg_path.read_bytes()).digest()).hexdigest()
 
 
 class TestConfigParsing:
@@ -103,6 +113,26 @@ class TestDispatchErrors:
         path.write_text("unknown_key = 1\n")
         assert cli.dispatch(["synth", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("tick_size", "0"), ("tick_size", "-0.01"), ("tick_size", "0.00001"),
+        ("tick_size", "nan"), ("tick_size", "inf"), ("lot_size", "0"),
+        ("synth.regime", "weird"), ("synth.n_events", "0"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        assert cli.dispatch(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at '{key}': ")
+        assert err.count("\n") == 1
+
+    def test_bad_tick_size_fails_every_stage_typed(self, tmp_path, capsys):
+        good = str(write_config(tmp_path))
+        assert cli.dispatch(["synth", "--config", good]) == 0
+        bad = str(write_config(tmp_path, tick_size="0"))
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: config error at 'tick_size': ")
+
     def test_internal_error_exit_code(self, tmp_path, capsys):
         # mi without cleaned inputs surfaces as a config error (user error);
         # a tampered digest is an internal error (exit 2), covered below
@@ -141,6 +171,20 @@ class TestIngestInputErrors:
         assert err.startswith("error: malformed row at line 7: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("stream", ["message", "orderbook"])
+    def test_malformed_row_names_day_and_file(self, tmp_path, capsys, stream):
+        cfg_path, (msg_path, ob_path) = self._synth(tmp_path)
+        path = msg_path if stream == "message" else ob_path
+        rows = path.read_text().splitlines()
+        rows[41] = rows[41].replace(",", ",1_000,", 1)
+        path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed row at line 42: ")
+        assert err.rstrip().endswith(f"(day {DAYS[3]}, file {path})")
+        assert err.count("\n") == 1
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_old_file(self, tmp_path):
@@ -150,6 +194,16 @@ class TestAtomicWrites:
             pipeline.write_atomic(path, "new \ud800\n")   # fails while writing
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_writes_text_and_bytes(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        pipeline.write_atomic(path, "caf\u00e9\n")
+        assert path.read_bytes() == "caf\u00e9\n".encode()
+        pipeline.write_atomic(path, b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        pipeline.write_atomic(path, np.arange(3, dtype="<i2"))   # any buffer
+        assert path.read_bytes() == b"\x00\x00\x01\x00\x02\x00"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
 
     def test_failed_ingest_keeps_cleaned_days(self, tmp_path, monkeypatch):
         cfg_path = str(write_config(tmp_path))
@@ -178,7 +232,128 @@ class TestAtomicWrites:
                        for p in out_dir.rglob("*") if p.is_file())
         days = sorted(f"cleaned/{p.name}" for d in DAYS
                       for p in pipeline.day_paths(out_dir / "cleaned", "SYN", d))
-        assert found == sorted(days + ["mi_avg.csv", "mi_avg.json", "simplices.json"])
+        caches = [f"cleaned/SYN_{d}_{csv_sha256(out_dir / 'cleaned', d)}.npy"
+                  for d in DAYS]
+        assert found == sorted(days + caches +
+                               ["mi_avg.csv", "mi_avg.json", "simplices.json"])
+
+
+class TestCleanedDayCache:
+    """Each cleaned day's .npy is a verified cache of its two CSVs."""
+
+    def _ingested(self, tmp_path, **overrides):
+        cfg_path = str(write_config(tmp_path, **overrides))
+        for verb in ("synth", "ingest"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        return RunConfig.load(cfg_path), tmp_path / "out" / "cleaned"
+
+    @staticmethod
+    def _parse(clean_dir, day):
+        msg_path, ob_path = pipeline.day_paths(clean_dir, "SYN", day)
+        return lob.parse_lobster_pair(ob_path.read_text().splitlines(),
+                                      msg_path.read_text().splitlines(),
+                                      lob.StockMeta("SYN"), day=day)
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        parse = lob.parse_lobster_pair
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("day"))
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(lob, "parse_lobster_pair", counted)
+        return calls
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.day == want.day
+        for name in ("timestamps", "book", "messages"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    def test_hit_equals_parse(self, tmp_path, monkeypatch):
+        cfg, clean_dir = self._ingested(tmp_path)
+        calls = self._count_parses(monkeypatch)
+        for day in DAYS:
+            self._assert_same(pipeline._clean_day(cfg, day), self._parse(clean_dir, day))
+        assert calls == DAYS   # only the reference parses above
+
+    def test_file_is_np_save_of_the_table(self, tmp_path):
+        cfg, clean_dir = self._ingested(tmp_path)
+        series = self._parse(clean_dir, DAYS[4])
+        buf = io.BytesIO()
+        np.save(buf, np.column_stack([series.timestamps, series.book, series.messages]))
+        path = clean_dir / f"SYN_{DAYS[4]}_{csv_sha256(clean_dir, DAYS[4])}.npy"
+        assert path.read_bytes() == buf.getvalue()
+
+    def test_edited_csv_is_parsed(self, tmp_path, monkeypatch):
+        cfg, clean_dir = self._ingested(tmp_path)
+        _, ob_path = pipeline.day_paths(clean_dir, "SYN", DAYS[5])
+        text = ob_path.read_text()
+        at = text.index(",") + 1           # first digit of ask volume 1, row 1
+        digit = "2" if text[at] == "1" else "1"
+        ob_path.write_text(text[:at] + digit + text[at + 1:])
+        calls = self._count_parses(monkeypatch)
+        series = pipeline._clean_day(cfg, DAYS[5])
+        assert calls == [DAYS[5]]
+        assert str(series.book[0, lob.ASK_V]).startswith(digit)
+        self._assert_same(series, self._parse(clean_dir, DAYS[5]))
+
+    @pytest.mark.parametrize("garble", [
+        pytest.param(lambda p: p.unlink(), id="missing"),
+        pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-8]), id="truncated"),
+        pytest.param(lambda p: p.write_bytes(b"\x93NUMPX" + p.read_bytes()[6:]),
+                     id="bad-magic"),
+        pytest.param(lambda p: p.write_bytes(b"PK\x03\x04" + p.read_bytes()[4:]),
+                     id="zip-magic"),
+        pytest.param(lambda p: p.write_bytes(b""), id="empty"),
+        pytest.param(lambda p: np.save(p, np.load(p).astype(np.float64)), id="float64"),
+        pytest.param(lambda p: np.save(p, np.load(p).astype(">i8")), id="big-endian"),
+        pytest.param(lambda p: np.save(p, np.load(p)[:, :-1]), id="45-columns"),
+        pytest.param(lambda p: np.save(p, np.load(p)[:-1]), id="one-row-short"),
+        pytest.param(lambda p: np.save(p, np.array([None]), allow_pickle=True),
+                     id="pickled"),
+    ])
+    def test_missing_or_garbled_file_falls_back_to_parse(self, tmp_path, monkeypatch,
+                                                          garble):
+        cfg, clean_dir = self._ingested(tmp_path)
+        path = clean_dir / f"SYN_{DAYS[6]}_{csv_sha256(clean_dir, DAYS[6])}.npy"
+        garble(path)
+        calls = self._count_parses(monkeypatch)
+        series = pipeline._clean_day(cfg, DAYS[6])
+        assert calls == [DAYS[6]]
+        self._assert_same(series, self._parse(clean_dir, DAYS[6]))
+
+    def test_ingest_removes_older_files_of_the_day(self, tmp_path):
+        cfg, clean_dir = self._ingested(tmp_path)
+        digest = csv_sha256(clean_dir, DAYS[2])
+        stale = clean_dir / f"SYN_{DAYS[2]}_{'0' * 64}.npy"
+        (clean_dir / f"SYN_{DAYS[2]}_{digest}.npy").rename(stale)
+        other = clean_dir / f"SYN_{DAYS[2]}_notes.npy"   # not a digest: kept
+        other.write_bytes(b"")
+        assert pipeline.run_ingest(cfg) == DAYS
+        names = sorted(p.name for p in clean_dir.glob(f"SYN_{DAYS[2]}_*.npy"))
+        assert names == sorted([f"SYN_{DAYS[2]}_{digest}.npy", other.name])
+
+    def test_later_stages_write_nothing_into_cleaned(self, tmp_path):
+        cfg, clean_dir = self._ingested(
+            tmp_path, **{"synth.n_events": "220", "train.max_epochs": "1",
+                         "train.balanced_cap": "1", "window_len": "20"})
+
+        def snapshot():
+            return {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+                    for p in clean_dir.iterdir()}
+
+        before = snapshot()
+        assert len(before) == 3 * len(DAYS)
+        cfg_path = str(tmp_path / "run.cfg")
+        for verb in ("mi", "tmfg", "train", "eval"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+            assert snapshot() == before, verb
 
 
 class TestPipelineStages:

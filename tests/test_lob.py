@@ -154,6 +154,84 @@ class TestParse:
         assert out_msg == msg_rows
 
 
+class TestTimestamps:
+    @pytest.mark.parametrize("text", [
+        "36100.-5", "+36100.+5", "36_100.5", "-36100.5", "+36100.5", "36100.",
+        ".5", "36100.5.1", "36100.1234567890", "3.6e4", "36100 .5", "0x10",
+        "٣٦100.5", "",
+        # 9 fractional digits: the shape the whole-column check reads
+        "+36100.000000005", "-36100.000000005", "36_100.000000005",
+        "36100.00000000_5", "٣٦100.000000005",
+    ])
+    def test_bad_form_names_its_line(self, text):
+        msgs = [make_message_row()] * 4
+        msgs[2] = make_message_row(text)
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair([make_orderbook_row()] * 4, msgs, META)
+        assert err.value.line_number == 3
+        with pytest.raises(ValueError):
+            lob._parse_time_ns(text)
+
+    @pytest.mark.parametrize("text, ns", [
+        ("36100.000000001", 36_100_000_000_001),
+        ("36100.5", 36_100_500_000_000),
+        ("36100.05", 36_100_050_000_000),
+        ("36100", 36_100_000_000_000),
+        (" 36100.25\t", 36_100_250_000_000),
+        ("036100.123456789", 36_100_123_456_789),
+        ("9223372036.854775807", 2**63 - 1),
+    ])
+    def test_canonical_and_short_forms(self, text, ns):
+        assert lob._parse_time_ns(text) == ns
+        rows = [make_orderbook_row()] * 2
+        # alone, and in a day whose other rows are canonical
+        for msgs in ([make_message_row(text)] * 2,
+                     [make_message_row("36000.000000000"), make_message_row(text)]):
+            assert parse_lobster_pair(rows, msgs, META).timestamps[-1] == ns
+
+    @pytest.mark.parametrize("text", ["9223372036.854775808", "99999999999999999999.0",
+                                      "99999999999999999999.000000000"])
+    def test_beyond_int64_names_its_line(self, text):
+        msgs = [make_message_row("36000.000000000"), make_message_row(text)]
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair([make_orderbook_row()] * 2, msgs, META)
+        assert err.value.line_number == 2
+
+
+class TestMalformedRowNamesTheFile:
+    FILES = ("data/X_orderbook_10.csv", "data/X_message_10.csv")
+
+    def _error(self, ob_edit=None, msg_edit=None):
+        rows = [make_orderbook_row()] * 3
+        msgs = [make_message_row()] * 3
+        if ob_edit:
+            rows[1] = ob_edit(rows[1])
+        if msg_edit:
+            msgs[1] = msg_edit(msgs[1])
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair(rows, msgs, META, day="2024-03-01", files=self.FILES)
+        return err.value
+
+    def test_orderbook_row(self):
+        err = self._error(ob_edit=lambda r: r + ",7")
+        assert (err.line_number, err.day, err.file) == (2, "2024-03-01", self.FILES[0])
+        assert str(err) == ("malformed row at line 2: expected 40 orderbook fields, "
+                            "got 41 (day 2024-03-01, file data/X_orderbook_10.csv)")
+
+    @pytest.mark.parametrize("edit", [lambda m: "x" + m, lambda m: m + ",1",
+                                      lambda m: m.replace(",42,", ",4.2,")])
+    def test_message_row(self, edit):
+        err = self._error(msg_edit=edit)
+        assert (err.line_number, err.day, err.file) == (2, "2024-03-01", self.FILES[1])
+        assert str(err).endswith("(day 2024-03-01, file data/X_message_10.csv)")
+
+    def test_without_files_names_the_day(self):
+        with pytest.raises(MalformedRow) as err:
+            parse_lobster_pair(["1,2"], [make_message_row()], META, day="2024-03-01")
+        assert err.value.file is None
+        assert str(err.value).endswith("got 2 (day 2024-03-01)")
+
+
 class TestCodec:
     @pytest.mark.parametrize("regime", ["compact", "sparse"])
     def test_round_trip_20k_day(self, regime):

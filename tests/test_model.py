@@ -1,4 +1,6 @@
 import decimal
+import errno
+import pathlib
 
 import numpy as np
 import pytest
@@ -279,6 +281,22 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_model(dtype=np.float32), path)
+        old = path.read_bytes()
+
+        def disk_full(self, data):
+            with open(self, "wb") as fh:
+                fh.write(memoryview(data)[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
+        with pytest.raises(IoFailure):
+            save_checkpoint(HlobModel(HlobConfig(), seed=9), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_config_drift_digest_mismatch(self, tmp_path):
         model = small_model(dtype=np.float32)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hloblab.errors import EmptyDataset, LengthMismatch
+from hloblab.errors import EmptyDataset, LengthMismatch, NonFiniteLoss
 from hloblab.infonet import SimplicialComplex
 from hloblab.model import HlobConfig, HlobModel
 from hloblab.preprocess import LabeledWindow
@@ -115,6 +115,21 @@ class TestTrainLoop:
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_loss_stops_before_the_step(self):
+        rng = np.random.default_rng(1)
+        train_days = {"d1": make_windows(rng, 12, "d1")}
+        val = make_windows(rng, 6, "v1")
+        config = TrainConfig(lr=1e-3, max_epochs=3, balanced_cap=4, seed=2)
+        model = tiny_model()
+        model.out_b.data[1] = np.nan
+        before = {p.name: p.data.copy() for p in model.parameters()}
+        with pytest.raises(NonFiniteLoss) as err:
+            train(model, train_days, val, TINY_COMPLEX, config)
+        assert (err.value.epoch, err.value.batch) == (1, 1)
+        assert "at epoch 1, batch 1" in str(err.value)
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.data, before[p.name])
 
     def test_day_missing_class_skipped(self, caplog):
         rng = np.random.default_rng(3)
