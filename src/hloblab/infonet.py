@@ -283,16 +283,18 @@ def head_column_indices(complex_: SimplicialComplex) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def assemble_head_inputs(window: np.ndarray,
+def assemble_head_inputs(rows: np.ndarray,
                          complex_: SimplicialComplex) -> tuple[np.ndarray, ...]:
-    """Gather a (100, 40) window into the three flattened head tensors.
+    """Gather book rows (..., 40) into the three flattened head tensors.
 
-    Pure gather: widths are 17*4*2 = 136, 52*3*2 = 312, 54*2*2 = 216.
+    ``rows`` may be a (100, 40) window, a stack of windows or a day's rows;
+    the gather acts on the last axis. Pure gather: widths are
+    17*4*2 = 136, 52*3*2 = 312, 54*2*2 = 216.
     """
     idx = head_column_indices(complex_)
-    if window.shape[1] <= int(max(i.max() for i in idx)):
+    if rows.shape[-1] <= int(max(i.max() for i in idx)):
         raise IndexOutOfRange("window has too few columns for the complex")
-    return tuple(window[:, i] for i in idx)
+    return tuple(rows[..., i] for i in idx)
 
 
 # --- serialization ---

@@ -12,6 +12,11 @@ heads run channels-last, (N, T, width, C), so each layer is one fused
 The three (100 x 32) head outputs are concatenated into a (100 x 96)
 sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
 three class logits.
+
+Overlapping windows share rows, and in eval mode only the rows next to a
+window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
+computes the heads once per distinct row and recomputes just those edge
+rows per window.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from .files import write_atomic
 HEAD_NAMES = ("tetra", "tri", "edge")
 
 CHECKPOINT_MAGIC = b"HLOBCKPT"
+
+# the two time convolutions: kernel length and (before, after) zero padding,
+# which keeps the window's extent
+TIME_KERNEL = 4
+TIME_PAD = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,8 @@ class _Head:
 
         self.conv_pv = conv_param("conv_pv", c, 1, 1, 2)
         self.conv_simplex = conv_param("conv_simplex", c, c, 1, arity)
-        self.conv_time1 = conv_param("conv_time1", c, c, 4, 1)
-        self.conv_time2 = conv_param("conv_time2", c, c, 4, 1)
+        self.conv_time1 = conv_param("conv_time1", c, c, TIME_KERNEL, 1)
+        self.conv_time2 = conv_param("conv_time2", c, c, TIME_KERNEL, 1)
         self.conv_mix = conv_param("conv_mix", c, c, 1, cardinality)
 
     def layers(self):
@@ -105,15 +115,72 @@ class _Head:
         n, _, t, w = x.shape
         h = conv(engine.reshape(x, (n, t, w, 1)), self.conv_pv)
         h = conv(h, self.conv_simplex)
-        # time padding (1, 2) keeps the 100-step extent through the 4x1 kernels
-        h = conv(h, self.conv_time1, time_pad=(1, 2))
-        h = conv(h, self.conv_time2, time_pad=(1, 2))
+        h = conv(h, self.conv_time1, time_pad=TIME_PAD)
+        h = conv(h, self.conv_time2, time_pad=TIME_PAD)
         h = conv(h, self.conv_mix)
         h = engine.reshape(h, (n, t, h.shape[3]))
         # the mask is drawn over (N, C, T), the unit order of the NCHW
         # conv2d reference head, so a given rng drops the same units in both
         return engine.dropout(h, config.dropout_rate, train, rng,
                               draw_axes=(0, 2, 1))
+
+    def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,
+                     slope: float) -> np.ndarray:
+        """Eval-mode outputs (N, T, C) of the windows ``rows[o:o + t_len]``.
+
+        ``rows`` is (R, width) and ``origins`` the N window starts. The
+        per-row layers run once over ``rows``, and so do the time
+        convolutions, unpadded: that gives every window row whose receptive
+        field holds no padding. The rows that see a window's zero padding
+        (time1 rows {0, T-2, T-1}, time2 rows {0, 1, T-4..T-1}) are
+        recomputed from strips of each window's first and last rows, padded
+        like :meth:`forward`, with all windows in one call per layer.
+        """
+        def conv(x, pair, time_pad=(0, 0)):
+            w, b = pair
+            return engine.conv_leaky_cl(Tensor(x), w.tensor, b.tensor, slope,
+                                        time_pad).data
+
+        n_rows, width = rows.shape
+        run = conv(conv(rows.reshape(1, n_rows, width, 1), self.conv_pv),
+                   self.conv_simplex)[0]      # (R, W, C), one per row
+        n = len(origins)
+        before, after = TIME_PAD
+        # the layer input of window row j is run[origin + j - shift], except
+        # for the edge rows, whose values (N, len(edge_rows), W, C) are in edge
+        shift = 0
+        edge_rows = np.arange(0)
+        edge = np.empty((n, 0) + run.shape[1:], run.dtype)
+        for depth, pair in enumerate((self.conv_time1, self.conv_time2), 1):
+            strip = _end_rows(t_len, (depth - 1) * before + TIME_KERNEL - 1,
+                              depth * after + before)
+            from_edge = np.isin(strip, edge_rows)
+            x = np.empty((n, len(strip)) + run.shape[1:], run.dtype)
+            x[:, ~from_edge] = run[origins[:, None] + strip[~from_edge] - shift]
+            x[:, from_edge] = edge[:, np.searchsorted(edge_rows, strip[from_edge])]
+            # the strip's ends are the window's, so its rows next to them are
+            # padded as in the full window; rows at the junction are not used
+            edge_rows = np.flatnonzero((np.arange(t_len) < depth * before)
+                                       | (np.arange(t_len) >= t_len - depth * after))
+            edge = conv(x, pair, TIME_PAD)[:, np.searchsorted(strip, edge_rows)]
+            run = conv(run[None], pair)[0] if len(run) >= TIME_KERNEL else run[:0]
+            shift += before
+
+        out = np.empty((n, t_len, self.conv_mix[1].data.shape[0]), run.dtype)
+        out[:, edge_rows] = conv(edge.reshape((1, -1) + edge.shape[2:]),
+                                 self.conv_mix).reshape(n, len(edge_rows), -1)
+        inner = np.setdiff1d(np.arange(t_len), edge_rows)
+        if len(inner):
+            mixed = conv(run[None], self.conv_mix)[0, :, 0]
+            out[:, inner] = mixed[origins[:, None] + inner - shift]
+        return out
+
+
+def _end_rows(t_len: int, first: int, last: int) -> np.ndarray:
+    """Rows [0, first) and [t_len - last, t_len) of a window, ascending, once each."""
+    if first + last >= t_len:
+        return np.arange(t_len)
+    return np.concatenate([np.arange(first), np.arange(t_len - last, t_len)])
 
 
 class HlobModel:
@@ -158,9 +225,27 @@ class HlobModel:
             n, t, w = arr.shape
             x = Tensor(arr.reshape(n, 1, t, w))
             head_outputs.append(head.forward(x, self.config, train, rng))
-        seq = engine.concat(head_outputs, axis=2)  # (N, T, 96)
+        return self.classify(engine.concat(head_outputs, axis=2))
+
+    def classify(self, seq: Tensor) -> Tensor:
+        """Map (N, T, 96) head sequences to (N, 3) logits: the LSTM, then dense."""
         _, h_final, _ = engine.lstm(seq, self.lstm)
         return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
+
+    def head_sequences(self, row_inputs, origins, window_len: int) -> np.ndarray:
+        """Eval-mode (N, T, 96) head sequences of windows given as rows.
+
+        ``row_inputs`` are the three heads' (R, width) inputs, one row per
+        book row, and window i is rows ``origins[i]`` to
+        ``origins[i] + window_len - 1``. Windows may share rows, and a shared
+        row's per-row work is done once. Equals the concatenated head
+        outputs of :meth:`forward` in eval mode.
+        """
+        origins = np.asarray(origins, np.int64)
+        parts = [head.forward_rows(np.asarray(rows, self.dtype), origins,
+                                   window_len, self.config.leaky_slope)
+                 for head, rows in zip(self.heads, row_inputs)]
+        return np.concatenate(parts, axis=2)
 
     def param_count_table(self) -> list[tuple[str, int]]:
         """Per-component trainable parameter counts, plus the total."""

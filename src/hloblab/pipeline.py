@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, infonet, lob, preprocess, train as train_mod
 from .config import RunConfig
-from .errors import ConfigError, DigestMismatch
+from .errors import ConfigError, DigestMismatch, MalformedRow
 from .files import write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
@@ -30,15 +30,19 @@ from .train import EvalReport, TrainConfig
 log = logging.getLogger(__name__)
 
 
+def _int_at_least(cfg: RunConfig, key: str, least: int) -> int:
+    value = cfg.get_int(key)
+    if value < least:
+        raise ConfigError(key, f"must be at least {least}, got {value}")
+    return value
+
+
 def meta_from_config(cfg: RunConfig) -> lob.StockMeta:
     tick_size = cfg.get_float("tick_size")
     if not (math.isfinite(tick_size) and lob.price_units(tick_size) >= 1):
         raise ConfigError("tick_size", f"must be at least 0.0001, got {tick_size}")
-    lot_size = cfg.get_int("lot_size")
-    if lot_size < 1:
-        raise ConfigError("lot_size", f"must be at least 1, got {lot_size}")
     return lob.StockMeta(ticker=cfg.get_str("ticker"), tick_size=tick_size,
-                         lot_size=lot_size)
+                         lot_size=_int_at_least(cfg, "lot_size", 1))
 
 
 def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
@@ -137,11 +141,24 @@ def _existing_day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
     return msg_path, ob_path
 
 
+def _read_lines(path: Path, day: str) -> list[str]:
+    """A CSV's lines; a byte that is not UTF-8 is a :class:`MalformedRow`."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1,
+                           f"byte 0x{raw[exc.start]:02x} is not valid UTF-8",
+                           day=day, file=str(path)) from None
+    del raw   # the bytes are not needed while the lines are built
+    return text.splitlines()
+
+
 def _read_day(directory, meta: lob.StockMeta, day: str) -> lob.LobSeries:
     msg_path, ob_path = _existing_day_paths(directory, meta.ticker, day)
     return lob.parse_lobster_pair(
-        ob_path.read_text().splitlines(),
-        msg_path.read_text().splitlines(),
+        _read_lines(ob_path, day),
+        _read_lines(msg_path, day),
         meta,
         day=day,
         files=(str(ob_path), str(msg_path)),
@@ -154,9 +171,7 @@ def run_synth(cfg: RunConfig) -> list[str]:
     days = cfg.get_days("days")
     if not days:
         raise ConfigError("days", "no days configured")
-    n_events = cfg.get_int("synth.n_events")
-    if n_events < 1:
-        raise ConfigError("synth.n_events", f"must be at least 1, got {n_events}")
+    n_events = _int_at_least(cfg, "synth.n_events", 1)
     regime = cfg.get_str("synth.regime")
     if regime not in lob.SYNTH_REGIMES:
         raise ConfigError("synth.regime", f"expected one of "
@@ -221,8 +236,8 @@ def run_mi(cfg: RunConfig) -> Path:
     train_days = cfg.get_days("split.train")
     if not train_days:
         raise ConfigError("split.train", "no training days configured")
-    n_bins = cfg.get_int("n_bins")
-    n_bootstrap = cfg.get_int("bootstrap")
+    n_bins = _int_at_least(cfg, "n_bins", 2)
+    n_bootstrap = _int_at_least(cfg, "bootstrap", 1)
     seed = cfg.get_int("seed")
     daily = []
     for i, day in enumerate(sorted(train_days)):
@@ -267,22 +282,20 @@ def windows_for_day(cfg: RunConfig, day: str) -> list[LabeledWindow]:
     pos = days.index(day)
     if pos < HISTORY_DAYS:
         raise ConfigError("days", f"day {day} lacks {HISTORY_DAYS} prior days")
+    horizon = _int_at_least(cfg, "horizon", 1)
+    window_len = _int_at_least(cfg, "window_len", 1)
     prior = [_clean_day(cfg, d) for d in days[pos - HISTORY_DAYS: pos]]
     stats = preprocess.compute_norm_stats(prior)
     series = _clean_day(cfg, day)
     normalized = preprocess.normalize_day(series, stats)
-    labels = preprocess.label_series(
-        lob.mid_price_series(series),
-        cfg.get_int("horizon"),
-        series.meta.tick_units,
-    )
-    return preprocess.build_windows(normalized, labels, day,
-                                    cfg.get_int("window_len"))
+    labels = preprocess.label_series(lob.mid_price_series(series), horizon,
+                                     series.meta.tick_units)
+    return preprocess.build_windows(normalized, labels, day, window_len)
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
-        batch_size=cfg.get_int("train.batch_size"),
+        batch_size=_int_at_least(cfg, "train.batch_size", 1),
         max_epochs=cfg.get_int("train.max_epochs"),
         early_stop_delta=cfg.get_float("train.early_stop_delta"),
         patience=cfg.get_int("train.patience"),
@@ -327,7 +340,7 @@ def run_eval(cfg: RunConfig) -> Path:
                     for w in windows_for_day(cfg, d)]
     report = train_mod.evaluate(
         model, test_windows, complex_,
-        batch_size=cfg.get_int("train.batch_size"),
+        batch_size=_int_at_least(cfg, "train.batch_size", 1),
         ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
         horizon=cfg.get_int("horizon"))
     path = out_dir / "eval_report.json"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientHistory, MissingClass, SeriesTooShort
+from .errors import InsufficientHistory, MissingClass, SeriesTooShort, ShapeMismatch
 from .lob import LobSeries, mid_price_series
 
 log = logging.getLogger(__name__)
@@ -154,6 +154,32 @@ def balanced_sample(day_windows: list[LabeledWindow], cap: int = 5000,
     for lab in (-1, 0, 1):
         chosen.extend(rng.choice(by_class[lab], size=k, replace=False).tolist())
     return chosen
+
+
+def window_origins(windows: list[LabeledWindow]) -> np.ndarray:
+    """First row of each window when overlapping windows share their rows.
+
+    The windows are laid end to end, except that a window whose first T-1
+    rows equal the previous window's last T-1 rows starts one row after
+    that window. A day's consecutive windows thus share one copy of the
+    day's rows, and a gap or a new day starts a new run.
+    """
+    shape = windows[0].features.shape
+    if any(w.features.shape != shape for w in windows):
+        raise ShapeMismatch("windows differ in shape")
+    steps = [1 if np.array_equal(prev.features[1:], cur.features[:-1]) else shape[0]
+             for prev, cur in zip(windows, windows[1:])]
+    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+
+
+def window_rows(windows: list[LabeledWindow], origins: np.ndarray) -> np.ndarray:
+    """The rows ``origins`` lays out: window i is ``rows[origins[i] - origins[0]:][:T]``."""
+    t_len, width = windows[0].features.shape
+    starts = origins - origins[0]
+    rows = np.empty((starts[-1] + t_len, width), windows[0].features.dtype)
+    for w, start in zip(windows, starts):
+        rows[start:start + t_len] = w.features
+    return rows
 
 
 def sequential_batches(items, batch_size: int = 32):

@@ -15,12 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
+from . import engine, infonet
 from .errors import EmptyDataset, IoFailure, LengthMismatch, MissingClass, NonFiniteLoss
 from .files import write_atomic
-from .infonet import SimplicialComplex, assemble_head_inputs, head_column_indices
+from .infonet import SimplicialComplex
 from .model import HlobModel, predict_proba
-from .preprocess import LabeledWindow, balanced_sample, label_to_class, sequential_batches
+from .preprocess import (
+    LabeledWindow,
+    balanced_sample,
+    label_to_class,
+    sequential_batches,
+    window_origins,
+    window_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,13 +67,48 @@ class EvalReport:
     horizon: int = 0
 
 
-def _batch_inputs(windows: list[LabeledWindow], complex_: SimplicialComplex):
-    """Stack windows and gather the three head tensors plus class ids."""
-    feats = np.stack([w.features for w in windows])
-    idx = head_column_indices(complex_)
-    inputs = tuple(feats[:, :, i] for i in idx)
-    class_ids = np.array([label_to_class(w.label) for w in windows])
-    return inputs, class_ids
+# An eval chunk is the whole batches whose heads one call computes: at most
+# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch. The
+# edge strips and head sequences take memory per window and the per-row
+# activations per row; these caps keep a chunk near one batch of 32
+# separate 100-row windows.
+EVAL_WINDOWS = 512
+EVAL_ROWS = 4096
+
+
+def _batch_inputs(windows: list[LabeledWindow]):
+    """Stack windows' features, (N, T, 40), and their class ids."""
+    return np.stack([w.features for w in windows]), _class_ids(windows)
+
+
+def _class_ids(windows: list[LabeledWindow]) -> np.ndarray:
+    return np.array([label_to_class(w.label) for w in windows])
+
+
+def _eval_batches(model: HlobModel, windows: list[LabeledWindow],
+                  complex_: SimplicialComplex, batch_size: int):
+    """Eval-mode logits of sequential batches: yields (batch, logits).
+
+    The heads run once on each chunk's distinct rows (see
+    ``HlobModel.head_sequences``), so overlapping windows share their rows'
+    work; the LSTM and output layer then run on ``batch_size`` windows at a
+    time, in list order, as ``model.forward`` would.
+    """
+    origins = window_origins(windows)
+    t_len = len(windows[0].features)
+    ends = origins + t_len
+    lo = 0
+    while lo < len(windows):
+        fit = min(int(np.searchsorted(ends, origins[lo] + EVAL_ROWS, side="right")),
+                  lo + EVAL_WINDOWS)
+        hi = min(len(windows), lo + batch_size * max(1, (fit - lo) // batch_size))
+        chunk, at = windows[lo:hi], origins[lo:hi]
+        rows = infonet.assemble_head_inputs(window_rows(chunk, at), complex_)
+        seq = model.head_sequences(rows, at - at[0], t_len)
+        for b in range(0, len(chunk), batch_size):
+            logits = model.classify(engine.Tensor(seq[b:b + batch_size]))
+            yield chunk[b:b + batch_size], logits
+        lo = hi
 
 
 def _epoch_should_stop(best_history: list[float], patience: int,
@@ -80,10 +122,8 @@ def _epoch_should_stop(best_history: list[float], patience: int,
 def validation_loss(model: HlobModel, windows: list[LabeledWindow],
                     complex_: SimplicialComplex, batch_size: int) -> float:
     total, count = 0.0, 0
-    for batch in sequential_batches(windows, batch_size):
-        inputs, class_ids = _batch_inputs(batch, complex_)
-        logits = model.forward(inputs, train=False)
-        loss = engine.softmax_cross_entropy(logits, class_ids)
+    for batch, logits in _eval_batches(model, windows, complex_, batch_size):
+        loss = engine.softmax_cross_entropy(logits, _class_ids(batch))
         total += float(loss.data) * len(batch)
         count += len(batch)
     return total / count
@@ -128,8 +168,9 @@ def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]]
 
         running, seen = 0.0, 0
         for number, batch in enumerate(sequential_batches(pool, config.batch_size), 1):
-            inputs, class_ids = _batch_inputs(batch, complex_)
-            logits = model.forward(inputs, train=True, rng=epoch_rng)
+            feats, class_ids = _batch_inputs(batch)
+            logits = model.forward(infonet.assemble_head_inputs(feats, complex_),
+                                   train=True, rng=epoch_rng)
             loss = engine.softmax_cross_entropy(logits, class_ids)
             if not np.isfinite(loss.data):
                 raise NonFiniteLoss(epoch, number, float(loss.data))
@@ -179,10 +220,9 @@ def evaluate(model: HlobModel, test_windows: list[LabeledWindow],
     predictions: list[int] = []
     labels: list[int] = []
     losses: list[float] = []
-    for batch in sequential_batches(test_windows, batch_size):
-        inputs, class_ids = _batch_inputs(batch, complex_)
-        logits = model.forward(inputs, train=False)
-        losses.append(float(engine.softmax_cross_entropy(logits, class_ids).data))
+    for batch, logits in _eval_batches(model, test_windows, complex_, batch_size):
+        losses.append(float(engine.softmax_cross_entropy(
+            logits, _class_ids(batch)).data))
         probs = predict_proba(logits)
         predictions.extend(int(c) - 1 for c in probs.argmax(axis=1))
         labels.extend(w.label for w in batch)

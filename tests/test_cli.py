@@ -160,6 +160,27 @@ class TestIngestInputErrors:
         assert err.rstrip().endswith("bid prices not strictly decreasing")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("stream", ["message", "orderbook"])
+    def test_byte_that_is_not_utf8_is_a_malformed_row(self, tmp_path, capsys, stream):
+        cfg_path, (msg_path, ob_path) = self._synth(tmp_path)
+        if stream == "message":
+            # after the last line: one past the file's line count
+            raw = msg_path.read_bytes()
+            msg_path.write_bytes(raw + b"\xff")
+            path, line = msg_path, raw.count(b"\n") + 1
+        else:
+            rows = ob_path.read_bytes().split(b"\n")
+            rows[41] = rows[41].replace(b",", b",\xff", 1)
+            ob_path.write_bytes(b"\n".join(rows))
+            path, line = ob_path, 42
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed row at line {line}: "
+                              "byte 0xff is not valid UTF-8 ")
+        assert err.rstrip().endswith(f"(day {DAYS[3]}, file {path})")
+        assert err.count("\n") == 1
+
     def test_malformed_row_is_user_error(self, tmp_path, capsys):
         cfg_path, (msg_path, _) = self._synth(tmp_path)
         rows = msg_path.read_text().splitlines()
@@ -184,6 +205,58 @@ class TestIngestInputErrors:
         assert err.startswith("error: malformed row at line 42: ")
         assert err.rstrip().endswith(f"(day {DAYS[3]}, file {path})")
         assert err.count("\n") == 1
+
+
+class TestBadValuesAtUse:
+    """Keys checked by the stage that reads them exit 1 naming the key."""
+
+    @staticmethod
+    def _ingested(tmp_path):
+        cfg_path = str(write_config(tmp_path))
+        for verb in ("synth", "ingest"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        return cfg_path
+
+    @staticmethod
+    def _one_config_error(capsys, key):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at '{key}': ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_bins", "1"), ("n_bins", "0"), ("bootstrap", "0"), ("bootstrap", "-2"),
+    ])
+    def test_mi(self, tmp_path, capsys, key, value):
+        self._ingested(tmp_path)
+        bad = str(write_config(tmp_path, **{key: value}))
+        capsys.readouterr()
+        assert cli.dispatch(["mi", "--config", bad]) == 1
+        self._one_config_error(capsys, key)
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", "0"), ("horizon", "-3"), ("window_len", "0"), ("window_len", "-1"),
+    ])
+    def test_windows(self, tmp_path, capsys, key, value):
+        self._ingested(tmp_path)
+        bad = str(write_config(tmp_path, **{key: value}))
+        for verb in ("mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", bad]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", bad]) == 1
+        self._one_config_error(capsys, key)
+        with pytest.raises(ConfigError) as err:
+            pipeline.windows_for_day(RunConfig.load(bad), DAYS[7])
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_batch_size(self, tmp_path, capsys, value):
+        self._ingested(tmp_path)
+        bad = str(write_config(tmp_path, **{"train.batch_size": value}))
+        for verb in ("mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", bad]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", bad]) == 1
+        self._one_config_error(capsys, "train.batch_size")
 
 
 class TestAtomicWrites:

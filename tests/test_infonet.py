@@ -429,6 +429,19 @@ class TestHeadInputs:
         with pytest.raises(IndexOutOfRange):
             assemble_head_inputs(np.zeros((100, 10)), self.complex20())
 
+    def test_stacks_of_rows_gather_on_the_last_axis(self):
+        complex_ = self.complex20()
+        windows = np.random.default_rng(1).random((3, 100, 40))
+        stacked = assemble_head_inputs(windows, complex_)
+        day = assemble_head_inputs(windows.reshape(300, 40), complex_)
+        for k, window in enumerate(windows):
+            for got, from_day, want in zip(stacked, day,
+                                           assemble_head_inputs(window, complex_)):
+                np.testing.assert_array_equal(got[k], want)
+                np.testing.assert_array_equal(from_day[100 * k:100 * (k + 1)], want)
+        with pytest.raises(IndexOutOfRange):
+            assemble_head_inputs(np.zeros((2, 100, 10)), complex_)
+
 
 class TestSerialization:
     def test_mi_round_trip(self):
