@@ -4,49 +4,78 @@ The config file is plain text, one ``key = value`` per line, ``#`` comments,
 with sectioned keys like ``train.lr``. Environment variables prefixed
 ``HLOBLAB_`` override file values; a double underscore maps to the section
 dot (``HLOBLAB_TRAIN__LR`` overrides ``train.lr``).
+
+:data:`KEYS` gives each key's default, type and rule. The typed getters
+check the rule on every read, so a bad value stops the stage that reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+from . import lob
 from .errors import ConfigError
 
 ENV_PREFIX = "HLOBLAB_"
 
-DEFAULTS = {
-    "ticker": "SYN",
-    "tick_size": "0.01",
-    "lot_size": "1",
-    "year": "1970",
-    "data_dir": "data",
-    "out_dir": "out",
-    "days": "",
-    "split.train": "",
-    "split.validation": "",
-    "split.test": "",
-    "horizon": "10",
-    "n_bins": "32",
-    "bootstrap": "10",
-    "seed": "0",
-    "window_len": "100",
-    "trim_start_s": "1800",
-    "trim_end_s": "1800",
-    "synth.n_events": "600",
-    "synth.regime": "compact",
-    "train.batch_size": "32",
-    "train.max_epochs": "100",
-    "train.early_stop_delta": "0.003",
-    "train.patience": "15",
-    "train.lr": "6e-5",
-    "train.beta1": "0.90",
-    "train.beta2": "0.95",
-    "train.eps": "1e-8",
-    "train.weight_decay": "0.01",
-    "train.balanced_cap": "5000",
+
+class Key(NamedTuple):
+    """``kind`` is str, int, float or list (of days); ``ok(value, cfg)`` holds
+    for a good value, and ``must`` says so in the error and the README."""
+
+    default: str
+    kind: type
+    must: str = ""
+    ok: Callable[[object, "RunConfig"], bool] | None = None
+
+
+def _at_least(least) -> tuple[str, Callable]:
+    return f"at least {least}", lambda v, cfg: v >= least
+
+
+KEYS = {
+    "ticker": Key("SYN", str),
+    "tick_size": Key("0.01", float, "at least one price unit, 0.0001",
+                     lambda v, cfg: lob.price_units(v) >= 1),
+    "lot_size": Key("1", int, *_at_least(1)),
+    "year": Key("1970", str),
+    "data_dir": Key("data", str),
+    "out_dir": Key("out", str),
+    "days": Key("", list, "a list of distinct days",
+                lambda v, cfg: len(set(v)) == len(v)),
+    "split.train": Key("", list),
+    "split.validation": Key("", list),
+    "split.test": Key("", list, "disjoint from split.train and split.validation",
+                      lambda v, cfg: not set(v) & set(cfg.get_days("split.train") +
+                                                      cfg.get_days("split.validation"))),
+    "horizon": Key("10", int, *_at_least(1)),
+    "n_bins": Key("32", int, "from 2 to 1024", lambda v, cfg: 2 <= v <= 1024),
+    "bootstrap": Key("10", int, *_at_least(1)),
+    "seed": Key("0", int, *_at_least(0)),
+    "window_len": Key("100", int, *_at_least(1)),
+    "trim_start_s": Key("1800", float, *_at_least(0)),
+    "trim_end_s": Key("1800", float, *_at_least(0)),
+    "synth.n_events": Key("600", int, *_at_least(1)),
+    "synth.regime": Key("compact", str, f"one of {', '.join(lob.SYNTH_REGIMES)}",
+                        lambda v, cfg: v in lob.SYNTH_REGIMES),
+    "train.batch_size": Key("32", int, *_at_least(1)),
+    "train.max_epochs": Key("100", int, *_at_least(1)),
+    "train.early_stop_delta": Key("0.003", float, *_at_least(0)),
+    "train.patience": Key("15", int, *_at_least(1)),
+    "train.lr": Key("6e-5", float, *_at_least(0)),
+    "train.beta1": Key("0.90", float, "in [0, 1)", lambda v, cfg: 0 <= v < 1),
+    "train.beta2": Key("0.95", float, "in [0, 1)", lambda v, cfg: 0 <= v < 1),
+    "train.eps": Key("1e-8", float, "greater than 0", lambda v, cfg: v > 0),
+    "train.weight_decay": Key("0.01", float, *_at_least(0)),
+    "train.balanced_cap": Key("5000", int, *_at_least(1)),
 }
+
+DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
+_NUMBER = {int: "an int64 integer", float: "a finite number"}
 
 
 class RunConfig:
@@ -79,11 +108,23 @@ class RunConfig:
                               if k not in self.DIGEST_EXCLUDED)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _get(self, key, conv):
-        try:
-            return conv(self.values[key])
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(key, str(exc)) from exc
+    def _get(self, key, kind):
+        """``key`` read as ``kind``; the key's rule applies if it is declared so."""
+        raw = value = self.values[key]
+        spec = KEYS[key]
+        if kind is list:
+            value = [d.strip() for d in raw.split(",") if d.strip()]
+        elif kind is not str:
+            try:
+                value = kind(raw)
+                fits = -2**63 <= value < 2**63 if kind is int else math.isfinite(value)
+            except ValueError:
+                fits = False
+            if not fits:
+                raise ConfigError(key, f"must be {_NUMBER[kind]}, got {raw!r}")
+        if kind is spec.kind and spec.ok is not None and not spec.ok(value, self):
+            raise ConfigError(key, f"must be {spec.must}, got {raw!r}")
+        return value
 
     def get_str(self, key) -> str:
         return self._get(key, str)
@@ -95,8 +136,7 @@ class RunConfig:
         return self._get(key, float)
 
     def get_days(self, key) -> list[str]:
-        raw = self.values.get(key, "")
-        return [d.strip() for d in raw.split(",") if d.strip()]
+        return self._get(key, list)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -1,9 +1,12 @@
-"""Atomic file replacement, shared by every stage that writes an artifact."""
+"""Atomic writes and checked JSON reads of the artifacts stages share."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+
+from .errors import IoFailure
 
 
 def write_atomic(path, data) -> None:
@@ -21,3 +24,24 @@ def write_atomic(path, data) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path, fields: dict[str, type], data: bytes | None = None) -> dict:
+    """The JSON object stored in ``path``, or in ``data`` read from it.
+
+    ``fields`` maps each key the object must hold to its type. Text that
+    is not JSON, a value that is not an object, a missing key or a value of
+    another type raises :class:`IoFailure` naming ``path``.
+    """
+    try:
+        obj = json.loads(Path(path).read_bytes() if data is None else data)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise IoFailure(f"corrupt {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise IoFailure(f"corrupt {path}: not a JSON object")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise IoFailure(f"corrupt {path}: no '{key}'")
+        if not isinstance(obj[key], kind):
+            raise IoFailure(f"corrupt {path}: '{key}' is not of type {kind.__name__}")
+    return obj

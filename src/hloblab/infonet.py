@@ -307,8 +307,17 @@ def mi_matrix_to_json(m: np.ndarray, config_digest: str = "") -> str:
     )
 
 
+# the keys and JSON types a decoded mi_avg.json or simplices.json must hold
+MI_JSON_FIELDS = {"shape": list, "data": list}
+SIMPLICES_JSON_FIELDS = {"tetrahedra": list, "triangles": list, "edges": list}
+
+
 def mi_matrix_from_json(text: str) -> tuple[np.ndarray, str]:
-    obj = json.loads(text)
+    return mi_matrix_from_obj(json.loads(text))
+
+
+def mi_matrix_from_obj(obj: dict) -> tuple[np.ndarray, str]:
+    """The matrix and config digest of a decoded :func:`mi_matrix_to_json`."""
     m = np.array(obj["data"], np.float64).reshape(obj["shape"])
     return m, obj.get("config_digest", "")
 
@@ -330,7 +339,11 @@ def simplices_to_json(complex_: SimplicialComplex, config_digest: str = "") -> s
 
 
 def simplices_from_json(text: str) -> tuple[SimplicialComplex, str]:
-    obj = json.loads(text)
+    return simplices_from_obj(json.loads(text))
+
+
+def simplices_from_obj(obj: dict) -> tuple[SimplicialComplex, str]:
+    """The complex and config digest of a decoded :func:`simplices_to_json`."""
     return SimplicialComplex(
         tetrahedra=np.array(obj["tetrahedra"], np.int64),
         triangles=np.array(obj["triangles"], np.int64),

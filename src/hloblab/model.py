@@ -30,11 +30,14 @@ import numpy as np
 from . import engine
 from .engine import LstmParams, Parameter, Tensor
 from .errors import ConfigInconsistent, DigestMismatch, IoFailure, NonFiniteLogit
-from .files import write_atomic
+from .files import read_json, write_atomic
 
 HEAD_NAMES = ("tetra", "tri", "edge")
 
 CHECKPOINT_MAGIC = b"HLOBCKPT"
+# the header keys that load_checkpoint and the eval stage read
+CHECKPOINT_HEADER_FIELDS = {"config": dict, "config_digest": str, "seed": int,
+                            "dtype": str, "extra": dict, "entries": list}
 
 # the two time convolutions: kernel length and (before, after) zero padding,
 # which keeps the window's extent
@@ -328,10 +331,7 @@ def load_checkpoint(path, expected_config: HlobConfig | None = None
     pos = len(CHECKPOINT_MAGIC)
     hlen = int.from_bytes(blob[pos:pos + 8], "little")
     pos += 8
-    try:
-        header = json.loads(blob[pos:pos + hlen])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"corrupt header: {exc}") from exc
+    header = read_json(path, CHECKPOINT_HEADER_FIELDS, data=blob[pos:pos + hlen])
     pos += hlen
 
     cfg_fields = dict(header["config"])

@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import logging
-import math
 import re
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import engine, infonet, lob, preprocess, train as train_mod
 from .config import RunConfig
 from .errors import ConfigError, DigestMismatch, MalformedRow
-from .files import write_atomic
+from .files import read_json, write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
 from .preprocess import HISTORY_DAYS, LabeledWindow
@@ -30,19 +29,10 @@ from .train import EvalReport, TrainConfig
 log = logging.getLogger(__name__)
 
 
-def _int_at_least(cfg: RunConfig, key: str, least: int) -> int:
-    value = cfg.get_int(key)
-    if value < least:
-        raise ConfigError(key, f"must be at least {least}, got {value}")
-    return value
-
-
 def meta_from_config(cfg: RunConfig) -> lob.StockMeta:
-    tick_size = cfg.get_float("tick_size")
-    if not (math.isfinite(tick_size) and lob.price_units(tick_size) >= 1):
-        raise ConfigError("tick_size", f"must be at least 0.0001, got {tick_size}")
-    return lob.StockMeta(ticker=cfg.get_str("ticker"), tick_size=tick_size,
-                         lot_size=_int_at_least(cfg, "lot_size", 1))
+    return lob.StockMeta(ticker=cfg.get_str("ticker"),
+                         tick_size=cfg.get_float("tick_size"),
+                         lot_size=cfg.get_int("lot_size"))
 
 
 def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
@@ -171,14 +161,10 @@ def run_synth(cfg: RunConfig) -> list[str]:
     days = cfg.get_days("days")
     if not days:
         raise ConfigError("days", "no days configured")
-    n_events = _int_at_least(cfg, "synth.n_events", 1)
-    regime = cfg.get_str("synth.regime")
-    if regime not in lob.SYNTH_REGIMES:
-        raise ConfigError("synth.regime", f"expected one of "
-                          f"{', '.join(lob.SYNTH_REGIMES)}, got {regime!r}")
+    n_events, regime = cfg.get_int("synth.n_events"), cfg.get_str("synth.regime")
+    base_seed = cfg.get_int("seed")
     data_dir = Path(cfg.get_str("data_dir"))
     data_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = cfg.get_int("seed")
     for i, day in enumerate(days):
         series = lob.synthesize_lob(
             seed=base_seed * 100_003 + i,
@@ -198,11 +184,11 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     by their digest, which later stages load instead of parsing the CSVs.
     """
     meta = meta_from_config(cfg)
-    clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
-    clean_dir.mkdir(parents=True, exist_ok=True)
-    data_dir = cfg.get_str("data_dir")
     trim_start_s, trim_end_s = cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s")
     days = cfg.get_days("days")
+    data_dir = cfg.get_str("data_dir")
+    clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
+    clean_dir.mkdir(parents=True, exist_ok=True)
     for day in days:
         cleaned = lob.clean_session(_read_day(data_dir, meta, day),
                                     trim_start_s, trim_end_s)
@@ -236,8 +222,7 @@ def run_mi(cfg: RunConfig) -> Path:
     train_days = cfg.get_days("split.train")
     if not train_days:
         raise ConfigError("split.train", "no training days configured")
-    n_bins = _int_at_least(cfg, "n_bins", 2)
-    n_bootstrap = _int_at_least(cfg, "bootstrap", 1)
+    n_bins, n_bootstrap = cfg.get_int("n_bins"), cfg.get_int("bootstrap")
     seed = cfg.get_int("seed")
     daily = []
     for i, day in enumerate(sorted(train_days)):
@@ -254,7 +239,8 @@ def run_mi(cfg: RunConfig) -> Path:
 def run_tmfg(cfg: RunConfig) -> Path:
     """Build the TMFG from the averaged MI matrix and emit its simplices."""
     out_dir = Path(cfg.get_str("out_dir"))
-    matrix, stored = infonet.mi_matrix_from_json((out_dir / "mi_avg.json").read_text())
+    matrix, stored = infonet.mi_matrix_from_obj(
+        read_json(out_dir / "mi_avg.json", infonet.MI_JSON_FIELDS))
     _check_digest(stored, cfg, "mi_avg.json")
     graph = infonet.build_tmfg(matrix)
     complex_ = infonet.extract_simplices(graph)
@@ -268,8 +254,8 @@ def run_tmfg(cfg: RunConfig) -> Path:
 
 def load_simplices(cfg: RunConfig) -> SimplicialComplex:
     out_dir = Path(cfg.get_str("out_dir"))
-    complex_, stored = infonet.simplices_from_json(
-        (out_dir / "simplices.json").read_text())
+    complex_, stored = infonet.simplices_from_obj(
+        read_json(out_dir / "simplices.json", infonet.SIMPLICES_JSON_FIELDS))
     _check_digest(stored, cfg, "simplices.json")
     return complex_
 
@@ -277,13 +263,10 @@ def load_simplices(cfg: RunConfig) -> SimplicialComplex:
 def windows_for_day(cfg: RunConfig, day: str) -> list[LabeledWindow]:
     """Normalize one day with trailing 5-day stats and window it with labels."""
     days = cfg.get_days("days")
-    if day not in days:
-        raise ConfigError("days", f"day {day} not in configured day list")
-    pos = days.index(day)
+    pos = days.index(day) if day in days else -1
     if pos < HISTORY_DAYS:
-        raise ConfigError("days", f"day {day} lacks {HISTORY_DAYS} prior days")
-    horizon = _int_at_least(cfg, "horizon", 1)
-    window_len = _int_at_least(cfg, "window_len", 1)
+        raise ConfigError("days", f"day {day} needs {HISTORY_DAYS} days before it")
+    horizon, window_len = cfg.get_int("horizon"), cfg.get_int("window_len")
     prior = [_clean_day(cfg, d) for d in days[pos - HISTORY_DAYS: pos]]
     stats = preprocess.compute_norm_stats(prior)
     series = _clean_day(cfg, day)
@@ -295,7 +278,7 @@ def windows_for_day(cfg: RunConfig, day: str) -> list[LabeledWindow]:
 
 def train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
-        batch_size=_int_at_least(cfg, "train.batch_size", 1),
+        batch_size=cfg.get_int("train.batch_size"),
         max_epochs=cfg.get_int("train.max_epochs"),
         early_stop_delta=cfg.get_float("train.early_stop_delta"),
         patience=cfg.get_int("train.patience"),
@@ -310,52 +293,47 @@ def train_config(cfg: RunConfig) -> TrainConfig:
     )
 
 
+def hlob_config(cfg: RunConfig) -> HlobConfig:
+    return HlobConfig(window_len=cfg.get_int("window_len"))
+
+
 def run_train(cfg: RunConfig) -> Path:
     out_dir = Path(cfg.get_str("out_dir"))
+    config, model_config = train_config(cfg), hlob_config(cfg)
+    train_days, val_days = cfg.get_days("split.train"), cfg.get_days("split.validation")
     complex_ = load_simplices(cfg)
-    train_days = cfg.get_days("split.train")
-    val_days = cfg.get_days("split.validation")
     train_by_day = {d: windows_for_day(cfg, d) for d in train_days}
     val_windows = [w for d in val_days for w in windows_for_day(cfg, d)]
-
-    model = HlobModel(HlobConfig(window_len=cfg.get_int("window_len")),
-                      seed=cfg.get_int("seed"))
-    _, history = train_mod.train(model, train_by_day, val_windows, complex_,
-                                 train_config(cfg))
+    model = HlobModel(model_config, seed=config.seed)
+    _, history = train_mod.train(model, train_by_day, val_windows, complex_, config)
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt_path, extra={"run_config_digest": cfg.digest()})
     write_atomic(out_dir / "history.json", json.dumps(history, sort_keys=True) + "\n")
     return ckpt_path
 
 
+# the EvalReport fields that eval_report.json holds, and their JSON types
+_REPORT_FIELDS = {"ticker": str, "year": str, "horizon": int, "f1_macro": float,
+                  "mcc": float, "p_t": float, "tt": int, "confusion": list}
+
+
 def run_eval(cfg: RunConfig) -> Path:
     out_dir = Path(cfg.get_str("out_dir"))
+    model_config, test_days = hlob_config(cfg), cfg.get_days("split.test")
+    batch_size, horizon = cfg.get_int("train.batch_size"), cfg.get_int("horizon")
     complex_ = load_simplices(cfg)
-    model, header = load_checkpoint(
-        out_dir / "model.ckpt",
-        expected_config=HlobConfig(window_len=cfg.get_int("window_len")))
+    model, header = load_checkpoint(out_dir / "model.ckpt", expected_config=model_config)
     _check_digest(header["extra"].get("run_config_digest", ""), cfg, "model.ckpt")
 
-    test_windows = [w for d in cfg.get_days("split.test")
-                    for w in windows_for_day(cfg, d)]
-    report = train_mod.evaluate(
-        model, test_windows, complex_,
-        batch_size=_int_at_least(cfg, "train.batch_size", 1),
-        ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
-        horizon=cfg.get_int("horizon"))
+    test_windows = [w for d in test_days for w in windows_for_day(cfg, d)]
+    report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size,
+                                ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
+                                horizon=horizon)
     path = out_dir / "eval_report.json"
-    write_atomic(path, json.dumps({
-        "ticker": report.ticker,
-        "year": report.year,
-        "horizon": report.horizon,
-        "f1_macro": report.f1_macro,
-        "mcc": report.mcc,
-        "p_t": report.p_t,
-        "tt": report.tt,
-        "confusion": report.confusion.tolist(),
-        "p_t_definition": "opener-closer-scan-v1",
-        "config_digest": cfg.digest(),
-    }, sort_keys=True) + "\n")
+    obj = {key: getattr(report, key) for key in _REPORT_FIELDS}
+    obj |= {"confusion": report.confusion.tolist(), "config_digest": cfg.digest(),
+            "p_t_definition": "opener-closer-scan-v1"}
+    write_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
     return path
 
 
@@ -363,12 +341,10 @@ def run_report(cfg: RunConfig) -> list[str]:
     out_dir = Path(cfg.get_str("out_dir"))
     reports = []
     for path in sorted(out_dir.glob("eval_report*.json")):
-        obj = json.loads(path.read_text())
+        obj = read_json(path, _REPORT_FIELDS)
         _check_digest(obj.get("config_digest", ""), cfg, path.name)
-        reports.append(EvalReport(
-            f1_macro=obj["f1_macro"], mcc=obj["mcc"], p_t=obj["p_t"],
-            tt=obj["tt"], confusion=np.array(obj["confusion"]),
-            ticker=obj["ticker"], year=obj["year"], horizon=obj["horizon"]))
+        fields = {key: obj[key] for key in _REPORT_FIELDS}
+        reports.append(EvalReport(**fields | {"confusion": np.array(obj["confusion"])}))
     if not reports:
         raise ConfigError("out_dir", "no eval_report*.json files to aggregate")
     return train_mod.emit_report(reports, out_dir / "reports",
@@ -377,9 +353,7 @@ def run_report(cfg: RunConfig) -> list[str]:
 
 
 def describe_model(cfg: RunConfig) -> list[tuple[str, int]]:
-    model = HlobModel(HlobConfig(window_len=cfg.get_int("window_len")),
-                      seed=cfg.get_int("seed"))
-    return model.param_count_table()
+    return HlobModel(hlob_config(cfg), seed=cfg.get_int("seed")).param_count_table()
 
 
 def gradcheck_suite(seed: int = 0) -> dict[str, float]:

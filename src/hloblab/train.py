@@ -47,12 +47,6 @@ class TrainConfig:
     balanced_cap: int = 5000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-
 
 @dataclass
 class EvalReport:

@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hloblab import cli, lob, pipeline
-from hloblab.config import DEFAULTS, RunConfig, parse_config_text
-from hloblab.errors import ConfigError
+from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
+from hloblab.errors import ConfigError, IoFailure
+from hloblab.files import read_json
+from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
 
 DAYS = [f"1970-01-{d:02d}" for d in range(1, 9)]
 
@@ -521,3 +524,230 @@ class TestGradcheckSuite:
         assert cli.dispatch(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "all gradient checks passed" in out
+
+
+INT64_OVER = str(2**63)
+
+# every key with a rule, with bad values for it and the first verb that reads it
+BAD_VALUES = [
+    ("tick_size", "0.00001", "synth"), ("tick_size", "nan", "synth"),
+    ("lot_size", "0", "synth"), ("lot_size", INT64_OVER, "synth"),
+    ("days", ",".join(DAYS + DAYS[:1]), "synth"),
+    ("seed", "-1", "synth"), ("seed", INT64_OVER, "synth"),
+    ("synth.n_events", "0", "synth"), ("synth.n_events", INT64_OVER, "synth"),
+    ("synth.regime", "dense", "synth"),
+    ("trim_start_s", "nan", "ingest"), ("trim_start_s", "-1", "ingest"),
+    ("trim_end_s", "-0.5", "ingest"), ("trim_end_s", "inf", "ingest"),
+    ("n_bins", "1", "mi"), ("n_bins", "1025", "mi"), ("n_bins", "100000", "mi"),
+    ("n_bins", str(10**20), "mi"), ("n_bins", "10^20", "mi"),
+    ("bootstrap", "0", "mi"), ("bootstrap", INT64_OVER, "mi"),
+    ("horizon", "0", "train"), ("horizon", INT64_OVER, "train"),
+    ("window_len", "0", "train"), ("window_len", INT64_OVER, "train"),
+    ("train.batch_size", "0", "train"),
+    ("train.max_epochs", "0", "train"),
+    ("train.early_stop_delta", "nan", "train"), ("train.early_stop_delta", "-0.1", "train"),
+    ("train.patience", "0", "train"), ("train.patience", INT64_OVER, "train"),
+    ("train.lr", "nan", "train"), ("train.lr", "-1e-3", "train"), ("train.lr", "fast", "train"),
+    ("train.beta1", "1", "train"), ("train.beta1", "-0.1", "train"),
+    ("train.beta2", "1.5", "train"),
+    ("train.eps", "-1", "train"), ("train.eps", "0", "train"),
+    ("train.weight_decay", "-0.01", "train"), ("train.weight_decay", "1e400", "train"),
+    ("train.balanced_cap", "0", "train"),
+    ("split.test", DAYS[6], "eval"), ("split.test", f"{DAYS[7]},{DAYS[5]}", "eval"),
+]
+
+
+class TestKeyRules:
+    """Each rule in config.KEYS stops the first verb that reads its key."""
+
+    def test_every_ruled_key_has_a_bad_value(self):
+        ruled = {key for key, spec in KEYS.items()
+                 if spec.ok is not None or spec.kind in (int, float)}
+        assert {key for key, _, _ in BAD_VALUES} == ruled
+
+    @pytest.mark.parametrize("key, value, verb", BAD_VALUES)
+    def test_bad_value_stops_first_reader(self, tmp_path, capsys, key, value, verb):
+        path = write_config(tmp_path, **{key: value})
+        assert cli.dispatch([verb, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at '{key}': must be ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
+    def test_defaults_meet_their_rules(self):
+        cfg = RunConfig({})
+        getters = {str: cfg.get_str, int: cfg.get_int, float: cfg.get_float,
+                   list: cfg.get_days}
+        for key, spec in KEYS.items():
+            getters[spec.kind](key)   # raises if the default breaks the rule
+        assert DEFAULTS == {key: spec.default for key, spec in KEYS.items()}
+
+    def test_rule_applies_on_read_not_at_load(self):
+        cfg = RunConfig({"horizon": "0", "train.beta2": "1.5"})
+        assert cfg.get_int("n_bins") == 32
+        with pytest.raises(ConfigError, match=r"^config error at 'horizon': "
+                                              r"must be at least 1, got '0'$"):
+            cfg.get_int("horizon")
+        with pytest.raises(ConfigError, match=r"must be in \[0, 1\), got '1.5'$"):
+            cfg.get_float("train.beta2")
+        assert cfg.get_str("horizon") == "0"   # only the declared type checks
+
+    def test_int64_and_finite_bounds(self):
+        cfg = RunConfig({"seed": str(2**63 - 1), "horizon": str(2**63),
+                         "train.lr": "1e308", "train.eps": "1e309"})
+        assert cfg.get_int("seed") == 2**63 - 1
+        assert cfg.get_float("train.lr") == 1e308
+        with pytest.raises(ConfigError, match="must be an int64 integer"):
+            cfg.get_int("horizon")
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            cfg.get_float("train.eps")
+
+    def test_split_overlaps(self):
+        # train/validation overlap is allowed; a test day may be in neither
+        cfg = RunConfig({"split.train": "a,b", "split.validation": "b", "split.test": "c"})
+        assert cfg.get_days("split.test") == ["c"]
+        for test in ("a", "c,b"):
+            cfg.values["split.test"] = test
+            with pytest.raises(ConfigError) as err:
+                cfg.get_days("split.test")
+            assert err.value.key == "split.test"
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                rows[cells[0].strip("`")] = cells
+        assert set(rows) == set(KEYS)
+        for key, spec in KEYS.items():
+            _, default, rule, verbs = rows[key]
+            assert default == (f"`{spec.default}`" if spec.default else ""), key
+            assert spec.must in rule, key
+            assert verbs, key
+
+
+class TestCorruptArtifacts:
+    """A stage artifact that does not decode or lacks a field is exit 2, one line."""
+
+    @staticmethod
+    def _run(tmp_path, *verbs):
+        cfg_path = str(write_config(tmp_path))
+        for verb in verbs:
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        return cfg_path
+
+    @staticmethod
+    def _one_io_error(capsys, path, detail):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt {path}: ")
+        assert detail in err
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def _write_report(tmp_path, cfg_path, drop=None, **changes):
+        obj = {"ticker": "SYN", "year": "1970", "horizon": 10, "f1_macro": 0.5,
+               "mcc": 0.1, "p_t": 0.25, "tt": 4, "confusion": [[1, 0, 0]] * 3,
+               "p_t_definition": "opener-closer-scan-v1",
+               "config_digest": RunConfig.load(cfg_path).digest(), **changes}
+        obj.pop(drop, None)
+        path = tmp_path / "out" / "eval_report.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_report_from_hand_written_report(self, tmp_path):
+        cfg_path = self._run(tmp_path)
+        self._write_report(tmp_path, cfg_path)
+        assert cli.dispatch(["report", "--config", cfg_path]) == 0
+
+    @pytest.mark.parametrize("drop, changes, detail", [
+        ("mcc", {}, "no 'mcc'"),
+        (None, {"tt": "4"}, "'tt' is not of type int"),
+        (None, {"confusion": None}, "'confusion' is not of type list"),
+    ])
+    def test_report_missing_or_mistyped_field(self, tmp_path, capsys, drop, changes,
+                                              detail):
+        cfg_path = self._run(tmp_path)
+        path = self._write_report(tmp_path, cfg_path, drop, **changes)
+        assert cli.dispatch(["report", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, detail)
+
+    def test_report_truncated(self, tmp_path, capsys):
+        cfg_path = self._run(tmp_path)
+        path = self._write_report(tmp_path, cfg_path)
+        path.write_bytes(path.read_bytes()[:40])
+        assert cli.dispatch(["report", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "")
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "no data", "not an object"])
+    def test_tmfg_with_corrupt_mi(self, tmp_path, capsys, corrupt):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi")
+        path = tmp_path / "out" / "mi_avg.json"
+        text = path.read_text()
+        obj = json.loads(text)
+        del obj["data"]
+        path.write_text({"truncated": text[:len(text) // 2],
+                         "no data": json.dumps(obj),
+                         "not an object": "[1, 2]"}[corrupt])
+        capsys.readouterr()
+        assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, {"truncated": "", "no data": "no 'data'",
+                                          "not an object": "not a JSON object"}[corrupt])
+
+    def test_train_with_simplices_missing_edges(self, tmp_path, capsys):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
+        path = tmp_path / "out" / "simplices.json"
+        obj = json.loads(path.read_text())
+        del obj["edges"]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "no 'edges'")
+
+    def test_eval_with_checkpoint_header_missing_seed(self, tmp_path, capsys):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
+        path = tmp_path / "out" / "model.ckpt"
+        cfg = RunConfig.load(cfg_path)
+        save_checkpoint(HlobModel(pipeline.hlob_config(cfg), seed=3), path,
+                        extra={"run_config_digest": cfg.digest()})
+        blob = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):start], "little")
+        header = json.loads(blob[start:end])
+        del header["seed"]
+        new = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + len(new).to_bytes(8, "little") + new +
+                         blob[end:])
+        capsys.readouterr()
+        assert cli.dispatch(["eval", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "no 'seed'")
+
+
+class TestReadJson:
+    def test_returns_object_with_its_fields(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"n": 3, "xs": [1], "extra": null}')
+        assert read_json(path, {"n": int, "xs": list}) == {"n": 3, "xs": [1],
+                                                           "extra": None}
+
+    @pytest.mark.parametrize("raw, detail", [
+        (b'{"n": 3', "Expecting"), (b"", "Expecting value"),
+        (b'{"n": 3} x', "Extra data"), (b'{"n": 3}\xff', "codec"),
+        (b"[]", "not a JSON object"), (b'{"m": 3}', "no 'n'"),
+        (b'{"n": "3"}', "'n' is not of type int"),
+    ])
+    def test_corrupt_is_io_failure_naming_file(self, tmp_path, raw, detail):
+        path = tmp_path / "a.json"
+        path.write_bytes(raw)
+        with pytest.raises(IoFailure) as err:
+            read_json(path, {"n": int})
+        assert str(err.value).startswith(f"corrupt {path}: ")
+        assert detail in str(err.value)
+        with pytest.raises(IoFailure):   # the same bytes passed as data
+            read_json(tmp_path / "other.bin", {"n": int}, data=raw)
+
+    def test_missing_file_is_not_an_artifact_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "absent.json", {})
