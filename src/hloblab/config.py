@@ -37,10 +37,20 @@ def _at_least(least) -> tuple[str, Callable]:
     return f"at least {least}", lambda v, cfg: v >= least
 
 
+def _within(least, most) -> tuple[str, Callable]:
+    return f"from {least} to {most}", lambda v, cfg: least <= v <= most
+
+
+# upper bounds that keep the stages' integer arithmetic inside int64: a trim
+# is at most the 09:30-16:00 session, in seconds, and a tick at most 10,000
+# currency units, 1e8 integer price units
+SESSION_S = (lob.SESSION_CLOSE_NS - lob.SESSION_OPEN_NS) // 10**9
+MAX_TICK_SIZE = 1e4
+
 KEYS = {
     "ticker": Key("SYN", str),
-    "tick_size": Key("0.01", float, "at least one price unit, 0.0001",
-                     lambda v, cfg: lob.price_units(v) >= 1),
+    "tick_size": Key("0.01", float, f"from one price unit, 0.0001, to {MAX_TICK_SIZE:g}",
+                     lambda v, cfg: v <= MAX_TICK_SIZE and lob.price_units(v) >= 1),
     "lot_size": Key("1", int, *_at_least(1)),
     "year": Key("1970", str),
     "data_dir": Key("data", str),
@@ -57,8 +67,8 @@ KEYS = {
     "bootstrap": Key("10", int, *_at_least(1)),
     "seed": Key("0", int, *_at_least(0)),
     "window_len": Key("100", int, *_at_least(1)),
-    "trim_start_s": Key("1800", float, *_at_least(0)),
-    "trim_end_s": Key("1800", float, *_at_least(0)),
+    "trim_start_s": Key("1800", float, *_within(0, SESSION_S)),
+    "trim_end_s": Key("1800", float, *_within(0, SESSION_S)),
     "synth.n_events": Key("600", int, *_at_least(1)),
     "synth.regime": Key("compact", str, f"one of {', '.join(lob.SYNTH_REGIMES)}",
                         lambda v, cfg: v in lob.SYNTH_REGIMES),

@@ -1,12 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU for the heads, a single-layer LSTM (built from
-primitives, so backward-through-time falls out of the tape), dense, inverted
-dropout, stabilized softmax cross-entropy, an AdamW step with decoupled
-weight decay, and a central finite-difference gradient checker. The generic
-NCHW ``conv2d`` and ``leaky_relu`` remain as the reference the fused op is
-checked against.
+convolution + LeakyReLU for the heads, a single-layer LSTM as one fused op
+with hand-written backpropagation through time (plus a tape-free forward for
+eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
+step with decoupled weight decay, and a central finite-difference gradient
+checker. The generic NCHW ``conv2d`` and ``leaky_relu`` remain as the
+reference the fused convolution is checked against.
 
 Training runs in float32 by default; gradient-check suites build in float64
 for finite-difference headroom.
@@ -38,8 +38,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar")
-        # depth-first post-order, kept on an explicit stack: an unrolled
-        # LSTM makes the graph thousands of nodes deep
+        # depth-first post-order, kept on an explicit stack so that a deep
+        # graph cannot exhaust Python's recursion limit
         order = []
         seen = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -129,30 +129,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    out._backward = backward
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - t * t))
-
-    out._backward = backward
-    return out
-
-
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """max(x, slope*x) with subgradient 1 at 0."""
     # for 0 < slope < 1 the elementwise max equals the piecewise definition
@@ -190,35 +166,6 @@ def concat(tensors, axis: int) -> Tensor:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
-
-    out._backward = backward
-    return out
-
-
-def stack(tensors, axis: int) -> Tensor:
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
-
-    out._backward = backward
-    return out
-
-
-def select(x: Tensor, index: int, axis: int) -> Tensor:
-    """x[..., index, ...] along one axis, dropping that axis."""
-    out = Tensor(np.take(x.data, index, axis=axis), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            idx = [slice(None)] * x.data.ndim
-            idx[axis] = index
-            full[tuple(idx)] = g
-            x._accumulate(full)
 
     out._backward = backward
     return out
@@ -525,44 +472,125 @@ class LstmParams:
 def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
     """Run a single-layer LSTM over (N, T, I); returns (outputs, h_T, c_T).
 
-    Built from tape primitives, so backward-through-time needs no special
-    handling.
+    The forward keeps the gate activations (T, N, 4H), the cell states and
+    tanh(c); backward is hand-written backpropagation through time over them
+    (Greff et al., arXiv:1503.04069). Each returned tensor is one tape node
+    whose backward runs that BPTT from its own gradient, so a loss that reads
+    only ``h_T`` puts a single LSTM node on the tape.
     """
     n, t_len, i_size = x.data.shape
     if i_size != params.input_size:
         raise ShapeMismatch(f"lstm input size {i_size}, expected {params.input_size}")
-    h_size = params.hidden_size
+    hs = params.hidden_size
+    w_ih, w_hh = params.w_ih.data, params.w_hh.data
     dtype = x.data.dtype
-    h = Tensor(np.zeros((n, h_size), dtype))
-    c = Tensor(np.zeros((n, h_size), dtype))
-    w_ih_t = transpose(params.w_ih.tensor)
-    w_hh_t = transpose(params.w_hh.tensor)
-    outputs = []
+    act = np.empty((t_len, n, 4 * hs), dtype)
+    # c[t + 1] and h[t + 1] are the states after step t; row 0 is the zero start
+    c = np.zeros((t_len + 1, n, hs), dtype)
+    h = np.zeros((t_len + 1, n, hs), dtype)
+    tanh_c = np.empty((t_len, n, hs), dtype)
+    x_steps = _time_major(x.data)
     for t in range(t_len):
-        x_t = select(x, t, axis=1)
-        gates = add(add(matmul(x_t, w_ih_t), params.b_ih.tensor),
-                    add(matmul(h, w_hh_t), params.b_hh.tensor))
-        i_g = sigmoid(_slice_cols(gates, 0, h_size))
-        f_g = sigmoid(_slice_cols(gates, h_size, 2 * h_size))
-        g_g = tanh(_slice_cols(gates, 2 * h_size, 3 * h_size))
-        o_g = sigmoid(_slice_cols(gates, 3 * h_size, 4 * h_size))
-        c = add(mul(f_g, c), mul(i_g, g_g))
-        h = mul(o_g, tanh(c))
-        outputs.append(h)
-    return stack(outputs, axis=1), h, c
+        _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
+                   h[t + 1])
 
-
-def _slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    out = Tensor(x.data[:, lo:hi], parents=(x,))
-
-    def backward(g):
+    def bptt(dh_seq, dh_last, dc_last):
+        """Accumulate the gradients of one upstream (any of the three may be None)."""
+        dgates = np.empty_like(act)
+        dh = np.zeros((n, hs), dtype) if dh_last is None else dh_last
+        dc = np.zeros((n, hs), dtype) if dc_last is None else dc_last
+        dact = np.empty((n, 4 * hs), dtype)
+        # the weight gradients accumulate transposed, (I, 4H) and (H, 4H)
+        gw_ih = np.zeros((i_size, 4 * hs), dtype)
+        gw_hh = np.zeros((hs, 4 * hs), dtype)
+        gb_ih = np.zeros(4 * hs, dtype)
+        gb_hh = np.zeros(4 * hs, dtype)
+        for t in reversed(range(t_len)):
+            if dh_seq is not None:
+                dh = dh + dh_seq[:, t]
+            a, tc, dg = act[t], tanh_c[t], dgates[t]
+            dc = dc + dh * a[:, 3 * hs:] * (1.0 - tc * tc)
+            # upstream of each gate activation, then through its nonlinearity
+            np.multiply(dc, a[:, 2 * hs:3 * hs], out=dact[:, :hs])
+            np.multiply(dc, c[t], out=dact[:, hs:2 * hs])
+            np.multiply(dc, a[:, :hs], out=dact[:, 2 * hs:3 * hs])
+            np.multiply(dh, tc, out=dact[:, 3 * hs:])
+            np.multiply(dact, a, out=dg)
+            dg *= 1.0 - a
+            g_gate = a[:, 2 * hs:3 * hs]
+            np.multiply(dact[:, 2 * hs:3 * hs], 1.0 - g_gate * g_gate,
+                        out=dg[:, 2 * hs:3 * hs])
+            gw_hh += h[t].T @ dg
+            gb_hh += dg.sum(axis=0)
+            dh = dg @ w_hh
+            dc = dc * a[:, hs:2 * hs]
+        # the input-side terms add up in the order the per-step tape
+        # composition added them, which keeps trained weights bit-identical
+        # to it: time order from h_T or c_T, reverse time from the outputs
+        for t in range(t_len) if dh_seq is None else reversed(range(t_len)):
+            gw_ih += x_steps[t].T @ dgates[t]
+            gb_ih += dgates[t].sum(axis=0)
         if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, lo:hi] = g
-            x._accumulate(full)
+            gx = (dgates.reshape(t_len * n, 4 * hs) @ w_ih).reshape(t_len, n, i_size)
+            x._accumulate(gx.transpose(1, 0, 2))
+        for p, g in ((params.w_ih, gw_ih.T), (params.w_hh, gw_hh.T),
+                     (params.b_ih, gb_ih), (params.b_hh, gb_hh)):
+            if p.tensor.requires_grad:
+                p.tensor._accumulate(g, owned=True)
 
-    out._backward = backward
-    return out
+    parents = (x,) + tuple(p.tensor for p in params.parameters())
+    outputs = Tensor(h[1:].transpose(1, 0, 2), parents=parents,
+                     backward_fn=lambda g: bptt(g, None, None))
+    h_last = Tensor(h[t_len], parents=parents,
+                    backward_fn=lambda g: bptt(None, g, None))
+    c_last = Tensor(c[t_len], parents=parents,
+                    backward_fn=lambda g: bptt(None, None, g))
+    return outputs, h_last, c_last
+
+
+def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:
+    """The final hidden state (N, H) of :func:`lstm` over (N, T, I), with no tape.
+
+    Only the current step's state is kept, so a batch of any size costs
+    (N, 4H) of scratch beside the (T, N, I) time-major copy of ``x``.
+    """
+    n, t_len, i_size = x.shape
+    if i_size != params.input_size:
+        raise ShapeMismatch(f"lstm input size {i_size}, expected {params.input_size}")
+    hs = params.hidden_size
+    act = np.empty((n, 4 * hs), x.dtype)
+    tanh_c = np.empty((n, hs), x.dtype)
+    h = np.zeros((n, hs), x.dtype)
+    c = np.zeros((n, hs), x.dtype)
+    for x_t in _time_major(x):
+        _lstm_step(x_t, h, c, params, act, c, tanh_c, h)
+    return h
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """(N, T, I) as a contiguous (T, N, I) copy, so each step's rows are adjacent."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _lstm_step(x_t, h, c, params: LstmParams, act, c_out, tanh_c, h_out) -> None:
+    """One LSTM step from state (h, c) on input x_t, all (N, .) arrays.
+
+    Writes the gate activations (i, f, g, o) to ``act`` (N, 4H) and the new
+    cell state, its tanh and the new hidden state to the three (N, H)
+    outputs, which may be ``h`` and ``c`` themselves. The gate
+    pre-activation adds in the order (x_t W_ih^T + b_ih) + (h W_hh^T + b_hh).
+    """
+    hs = c.shape[1]
+    np.add(x_t @ params.w_ih.data.T + params.b_ih.data,
+           h @ params.w_hh.data.T + params.b_hh.data, out=act)
+    for block in (act[:, :2 * hs], act[:, 3 * hs:]):
+        block[...] = 1.0 / (1.0 + np.exp(-block))
+    g_gate = act[:, 2 * hs:3 * hs]
+    g_gate[...] = np.tanh(g_gate)
+    np.multiply(act[:, hs:2 * hs], c, out=c_out)
+    c_out += act[:, :hs] * g_gate
+    np.tanh(c_out, out=tanh_c)
+    np.multiply(act[:, 3 * hs:], tanh_c, out=h_out)
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, coords=None) -> float:

@@ -19,6 +19,7 @@ from .errors import (
     AsymmetricInput,
     EmptyList,
     IndexOutOfRange,
+    IoFailure,
     LengthMismatch,
     TooFewVertices,
 )
@@ -316,10 +317,26 @@ def mi_matrix_from_json(text: str) -> tuple[np.ndarray, str]:
     return mi_matrix_from_obj(json.loads(text))
 
 
-def mi_matrix_from_obj(obj: dict) -> tuple[np.ndarray, str]:
-    """The matrix and config digest of a decoded :func:`mi_matrix_to_json`."""
-    m = np.array(obj["data"], np.float64).reshape(obj["shape"])
-    return m, obj.get("config_digest", "")
+def mi_matrix_from_obj(obj: dict, path="mi_avg.json") -> tuple[np.ndarray, str]:
+    """The matrix and config digest of a decoded :func:`mi_matrix_to_json`.
+
+    ``data`` must be a flat list of numbers and ``shape`` a square (n, n)
+    holding exactly that many; otherwise :class:`IoFailure` naming ``path``.
+    """
+    shape = obj["shape"]
+    try:
+        data = np.array(obj["data"], np.float64)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.ndim != 1:
+        raise IoFailure(f"corrupt {path}: 'data' is not a flat list of numbers")
+    if not (len(shape) == 2 and all(type(s) is int for s in shape)
+            and shape[0] == shape[1]):
+        raise IoFailure(f"corrupt {path}: 'shape' {shape} is not a square (n, n)")
+    if shape[0] * shape[1] != data.size:
+        raise IoFailure(f"corrupt {path}: 'shape' {shape} does not hold the "
+                        f"{data.size} values of 'data'")
+    return data.reshape(shape), obj.get("config_digest", "")
 
 
 def mi_matrix_to_csv(m: np.ndarray) -> str:
@@ -342,10 +359,23 @@ def simplices_from_json(text: str) -> tuple[SimplicialComplex, str]:
     return simplices_from_obj(json.loads(text))
 
 
-def simplices_from_obj(obj: dict) -> tuple[SimplicialComplex, str]:
-    """The complex and config digest of a decoded :func:`simplices_to_json`."""
-    return SimplicialComplex(
-        tetrahedra=np.array(obj["tetrahedra"], np.int64),
-        triangles=np.array(obj["triangles"], np.int64),
-        edges=np.array(obj["edges"], np.int64),
-    ), obj.get("config_digest", "")
+def simplices_from_obj(obj: dict, path="simplices.json") -> tuple[SimplicialComplex, str]:
+    """The complex and config digest of a decoded :func:`simplices_to_json`.
+
+    Each array must be rows of 4, 3 or 2 vertex ids in ``[0, N_VERTICES)``;
+    otherwise :class:`IoFailure` naming ``path``.
+    """
+    arrays = {}
+    for key, width in (("tetrahedra", 4), ("triangles", 3), ("edges", 2)):
+        try:
+            arr = np.array(obj[key], np.int64)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != width:
+            raise IoFailure(f"corrupt {path}: '{key}' is not rows of {width} "
+                            "vertex ids")
+        if arr.size and not (arr.min() >= 0 and arr.max() < N_VERTICES):
+            raise IoFailure(f"corrupt {path}: '{key}' has a vertex outside "
+                            f"0..{N_VERTICES - 1}")
+        arrays[key] = arr
+    return SimplicialComplex(**arrays), obj.get("config_digest", "")

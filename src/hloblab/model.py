@@ -16,7 +16,8 @@ three class logits.
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
 computes the heads once per distinct row and recomputes just those edge
-rows per window.
+rows per window. :meth:`HlobModel.classify` then runs the LSTM and the
+output layer on those sequences without a tape.
 """
 
 from __future__ import annotations
@@ -228,12 +229,18 @@ class HlobModel:
             n, t, w = arr.shape
             x = Tensor(arr.reshape(n, 1, t, w))
             head_outputs.append(head.forward(x, self.config, train, rng))
-        return self.classify(engine.concat(head_outputs, axis=2))
-
-    def classify(self, seq: Tensor) -> Tensor:
-        """Map (N, T, 96) head sequences to (N, 3) logits: the LSTM, then dense."""
-        _, h_final, _ = engine.lstm(seq, self.lstm)
+        _, h_final, _ = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
         return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
+
+    def classify(self, seq: np.ndarray) -> np.ndarray:
+        """Eval-mode (N, 3) logits of (N, T, 96) head sequences, with no tape.
+
+        The LSTM (``engine.lstm_last``) and the output layer run over all N
+        rows at once. Rows do not mix, so this equals running the rows batch
+        by batch, up to the rounding a GEMM of another height may choose.
+        """
+        h_final = engine.lstm_last(seq, self.lstm)
+        return h_final @ self.out_w.data.T + self.out_b.data
 
     def head_sequences(self, row_inputs, origins, window_len: int) -> np.ndarray:
         """Eval-mode (N, T, 96) head sequences of windows given as rows.
@@ -318,6 +325,41 @@ def save_checkpoint(model: HlobModel, path, optimizer: engine.AdamW | None = Non
         raise IoFailure(str(exc)) from exc
 
 
+def _config_from_header(path, header: dict) -> HlobConfig:
+    """The :class:`HlobConfig` a checkpoint header stores, checked field by field.
+
+    The stored fields must be exactly the dataclass's, each of its default's
+    type (a tuple as a JSON list of ints of the same length), and they must
+    hash to the header's ``config_digest``; otherwise :class:`IoFailure`.
+    """
+    stored = header["config"]
+    defaults = asdict(HlobConfig())
+    for key in sorted(set(stored) ^ set(defaults)):
+        why = "unknown" if key in stored else "missing"
+        raise IoFailure(f"corrupt {path}: config field '{key}' is {why}")
+    fields = {}
+    for key, default in defaults.items():
+        value = stored[key]
+        if isinstance(default, tuple):
+            ok = (isinstance(value, list) and len(value) == len(default)
+                  and all(type(v) is int for v in value))
+        elif isinstance(default, float):
+            ok = type(value) in (int, float)
+        else:
+            ok = type(value) is type(default)
+        if not ok:
+            raise IoFailure(f"corrupt {path}: config field '{key}' is not of "
+                            f"type {type(default).__name__}, got {value!r}")
+        fields[key] = tuple(value) if isinstance(default, tuple) else value
+    try:
+        config = HlobConfig(**fields)
+    except ConfigInconsistent as exc:
+        raise IoFailure(f"corrupt {path}: {exc}") from None
+    if config.digest() != header["config_digest"]:
+        raise IoFailure(f"corrupt {path}: config does not match its config_digest")
+    return config
+
+
 def load_checkpoint(path, expected_config: HlobConfig | None = None
                     ) -> tuple[HlobModel, dict]:
     """Rebuild a model bit-exactly from a checkpoint file."""
@@ -334,10 +376,7 @@ def load_checkpoint(path, expected_config: HlobConfig | None = None
     header = read_json(path, CHECKPOINT_HEADER_FIELDS, data=blob[pos:pos + hlen])
     pos += hlen
 
-    cfg_fields = dict(header["config"])
-    for key in ("head_widths", "arities", "cardinalities"):
-        cfg_fields[key] = tuple(cfg_fields[key])
-    config = HlobConfig(**cfg_fields)
+    config = _config_from_header(path, header)
     if expected_config is not None and expected_config.digest() != header["config_digest"]:
         raise DigestMismatch(
             f"checkpoint digest {header['config_digest'][:12]} does not match "

@@ -239,8 +239,9 @@ def run_mi(cfg: RunConfig) -> Path:
 def run_tmfg(cfg: RunConfig) -> Path:
     """Build the TMFG from the averaged MI matrix and emit its simplices."""
     out_dir = Path(cfg.get_str("out_dir"))
+    mi_path = out_dir / "mi_avg.json"
     matrix, stored = infonet.mi_matrix_from_obj(
-        read_json(out_dir / "mi_avg.json", infonet.MI_JSON_FIELDS))
+        read_json(mi_path, infonet.MI_JSON_FIELDS), mi_path)
     _check_digest(stored, cfg, "mi_avg.json")
     graph = infonet.build_tmfg(matrix)
     complex_ = infonet.extract_simplices(graph)
@@ -254,8 +255,9 @@ def run_tmfg(cfg: RunConfig) -> Path:
 
 def load_simplices(cfg: RunConfig) -> SimplicialComplex:
     out_dir = Path(cfg.get_str("out_dir"))
+    path = out_dir / "simplices.json"
     complex_, stored = infonet.simplices_from_obj(
-        read_json(out_dir / "simplices.json", infonet.SIMPLICES_JSON_FIELDS))
+        read_json(path, infonet.SIMPLICES_JSON_FIELDS), path)
     _check_digest(stored, cfg, "simplices.json")
     return complex_
 
@@ -371,6 +373,13 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["conv2d"] = engine.grad_check(
         lambda t: _sum_sq(engine.conv2d(t, w, b, stride=(1, 2),
                                         padding=((1, 0), (0, 0)))), x)
+
+    # the heads' op, with a time kernel (kh > 1) over its (before, after) padding
+    xc = engine.Tensor(rng.normal(size=(2, 5, 4, 3)))
+    wc = engine.Tensor(rng.normal(size=(4, 3, 4, 2)), requires_grad=True)
+    bc = engine.Tensor(rng.normal(size=4), requires_grad=True)
+    results["conv_leaky_cl"] = engine.grad_check(
+        lambda t: _sum_sq(engine.conv_leaky_cl(t, wc, bc, 0.01, time_pad=(1, 2))), xc)
 
     y = engine.Tensor(rng.normal(size=(3, 4)))
     results["leaky_relu"] = engine.grad_check(

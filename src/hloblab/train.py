@@ -85,8 +85,11 @@ def _eval_batches(model: HlobModel, windows: list[LabeledWindow],
 
     The heads run once on each chunk's distinct rows (see
     ``HlobModel.head_sequences``), so overlapping windows share their rows'
-    work; the LSTM and output layer then run on ``batch_size`` windows at a
-    time, in list order, as ``model.forward`` would.
+    work. A chunk is whole batches, except that the last one may end in a
+    short batch. The tape-free LSTM and the output layer run once over the
+    whole batches and once over that short batch: with OpenBLAS, a stack of
+    whole batches gave each batch the same bits as running it alone, but a
+    short batch run beside them did not.
     """
     origins = window_origins(windows)
     t_len = len(windows[0].features)
@@ -99,9 +102,11 @@ def _eval_batches(model: HlobModel, windows: list[LabeledWindow],
         chunk, at = windows[lo:hi], origins[lo:hi]
         rows = infonet.assemble_head_inputs(window_rows(chunk, at), complex_)
         seq = model.head_sequences(rows, at - at[0], t_len)
+        whole = len(chunk) - len(chunk) % batch_size
+        logits = np.concatenate([model.classify(part)
+                                 for part in (seq[:whole], seq[whole:]) if len(part)])
         for b in range(0, len(chunk), batch_size):
-            logits = model.classify(engine.Tensor(seq[b:b + batch_size]))
-            yield chunk[b:b + batch_size], logits
+            yield chunk[b:b + batch_size], engine.Tensor(logits[b:b + batch_size])
         lo = hi
 
 

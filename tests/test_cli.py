@@ -515,8 +515,8 @@ class TestPipelineStages:
 class TestGradcheckSuite:
     def test_layer_suite_under_tolerance(self):
         results = pipeline.gradcheck_suite(seed=0)
-        assert set(results) == {"conv2d", "leaky_relu", "lstm", "dense",
-                                "softmax_cross_entropy", "hlob_loss"}
+        assert set(results) == {"conv2d", "conv_leaky_cl", "leaky_relu", "lstm",
+                                "dense", "softmax_cross_entropy", "hlob_loss"}
         for name, err in results.items():
             assert err < 1e-6, f"{name}: {err}"
 
@@ -536,8 +536,11 @@ BAD_VALUES = [
     ("seed", "-1", "synth"), ("seed", INT64_OVER, "synth"),
     ("synth.n_events", "0", "synth"), ("synth.n_events", INT64_OVER, "synth"),
     ("synth.regime", "dense", "synth"),
+    ("tick_size", "1e30", "synth"),
     ("trim_start_s", "nan", "ingest"), ("trim_start_s", "-1", "ingest"),
+    ("trim_start_s", "1e300", "ingest"),
     ("trim_end_s", "-0.5", "ingest"), ("trim_end_s", "inf", "ingest"),
+    ("trim_end_s", "23401", "ingest"),
     ("n_bins", "1", "mi"), ("n_bins", "1025", "mi"), ("n_bins", "100000", "mi"),
     ("n_bins", str(10**20), "mi"), ("n_bins", "10^20", "mi"),
     ("bootstrap", "0", "mi"), ("bootstrap", INT64_OVER, "mi"),
@@ -696,6 +699,36 @@ class TestCorruptArtifacts:
         self._one_io_error(capsys, path, {"truncated": "", "no data": "no 'data'",
                                           "not an object": "not a JSON object"}[corrupt])
 
+    @pytest.mark.parametrize("shape, detail", [
+        ([3, 3], "does not hold the 400 values"),
+        ([40, 10], "is not a square"),
+    ])
+    def test_tmfg_with_mi_shape_that_does_not_fit(self, tmp_path, capsys, shape, detail):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi")
+        path = tmp_path / "out" / "mi_avg.json"
+        obj = json.loads(path.read_text())
+        obj["shape"] = shape
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, detail)
+
+    @pytest.mark.parametrize("key, rows, detail", [
+        ("tetrahedra", [[0, 1, 2]], "'tetrahedra' is not rows of 4"),
+        ("edges", [[0, 1], [2]], "'edges' is not rows of 2"),
+        ("triangles", [[0, 1, 20]], "'triangles' has a vertex outside"),
+    ])
+    def test_train_with_simplices_of_wrong_width(self, tmp_path, capsys, key, rows,
+                                                 detail):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
+        path = tmp_path / "out" / "simplices.json"
+        obj = json.loads(path.read_text())
+        obj[key] = rows
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, detail)
+
     def test_train_with_simplices_missing_edges(self, tmp_path, capsys):
         cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
         path = tmp_path / "out" / "simplices.json"
@@ -706,7 +739,7 @@ class TestCorruptArtifacts:
         assert cli.dispatch(["train", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, "no 'edges'")
 
-    def test_eval_with_checkpoint_header_missing_seed(self, tmp_path, capsys):
+    def _eval_with_edited_header(self, tmp_path, capsys, edit, detail):
         cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
         path = tmp_path / "out" / "model.ckpt"
         cfg = RunConfig.load(cfg_path)
@@ -716,13 +749,37 @@ class TestCorruptArtifacts:
         start = len(CHECKPOINT_MAGIC) + 8
         end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):start], "little")
         header = json.loads(blob[start:end])
-        del header["seed"]
+        edit(header)
         new = json.dumps(header).encode()
         path.write_bytes(CHECKPOINT_MAGIC + len(new).to_bytes(8, "little") + new +
                          blob[end:])
         capsys.readouterr()
         assert cli.dispatch(["eval", "--config", cfg_path]) == 2
-        self._one_io_error(capsys, path, "no 'seed'")
+        self._one_io_error(capsys, path, detail)
+
+    def test_eval_with_checkpoint_header_missing_seed(self, tmp_path, capsys):
+        self._eval_with_edited_header(tmp_path, capsys, lambda h: h.pop("seed"),
+                                      "no 'seed'")
+
+    def test_eval_with_checkpoint_config_extra_field(self, tmp_path, capsys):
+        self._eval_with_edited_header(
+            tmp_path, capsys, lambda h: h["config"].update(bogus=1),
+            "config field 'bogus' is unknown")
+
+    def test_eval_with_checkpoint_config_missing_head_widths(self, tmp_path, capsys):
+        self._eval_with_edited_header(
+            tmp_path, capsys, lambda h: h["config"].pop("head_widths"),
+            "config field 'head_widths' is missing")
+
+    def test_eval_with_checkpoint_config_string_window_len(self, tmp_path, capsys):
+        self._eval_with_edited_header(
+            tmp_path, capsys, lambda h: h["config"].update(window_len="100"),
+            "config field 'window_len' is not of type int")
+
+    def test_eval_with_checkpoint_config_not_matching_its_digest(self, tmp_path, capsys):
+        self._eval_with_edited_header(
+            tmp_path, capsys, lambda h: h["config"].update(channels=2),
+            "config does not match its config_digest")
 
 
 class TestReadJson:

@@ -14,6 +14,7 @@ from hloblab.engine import (
     grad_check,
     leaky_relu,
     lstm,
+    lstm_last,
     softmax,
     softmax_cross_entropy,
 )
@@ -302,6 +303,166 @@ class TestLstm:
         p = LstmParams("lstm", 3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             lstm(Tensor(np.zeros((1, 4, 5))), p)
+        with pytest.raises(ShapeMismatch):
+            lstm_last(np.zeros((1, 4, 5)), p)
+
+
+def _sigmoid(x):
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    out = Tensor(s, parents=(x,))
+    out._backward = lambda g: x._accumulate(g * s * (1.0 - s))
+    return out
+
+
+def _tanh(x):
+    t = np.tanh(x.data)
+    out = Tensor(t, parents=(x,))
+    out._backward = lambda g: x._accumulate(g * (1.0 - t * t))
+    return out
+
+
+def _take(x, index, axis):
+    """x[..., index, ...] along one axis, dropping that axis."""
+    out = Tensor(np.take(x.data, index, axis=axis), parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            np.moveaxis(full, axis, 0)[index] = g
+            x._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
+def _cols(x, lo, hi):
+    out = Tensor(x.data[:, lo:hi], parents=(x,))
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[:, lo:hi] = g
+        x._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
+def _stack(tensors, axis):
+    out = Tensor(np.stack([t.data for t in tensors], axis=axis), parents=tuple(tensors))
+
+    def backward(g):
+        for i, t in enumerate(tensors):
+            t._accumulate(np.take(g, i, axis=axis))
+
+    out._backward = backward
+    return out
+
+
+def reference_lstm(x, params):
+    """The LSTM composed of per-step tape primitives, as the fused op replaced."""
+    n, t_len, _ = x.data.shape
+    hs = params.hidden_size
+    h = Tensor(np.zeros((n, hs), x.data.dtype))
+    c = Tensor(np.zeros((n, hs), x.data.dtype))
+    w_ih_t = engine.transpose(params.w_ih.tensor)
+    w_hh_t = engine.transpose(params.w_hh.tensor)
+    outputs = []
+    for t in range(t_len):
+        gates = engine.add(
+            engine.add(engine.matmul(_take(x, t, 1), w_ih_t), params.b_ih.tensor),
+            engine.add(engine.matmul(h, w_hh_t), params.b_hh.tensor))
+        i_g = _sigmoid(_cols(gates, 0, hs))
+        f_g = _sigmoid(_cols(gates, hs, 2 * hs))
+        g_g = _tanh(_cols(gates, 2 * hs, 3 * hs))
+        o_g = _sigmoid(_cols(gates, 3 * hs, 4 * hs))
+        c = engine.add(engine.mul(f_g, c), engine.mul(i_g, g_g))
+        h = engine.mul(o_g, _tanh(c))
+        outputs.append(h)
+    return _stack(outputs, axis=1), h, c
+
+
+class TestFusedLstm:
+    """The fused op against the per-step composition it replaced."""
+
+    @staticmethod
+    def params(dtype, i_size=6, hs=4, seed=30):
+        rng = np.random.default_rng(seed)
+        p = LstmParams("lstm", i_size, hs, rng, dtype)
+        p.b_ih.data = (0.5 * rng.standard_normal(4 * hs)).astype(dtype)
+        p.b_hh.data = (0.5 * rng.standard_normal(4 * hs)).astype(dtype)
+        return p
+
+    @staticmethod
+    def grads(fn, x_data, p, which, weights):
+        """Output ``which`` of ``fn`` and the gradients of sum(weights * it)."""
+        x = Tensor(x_data.copy(), requires_grad=True)
+        for q in p.parameters():
+            q.tensor.grad = None
+        out = fn(x, p)[which]
+        flat = engine.reshape(engine.mul(out, Tensor(weights)), (1, -1))
+        engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), x_data.dtype))).backward()
+        return out.data.copy(), [x.grad] + [q.tensor.grad.copy() for q in p.parameters()]
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_matches_composition_float64(self, which):
+        p = self.params(np.float64)
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((5, 9, 6))
+        weights = rng.standard_normal((5, 9, 4) if which == 0 else (5, 4))
+        out, grads = self.grads(lstm, x, p, which, weights)
+        ref_out, ref_grads = self.grads(reference_lstm, x, p, which, weights)
+        assert max_rel(out, ref_out) < 1e-12
+        for name, g, ref in zip(["x", "w_ih", "w_hh", "b_ih", "b_hh"], grads, ref_grads):
+            assert g.shape == ref.shape, name
+            assert max_rel(g, ref) < 1e-12, name
+
+    def test_float32_weight_gradients_bit_identical(self):
+        # the input-side terms are summed in the composition's order, so a
+        # float32 train step updates the weights exactly as it did
+        p = self.params(np.float32, i_size=96, hs=32)
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((32, 100, 96)).astype(np.float32)
+        weights = rng.standard_normal((32, 32)).astype(np.float32)
+        out, grads = self.grads(lstm, x, p, 1, weights)
+        ref_out, ref_grads = self.grads(reference_lstm, x, p, 1, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        assert max_rel(grads[0], ref_grads[0]) < 1e-6
+        for g, ref in zip(grads[1:], ref_grads[1:]):
+            np.testing.assert_array_equal(g, ref)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_gradcheck_every_input(self, which):
+        p = self.params(np.float64, i_size=3, hs=2)
+        rng = np.random.default_rng(33)
+        x = tensor64(rng, (2, 4, 3))
+
+        def loss(t):
+            return TestGradCheck.sum_sq(lstm(t, p)[which])
+
+        assert grad_check(loss, x) < 1e-6
+        for q in p.parameters():
+            def loss_q(t, q=q):
+                q.tensor = t
+                return TestGradCheck.sum_sq(lstm(x, p)[which])
+
+            assert grad_check(loss_q, Tensor(q.data.copy(), requires_grad=True)) < 1e-6, \
+                q.name
+
+    def test_one_tape_node(self):
+        p = self.params(np.float64)
+        x = Tensor(np.ones((2, 50, 6)), requires_grad=True)
+        _, h_last, _ = lstm(x, p)
+        assert set(map(id, h_last._parents)) == \
+            {id(x)} | {id(q.tensor) for q in p.parameters()}
+
+    def test_last_state_without_tape(self):
+        p = self.params(np.float64)
+        x = np.random.default_rng(34).standard_normal((12, 7, 6))
+        _, h_last, _ = lstm(Tensor(x), p)
+        np.testing.assert_array_equal(lstm_last(x, p), h_last.data)
+        # rows are independent: a stack of batches gives each batch's rows
+        split = np.concatenate([lstm_last(x[:4], p), lstm_last(x[4:], p)])
+        assert max_rel(lstm_last(x, p), split) < 1e-12
 
 
 class TestDense:

@@ -107,6 +107,23 @@ class TestRunLogits:
         assert got.dtype == want.dtype == dtype
         assert max_rel(got, want) < tol
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("batch_size", [7, 33])
+    def test_batch_wide_lstm_with_batches_that_do_not_divide_a_chunk(
+            self, monkeypatch, dtype, tol, batch_size):
+        # chunks of at most 40 windows: 35 or 33 in whole batches, and the
+        # last chunk ends in a short batch
+        monkeypatch.setattr(train_mod, "EVAL_WINDOWS", 40)
+        rng = np.random.default_rng(12)
+        model = HlobModel(HlobConfig(window_len=30), seed=6, dtype=dtype)
+        for q in model.lstm.parameters():   # trained LSTMs have non-zero biases
+            q.data = q.data + dtype(0.3) * rng.standard_normal(q.data.shape).astype(dtype)
+        windows = day_windows(rng, "d1", 100, 30)
+        got = run_logits(model, windows, batch_size)
+        want = reference_logits(model, windows, batch_size)
+        assert got.dtype == want.dtype == dtype
+        assert max_rel(got, want) < tol
+
     def test_head_sequences_match_forward_heads(self):
         rng = np.random.default_rng(6)
         model = HlobModel(HlobConfig(window_len=20), seed=2, dtype=np.float64)

@@ -237,6 +237,29 @@ class TestGatherGradientConsistency:
             assert abs(numeric - analytic) / denom < 1e-5
 
 
+def tape_nodes(root):
+    """Number of tape nodes reachable from ``root``."""
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+class TestTape:
+    def test_train_step_puts_under_100_nodes_on_the_tape(self):
+        # one fused node per head layer and one for the whole LSTM
+        model = HlobModel(HlobConfig(), seed=0)
+        inputs = random_inputs(np.random.default_rng(13), n=32, dtype=np.float32)
+        logits = model.forward(inputs, train=True, rng=np.random.default_rng(14))
+        loss = engine.softmax_cross_entropy(logits, np.arange(32) % 3)
+        assert tape_nodes(loss) < 100
+        loss.backward()
+        assert all(p.tensor.grad is not None for p in model.parameters())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = small_model(dtype=np.float32)
