@@ -42,23 +42,26 @@ def _within(least, most) -> tuple[str, Callable]:
 
 
 # upper bounds that keep the stages' integer arithmetic inside int64: a trim
-# is at most the 09:30-16:00 session, in seconds, and a tick at most 10,000
-# currency units, 1e8 integer price units
+# is at most the 09:30-16:00 session, in seconds, a tick at most 10,000
+# currency units, 1e8 integer price units, and a lot at most 10^9 shares, so
+# that synth's volumes (at most 499 lots) stay far below 2^63
 SESSION_S = (lob.SESSION_CLOSE_NS - lob.SESSION_OPEN_NS) // 10**9
 MAX_TICK_SIZE = 1e4
+MAX_LOT_SIZE = 10**9
 
 KEYS = {
     "ticker": Key("SYN", str),
     "tick_size": Key("0.01", float, f"from one price unit, 0.0001, to {MAX_TICK_SIZE:g}",
                      lambda v, cfg: v <= MAX_TICK_SIZE and lob.price_units(v) >= 1),
-    "lot_size": Key("1", int, *_at_least(1)),
+    "lot_size": Key("1", int, *_within(1, MAX_LOT_SIZE)),
     "year": Key("1970", str),
     "data_dir": Key("data", str),
     "out_dir": Key("out", str),
     "days": Key("", list, "a list of distinct days",
                 lambda v, cfg: len(set(v)) == len(v)),
     "split.train": Key("", list),
-    "split.validation": Key("", list),
+    "split.validation": Key("", list, "disjoint from split.train",
+                            lambda v, cfg: not set(v) & set(cfg.get_days("split.train"))),
     "split.test": Key("", list, "disjoint from split.train and split.validation",
                       lambda v, cfg: not set(v) & set(cfg.get_days("split.train") +
                                                       cfg.get_days("split.validation"))),

@@ -445,10 +445,6 @@ class AdamW:
                 m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
             )
 
-    def zero_grad(self):
-        for p in self.params:
-            p.tensor.grad = None
-
 
 class LstmParams:
     """Single-layer LSTM weights in gate order (i, f, g, o), two bias vectors."""

@@ -124,16 +124,10 @@ def mi_matrix(binned_indices: np.ndarray) -> np.ndarray:
 
 
 def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
-                    rng_seed: int = 0, resample: bool = True) -> np.ndarray:
-    """Bootstrap-averaged daily MI matrix.
-
-    With ``resample=False`` (test hook) the estimate reduces to the plain
-    plug-in matrix regardless of ``n_bootstrap``.
-    """
+                    rng_seed: int = 0) -> np.ndarray:
+    """Bootstrap-averaged daily MI matrix."""
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
-    if not resample:
-        return mi_matrix(binned.indices)
     rng = np.random.default_rng(rng_seed)
     t = binned.indices.shape[0]
     acc = np.zeros((N_VERTICES, N_VERTICES))

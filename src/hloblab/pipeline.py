@@ -23,7 +23,7 @@ from .errors import ConfigError, DigestMismatch, MalformedRow
 from .files import read_json, write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
-from .preprocess import HISTORY_DAYS, LabeledWindow
+from .preprocess import HISTORY_DAYS, DayWindows
 from .train import EvalReport, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -262,7 +262,7 @@ def load_simplices(cfg: RunConfig) -> SimplicialComplex:
     return complex_
 
 
-def windows_for_day(cfg: RunConfig, day: str) -> list[LabeledWindow]:
+def windows_for_day(cfg: RunConfig, day: str) -> DayWindows:
     """Normalize one day with trailing 5-day stats and window it with labels."""
     days = cfg.get_days("days")
     pos = days.index(day) if day in days else -1
@@ -305,7 +305,7 @@ def run_train(cfg: RunConfig) -> Path:
     train_days, val_days = cfg.get_days("split.train"), cfg.get_days("split.validation")
     complex_ = load_simplices(cfg)
     train_by_day = {d: windows_for_day(cfg, d) for d in train_days}
-    val_windows = [w for d in val_days for w in windows_for_day(cfg, d)]
+    val_windows = [windows_for_day(cfg, d) for d in val_days]
     model = HlobModel(model_config, seed=config.seed)
     _, history = train_mod.train(model, train_by_day, val_windows, complex_, config)
     ckpt_path = out_dir / "model.ckpt"
@@ -327,7 +327,7 @@ def run_eval(cfg: RunConfig) -> Path:
     model, header = load_checkpoint(out_dir / "model.ckpt", expected_config=model_config)
     _check_digest(header["extra"].get("run_config_digest", ""), cfg, "model.ckpt")
 
-    test_windows = [w for d in test_days for w in windows_for_day(cfg, d)]
+    test_windows = [windows_for_day(cfg, d) for d in test_days]
     report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size,
                                 ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
                                 horizon=horizon)

@@ -7,28 +7,21 @@ from the day being normalized (or any later one).
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientHistory, MissingClass, SeriesTooShort, ShapeMismatch
-from .lob import LobSeries, mid_price_series
-
-log = logging.getLogger(__name__)
+from .lob import LobSeries
 
 HISTORY_DAYS = 5
 WINDOW_LEN = 100
 STD_FLOOR = 1e-8
 UNLABELED = -2  # sentinel in label arrays for the horizon tail
 
-# fixed class-id mapping: label -1 -> 0, 0 -> 1, +1 -> 2
-def label_to_class(label: int) -> int:
+# fixed class-id mapping: label -1 -> 0, 0 -> 1, +1 -> 2 (also on label arrays)
+def label_to_class(label):
     return label + 1
-
-
-def class_to_label(class_id: int) -> int:
-    return class_id - 1
 
 
 @dataclass(frozen=True)
@@ -48,28 +41,6 @@ class LabeledWindow:
     label: int            # in {-1, 0, +1}
     day: str
     origin: int           # snapshot index of the window's last row
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    train_days: tuple[str, ...]
-    validation_days: tuple[str, ...]
-    test_days: tuple[str, ...]
-    horizon: int
-
-    def __post_init__(self):
-        sets = [set(self.train_days), set(self.validation_days), set(self.test_days)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if sets[i] & sets[j]:
-                    raise ValueError(f"overlapping day sets: {sets[i] & sets[j]}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.train_days and self.validation_days:
-            lo, hi = min(self.train_days), max(self.train_days)
-            for v in self.validation_days:
-                if not lo <= v <= hi:
-                    raise ValueError(f"validation day {v} outside training span")
 
 
 def compute_norm_stats(prior_days: list[LobSeries]) -> NormStats:
@@ -113,82 +84,97 @@ def label_series(mids_x2: np.ndarray, horizon: int, tick_units: int) -> np.ndarr
     return labels
 
 
+@dataclass(frozen=True, eq=False)
+class DayWindows:
+    """A day's labelled windows as arrays over its rows.
+
+    Window i is ``rows[ends[i] - window_len + 1:ends[i] + 1]`` with label
+    ``labels[i]``. Indexing gives it as a :class:`LabeledWindow` view.
+    """
+
+    day: str
+    rows: np.ndarray      # (R, 40) normalized rows
+    ends: np.ndarray      # (N,) int64, each window's last row
+    labels: np.ndarray    # (N,) int64, in {-1, 0, +1}
+    window_len: int = WINDOW_LEN
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i: int) -> LabeledWindow:
+        end = int(self.ends[i])
+        return LabeledWindow(features=self.rows[end - self.window_len + 1:end + 1],
+                             label=int(self.labels[i]), day=self.day, origin=end)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def features(self, idx: np.ndarray) -> np.ndarray:
+        """The windows ``idx`` stacked: (len(idx), window_len, width)."""
+        return self.rows[self.ends[idx, None] + np.arange(1 - self.window_len, 1)]
+
+
 def build_windows(normalized: np.ndarray, labels: np.ndarray, day: str,
-                  window_len: int = WINDOW_LEN) -> list[LabeledWindow]:
-    """Pair each length-100 trailing window with the label at its last row."""
-    n = normalized.shape[0]
-    if labels.shape[0] != n:
+                  window_len: int = WINDOW_LEN) -> DayWindows:
+    """Pair each trailing window of ``window_len`` rows with the label at its last row."""
+    if labels.shape[0] != normalized.shape[0]:
         raise ValueError("labels not aligned to rows")
-    windows = []
-    for end in range(window_len - 1, n):
-        lab = int(labels[end])
-        if lab == UNLABELED:
-            continue
-        windows.append(LabeledWindow(
-            features=normalized[end - window_len + 1: end + 1],
-            label=lab,
-            day=day,
-            origin=end,
-        ))
-    return windows
+    ends = np.arange(window_len - 1, normalized.shape[0], dtype=np.int64)
+    ends = ends[labels[ends] != UNLABELED]
+    return DayWindows(day, normalized, ends, labels[ends].astype(np.int64), window_len)
 
 
-def balanced_sample(day_windows: list[LabeledWindow], cap: int = 5000,
-                    rng_seed: int = 0) -> list[int]:
-    """Equal-count random class sample for one day's windows.
+def join_windows(days: list[DayWindows]) -> DayWindows:
+    """The days' windows as one set over their rows laid end to end, in order.
+
+    Windows of different lengths or widths raise :class:`ShapeMismatch`.
+    """
+    shapes = {(d.window_len, d.rows.shape[1]) for d in days}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"windows differ in shape: {sorted(shapes)}")
+    if len(days) == 1:
+        return days[0]
+    starts = np.cumsum([0] + [len(d.rows) for d in days[:-1]])
+    return DayWindows(",".join(d.day for d in days),
+                      np.concatenate([d.rows for d in days]),
+                      np.concatenate([d.ends + s for d, s in zip(days, starts)]),
+                      np.concatenate([d.labels for d in days]),
+                      days[0].window_len)
+
+
+def run_origins(ends: np.ndarray, window_len: int) -> np.ndarray:
+    """First row of each window when windows are laid out in runs of shared rows.
+
+    The windows are laid end to end, except that a window ending one row
+    after the previous one continues its run and starts one row after it.
+    A day's consecutive windows thus share one copy of the day's rows, and
+    a gap or a new day starts a new run.
+    """
+    steps = np.where(np.diff(ends) == 1, 1, window_len)
+    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+
+
+def balanced_sample(labels: np.ndarray, cap: int = 5000,
+                    rng_seed: int = 0) -> np.ndarray:
+    """Equal-count random class sample of one day's window labels.
 
     Samples min(cap, least-represented class count) indices per class without
-    replacement. Raises MissingClass when a class is absent; callers skip the
-    day with a diagnostic.
+    replacement, class -1 first. Raises MissingClass when a class is absent;
+    callers skip the day with a diagnostic.
     """
-    if not day_windows:
+    if len(labels) == 0:
         raise MissingClass("all")
-    labels = np.array([w.label for w in day_windows])
     by_class = {lab: np.flatnonzero(labels == lab) for lab in (-1, 0, 1)}
     for lab, idx in by_class.items():
         if len(idx) == 0:
             raise MissingClass(lab)
     k = min(cap, min(len(idx) for idx in by_class.values()))
     rng = np.random.default_rng(rng_seed)
-    chosen: list[int] = []
-    for lab in (-1, 0, 1):
-        chosen.extend(rng.choice(by_class[lab], size=k, replace=False).tolist())
-    return chosen
-
-
-def window_origins(windows: list[LabeledWindow]) -> np.ndarray:
-    """First row of each window when overlapping windows share their rows.
-
-    The windows are laid end to end, except that a window whose first T-1
-    rows equal the previous window's last T-1 rows starts one row after
-    that window. A day's consecutive windows thus share one copy of the
-    day's rows, and a gap or a new day starts a new run.
-    """
-    shape = windows[0].features.shape
-    if any(w.features.shape != shape for w in windows):
-        raise ShapeMismatch("windows differ in shape")
-    steps = [1 if np.array_equal(prev.features[1:], cur.features[:-1]) else shape[0]
-             for prev, cur in zip(windows, windows[1:])]
-    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
-
-
-def window_rows(windows: list[LabeledWindow], origins: np.ndarray) -> np.ndarray:
-    """The rows ``origins`` lays out: window i is ``rows[origins[i] - origins[0]:][:T]``."""
-    t_len, width = windows[0].features.shape
-    starts = origins - origins[0]
-    rows = np.empty((starts[-1] + t_len, width), windows[0].features.dtype)
-    for w, start in zip(windows, starts):
-        rows[start:start + t_len] = w.features
-    return rows
+    return np.concatenate([rng.choice(by_class[lab], size=k, replace=False)
+                           for lab in (-1, 0, 1)])
 
 
 def sequential_batches(items, batch_size: int = 32):
-    """Yield order-preserving batches; the final one may be short."""
-    batch = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    """Yield order-preserving slices of ``batch_size`` items; the final one may be short."""
+    for lo in range(0, len(items), batch_size):
+        yield items[lo:lo + batch_size]

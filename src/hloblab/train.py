@@ -21,12 +21,12 @@ from .files import write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobModel, predict_proba
 from .preprocess import (
-    LabeledWindow,
+    DayWindows,
     balanced_sample,
+    join_windows,
     label_to_class,
+    run_origins,
     sequential_batches,
-    window_origins,
-    window_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -70,43 +70,39 @@ EVAL_WINDOWS = 512
 EVAL_ROWS = 4096
 
 
-def _batch_inputs(windows: list[LabeledWindow]):
-    """Stack windows' features, (N, T, 40), and their class ids."""
-    return np.stack([w.features for w in windows]), _class_ids(windows)
-
-
-def _class_ids(windows: list[LabeledWindow]) -> np.ndarray:
-    return np.array([label_to_class(w.label) for w in windows])
-
-
-def _eval_batches(model: HlobModel, windows: list[LabeledWindow],
+def _eval_batches(model: HlobModel, days: list[DayWindows],
                   complex_: SimplicialComplex, batch_size: int):
-    """Eval-mode logits of sequential batches: yields (batch, logits).
+    """Eval-mode logits of sequential batches: yields (labels, logits).
 
     The heads run once on each chunk's distinct rows (see
     ``HlobModel.head_sequences``), so overlapping windows share their rows'
-    work. A chunk is whole batches, except that the last one may end in a
-    short batch. The tape-free LSTM and the output layer run once over the
-    whole batches and once over that short batch: with OpenBLAS, a stack of
-    whole batches gave each batch the same bits as running it alone, but a
-    short batch run beside them did not.
+    work; runs come from the window ends (:func:`run_origins`). A chunk is
+    whole batches, except that the last one may end in a short batch. The
+    tape-free LSTM and the output layer run once over the whole batches and
+    once over that short batch: with OpenBLAS, a stack of whole batches gave
+    each batch the same bits as running it alone, but a short batch run
+    beside them did not.
     """
-    origins = window_origins(windows)
-    t_len = len(windows[0].features)
-    ends = origins + t_len
+    windows = join_windows(days)
+    t_len, ends = windows.window_len, windows.ends
+    origins = run_origins(ends, t_len)
+    stops = origins + t_len
     lo = 0
-    while lo < len(windows):
-        fit = min(int(np.searchsorted(ends, origins[lo] + EVAL_ROWS, side="right")),
+    while lo < len(ends):
+        fit = min(int(np.searchsorted(stops, origins[lo] + EVAL_ROWS, side="right")),
                   lo + EVAL_WINDOWS)
-        hi = min(len(windows), lo + batch_size * max(1, (fit - lo) // batch_size))
-        chunk, at = windows[lo:hi], origins[lo:hi]
-        rows = infonet.assemble_head_inputs(window_rows(chunk, at), complex_)
-        seq = model.head_sequences(rows, at - at[0], t_len)
-        whole = len(chunk) - len(chunk) % batch_size
+        hi = min(len(ends), lo + batch_size * max(1, (fit - lo) // batch_size))
+        at, labels = origins[lo:hi], windows.labels[lo:hi]
+        runs = np.split(ends[lo:hi], np.flatnonzero(np.diff(ends[lo:hi]) != 1) + 1)
+        rows = np.concatenate([windows.rows[run[0] - t_len + 1:run[-1] + 1]
+                               for run in runs])
+        seq = model.head_sequences(infonet.assemble_head_inputs(rows, complex_),
+                                   at - at[0], t_len)
+        whole = len(at) - len(at) % batch_size
         logits = np.concatenate([model.classify(part)
                                  for part in (seq[:whole], seq[whole:]) if len(part)])
-        for b in range(0, len(chunk), batch_size):
-            yield chunk[b:b + batch_size], engine.Tensor(logits[b:b + batch_size])
+        for b in range(0, len(at), batch_size):
+            yield labels[b:b + batch_size], engine.Tensor(logits[b:b + batch_size])
         lo = hi
 
 
@@ -118,28 +114,33 @@ def _epoch_should_stop(best_history: list[float], patience: int,
     return best_history[e - patience - 1] - best_history[-1] < delta
 
 
-def validation_loss(model: HlobModel, windows: list[LabeledWindow],
+def validation_loss(model: HlobModel, days: list[DayWindows],
                     complex_: SimplicialComplex, batch_size: int) -> float:
     total, count = 0.0, 0
-    for batch, logits in _eval_batches(model, windows, complex_, batch_size):
-        loss = engine.softmax_cross_entropy(logits, _class_ids(batch))
-        total += float(loss.data) * len(batch)
-        count += len(batch)
+    for labels, logits in _eval_batches(model, days, complex_, batch_size):
+        loss = engine.softmax_cross_entropy(logits, label_to_class(labels))
+        total += float(loss.data) * len(labels)
+        count += len(labels)
     return total / count
 
 
-def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]],
-          val_windows: list[LabeledWindow], complex_: SimplicialComplex,
+def train(model: HlobModel, train_windows_by_day: dict[str, DayWindows],
+          val_days: list[DayWindows], complex_: SimplicialComplex,
           config: TrainConfig) -> tuple[dict, dict]:
     """Train with per-day balanced sampling and validation-loss early stopping.
 
     Returns (best parameter state, history). The state maps parameter names
     to (data, m, v) arrays from the best-validation-loss epoch. A NaN or
     infinite batch loss raises :class:`NonFiniteLoss` before that batch
-    updates any parameter.
+    updates any parameter. Each epoch shuffles indices into the training
+    days' windows laid end to end, and each batch gathers its windows' rows.
     """
-    if not train_windows_by_day or not val_windows:
+    if not train_windows_by_day or not sum(len(d) for d in val_days):
         raise EmptyDataset("need nonempty training and validation sets")
+    names = sorted(train_windows_by_day)
+    days = [train_windows_by_day[name] for name in names]
+    windows = join_windows(days)
+    starts = np.cumsum([0] + [len(d) for d in days[:-1]])
 
     optimizer = engine.AdamW(model.parameters(), lr=config.lr,
                              beta1=config.beta1, beta2=config.beta2,
@@ -151,26 +152,27 @@ def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]]
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_rng = np.random.default_rng((config.seed, epoch))
-        pool: list[LabeledWindow] = []
-        for day in sorted(train_windows_by_day):
-            windows = train_windows_by_day[day]
+        picks = []
+        for name, day, start in zip(names, days, starts):
             try:
-                picked = balanced_sample(windows, cap=config.balanced_cap,
+                picked = balanced_sample(day.labels, cap=config.balanced_cap,
                                          rng_seed=int(epoch_rng.integers(2**32)))
             except MissingClass as exc:
-                log.warning("skipping day %s: %s", day, exc)
+                log.warning("skipping day %s: %s", name, exc)
                 continue
-            pool.extend(windows[i] for i in picked)
-        if not pool:
+            picks.append(start + picked)
+        if not picks:
             raise EmptyDataset("no training day has all three classes")
+        pool = np.concatenate(picks)
         epoch_rng.shuffle(pool)
 
         running, seen = 0.0, 0
         for number, batch in enumerate(sequential_batches(pool, config.batch_size), 1):
-            feats, class_ids = _batch_inputs(batch)
-            logits = model.forward(infonet.assemble_head_inputs(feats, complex_),
-                                   train=True, rng=epoch_rng)
-            loss = engine.softmax_cross_entropy(logits, class_ids)
+            logits = model.forward(
+                infonet.assemble_head_inputs(windows.features(batch), complex_),
+                train=True, rng=epoch_rng)
+            loss = engine.softmax_cross_entropy(logits,
+                                                label_to_class(windows.labels[batch]))
             if not np.isfinite(loss.data):
                 raise NonFiniteLoss(epoch, number, float(loss.data))
             loss.backward()
@@ -179,7 +181,7 @@ def train(model: HlobModel, train_windows_by_day: dict[str, list[LabeledWindow]]
             seen += len(batch)
         history["train_loss"].append(running / seen)
 
-        val = validation_loss(model, val_windows, complex_, config.batch_size)
+        val = validation_loss(model, val_days, complex_, config.batch_size)
         history["val_loss"].append(val)
         if val < best_loss:
             best_loss = val
@@ -210,21 +212,21 @@ def _restore_state(model: HlobModel, state: dict) -> None:
         p.v = v.copy()
 
 
-def evaluate(model: HlobModel, test_windows: list[LabeledWindow],
+def evaluate(model: HlobModel, test_days: list[DayWindows],
              complex_: SimplicialComplex, batch_size: int = 32,
              ticker: str = "", year: str = "", horizon: int = 0) -> EvalReport:
     """Sequential evaluation: confusion matrix, F1, MCC, and round-trip stats."""
-    if not test_windows:
+    if not sum(len(d) for d in test_days):
         raise EmptyDataset("no test windows")
     predictions: list[int] = []
     labels: list[int] = []
     losses: list[float] = []
-    for batch, logits in _eval_batches(model, test_windows, complex_, batch_size):
+    for batch, logits in _eval_batches(model, test_days, complex_, batch_size):
         losses.append(float(engine.softmax_cross_entropy(
-            logits, _class_ids(batch)).data))
+            logits, label_to_class(batch)).data))
         probs = predict_proba(logits)
-        predictions.extend(int(c) - 1 for c in probs.argmax(axis=1))
-        labels.extend(w.label for w in batch)
+        predictions.extend((probs.argmax(axis=1) - 1).tolist())
+        labels.extend(batch.tolist())
 
     confusion = confusion_matrix(labels, predictions)
     p_t, tt = round_trip_stats(predictions, labels)

@@ -20,7 +20,7 @@ from hloblab.infonet import (
     mutual_information,
 )
 from hloblab.model import HlobConfig, HlobModel
-from hloblab.preprocess import UNLABELED, LabeledWindow, balanced_sample, label_series
+from hloblab.preprocess import UNLABELED, DayWindows, balanced_sample, label_series
 from hloblab.train import (
     TrainConfig,
     confusion_matrix,
@@ -340,13 +340,11 @@ TINY_COMPLEX = SimplicialComplex(
 
 
 def _toy_windows(rng, n, day, width_t, signal):
-    windows = []
-    for i in range(n):
-        label = (-1, 0, 1)[i % 3]
-        feats = rng.standard_normal((width_t, 40)) + signal * label
-        windows.append(LabeledWindow(features=feats, label=label, day=day,
-                                     origin=width_t - 1 + i))
-    return windows
+    """n windows that share no rows, laid end to end over the day's rows."""
+    labels = np.array([(-1, 0, 1)[i % 3] for i in range(n)], np.int64)
+    rows = [rng.standard_normal((width_t, 40)) + signal * label for label in labels]
+    return DayWindows(day, np.concatenate(rows), width_t * np.arange(n) + width_t - 1,
+                      labels, width_t)
 
 
 def test_criterion_08_training_harness():
@@ -359,24 +357,18 @@ def test_criterion_08_training_harness():
                          balanced_cap=4, seed=1)
     _, history = train(model,
                        {"d1": _toy_windows(rng, 12, "d1", 10, 0.0)},
-                       _toy_windows(rng, 6, "v1", 10, 0.0),
+                       [_toy_windows(rng, 6, "v1", 10, 0.0)],
                        TINY_COMPLEX, frozen)
     assert history["stopped_epoch"] == 16
 
     # (b) balanced sampler: equal per-class counts under the 5000 cap
-    pool = []
-    for label, count in zip((-1, 0, 1), (7000, 6000, 5500)):
-        pool.extend(LabeledWindow(np.zeros((1, 1)), label, "d", 0)
-                    for _ in range(count))
+    pool = np.repeat(np.array([-1, 0, 1]), (7000, 6000, 5500))
     idx = balanced_sample(pool, cap=5000, rng_seed=0)
-    picked = [pool[i].label for i in idx]
+    picked = pool[idx].tolist()
     assert [picked.count(lab) for lab in (-1, 0, 1)] == [5000, 5000, 5000]
-    mixed = []
-    for label, count in zip((-1, 0, 1), (100, 200, 300)):
-        mixed.extend(LabeledWindow(np.zeros((1, 1)), label, "d", 0)
-                     for _ in range(count))
+    mixed = np.repeat(np.array([-1, 0, 1]), (100, 200, 300))
     small = balanced_sample(mixed, cap=5000, rng_seed=0)
-    labs = [mixed[i].label for i in small]
+    labs = mixed[small].tolist()
     assert [labs.count(lab) for lab in (-1, 0, 1)] == [100, 100, 100]
 
     # (c) separable synthetic set: >= 95% train accuracy within 50 epochs
@@ -387,8 +379,8 @@ def test_criterion_08_training_harness():
     train_windows = _toy_windows(rng, 30, "d1", 100, 1.0)
     val_windows = _toy_windows(rng, 9, "v1", 100, 1.0)
     cfg = TrainConfig(lr=1e-3, max_epochs=50, balanced_cap=10, seed=2)
-    train(full, {"d1": train_windows}, val_windows, complex_, cfg)
-    report = evaluate(full, train_windows, complex_)
+    train(full, {"d1": train_windows}, [val_windows], complex_, cfg)
+    report = evaluate(full, [train_windows], complex_)
     accuracy = np.trace(report.confusion) / report.confusion.sum()
     elapsed = time.monotonic() - start
     assert accuracy >= 0.95, f"train accuracy {accuracy:.3f}"

@@ -12,7 +12,7 @@ from hloblab.errors import ConfigError, IoFailure
 from hloblab.files import read_json
 from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
 
-DAYS = [f"1970-01-{d:02d}" for d in range(1, 9)]
+DAYS = [f"1970-01-{d:02d}" for d in range(1, 10)]
 
 
 def write_config(tmp_path, **overrides):
@@ -22,8 +22,8 @@ def write_config(tmp_path, **overrides):
         "out_dir": str(tmp_path / "out"),
         "days": ",".join(DAYS),
         "split.train": ",".join(DAYS[5:7]),
-        "split.validation": DAYS[6],
-        "split.test": DAYS[7],
+        "split.validation": DAYS[7],
+        "split.test": DAYS[8],
         "synth.n_events": "80",
         "synth.regime": "sparse",
         "n_bins": "8",
@@ -532,6 +532,7 @@ INT64_OVER = str(2**63)
 BAD_VALUES = [
     ("tick_size", "0.00001", "synth"), ("tick_size", "nan", "synth"),
     ("lot_size", "0", "synth"), ("lot_size", INT64_OVER, "synth"),
+    ("lot_size", str(2**62), "synth"), ("lot_size", str(10**9 + 1), "synth"),
     ("days", ",".join(DAYS + DAYS[:1]), "synth"),
     ("seed", "-1", "synth"), ("seed", INT64_OVER, "synth"),
     ("synth.n_events", "0", "synth"), ("synth.n_events", INT64_OVER, "synth"),
@@ -557,6 +558,7 @@ BAD_VALUES = [
     ("train.weight_decay", "-0.01", "train"), ("train.weight_decay", "1e400", "train"),
     ("train.balanced_cap", "0", "train"),
     ("split.test", DAYS[6], "eval"), ("split.test", f"{DAYS[7]},{DAYS[5]}", "eval"),
+    ("split.validation", DAYS[6], "train"), ("split.validation", f"{DAYS[7]},{DAYS[5]}", "train"),
 ]
 
 
@@ -606,14 +608,21 @@ class TestKeyRules:
             cfg.get_float("train.eps")
 
     def test_split_overlaps(self):
-        # train/validation overlap is allowed; a test day may be in neither
-        cfg = RunConfig({"split.train": "a,b", "split.validation": "b", "split.test": "c"})
-        assert cfg.get_days("split.test") == ["c"]
-        for test in ("a", "c,b"):
-            cfg.values["split.test"] = test
+        # the three splits are disjoint: a validation day may not be a
+        # training day, and a test day may be neither
+        cfg = RunConfig({"split.train": "a,b", "split.validation": "c", "split.test": "d"})
+        assert cfg.get_days("split.validation") == ["c"]
+        assert cfg.get_days("split.test") == ["d"]
+        for key, value in [("split.test", "a"), ("split.test", "d,c"),
+                           ("split.validation", "b"), ("split.validation", "c,a")]:
+            bad = RunConfig(cfg.values | {key: value})
             with pytest.raises(ConfigError) as err:
-                cfg.get_days("split.test")
-            assert err.value.key == "split.test"
+                bad.get_days(key)
+            assert err.value.key == key
+        bad = RunConfig(cfg.values | {"split.validation": "b"})
+        with pytest.raises(ConfigError, match="^config error at 'split.validation': "
+                                              "must be disjoint from split.train, got 'b'$"):
+            bad.get_days("split.test")   # the test rule reads split.validation
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -596,13 +596,6 @@ class TestAdamW:
         AdamW([p], lr=1e-2, weight_decay=0.1).step()
         assert p.data[0] == pytest.approx(10.0 * (1 - 1e-2 * 0.1), abs=1e-12)
 
-    def test_zero_grad_clears(self):
-        p = Parameter("p", np.array([1.0]))
-        p.tensor.grad = np.array([5.0])
-        opt = AdamW([p])
-        opt.zero_grad()
-        assert p.tensor.grad is None
-
 
 class TestDeterminism:
     def test_forward_bit_identical(self):

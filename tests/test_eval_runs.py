@@ -13,7 +13,7 @@ from hloblab.engine import Tensor, softmax_cross_entropy
 from hloblab.errors import ShapeMismatch
 from hloblab.infonet import assemble_head_inputs, build_tmfg, extract_simplices
 from hloblab.model import HlobConfig, HlobModel
-from hloblab.preprocess import LabeledWindow, label_to_class, window_origins, window_rows
+from hloblab.preprocess import DayWindows, label_to_class, run_origins
 from hloblab.train import evaluate, validation_loss
 
 
@@ -31,14 +31,72 @@ SMALL = dict(channels=4, head_widths=(136, 312, 216), lstm_hidden=4)
 def day_windows(rng, day, n, t_len):
     """n consecutive windows of one random day, as ``build_windows`` makes them."""
     rows = rng.standard_normal((n + t_len - 1, 40))
-    return [LabeledWindow(features=rows[i:i + t_len], label=int(rng.integers(-1, 2)),
-                          day=day, origin=i + t_len - 1)
-            for i in range(n)]
+    labels = np.array([rng.integers(-1, 2) for _ in range(n)], np.int64)
+    return DayWindows(day, rows, np.arange(t_len - 1, n + t_len - 1), labels, t_len)
 
 
-def layout(windows):
-    origins = window_origins(windows)
-    return window_rows(windows, origins), origins
+def subset(windows, keep):
+    """The windows ``keep`` of a day, over the same rows."""
+    return DayWindows(windows.day, windows.rows, windows.ends[keep],
+                      windows.labels[keep], windows.window_len)
+
+
+def views(days):
+    return [w for d in days for w in d]
+
+
+# The layout before window ends were kept: runs were found by comparing the
+# rows of neighbouring windows. Kept here as the reference for the layout
+# that eval now takes from the ends.
+def reference_origins(windows):
+    shape = windows[0].features.shape
+    if any(w.features.shape != shape for w in windows):
+        raise ShapeMismatch("windows differ in shape")
+    steps = [1 if np.array_equal(prev.features[1:], cur.features[:-1]) else shape[0]
+             for prev, cur in zip(windows, windows[1:])]
+    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+
+
+def reference_rows(windows, origins):
+    t_len, width = windows[0].features.shape
+    starts = origins - origins[0]
+    rows = np.empty((starts[-1] + t_len, width), windows[0].features.dtype)
+    for w, start in zip(windows, starts):
+        rows[start:start + t_len] = w.features
+    return rows
+
+
+class LayoutProbe:
+    """Stands in for the model and records what each eval chunk hands the heads."""
+
+    def __init__(self):
+        self.calls = []
+
+    def head_sequences(self, row_inputs, origins, t_len):
+        self.calls.append((row_inputs, origins))
+        return np.zeros((len(origins), t_len, 96))
+
+    def classify(self, seq):
+        return np.zeros((len(seq), 3))
+
+
+def layout(days):
+    """The head inputs and window origins eval lays out for ``days`` in one chunk."""
+    probe = LayoutProbe()
+    list(train_mod._eval_batches(probe, days, COMPLEX, 10**6))
+    [(row_inputs, origins)] = probe.calls
+    return row_inputs, origins
+
+
+def assert_reference_layout(days):
+    windows = views(days)
+    row_inputs, origins = layout(days)
+    want = reference_origins(windows)
+    np.testing.assert_array_equal(origins, want)
+    for got, ref in zip(row_inputs, assemble_head_inputs(reference_rows(windows, want),
+                                                         COMPLEX)):
+        np.testing.assert_array_equal(got, ref)
+    return origins
 
 
 def reference_logits(model, windows, batch_size):
@@ -50,13 +108,21 @@ def reference_logits(model, windows, batch_size):
     return np.concatenate(out)
 
 
-def run_logits(model, windows, batch_size):
-    batches = list(train_mod._eval_batches(model, windows, COMPLEX, batch_size))
+def run_logits(model, days, batch_size):
+    windows = views(days)
+    batches = list(train_mod._eval_batches(model, days, COMPLEX, batch_size))
     assert [len(b) for b, _ in batches] == \
         [len(windows[lo:lo + batch_size]) for lo in range(0, len(windows), batch_size)]
-    for lo, (batch, _) in zip(range(0, len(windows), batch_size), batches):
-        assert batch == windows[lo:lo + batch_size]
+    for lo, (labels, _) in zip(range(0, len(windows), batch_size), batches):
+        assert labels.tolist() == [w.label for w in windows[lo:lo + batch_size]]
     return np.concatenate([logits.data for _, logits in batches])
+
+
+def check_logits(model, days, batch_size, tol=1e-12):
+    got = run_logits(model, days, batch_size)
+    want = reference_logits(model, views(days), batch_size)
+    assert got.dtype == want.dtype
+    assert max_rel(got, want) < tol
 
 
 def max_rel(a, b):
@@ -65,35 +131,44 @@ def max_rel(a, b):
 
 class TestWindowRows:
     def test_one_day_is_one_run(self):
-        windows = day_windows(np.random.default_rng(1), "d1", 7, 5)
-        rows, origins = layout(windows)
-        assert rows.shape == (11, 40)
+        days = [day_windows(np.random.default_rng(1), "d1", 7, 5)]
+        origins = assert_reference_layout(days)
         np.testing.assert_array_equal(origins, np.arange(7))
-        for w, o in zip(windows, origins):
-            np.testing.assert_array_equal(rows[o:o + 5], w.features)
+        assert len(layout(days)[0][0]) == 11
 
     def test_runs_break_at_a_gap_and_a_new_day(self):
         rng = np.random.default_rng(2)
         a = day_windows(rng, "d1", 6, 5)
         b = day_windows(rng, "d2", 4, 5)
-        windows = a[:3] + a[4:] + b     # a[3] skipped: a[4] does not overlap a[2]
-        rows, origins = layout(windows)
+        days = [subset(a, np.r_[0:3, 4:6]), b]   # a[3] skipped: a[4] does not overlap a[2]
+        origins = assert_reference_layout(days)
         np.testing.assert_array_equal(origins, [0, 1, 2, 7, 8, 13, 14, 15, 16])
-        assert rows.shape == (7 + 6 + 8, 40)
-        for w, o in zip(windows, origins):
-            np.testing.assert_array_equal(rows[o:o + 5], w.features)
+        assert len(layout(days)[0][0]) == 7 + 6 + 8
 
-    def test_equal_rows_join_the_run_whatever_the_day(self):
-        # runs are found from the data alone: shared rows are shared values
+    def test_runs_of_one(self):
+        rng = np.random.default_rng(3)
+        one_day = subset(day_windows(rng, "d1", 9, 4), np.r_[0, 2, 4, 8])
+        days = [one_day] + [day_windows(rng, f"s{i}", 1, 4) for i in range(3)]
+        origins = assert_reference_layout(days)
+        np.testing.assert_array_equal(origins, 4 * np.arange(7))
+
+    def test_a_new_day_starts_a_run_even_when_its_rows_repeat(self):
+        # the second day's window has the rows of the first day's window
+        # shifted by one, which comparing rows took for a continued run
         a = day_windows(np.random.default_rng(3), "d1", 2, 4)
-        moved = LabeledWindow(a[1].features, 1, "d2", 3)
-        origins = window_origins([a[0], moved])
-        np.testing.assert_array_equal(origins, [0, 1])
+        days = [subset(a, [0]), DayWindows("d2", a.rows[1:], np.array([3]), a.labels[1:], 4)]
+        assert reference_origins(views(days)).tolist() == [0, 1]
+        np.testing.assert_array_equal(layout(days)[1], [0, 4])
+        model = HlobModel(HlobConfig(window_len=4, **SMALL), seed=1, dtype=np.float64)
+        check_logits(model, days, 2)
 
     def test_windows_of_different_length_rejected(self):
         rng = np.random.default_rng(4)
+        days = [day_windows(rng, "d1", 2, 5), day_windows(rng, "d2", 2, 6)]
         with pytest.raises(ShapeMismatch):
-            window_origins(day_windows(rng, "d1", 2, 5) + day_windows(rng, "d2", 2, 6))
+            layout(days)
+        with pytest.raises(ShapeMismatch):
+            evaluate(HlobModel(HlobConfig(window_len=5, **SMALL), seed=0), days, COMPLEX)
 
 
 class TestRunLogits:
@@ -101,11 +176,7 @@ class TestRunLogits:
     def test_full_model_matches_forward(self, dtype, tol):
         rng = np.random.default_rng(5)
         model = HlobModel(HlobConfig(), seed=1, dtype=dtype)
-        windows = day_windows(rng, "d1", 45, 100)
-        got = run_logits(model, windows, 16)
-        want = reference_logits(model, windows, 16)
-        assert got.dtype == want.dtype == dtype
-        assert max_rel(got, want) < tol
+        check_logits(model, [day_windows(rng, "d1", 45, 100)], 16, tol)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("batch_size", [7, 33])
@@ -118,19 +189,15 @@ class TestRunLogits:
         model = HlobModel(HlobConfig(window_len=30), seed=6, dtype=dtype)
         for q in model.lstm.parameters():   # trained LSTMs have non-zero biases
             q.data = q.data + dtype(0.3) * rng.standard_normal(q.data.shape).astype(dtype)
-        windows = day_windows(rng, "d1", 100, 30)
-        got = run_logits(model, windows, batch_size)
-        want = reference_logits(model, windows, batch_size)
-        assert got.dtype == want.dtype == dtype
-        assert max_rel(got, want) < tol
+        check_logits(model, [day_windows(rng, "d1", 100, 30)], batch_size, tol)
 
     def test_head_sequences_match_forward_heads(self):
         rng = np.random.default_rng(6)
         model = HlobModel(HlobConfig(window_len=20), seed=2, dtype=np.float64)
         windows = day_windows(rng, "d1", 9, 20)
-        rows, origins = layout(windows)
-        seq = model.head_sequences(assemble_head_inputs(rows, COMPLEX), origins, 20)
-        feats = np.stack([w.features for w in windows])
+        seq = model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
+                                   run_origins(windows.ends, 20), 20)
+        feats = windows.features(np.arange(9))
         heads = []
         for head, arr in zip(model.heads, assemble_head_inputs(feats, COMPLEX)):
             heads.append(head.forward(Tensor(arr[:, None]), model.config, False,
@@ -147,21 +214,19 @@ class TestRunLogits:
         a = day_windows(rng, "d1", 12, 30)
         stray = day_windows(rng, "d9", 1, 30)
         b = day_windows(rng, "d2", 9, 30)
-        windows = a[:5] + stray + a[5:] + b
+        days = [subset(a, slice(0, 5)), stray, subset(a, slice(5, None)), b]
         np.testing.assert_array_equal(
-            window_origins(windows),
+            assert_reference_layout(days),
             [0, 1, 2, 3, 4, 34] + list(range(64, 71)) + list(range(100, 109)))
-        assert max_rel(run_logits(model, windows, 4),
-                       reference_logits(model, windows, 4)) < 1e-12
+        check_logits(model, days, 4)
 
     def test_runs_of_one(self):
         # no two windows overlap: every window is its own run
         rng = np.random.default_rng(8)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=4, dtype=np.float64)
-        windows = [day_windows(rng, f"d{i}", 1, 30)[0] for i in range(7)]
-        np.testing.assert_array_equal(window_origins(windows), 30 * np.arange(7))
-        assert max_rel(run_logits(model, windows, 3),
-                       reference_logits(model, windows, 3)) < 1e-12
+        days = [day_windows(rng, f"d{i}", 1, 30) for i in range(7)]
+        np.testing.assert_array_equal(assert_reference_layout(days), 30 * np.arange(7))
+        check_logits(model, days, 3)
 
     @pytest.mark.parametrize("cap, value", [
         ("EVAL_WINDOWS", 8),   # chunks of 2 batches
@@ -173,11 +238,10 @@ class TestRunLogits:
         monkeypatch.setattr(train_mod, cap, value)
         rng = np.random.default_rng(9)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=5, dtype=np.float64)
-        windows = (day_windows(rng, "d1", 23, 30)
-                   + [day_windows(rng, f"s{i}", 1, 30)[0] for i in range(4)]
-                   + day_windows(rng, "d2", 5, 30))
-        assert max_rel(run_logits(model, windows, 3),
-                       reference_logits(model, windows, 3)) < 1e-12
+        days = ([day_windows(rng, "d1", 23, 30)]
+                + [day_windows(rng, f"s{i}", 1, 30) for i in range(4)]
+                + [day_windows(rng, "d2", 5, 30)])
+        check_logits(model, days, 3)
 
     def test_chunk_sizes(self, monkeypatch):
         calls = []
@@ -192,9 +256,9 @@ class TestRunLogits:
         monkeypatch.setattr(train_mod, "EVAL_WINDOWS", 8)
         monkeypatch.setattr(train_mod, "EVAL_ROWS", 64)
         rng = np.random.default_rng(10)
-        windows = (day_windows(rng, "d1", 23, 30)
-                   + [day_windows(rng, f"s{i}", 1, 30)[0] for i in range(4)])
-        list(train_mod._eval_batches(model, windows, COMPLEX, 3))
+        days = ([day_windows(rng, "d1", 23, 30)]
+                + [day_windows(rng, f"s{i}", 1, 30) for i in range(4)])
+        list(train_mod._eval_batches(model, days, COMPLEX, 3))
         # (windows, distinct rows): 2 batches per chunk along the run, the
         # run's end with the first separate window (64 rows), then one
         # batch of 3 separate windows, as 2 batches would pass 64 rows
@@ -206,24 +270,21 @@ class TestRunLogits:
         # and end edge rows overlap
         rng = np.random.default_rng(10 + t_len)
         model = HlobModel(HlobConfig(window_len=t_len), seed=6, dtype=np.float64)
-        windows = day_windows(rng, "d1", 11, t_len)
-        assert max_rel(run_logits(model, windows, 4),
-                       reference_logits(model, windows, 4)) < 1e-12
+        check_logits(model, [day_windows(rng, "d1", 11, t_len)], 4)
 
     def test_window_len_400(self):
         rng = np.random.default_rng(11)
         model = HlobModel(HlobConfig(window_len=400, **SMALL), seed=7, dtype=np.float64)
-        windows = day_windows(rng, "d1", 6, 400)
-        assert max_rel(run_logits(model, windows, 4),
-                       reference_logits(model, windows, 4)) < 1e-12
+        check_logits(model, [day_windows(rng, "d1", 6, 400)], 4)
 
 
 class TestEvaluateAndValidation:
     def test_evaluate_loss_history_and_predictions(self):
         rng = np.random.default_rng(12)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=8, dtype=np.float64)
-        windows = day_windows(rng, "d1", 11, 30) + day_windows(rng, "d2", 6, 30)
-        report = evaluate(model, windows, COMPLEX, batch_size=5)
+        days = [day_windows(rng, "d1", 11, 30), day_windows(rng, "d2", 6, 30)]
+        report = evaluate(model, days, COMPLEX, batch_size=5)
+        windows = views(days)
         want_losses, want_preds = [], []
         for lo in range(0, len(windows), 5):
             batch = windows[lo:lo + 5]
@@ -242,10 +303,11 @@ class TestEvaluateAndValidation:
     def test_validation_loss_is_the_window_weighted_mean(self):
         rng = np.random.default_rng(13)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=9, dtype=np.float64)
-        windows = day_windows(rng, "d1", 10, 30)
+        day = day_windows(rng, "d1", 10, 30)
+        windows = views([day])
         logits = reference_logits(model, windows, 4)
         ids = np.array([label_to_class(w.label) for w in windows])
         want = sum(float(softmax_cross_entropy(Tensor(logits[lo:lo + 4]),
                                                ids[lo:lo + 4]).data) * len(ids[lo:lo + 4])
                    for lo in range(0, 10, 4)) / 10
-        assert validation_loss(model, windows, COMPLEX, 4) == pytest.approx(want, rel=1e-12)
+        assert validation_loss(model, [day], COMPLEX, 4) == pytest.approx(want, rel=1e-12)

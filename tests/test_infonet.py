@@ -169,11 +169,6 @@ class TestMutualInformation:
 
 
 class TestDailyMi:
-    def test_resample_disabled_reduces_to_plugin(self):
-        binned = bin_volumes(synth_day(), 8)
-        out = daily_mi_matrix(binned, n_bootstrap=1, rng_seed=0, resample=False)
-        np.testing.assert_array_equal(out, mi_matrix(binned.indices))
-
     def test_deterministic(self):
         binned = bin_volumes(synth_day(), 8)
         a = daily_mi_matrix(binned, n_bootstrap=3, rng_seed=5)

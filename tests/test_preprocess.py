@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from hloblab.errors import InsufficientHistory, MissingClass, SeriesTooShort
+from hloblab.errors import InsufficientHistory, MissingClass, SeriesTooShort, ShapeMismatch
 from hloblab.lob import StockMeta, mid_price_series, synthesize_lob
 from hloblab.preprocess import (
     STD_FLOOR,
     UNLABELED,
     LabeledWindow,
-    SplitPlan,
     balanced_sample,
     build_windows,
-    class_to_label,
     compute_norm_stats,
+    join_windows,
     label_series,
     label_to_class,
     normalize_day,
@@ -28,15 +27,10 @@ def synth_days(n, regime="sparse", base_seed=0):
             for i in range(n)]
 
 
-def make_window(label, day="1970-01-06", origin=99):
-    return LabeledWindow(features=np.zeros((100, 40)), label=label, day=day,
-                         origin=origin)
-
-
 class TestClassMapping:
     def test_round_trip(self):
-        for label in (-1, 0, 1):
-            assert class_to_label(label_to_class(label)) == label
+        labels = np.array([1, -1, 0, 0, 1])
+        np.testing.assert_array_equal(np.array([-1, 0, 1])[label_to_class(labels)], labels)
         assert [label_to_class(l) for l in (-1, 0, 1)] == [0, 1, 2]
 
 
@@ -185,7 +179,7 @@ class TestBuildWindows:
         assert windows[0].origin == 99
 
     def test_99_rows_zero_windows(self):
-        assert build_windows(np.zeros((99, 40)), np.zeros(99, np.int64), "d") == []
+        assert len(build_windows(np.zeros((99, 40)), np.zeros(99, np.int64), "d")) == 0
 
     def test_150_rows_51_windows(self):
         windows = build_windows(np.zeros((150, 40)), np.zeros(150, np.int64), "d")
@@ -208,51 +202,102 @@ class TestBuildWindows:
             assert w.label == labels[w.origin]
 
 
-class TestSplitPlan:
-    def test_valid(self):
-        SplitPlan(("a", "c"), ("b",), ("d",), horizon=10)
+def reference_windows(normalized, labels, day, window_len=100):
+    """The per-window loop ``build_windows`` replaced: one object per labelled row."""
+    return [LabeledWindow(features=normalized[end - window_len + 1:end + 1],
+                          label=int(labels[end]), day=day, origin=end)
+            for end in range(window_len - 1, len(labels)) if labels[end] != UNLABELED]
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            SplitPlan(("a",), ("a",), ("b",), horizon=10)
 
-    def test_validation_outside_span_rejected(self):
-        with pytest.raises(ValueError):
-            SplitPlan(("a", "b"), ("c",), ("d",), horizon=10)
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.label, g.day, g.origin) == (w.label, w.day, w.origin)
+        assert type(g.label) is int and type(g.origin) is int
+        np.testing.assert_array_equal(g.features, w.features)
+        assert np.shares_memory(g.features, w.features)
 
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            SplitPlan(("a",), (), (), horizon=0)
+
+class TestDayWindows:
+    @staticmethod
+    def day(n, unlabeled):
+        rng = np.random.default_rng(n)
+        normalized = rng.standard_normal((n, 40))
+        labels = rng.integers(-1, 2, n)
+        labels[unlabeled] = UNLABELED
+        return normalized, labels
+
+    @pytest.mark.parametrize("unlabeled", [
+        slice(140, None),              # the horizon tail
+        np.r_[110:117, 130, 149],      # a gap in the middle, and the last row
+        slice(0, 0),                   # every row labelled
+    ])
+    def test_views_match_the_per_window_loop(self, unlabeled):
+        normalized, labels = self.day(150, unlabeled)
+        got = build_windows(normalized, labels, "d", 100)
+        assert got.ends.dtype == got.labels.dtype == np.int64
+        assert_same_windows(list(got), reference_windows(normalized, labels, "d"))
+        assert_same_windows([got[i] for i in range(-len(got), 0)],
+                            reference_windows(normalized, labels, "d"))
+
+    def test_index_out_of_range(self):
+        windows = build_windows(np.zeros((5, 40)), np.zeros(5, np.int64), "d", 3)
+        with pytest.raises(IndexError):
+            windows[3]
+
+    def test_batch_gather_stacks_the_views(self):
+        normalized, labels = self.day(60, np.r_[20:25, 55:60])
+        windows = build_windows(normalized, labels, "d", 7)
+        idx = np.random.default_rng(1).permutation(len(windows))[:13]
+        np.testing.assert_array_equal(windows.features(idx),
+                                      np.stack([windows[i].features for i in idx]))
+
+    def test_join_lays_days_end_to_end(self):
+        a = build_windows(*self.day(30, slice(27, None)), "d1", 7)
+        b = build_windows(*self.day(20, np.r_[9, 18:20]), "d2", 7)
+        joined = join_windows([a, b])
+        assert len(joined) == len(a) + len(b)
+        idx = np.arange(len(joined))
+        np.testing.assert_array_equal(
+            joined.features(idx),
+            np.stack([w.features for w in list(a) + list(b)]))
+        np.testing.assert_array_equal(joined.labels, np.r_[a.labels, b.labels])
+        assert join_windows([a]) is a
+
+    @pytest.mark.parametrize("shape", [(8, 40), (7, 39)])
+    def test_join_of_different_shapes_rejected(self, shape):
+        window_len, width = shape
+        a = build_windows(np.zeros((20, 40)), np.zeros(20, np.int64), "d1", 7)
+        b = build_windows(np.zeros((20, width)), np.zeros(20, np.int64), "d2", window_len)
+        with pytest.raises(ShapeMismatch):
+            join_windows([a, b])
 
 
 class TestBalancedSample:
     @staticmethod
     def pool(counts):
-        windows = []
-        for label, count in zip((-1, 0, 1), counts):
-            windows.extend(make_window(label) for _ in range(count))
-        return windows
+        return np.repeat(np.array([-1, 0, 1]), counts)
 
     def test_per_class_counts_with_cap(self):
         pool = self.pool((7000, 6000, 5500))
         idx = balanced_sample(pool, cap=5000, rng_seed=0)
         assert len(idx) == 15000
-        chosen_labels = [pool[i].label for i in idx]
+        chosen_labels = pool[idx].tolist()
         for lab in (-1, 0, 1):
             assert chosen_labels.count(lab) == 5000
-        assert len(set(idx)) == len(idx)  # without replacement
+        assert len(set(idx.tolist())) == len(idx)  # without replacement
 
     def test_least_class_bounds(self):
         pool = self.pool((100, 200, 300))
         idx = balanced_sample(pool, cap=5000, rng_seed=0)
-        chosen_labels = [pool[i].label for i in idx]
+        chosen_labels = pool[idx].tolist()
         for lab in (-1, 0, 1):
             assert chosen_labels.count(lab) == 100
 
     def test_deterministic(self):
         pool = self.pool((50, 60, 70))
-        assert balanced_sample(pool, 30, rng_seed=7) == \
-            balanced_sample(pool, 30, rng_seed=7)
+        np.testing.assert_array_equal(balanced_sample(pool, 30, rng_seed=7),
+                                      balanced_sample(pool, 30, rng_seed=7))
 
     def test_missing_class(self):
         pool = self.pool((10, 0, 10))
@@ -262,7 +307,7 @@ class TestBalancedSample:
 
     def test_empty_pool(self):
         with pytest.raises(MissingClass):
-            balanced_sample([], 5, rng_seed=0)
+            balanced_sample(np.array([], np.int64), 5, rng_seed=0)
 
 
 class TestSequentialBatches:

@@ -6,7 +6,7 @@ import pytest
 from hloblab.errors import EmptyDataset, LengthMismatch, NonFiniteLoss
 from hloblab.infonet import SimplicialComplex
 from hloblab.model import HlobConfig, HlobModel
-from hloblab.preprocess import LabeledWindow
+from hloblab.preprocess import DayWindows
 from hloblab.train import (
     EvalReport,
     TrainConfig,
@@ -37,13 +37,11 @@ def tiny_model(seed=0):
 
 
 def make_windows(rng, n, day, label_cycle=(-1, 0, 1), signal=0.0, length=10):
-    windows = []
-    for i in range(n):
-        label = label_cycle[i % len(label_cycle)]
-        feats = rng.standard_normal((length, 40)) + signal * label
-        windows.append(LabeledWindow(features=feats, label=label, day=day,
-                                     origin=length - 1 + i))
-    return windows
+    """n windows that share no rows, laid end to end over the day's rows."""
+    labels = np.array([label_cycle[i % len(label_cycle)] for i in range(n)], np.int64)
+    rows = [rng.standard_normal((length, 40)) + signal * label for label in labels]
+    return DayWindows(day, np.concatenate(rows), length * np.arange(n) + length - 1,
+                      labels, length)
 
 
 class TestEarlyStopper:
@@ -79,7 +77,7 @@ class TestTrainLoop:
     def test_constant_val_loss_stops_at_epoch_16(self):
         rng = np.random.default_rng(0)
         train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = make_windows(rng, 6, "v1")
+        val = [make_windows(rng, 6, "v1")]
         # lr 0 and wd 0 freeze the model, so validation loss is constant
         config = TrainConfig(lr=0.0, weight_decay=0.0, max_epochs=100,
                              balanced_cap=4, seed=1)
@@ -92,7 +90,7 @@ class TestTrainLoop:
     def test_best_state_restored(self):
         rng = np.random.default_rng(1)
         train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = make_windows(rng, 6, "v1")
+        val = [make_windows(rng, 6, "v1")]
         config = TrainConfig(lr=1e-3, max_epochs=3, balanced_cap=4, seed=2)
         model = tiny_model()
         state, history = train(model, train_days, val, TINY_COMPLEX, config)
@@ -107,7 +105,7 @@ class TestTrainLoop:
         def run():
             rng = np.random.default_rng(2)
             train_days = {"d1": make_windows(rng, 12, "d1")}
-            val = make_windows(rng, 6, "v1")
+            val = [make_windows(rng, 6, "v1")]
             config = TrainConfig(lr=1e-3, max_epochs=2, balanced_cap=4, seed=3)
             model = tiny_model()
             train(model, train_days, val, TINY_COMPLEX, config)
@@ -119,7 +117,7 @@ class TestTrainLoop:
     def test_non_finite_loss_stops_before_the_step(self):
         rng = np.random.default_rng(1)
         train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = make_windows(rng, 6, "v1")
+        val = [make_windows(rng, 6, "v1")]
         config = TrainConfig(lr=1e-3, max_epochs=3, balanced_cap=4, seed=2)
         model = tiny_model()
         model.out_b.data[1] = np.nan
@@ -135,7 +133,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(3)
         good = make_windows(rng, 12, "d1")
         bad = make_windows(rng, 8, "d2", label_cycle=(1, 1))
-        val = make_windows(rng, 6, "v1")
+        val = [make_windows(rng, 6, "v1")]
         config = TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=4, seed=4)
         with caplog.at_level("WARNING", logger="hloblab.train"):
             train(tiny_model(), {"d1": good, "d2": bad}, val, TINY_COMPLEX,
@@ -145,7 +143,7 @@ class TestTrainLoop:
     def test_all_days_missing_class(self):
         rng = np.random.default_rng(4)
         bad = make_windows(rng, 8, "d1", label_cycle=(1,))
-        val = make_windows(rng, 6, "v1")
+        val = [make_windows(rng, 6, "v1")]
         config = TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=4)
         with pytest.raises(EmptyDataset):
             train(tiny_model(), {"d1": bad}, val, TINY_COMPLEX, config)
@@ -163,7 +161,7 @@ class TestTrainLoop:
                             lstm_hidden=4)
         model = HlobModel(config, seed=0, dtype=np.float64)
         train_days = {"d1": make_windows(rng, 3, "d1", length=400)}
-        val = make_windows(rng, 3, "v1", length=400)
+        val = [make_windows(rng, 3, "v1", length=400)]
         before = [p.data.copy() for p in model.parameters()]
         _, history = train(model, train_days, val, TINY_COMPLEX,
                            TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=1,
@@ -176,11 +174,11 @@ class TestTrainLoop:
     def test_learns_separable_toy_set(self):
         rng = np.random.default_rng(5)
         train_days = {"d1": make_windows(rng, 30, "d1", signal=2.0)}
-        val = make_windows(rng, 9, "v1", signal=2.0)
+        val = [make_windows(rng, 9, "v1", signal=2.0)]
         config = TrainConfig(lr=1e-2, max_epochs=50, balanced_cap=10, seed=6)
         model = tiny_model()
         train(model, train_days, val, TINY_COMPLEX, config)
-        report = evaluate(model, train_days["d1"], TINY_COMPLEX)
+        report = evaluate(model, [train_days["d1"]], TINY_COMPLEX)
         accuracy = np.trace(report.confusion) / report.confusion.sum()
         assert accuracy >= 0.95
 
@@ -319,7 +317,7 @@ class TestEvaluate:
     def test_report_invariants(self):
         rng = np.random.default_rng(9)
         windows = make_windows(rng, 20, "t1")
-        report = evaluate(tiny_model(), windows, TINY_COMPLEX,
+        report = evaluate(tiny_model(), [windows], TINY_COMPLEX,
                           ticker="SYN", year="1970", horizon=10)
         assert report.confusion.sum() == 20
         assert 0.0 <= report.f1_macro <= 1.0
