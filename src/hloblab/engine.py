@@ -8,11 +8,24 @@ step with decoupled weight decay, and a central finite-difference gradient
 checker. The generic NCHW ``conv2d`` and ``leaky_relu`` remain as the
 reference the fused convolution is checked against.
 
+``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
+samples on a small thread pool (numpy releases the interpreter lock in
+matmul and in ufuncs over large arrays). Forward samples are independent.
+In backward each block writes its samples' input gradients and one weight
+and bias gradient partial per sample, and the calling thread adds the
+partials in sample order, so every result is bit-identical whatever the
+pool size. The pool has ``HEAD_WORKERS`` threads, including the caller:
+``min(4, cpus // blas_threads)``, so that the head blocks and the BLAS
+threads together do not oversubscribe the CPUs the process may run on.
+
 Training runs in float32 by default; gradient-check suites build in float64
 for finite-difference headroom.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
+import os
 
 import numpy as np
 
@@ -232,6 +245,73 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1),
     return out
 
 
+# the environment variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+MAX_HEAD_WORKERS = 4
+# a sample of fewer input plus output elements than this runs serially:
+# handing it to another thread costs more than its GEMMs (eval's edge strips)
+MIN_THREADED_SAMPLE = 1 << 16
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads(environ, cpus: int) -> int:
+    """OpenBLAS's thread count: the first positive integer among
+    ``BLAS_THREAD_VARS``, else its default of one thread per CPU."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def head_workers(cpus: int, blas: int) -> int:
+    """Threads for the head convolutions, the calling thread included."""
+    return max(1, min(MAX_HEAD_WORKERS, cpus // blas))
+
+
+CPUS = cpu_count()
+BLAS_THREADS = blas_threads(os.environ, CPUS)
+HEAD_WORKERS = head_workers(CPUS, BLAS_THREADS)
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+
+
+def _sample_blocks(body, n: int, sample_elements: int) -> None:
+    """Run ``body(lo, hi)`` over samples [0, n) in contiguous blocks.
+
+    The calling thread runs the first block and the head pool the others,
+    when there are ``n >= 2`` samples of at least ``MIN_THREADED_SAMPLE``
+    elements each; otherwise one call covers all of them. Once every block
+    has finished, the exception of the first block that raised is raised.
+    """
+    global _pool
+    workers = min(HEAD_WORKERS, n) if sample_elements >= MIN_THREADED_SAMPLE else 1
+    if workers <= 1:
+        body(0, n)
+        return
+    if _pool is None:
+        # threads start on demand, so a smaller HEAD_WORKERS starts fewer
+        _pool = concurrent.futures.ThreadPoolExecutor(
+            MAX_HEAD_WORKERS - 1, thread_name_prefix="hloblab-heads")
+    bounds = [n * b // workers for b in range(workers + 1)]
+    futures = [_pool.submit(body, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        body(0, bounds[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
 def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
                   time_pad=(0, 0)) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
@@ -242,6 +322,12 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     one GEMM over a sample's (T*W/kw, kw*C) rows, shift-added into the
     (N, To, W/kw, O) output, so no padded copy or patch matrix is built.
     Only the LeakyReLU's sign mask is kept for backward.
+
+    Forward and backward run over contiguous sample blocks, on the head
+    pool when the samples are large enough (see ``_sample_blocks``).
+    Backward writes each sample's bias gradient and per-tap weight gradient
+    as its own partial, and adds the partials into zeroed sums in sample
+    order afterwards, which is the add order of a single serial loop.
     """
     n, t_len, w_, c = x.data.shape
     o, cw, kh, kw = weight.data.shape
@@ -272,52 +358,67 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
 
     y = np.empty((n, t_out * wo, o), np.result_type(xs, taps[0]))
     mask = np.empty(y.shape, bool)
-    tap_out = np.empty((t_len * wo, o), y.dtype)
-    for s in range(n):
-        ys = y[s]
-        if plain:
-            np.matmul(xs[s], taps[0], out=ys)
-            ys += bias.data
-        else:
-            ys[...] = bias.data
-            for i in range(kh):
-                out_r, in_r = spans(i)
-                np.matmul(xs[s], taps[i], out=tap_out)
-                ys[out_r] += tap_out[in_r]
-        np.maximum(ys, ys * slope, out=ys)
-        np.greater_equal(ys, 0, out=mask[s])
+    sample_elements = t_len * wo * k + t_out * wo * o
+
+    def forward_block(lo, hi):
+        tap_out = np.empty((t_len * wo, o), y.dtype)
+        for s in range(lo, hi):
+            ys = y[s]
+            if plain:
+                np.matmul(xs[s], taps[0], out=ys)
+                ys += bias.data
+            else:
+                ys[...] = bias.data
+                for i in range(kh):
+                    out_r, in_r = spans(i)
+                    np.matmul(xs[s], taps[i], out=tap_out)
+                    ys[out_r] += tap_out[in_r]
+            np.maximum(ys, ys * slope, out=ys)
+            np.greater_equal(ys, 0, out=mask[s])
+
+    _sample_blocks(forward_block, n, sample_elements)
     out = Tensor(y.reshape(n, t_out, wo, o), parents=(x, weight, bias))
 
     def backward(g):
         g = g.reshape(y.shape)
-        gb = np.zeros(o, g.dtype)
-        gw = np.zeros((kh, k, o), g.dtype)
+        gb_parts = np.empty((n, o), g.dtype) if bias.requires_grad else None
+        gw_parts = np.empty((n, kh, k, o), g.dtype) if weight.requires_grad else None
         gx = np.empty(xs.shape, g.dtype) if x.requires_grad else None
-        gx_tap = np.empty((t_out * wo, k), g.dtype)
-        for s in range(n):
-            gz = mask[s].astype(g.dtype)
-            gz *= 1.0 - slope
-            gz += slope
-            gz *= g[s]
-            if bias.requires_grad:
-                gb += gz.sum(axis=0)
-            if weight.requires_grad:
-                for i in range(kh):
-                    out_r, in_r = spans(i)
-                    gw[i] += xs[s, in_r].T @ gz[out_r]
-            if gx is None:
-                continue
-            if plain:
-                np.matmul(gz, taps[0].T, out=gx[s])
-            else:
-                gx[s] = 0
-                for i in range(kh):
-                    out_r, in_r = spans(i)
-                    np.matmul(gz, taps[i].T, out=gx_tap)
-                    gx[s, in_r] += gx_tap[out_r]
-        if bias.requires_grad:
+
+        def backward_block(lo, hi):
+            gx_tap = np.empty((t_out * wo, k), g.dtype)
+            for s in range(lo, hi):
+                gz = mask[s].astype(g.dtype)
+                gz *= 1.0 - slope
+                gz += slope
+                gz *= g[s]
+                if gb_parts is not None:
+                    gb_parts[s] = gz.sum(axis=0)
+                if gw_parts is not None:
+                    for i in range(kh):
+                        out_r, in_r = spans(i)
+                        gw_parts[s, i] = xs[s, in_r].T @ gz[out_r]
+                if gx is None:
+                    continue
+                if plain:
+                    np.matmul(gz, taps[0].T, out=gx[s])
+                else:
+                    gx[s] = 0
+                    for i in range(kh):
+                        out_r, in_r = spans(i)
+                        np.matmul(gz, taps[i].T, out=gx_tap)
+                        gx[s, in_r] += gx_tap[out_r]
+
+        _sample_blocks(backward_block, n, sample_elements)
+        if gb_parts is not None:
+            gb = np.zeros(o, g.dtype)
+            for part in gb_parts:
+                gb += part
             bias._accumulate(gb)
-        if weight.requires_grad:
+        if gw_parts is not None:
+            gw = np.zeros((kh, k, o), g.dtype)
+            for part in gw_parts:
+                gw += part
             weight._accumulate(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
         if gx is not None:
             x._accumulate(gx.reshape(x.data.shape), owned=True)

@@ -1,12 +1,13 @@
 import hashlib
 import io
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hloblab import cli, lob, pipeline
+from hloblab import cli, engine, lob, pipeline
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
 from hloblab.errors import ConfigError, IoFailure
 from hloblab.files import read_json
@@ -458,6 +459,20 @@ class TestPipelineStages:
         assert obj["retained_weight"] > 0
         out = capsys.readouterr().out
         assert "tetrahedra 17" in out
+
+    def test_train_and_eval_log_the_head_threads(self, tmp_path, caplog):
+        cfg_path = str(write_config(tmp_path, **{
+            "synth.n_events": "220", "window_len": "20", "train.max_epochs": "1",
+            "train.balanced_cap": "1"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        expect = (f"head conv threads: {engine.HEAD_WORKERS} ({engine.CPUS} CPUs / "
+                  f"{engine.BLAS_THREADS} BLAS threads, at most 4)")
+        for verb in ("train", "eval"):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="hloblab"):
+                assert cli.dispatch(["-v", verb, "--config", cfg_path]) == 0, verb
+            assert [r.getMessage() for r in caplog.records].count(expect) == 1, verb
 
     def test_mi_deterministic(self, tmp_path):
         cfg_path = str(write_config(tmp_path))

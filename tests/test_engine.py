@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,135 @@ class TestConvLeakyChannelsLast:
         expect = full.data * mask[..., 0].transpose(0, 2, 1)
         assert kept.shape == (2, 100, 32)
         np.testing.assert_array_equal(kept.data, expect)
+
+
+def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
+    """The single-loop ``conv_leaky_cl``: output and the x, w, b gradients
+    for the upstream gradient ``g``, with every sum in its add order."""
+    n, t_len, w_, c = x.shape
+    o, _, kh, kw = w.shape
+    pb, pa = time_pad
+    t_out, wo, k = t_len + pb + pa - kh + 1, w_ // kw, kw * c
+    xs = x.reshape(n, t_len * wo, k)
+    taps = [w[:, :, i, :].transpose(2, 1, 0).reshape(k, o) for i in range(kh)]
+
+    def spans(i):
+        lo, hi = max(0, pb - i), min(t_out, t_len + pb - i)
+        return (slice(lo * wo, hi * wo), slice((lo + i - pb) * wo, (hi + i - pb) * wo))
+
+    y = np.empty((n, t_out * wo, o), x.dtype)
+    for s in range(n):
+        y[s] = b
+        for i in range(kh):
+            out_r, in_r = spans(i)
+            y[s, out_r] += (xs[s] @ taps[i])[in_r]
+        np.maximum(y[s], y[s] * slope, out=y[s])
+    g = g.reshape(y.shape)
+    gb, gw, gx = np.zeros(o, x.dtype), np.zeros((kh, k, o), x.dtype), np.zeros_like(xs)
+    for s in range(n):
+        gz = (y[s] >= 0).astype(x.dtype)
+        gz *= 1.0 - slope
+        gz += slope
+        gz *= g[s]
+        gb += gz.sum(axis=0)
+        for i in range(kh):
+            out_r, in_r = spans(i)
+            gw[i] += xs[s, in_r].T @ gz[out_r]
+            gx[s, in_r] += (gz @ taps[i].T)[out_r]
+    return (y.reshape(n, t_out, wo, o), gx.reshape(x.shape),
+            gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1), gb)
+
+
+class TestHeadThreads:
+    HEAD_LAYERS = TestConvLeakyChannelsLast.HEAD_LAYERS
+
+    @staticmethod
+    def layer_arrays(layer, n, t_len=100, seed=30):
+        width, c, (kh, kw), pad = TestHeadThreads.HEAD_LAYERS[layer]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, t_len, width, c), np.float32)
+        w = rng.standard_normal((32, c, kh, kw), np.float32) / np.float32(np.sqrt(c * kh * kw))
+        b = rng.standard_normal(32, np.float32)
+        return x, w, b, pad
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 32])
+    @pytest.mark.parametrize("layer", sorted(HEAD_LAYERS))
+    def test_any_pool_size_is_bit_identical(self, layer, n, monkeypatch, head_pool):
+        x_data, w_data, b_data, pad = self.layer_arrays(layer, n)
+        upstream = None
+
+        def run(workers):
+            nonlocal upstream
+            monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+            x, w, b = (Tensor(a.copy(), requires_grad=True)
+                       for a in (x_data, w_data, b_data))
+            out = conv_leaky_cl(x, w, b, 0.01, pad)
+            if upstream is None:
+                rng = np.random.default_rng(31)
+                upstream = Tensor(rng.standard_normal((out.data.size, 1), np.float32))
+            # a random upstream gradient: d loss / d out = upstream
+            engine.matmul(engine.reshape(out, (1, out.data.size)), upstream).backward()
+            return out.data, x.grad, w.grad, b.grad
+
+        serial = run(1)
+        for got, want in zip(serial, serial_conv_leaky_cl(
+                x_data, w_data, b_data, 0.01, pad, upstream.data)):
+            np.testing.assert_array_equal(got, want)
+        interval = sys.getswitchinterval()
+        # switch threads often, so that blocks interleave as much as they can
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3, 4):
+                for got, want in zip(run(workers), serial):
+                    np.testing.assert_array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+        # forward and backward each hand all blocks but the first to the pool
+        assert head_pool.blocks == sum(2 * (min(w, n) - 1) for w in (2, 3, 4))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_pool_size_rule(self, cpus):
+        def workers(**environ):
+            return engine.head_workers(cpus, engine.blas_threads(environ, cpus))
+
+        # OpenBLAS then uses a thread per CPU, which leaves none for the pool
+        assert workers() == 1
+        assert workers(OPENBLAS_NUM_THREADS="1") == min(4, cpus)
+        assert workers(OMP_NUM_THREADS="2") == max(1, cpus // 2)
+        assert workers(GOTO_NUM_THREADS="1", OMP_NUM_THREADS=str(cpus)) == min(4, cpus)
+        assert workers(OPENBLAS_NUM_THREADS=str(cpus), OMP_NUM_THREADS="1") == 1
+        for ignored in ("0", "-1", "two", "1.5", ""):
+            assert workers(OPENBLAS_NUM_THREADS=ignored) == 1
+            assert workers(OPENBLAS_NUM_THREADS=ignored, OMP_NUM_THREADS="1") == min(4, cpus)
+
+    def test_module_pool_size_follows_the_environment(self):
+        assert engine.CPUS == engine.cpu_count() >= 1
+        assert engine.BLAS_THREADS == engine.blas_threads(os.environ, engine.CPUS)
+        assert engine.HEAD_WORKERS == engine.head_workers(engine.CPUS, engine.BLAS_THREADS)
+
+    def test_small_samples_stay_serial(self, monkeypatch, head_pool):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
+        # a 9-row edge strip per window, as eval recomputes them
+        x, w, b, pad = self.layer_arrays("conv_time1", 32, t_len=9)
+        conv_leaky_cl(Tensor(x), Tensor(w), Tensor(b), 0.01, pad)
+        assert head_pool.blocks == 0
+        x, w, b, pad = self.layer_arrays("conv_time1", 32)
+        conv_leaky_cl(Tensor(x), Tensor(w), Tensor(b), 0.01, pad)
+        assert head_pool.blocks == 3
+
+    def test_a_worker_block_exception_reaches_the_caller(self, monkeypatch, head_pool):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 2)
+        ran = []
+
+        def body(lo, hi):
+            if lo > 0:
+                raise ValueError(f"block from {lo}")
+            ran.append((lo, hi))
+
+        with pytest.raises(ValueError, match="block from 2"):
+            engine._sample_blocks(body, 4, engine.MIN_THREADED_SAMPLE)
+        assert ran == [(0, 2)]
+        assert head_pool.blocks == 1
 
 
 class TestLeakyRelu:

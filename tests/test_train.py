@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from test_cli import write_config
 
+from hloblab import cli, engine, pipeline
+from hloblab.config import RunConfig
 from hloblab.errors import EmptyDataset, LengthMismatch, NonFiniteLoss
 from hloblab.infonet import SimplicialComplex
-from hloblab.model import HlobConfig, HlobModel
+from hloblab.model import HlobConfig, HlobModel, save_checkpoint
 from hloblab.preprocess import DayWindows
 from hloblab.train import (
     EvalReport,
@@ -181,6 +185,40 @@ class TestTrainLoop:
         report = evaluate(model, [train_days["d1"]], TINY_COMPLEX)
         accuracy = np.trace(report.confusion) / report.confusion.sum()
         assert accuracy >= 0.95
+
+
+class TestHeadThreads:
+    def test_one_and_two_workers_train_identically(self, tmp_path, monkeypatch, head_pool):
+        cfg_path = str(write_config(tmp_path, **{"synth.n_events": "220",
+                                                 "window_len": "20"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        cfg = RunConfig.load(cfg_path)
+        complex_ = pipeline.load_simplices(cfg)
+        train_by_day = {d: pipeline.windows_for_day(cfg, d)
+                        for d in cfg.get_days("split.train")}
+        val = [pipeline.windows_for_day(cfg, d) for d in cfg.get_days("split.validation")]
+        config = dataclasses.replace(pipeline.train_config(cfg), lr=1e-3,
+                                     max_epochs=2, batch_size=8, balanced_cap=4)
+
+        def run(workers):
+            monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+            model = HlobModel(pipeline.hlob_config(cfg), seed=config.seed)
+            state, history = train(model, train_by_day, val, complex_, config)
+            path = tmp_path / f"model_{workers}.ckpt"
+            save_checkpoint(model, path)
+            return state, history, path.read_bytes()
+
+        state_1, history_1, ckpt_1 = run(1)
+        assert head_pool.blocks == 0
+        state_2, history_2, ckpt_2 = run(2)
+        assert head_pool.blocks > 0
+        assert history_2 == history_1
+        assert ckpt_2 == ckpt_1
+        assert state_2.keys() == state_1.keys()
+        for name, arrays in state_1.items():
+            for got, want in zip(state_2[name], arrays):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestConfusionAndScores:
