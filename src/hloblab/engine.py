@@ -1,7 +1,8 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU for the heads, a single-layer LSTM as one fused op
+convolution + LeakyReLU for the heads (plus a tape-free form over windows
+that share rows, for eval), a single-layer LSTM as one fused op
 with hand-written backpropagation through time (plus a tape-free forward for
 eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
 step with decoupled weight decay, and a central finite-difference gradient
@@ -249,7 +250,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1),
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 MAX_HEAD_WORKERS = 4
 # a sample of fewer input plus output elements than this runs serially:
-# handing it to another thread costs more than its GEMMs (eval's edge strips)
+# handing it to another thread costs more than its GEMMs (training on short
+# windows)
 MIN_THREADED_SAMPLE = 1 << 16
 
 
@@ -312,6 +314,14 @@ def _sample_blocks(body, n: int, sample_elements: int) -> None:
         future.result()
 
 
+def _tap_matrices(weight: np.ndarray) -> list[np.ndarray]:
+    """Each time tap i of (O, C, kh, kw) weights as a (kw*C, O) matrix, its
+    rows ordered like a channels-last input row reshaped to (W/kw, kw*C)."""
+    o, c, kh, kw = weight.shape
+    return [weight[:, :, i, :].transpose(2, 1, 0).reshape(kw * c, o)
+            for i in range(kh)]
+
+
 def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
                   time_pad=(0, 0)) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
@@ -345,9 +355,7 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
     xs = x.data.reshape(n, t_len * wo, k)
-    # tap i as a (kw*C, O) matrix, rows ordered like the reshaped input
-    taps = [weight.data[:, :, i, :].transpose(2, 1, 0).reshape(k, o)
-            for i in range(kh)]
+    taps = _tap_matrices(weight.data)
     plain = kh == 1 and pb == pa == 0
 
     def spans(i):
@@ -680,14 +688,64 @@ def _lstm_step(x_t, h, c, params: LstmParams, act, c_out, tanh_c, h_out) -> None
     hs = c.shape[1]
     np.add(x_t @ params.w_ih.data.T + params.b_ih.data,
            h @ params.w_hh.data.T + params.b_hh.data, out=act)
-    for block in (act[:, :2 * hs], act[:, 3 * hs:]):
-        block[...] = 1.0 / (1.0 + np.exp(-block))
+    # exp overflows to inf below about -88 in float32, and 1 / inf is the
+    # sigmoid's exact limit 0
+    with np.errstate(over="ignore"):
+        for block in (act[:, :2 * hs], act[:, 3 * hs:]):
+            block[...] = 1.0 / (1.0 + np.exp(-block))
     g_gate = act[:, 2 * hs:3 * hs]
     g_gate[...] = np.tanh(g_gate)
     np.multiply(act[:, hs:2 * hs], c, out=c_out)
     c_out += act[:, :hs] * g_gate
     np.tanh(c_out, out=tanh_c)
     np.multiply(act[:, 3 * hs:], tanh_c, out=h_out)
+
+
+def conv_leaky_windows(run: np.ndarray, starts: np.ndarray, t_len: int,
+                       edge_rows: np.ndarray, edge: np.ndarray, weight: np.ndarray,
+                       bias: np.ndarray, slope: float, time_pad
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`conv_leaky_cl` over N windows of ``t_len`` rows that share rows, with no tape.
+
+    Window i's input row r is ``edge[e, i]`` when r is ``edge_rows[e]`` and
+    ``run[starts[i] + r]`` otherwise; ``run`` is (R, W, C) and ``edge``
+    (E, N, W, C). The output comes in the same form: the unpadded
+    convolution of ``run``, in which window row j is at
+    ``starts[i] - time_pad[0] + j``, and the output rows whose taps reach a
+    window's zero padding or one of its edge rows, computed per window and
+    returned as (out, out_edge_rows, out_edge).
+
+    Each tap is one GEMM over ``run``, whose product adds into the shared
+    output rows and into the edge rows it reaches; an edge input row takes
+    a GEMM of its own. Every output row starts at the bias and adds its taps
+    in order, skipping those on padding, which is :func:`conv_leaky_cl`'s
+    add order: each window's rows are bit-identical to it.
+    """
+    r_in, w_, c = run.shape
+    o, _, kh, kw = weight.shape
+    before, after = time_pad
+    wo, k = w_ // kw, kw * c
+    t_out = t_len + before + after - kh + 1
+    # the input row that each output row reads at each tap
+    reads = np.arange(t_out)[:, None] + np.arange(kh) - before
+    inside = (reads >= 0) & (reads < t_len)
+    slot = dict(zip(edge_rows.tolist(), edge))
+    out_rows = np.flatnonzero(~inside.all(axis=1) | np.isin(reads, edge_rows).any(axis=1))
+    out = np.empty((max(0, r_in - kh + 1), wo, o), np.result_type(run, weight))
+    out[...] = bias
+    out_edge = np.empty((len(out_rows), len(starts), wo, o), out.dtype)
+    out_edge[...] = bias
+    for i, tap in enumerate(_tap_matrices(weight)):
+        product = (run.reshape(r_in * wo, k) @ tap).reshape(r_in, wo, o)
+        out += product[i:i + len(out)]
+        for y, r in zip(out_edge, reads[out_rows, i].tolist()):
+            if r in slot:
+                y += (slot[r].reshape(-1, k) @ tap).reshape(y.shape)
+            elif 0 <= r < t_len:
+                y += product[starts + r]
+    for y in (out, out_edge):
+        np.maximum(y, y * slope, out=y)
+    return out, out_rows, out_edge
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, coords=None) -> float:

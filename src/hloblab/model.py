@@ -15,9 +15,11 @@ three class logits.
 
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
-computes the heads once per distinct row and recomputes just those edge
-rows per window. :meth:`HlobModel.classify` then runs the LSTM and the
-output layer on those sequences without a tape.
+computes the heads once per distinct row. Each time convolution's per-tap
+products of those rows also feed the rows next to each window's ends,
+which add up their taps per window and leave out the taps on padding.
+:meth:`HlobModel.classify` then runs the LSTM and the output layer on those
+sequences without a tape.
 """
 
 from __future__ import annotations
@@ -136,55 +138,35 @@ class _Head:
         per-row layers run once over ``rows``, and so do the time
         convolutions, unpadded: that gives every window row whose receptive
         field holds no padding. The rows that see a window's zero padding
-        (time1 rows {0, T-2, T-1}, time2 rows {0, 1, T-4..T-1}) are
-        recomputed from strips of each window's first and last rows, padded
-        like :meth:`forward`, with all windows in one call per layer.
+        (time1 rows {0, T-2, T-1}, time2 rows {0, 1, T-4..T-1}) are added up
+        per window from the same per-tap products of the shared rows
+        (``engine.conv_leaky_windows``), so no row is convolved twice.
         """
-        def conv(x, pair, time_pad=(0, 0)):
+        def conv(x, pair):
             w, b = pair
-            return engine.conv_leaky_cl(Tensor(x), w.tensor, b.tensor, slope,
-                                        time_pad).data
+            return engine.conv_leaky_cl(Tensor(x), w.tensor, b.tensor, slope).data
 
         n_rows, width = rows.shape
         run = conv(conv(rows.reshape(1, n_rows, width, 1), self.conv_pv),
                    self.conv_simplex)[0]      # (R, W, C), one per row
-        n = len(origins)
-        before, after = TIME_PAD
-        # the layer input of window row j is run[origin + j - shift], except
-        # for the edge rows, whose values (N, len(edge_rows), W, C) are in edge
-        shift = 0
+        # window i's row r is run[starts[i] + r], or edge[e, i] for r = edge_rows[e]
+        starts = origins
         edge_rows = np.arange(0)
-        edge = np.empty((n, 0) + run.shape[1:], run.dtype)
-        for depth, pair in enumerate((self.conv_time1, self.conv_time2), 1):
-            strip = _end_rows(t_len, (depth - 1) * before + TIME_KERNEL - 1,
-                              depth * after + before)
-            from_edge = np.isin(strip, edge_rows)
-            x = np.empty((n, len(strip)) + run.shape[1:], run.dtype)
-            x[:, ~from_edge] = run[origins[:, None] + strip[~from_edge] - shift]
-            x[:, from_edge] = edge[:, np.searchsorted(edge_rows, strip[from_edge])]
-            # the strip's ends are the window's, so its rows next to them are
-            # padded as in the full window; rows at the junction are not used
-            edge_rows = np.flatnonzero((np.arange(t_len) < depth * before)
-                                       | (np.arange(t_len) >= t_len - depth * after))
-            edge = conv(x, pair, TIME_PAD)[:, np.searchsorted(strip, edge_rows)]
-            run = conv(run[None], pair)[0] if len(run) >= TIME_KERNEL else run[:0]
-            shift += before
+        edge = np.empty((0, len(origins)) + run.shape[1:], run.dtype)
+        for w, b in (self.conv_time1, self.conv_time2):
+            run, edge_rows, edge = engine.conv_leaky_windows(
+                run, starts, t_len, edge_rows, edge, w.data, b.data, slope, TIME_PAD)
+            starts = starts - TIME_PAD[0]
 
+        n = len(origins)
         out = np.empty((n, t_len, self.conv_mix[1].data.shape[0]), run.dtype)
-        out[:, edge_rows] = conv(edge.reshape((1, -1) + edge.shape[2:]),
-                                 self.conv_mix).reshape(n, len(edge_rows), -1)
+        mixed = conv(edge.reshape((1, -1) + edge.shape[2:]), self.conv_mix)
+        out[:, edge_rows] = mixed.reshape(len(edge_rows), n, -1).transpose(1, 0, 2)
         inner = np.setdiff1d(np.arange(t_len), edge_rows)
         if len(inner):
             mixed = conv(run[None], self.conv_mix)[0, :, 0]
-            out[:, inner] = mixed[origins[:, None] + inner - shift]
+            out[:, inner] = mixed[starts[:, None] + inner]
         return out
-
-
-def _end_rows(t_len: int, first: int, last: int) -> np.ndarray:
-    """Rows [0, first) and [t_len - last, t_len) of a window, ascending, once each."""
-    if first + last >= t_len:
-        return np.arange(t_len)
-    return np.concatenate([np.arange(first), np.arange(t_len - last, t_len)])
 
 
 class HlobModel:

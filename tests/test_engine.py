@@ -1,5 +1,6 @@
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,31 @@ class TestConvLeakyChannelsLast:
                           Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
                           0.01)
 
+    @pytest.mark.parametrize("kw", [1, 2])
+    def test_windows_over_shared_rows_match_each_window(self, kw):
+        # 7-row windows whose rows 0, 5 and 6 are their own (time1's edge
+        # rows, as time2 gets them); the others are shared rows, reached
+        # from starts that overlap, leave a gap and repeat
+        rng = np.random.default_rng(22)
+        t_len, n = 7, 4
+        run = rng.standard_normal((12, 4, 3))
+        starts = np.array([-1, 0, 4, 4])
+        edge_rows = np.array([0, 5, 6])
+        edge = rng.standard_normal((3, n, 4, 3))
+        w = rng.standard_normal((5, 3, 4, kw))
+        b = rng.standard_normal(5)
+        out, out_rows, out_edge = engine.conv_leaky_windows(
+            run, starts, t_len, edge_rows, edge, w, b, 0.01, (1, 2))
+        np.testing.assert_array_equal(out_rows, [0, 1, 3, 4, 5, 6])
+        shared = np.setdiff1d(np.arange(t_len), out_rows)
+        for i, start in enumerate(starts):
+            x = run[start + np.arange(t_len)]   # start -1: row 0 is an edge row
+            x[edge_rows] = edge[:, i]
+            want = conv_leaky_cl(Tensor(x[None]), Tensor(w), Tensor(b), 0.01,
+                                 (1, 2)).data[0]
+            np.testing.assert_array_equal(out_edge[:, i], want[out_rows])
+            np.testing.assert_array_equal(out[start - 1 + shared], want[shared])
+
     def test_head_dropout_mask_keeps_nchw_draw(self):
         cfg = HlobConfig()
         head = _Head("tri", 3, 52, cfg, np.random.default_rng(0), np.float64)
@@ -332,7 +358,7 @@ class TestHeadThreads:
 
     def test_small_samples_stay_serial(self, monkeypatch, head_pool):
         monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
-        # a 9-row edge strip per window, as eval recomputes them
+        # a 9-row window, as training on short windows runs it
         x, w, b, pad = self.layer_arrays("conv_time1", 32, t_len=9)
         conv_leaky_cl(Tensor(x), Tensor(w), Tensor(b), 0.01, pad)
         assert head_pool.blocks == 0
@@ -595,6 +621,22 @@ class TestFusedLstm:
         # rows are independent: a stack of batches gives each batch's rows
         split = np.concatenate([lstm_last(x[:4], p), lstm_last(x[4:], p)])
         assert max_rel(lstm_last(x, p), split) < 1e-12
+
+
+    def test_saturated_gates_raise_no_overflow_warning(self):
+        # pre-activations of +-1e3 put exp past float32's range; the sigmoid
+        # is then exactly 0 or 1 and must not warn
+        p = self.params(np.float32)
+        p.w_ih.data = np.zeros_like(p.w_ih.data)
+        p.b_ih.data = np.where(np.arange(16) % 2, 1e3, -1e3).astype(np.float32)
+        x = np.ones((3, 5, 6), np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outputs, h_last, c_last = lstm(Tensor(x), p)
+            h = lstm_last(x, p)
+        for state in (outputs.data, c_last.data, h):
+            assert np.all(np.isfinite(state))
+        np.testing.assert_array_equal(h, h_last.data)
 
 
 class TestDense:

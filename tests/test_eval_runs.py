@@ -8,6 +8,7 @@
 import numpy as np
 import pytest
 
+from hloblab import engine
 from hloblab import train as train_mod
 from hloblab.engine import Tensor, softmax_cross_entropy
 from hloblab.errors import ShapeMismatch
@@ -205,6 +206,44 @@ class TestRunLogits:
         want = np.concatenate(heads, axis=2)
         assert seq.shape == (9, 20, 96)
         assert max_rel(seq, want) < 1e-12
+
+    def test_float32_head_sequences_equal_forward_bit_for_bit(self):
+        # the default model (T = 100): a run of 41 windows, a run broken by
+        # a gap and by a new day, and runs of one
+        rng = np.random.default_rng(14)
+        model = HlobModel(HlobConfig(), seed=10)
+        a = day_windows(rng, "d1", 8, 100)
+        days = [day_windows(rng, "d0", 41, 100), subset(a, np.r_[0:3, 5:8]),
+                day_windows(rng, "d2", 2, 100)]
+        days += [day_windows(rng, f"s{i}", 1, 100) for i in range(3)]
+        row_inputs, origins = layout(days)
+        assert np.count_nonzero(np.diff(origins) != 1) == 6
+        seq = model.head_sequences(row_inputs, origins, 100)
+        feats = np.stack([w.features for w in views(days)])
+        for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
+                                   np.split(seq, 3, axis=2)):
+            want = head.forward(Tensor(arr[:, None].astype(np.float32)),
+                                model.config, False, None).data
+            assert part.dtype == want.dtype == np.float32
+            for got_window, want_window in zip(part, want):
+                np.testing.assert_array_equal(got_window, want_window)
+
+    def test_time_convolutions_run_only_over_shared_rows(self, monkeypatch):
+        # no padded convolution of per-window rows: the edge rows come from
+        # the shared rows' per-tap products
+        pads = []
+        conv = engine.conv_leaky_cl
+
+        def recorder(x, weight, bias, slope, time_pad=(0, 0)):
+            pads.append(tuple(time_pad))
+            return conv(x, weight, bias, slope, time_pad)
+
+        monkeypatch.setattr(engine, "conv_leaky_cl", recorder)
+        model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=5, dtype=np.float64)
+        windows = day_windows(np.random.default_rng(15), "d1", 6, 30)
+        model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
+                             run_origins(windows.ends, 30), 30)
+        assert pads == [(0, 0)] * 12
 
     def test_broken_runs(self):
         # a run broken by a window that does not overlap its neighbour and by
