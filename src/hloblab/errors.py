@@ -28,9 +28,12 @@ class MalformedRow(HloblabError):
 
 
 class CrossedBook(HloblabError):
-    def __init__(self, line_number):
+    """``count`` crossed rows, the first of them at 1-based ``line_number``."""
+
+    def __init__(self, line_number, count):
         self.line_number = line_number
-        super().__init__(f"crossed book at line {line_number}")
+        self.count = count
+        super().__init__(f"crossed book at line {line_number} ({count} crossed rows)")
 
 
 class EmptyAfterClean(HloblabError):

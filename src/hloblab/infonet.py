@@ -91,12 +91,11 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    return _mi_from_joint(_joint_counts(x, y))
+    return _mi_from_joint(_joint_counts(x, y, int(x.max()) + 1, int(y.max()) + 1))
 
 
-def _joint_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    nx = int(x.max()) + 1
-    ny = int(y.max()) + 1
+def _joint_counts(x: np.ndarray, y: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """The (nx, ny) joint histogram of columns with values below nx and ny."""
     return np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
 
 
@@ -111,29 +110,46 @@ def _mi_from_joint(counts: np.ndarray) -> float:
     return float(np.sort(terms).sum())
 
 
-def mi_matrix(binned_indices: np.ndarray) -> np.ndarray:
-    """Full symmetric pairwise MI matrix; diagonal holds column entropies."""
-    t, k = binned_indices.shape
+def _mi_of_columns(cols: np.ndarray) -> np.ndarray:
+    """Pairwise MI matrix of a C-contiguous (k, T) stack, one row per column.
+
+    Each pair's joint keeps the (nx, ny) shape of its own columns' maxima,
+    and each diagonal entry is the entropy of the diagonal joint that
+    ``_joint_counts(x, x)`` builds, so the values are those of the per-pair
+    plug-in estimate. Rows, not strided columns, keep every pair code cheap.
+    """
+    k = cols.shape[0]
+    n = (cols.max(axis=1) + 1).tolist()
     out = np.zeros((k, k))
     for i in range(k):
-        for j in range(i, k):
-            v = _mi_from_joint(_joint_counts(binned_indices[:, i],
-                                             binned_indices[:, j]))
+        out[i, i] = _mi_from_joint(np.diag(np.bincount(cols[i], minlength=n[i])))
+        for j in range(i + 1, k):
+            v = _mi_from_joint(_joint_counts(cols[i], cols[j], n[i], n[j]))
             out[i, j] = out[j, i] = v
     return out
 
 
+def mi_matrix(binned_indices: np.ndarray) -> np.ndarray:
+    """Full symmetric pairwise MI matrix; diagonal holds column entropies."""
+    return _mi_of_columns(np.ascontiguousarray(binned_indices.T))
+
+
 def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
                     rng_seed: int = 0) -> np.ndarray:
-    """Bootstrap-averaged daily MI matrix."""
+    """Bootstrap-averaged daily MI matrix.
+
+    The day's columns are transposed once; each replicate takes its resampled
+    rows along the time axis, which gives a C-contiguous (20, T) stack.
+    """
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    t = binned.indices.shape[0]
+    cols = np.ascontiguousarray(binned.indices.T)
+    t = cols.shape[1]
     acc = np.zeros((N_VERTICES, N_VERTICES))
     for _ in range(n_bootstrap):
         rows = rng.integers(0, t, size=t)
-        acc += mi_matrix(binned.indices[rows])
+        acc += _mi_of_columns(np.take(cols, rows, axis=1))
     return acc / n_bootstrap
 
 
@@ -314,16 +330,19 @@ def mi_matrix_from_json(text: str) -> tuple[np.ndarray, str]:
 def mi_matrix_from_obj(obj: dict, path="mi_avg.json") -> tuple[np.ndarray, str]:
     """The matrix and config digest of a decoded :func:`mi_matrix_to_json`.
 
-    ``data`` must be a flat list of numbers and ``shape`` a square (n, n)
-    holding exactly that many; otherwise :class:`IoFailure` naming ``path``.
+    ``data`` must be a flat list of finite numbers and ``shape`` a square
+    (n, n) holding exactly that many; otherwise :class:`IoFailure` naming
+    ``path``.
     """
     shape = obj["shape"]
     try:
         data = np.array(obj["data"], np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         data = None
     if data is None or data.ndim != 1:
         raise IoFailure(f"corrupt {path}: 'data' is not a flat list of numbers")
+    if not np.isfinite(data).all():
+        raise IoFailure(f"corrupt {path}: 'data' holds a value that is not finite")
     if not (len(shape) == 2 and all(type(s) is int for s in shape)
             and shape[0] == shape[1]):
         raise IoFailure(f"corrupt {path}: 'shape' {shape} is not a square (n, n)")

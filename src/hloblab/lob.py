@@ -296,11 +296,17 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
         timestamps, book, messages = _parse_rows(orderbook_rows, message_rows,
                                                  day, files)
 
-    for idx in np.flatnonzero(book[:, ASK_P] <= book[:, BID_P]):
-        log.warning("%s", CrossedBook(int(idx) + 1))
+    _warn_crossed(book[:, ASK_P] <= book[:, BID_P])
 
     return LobSeries(meta=meta, day=day, timestamps=timestamps, book=book,
                      messages=messages)
+
+
+def _warn_crossed(crossed: np.ndarray) -> None:
+    """One WARNING for a call's crossed rows: the first 1-based line and the count."""
+    lines = np.flatnonzero(crossed)
+    if lines.size:
+        log.warning("%s", CrossedBook(int(lines[0]) + 1, lines.size))
 
 
 def serialize_lobster_pair(series: LobSeries) -> tuple[list[str], list[str]]:
@@ -332,8 +338,7 @@ def clean_session(series: LobSeries, trim_start_s: float = 1800.0,
     crossed = series.book[:, ASK_P] <= series.book[:, BID_P]
     zero_best = (series.book[:, ASK_V] == 0) | (series.book[:, BID_V] == 0)
 
-    for idx in np.flatnonzero(in_window & crossed):
-        log.warning("%s", CrossedBook(int(idx) + 1))
+    _warn_crossed(in_window & crossed)
 
     keep = in_window & ~crossed & ~zero_best
     if not np.any(keep):

@@ -41,6 +41,9 @@ CHECKPOINT_MAGIC = b"HLOBCKPT"
 # the header keys that load_checkpoint and the eval stage read
 CHECKPOINT_HEADER_FIELDS = {"config": dict, "config_digest": str, "seed": int,
                             "dtype": str, "extra": dict, "entries": list}
+CHECKPOINT_DTYPES = ("float32", "float64")
+# the keys of each entry in a checkpoint header's table
+CHECKPOINT_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 
 # the two time convolutions: kernel length and (before, after) zero padding,
 # which keeps the window's extent
@@ -344,7 +347,12 @@ def _config_from_header(path, header: dict) -> HlobConfig:
 
 def load_checkpoint(path, expected_config: HlobConfig | None = None
                     ) -> tuple[HlobModel, dict]:
-    """Rebuild a model bit-exactly from a checkpoint file."""
+    """Rebuild a model bit-exactly from a checkpoint file.
+
+    Anything the format can tell is wrong raises :class:`IoFailure` (see
+    :func:`_load_payload`); a flipped payload byte that still decodes to a
+    finite value loads, since catching it would need a checksum.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -359,6 +367,9 @@ def load_checkpoint(path, expected_config: HlobConfig | None = None
     pos += hlen
 
     config = _config_from_header(path, header)
+    if header["dtype"] not in CHECKPOINT_DTYPES:
+        raise IoFailure(f"corrupt {path}: dtype {header['dtype']!r} is not one of "
+                        f"{', '.join(CHECKPOINT_DTYPES)}")
     if expected_config is not None and expected_config.digest() != header["config_digest"]:
         raise DigestMismatch(
             f"checkpoint digest {header['config_digest'][:12]} does not match "
@@ -366,17 +377,58 @@ def load_checkpoint(path, expected_config: HlobConfig | None = None
 
     model = HlobModel(config, seed=header["seed"],
                       dtype=np.dtype(header["dtype"]).type)
-    by_name = {e["name"]: e for e in header["entries"]}
-    for p in model.parameters():
-        for suffix, target in (("", "data"), ("#m", "m"), ("#v", "v")):
-            entry = by_name.get(p.name + suffix)
-            if entry is None:
-                raise IoFailure(f"missing parameter {p.name + suffix}")
-            start = pos + entry["offset"]
-            end = start + entry["nbytes"]
-            if end > len(blob):
-                raise IoFailure("truncated checkpoint payload")
-            arr = np.frombuffer(blob[start:end],
-                                dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-            setattr(p, target, arr.copy())
+    _load_payload(path, header, model, memoryview(blob)[pos:])
     return model, header
+
+
+def _load_payload(path, header: dict, model: HlobModel, payload: memoryview) -> None:
+    """Set ``model``'s parameters and Adam moments from a checkpoint payload.
+
+    The entries must name each parameter and its two Adam moments exactly
+    once, each in the header's dtype and its parameter's shape with
+    ``nbytes`` to match, laid end to end from offset 0 over the whole
+    payload, and every value must be finite; otherwise :class:`IoFailure`,
+    which leaves ``model`` part loaded.
+    """
+    slots = {p.name + suffix: (p, target) for p in model.parameters()
+             for suffix, target in (("", "data"), ("#m", "m"), ("#v", "v"))}
+    dtype = np.dtype(header["dtype"])
+    entries = header["entries"]
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, dict)
+                and all(key in entry for key in CHECKPOINT_ENTRY_KEYS)
+                and isinstance(entry["name"], str)):
+            raise IoFailure(f"corrupt {path}: entry {k} is not an object with a "
+                            f"name and {', '.join(CHECKPOINT_ENTRY_KEYS[1:])}")
+    names = [entry["name"] for entry in entries]
+    present = set(names)
+    for name in sorted(set(slots) ^ present):
+        why = "unknown entry" if name in present else "missing parameter"
+        raise IoFailure(f"corrupt {path}: {why} {name}")
+    if len(names) != len(slots):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise IoFailure(f"corrupt {path}: entry {twice} appears more than once")
+
+    offset = 0
+    for entry in entries:
+        name = entry["name"]
+        param, target = slots[name]
+        shape = list(param.data.shape)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        for key, want in (("dtype", str(dtype)), ("shape", shape),
+                          ("nbytes", nbytes), ("offset", offset)):
+            if entry[key] != want:
+                raise IoFailure(f"corrupt {path}: entry {name} has {key} "
+                                f"{entry[key]!r}, expected {want!r}")
+        if offset + nbytes > len(payload):
+            raise IoFailure(f"corrupt {path}: truncated checkpoint payload")
+        arr = np.frombuffer(payload, dtype, count=nbytes // dtype.itemsize,
+                            offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise IoFailure(f"corrupt {path}: entry {name} holds a value that "
+                            "is not finite")
+        setattr(param, target, arr.copy())
+        offset += nbytes
+    if offset != len(payload):
+        raise IoFailure(f"corrupt {path}: {len(payload) - offset} bytes after the "
+                        "last entry")

@@ -763,7 +763,8 @@ class TestCorruptArtifacts:
         assert cli.dispatch(["train", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, "no 'edges'")
 
-    def _eval_with_edited_header(self, tmp_path, capsys, edit, detail):
+    def _eval_with_edited_header(self, tmp_path, capsys, edit, detail,
+                                 edit_payload=lambda payload: payload):
         cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
         path = tmp_path / "out" / "model.ckpt"
         cfg = RunConfig.load(cfg_path)
@@ -776,7 +777,7 @@ class TestCorruptArtifacts:
         edit(header)
         new = json.dumps(header).encode()
         path.write_bytes(CHECKPOINT_MAGIC + len(new).to_bytes(8, "little") + new +
-                         blob[end:])
+                         edit_payload(blob[end:]))
         capsys.readouterr()
         assert cli.dispatch(["eval", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, detail)
@@ -804,6 +805,58 @@ class TestCorruptArtifacts:
         self._eval_with_edited_header(
             tmp_path, capsys, lambda h: h["config"].update(channels=2),
             "config does not match its config_digest")
+
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda h: h["entries"][0].update(dtype="bogus"),
+         "has dtype 'bogus', expected 'float32'"),
+        (lambda h: h["entries"][1].update(shape=[1]), "has shape [1], expected"),
+        (lambda h: h["entries"][0].update(offset=-8), "has offset -8, expected 0"),
+        (lambda h: h["entries"][2].update(offset=h["entries"][2]["offset"] + 4),
+         "has offset"),
+        (lambda h: h["entries"][0].update(nbytes=h["entries"][0]["nbytes"] - 4),
+         "has nbytes"),
+        (lambda h: h.update(dtype="int8"),
+         "dtype 'int8' is not one of float32, float64"),
+        (lambda h: h.update(dtype="bogus"), "dtype 'bogus' is not one of"),
+        (lambda h: h["entries"].pop(), "missing parameter output.bias#v"),
+        (lambda h: h["entries"].append(dict(h["entries"][0], name="bogus")),
+         "unknown entry bogus"),
+        (lambda h: h["entries"].append(dict(h["entries"][0])), "appears more than once"),
+        (lambda h: h["entries"].insert(0, 7), "entry 0 is not an object"),
+        (lambda h: h["entries"][3].pop("nbytes"), "entry 3 is not an object"),
+    ], ids=["entry-dtype", "shape", "negative-offset", "offset-gap", "nbytes",
+            "int8", "header-dtype", "missing", "unknown", "twice", "not-object",
+            "no-nbytes"])
+    def test_eval_with_checkpoint_entry_table_not_matching_model(self, tmp_path, capsys,
+                                                                 edit, detail):
+        self._eval_with_edited_header(tmp_path, capsys, edit, detail)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_eval_with_non_finite_weight(self, tmp_path, capsys, value):
+        def poison(payload):
+            return np.float32(value).tobytes() + payload[4:]
+        self._eval_with_edited_header(tmp_path, capsys, lambda h: None,
+                                      "holds a value that is not finite", poison)
+
+    @pytest.mark.parametrize("cut, detail", [
+        (lambda payload: payload[:-1], "truncated checkpoint payload"),
+        (lambda payload: payload + b"\0" * 4, "4 bytes after the last entry"),
+    ], ids=["short", "long"])
+    def test_eval_with_payload_of_wrong_length(self, tmp_path, capsys, cut, detail):
+        self._eval_with_edited_header(tmp_path, capsys, lambda h: None, detail, cut)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_tmfg_with_non_finite_mi(self, tmp_path, capsys, value):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi")
+        path = tmp_path / "out" / "mi_avg.json"
+        obj = json.loads(path.read_text())
+        obj["data"][21] = "@"
+        path.write_text(json.dumps(obj).replace('"@"', value))
+        capsys.readouterr()
+        assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "'data' holds a value that is not finite")
+        assert not (tmp_path / "out" / "simplices.json").exists()
 
 
 class TestReadJson:

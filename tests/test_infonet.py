@@ -12,6 +12,7 @@ from hloblab.errors import (
     TooFewVertices,
 )
 from hloblab.infonet import (
+    N_VERTICES,
     BinnedVolumes,
     SimplicialComplex,
     assemble_head_inputs,
@@ -29,6 +30,7 @@ from hloblab.infonet import (
     simplices_from_json,
     simplices_to_json,
     volume_columns,
+    _mi_from_joint,
 )
 from hloblab.lob import StockMeta, synthesize_lob
 
@@ -53,6 +55,35 @@ def mi_oracle_from_counts(counts):
                 p = counts[a, b] / total
                 out += p * math.log(p * total * total / (rows[a] * cols[b]))
     return out
+
+
+def reference_mi_matrix(binned_indices):
+    """MI matrix from a per-pair loop over strided columns.
+
+    Each pair's joint has the shape of its own two columns' maxima, and a
+    diagonal entry is the MI of a column with itself.
+    """
+    k = binned_indices.shape[1]
+    out = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            x, y = binned_indices[:, i], binned_indices[:, j]
+            nx, ny = int(x.max()) + 1, int(y.max()) + 1
+            joint = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
+            out[i, j] = out[j, i] = _mi_from_joint(joint)
+    return out
+
+
+def unequal_columns(rng, t, n_bins, k=N_VERTICES):
+    """(t, k) bin indices whose columns reach different maxima below n_bins.
+
+    Column 0 is constant at 0 and column 1 constant at ``n_bins - 1``.
+    """
+    highs = rng.integers(1, n_bins + 1, k)
+    cols = rng.integers(0, highs, (t, k))
+    cols[:, 0] = 0
+    cols[:, 1] = n_bins - 1
+    return cols
 
 
 def columns_from_counts(counts):
@@ -199,6 +230,52 @@ class TestDailyMi:
         binned = bin_volumes(synth_day(), 8)
         m = daily_mi_matrix(binned, n_bootstrap=2, rng_seed=0)
         np.testing.assert_array_equal(m, m.T)
+
+
+class TestMiMatrixAgainstReference:
+    """The per-column core gives the per-pair loop's values bit for bit."""
+
+    @pytest.mark.parametrize("n_bins, t, k", [(2, 200, N_VERTICES),
+                                              (32, 500, N_VERTICES),
+                                              (1024, 300, 6)])
+    def test_unequal_maxima_and_constant_columns(self, n_bins, t, k):
+        rng = np.random.default_rng(n_bins)
+        for _ in range(2):
+            cols = unequal_columns(rng, t, n_bins, k)
+            assert np.array_equal(mi_matrix(cols), reference_mi_matrix(cols))
+
+    def test_single_row(self):
+        cols = unequal_columns(np.random.default_rng(0), 1, 32)
+        m = mi_matrix(cols)
+        assert np.array_equal(m, reference_mi_matrix(cols))
+        assert np.all(m == 0)
+
+    def test_synthetic_day(self):
+        idx = bin_volumes(synth_day(seed=2, n_events=400), 16).indices
+        assert np.array_equal(mi_matrix(idx), reference_mi_matrix(idx))
+
+    @pytest.mark.parametrize("n_bins, t, n_bootstrap", [
+        (2, 150, 3), (32, 300, 3), (32, 1, 3),
+        (32, 300, 1),   # one replicate: no sum that could round a difference away
+    ])
+    def test_daily_is_mean_of_reference_over_same_draws(self, n_bins, t, n_bootstrap):
+        rng = np.random.default_rng(11)
+        draws = [rng.integers(0, t, size=t) for _ in range(n_bootstrap)]
+        idx = unequal_columns(np.random.default_rng(t), t, n_bins)
+        undrawn = sorted(set(range(t)) - set(draws[0].tolist()))
+        if undrawn:
+            # columns whose maximum sits in one row that the first resample
+            # leaves out, so that replicate's joints are narrower than the
+            # day's; a joint 13 wide sums its rows in another order than one
+            # 32 wide
+            idx[:, 2:6] %= min(13, n_bins - 1)
+            idx[undrawn[0], 2:6] = n_bins - 1
+        acc = np.zeros((N_VERTICES, N_VERTICES))
+        for rows in draws:
+            acc += reference_mi_matrix(idx[rows])
+        got = daily_mi_matrix(BinnedVolumes(idx, n_bins, 1.0), n_bootstrap,
+                              rng_seed=11)
+        assert np.array_equal(got, acc / n_bootstrap)
 
 
 class TestAverageMi:

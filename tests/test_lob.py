@@ -356,6 +356,20 @@ class TestClean:
         assert cleaned.T == 99
         assert "crossed book" in caplog.text
 
+    def test_crossed_rows_give_one_warning_per_call(self, caplog):
+        rows = [make_orderbook_row() for _ in range(10)]
+        for i in (2, 5, 6):
+            rows[i] = make_orderbook_row(ask1=1000400, bid1=1000400)
+        msgs = [make_message_row(f"{40000 + i}.0") for i in range(10)]
+        with caplog.at_level("WARNING", logger="hloblab.lob"):
+            series = parse_lobster_pair(rows, msgs, META)
+            assert [r.getMessage() for r in caplog.records] == [
+                "crossed book at line 3 (3 crossed rows)"]
+            caplog.clear()
+            assert clean_session(series).T == 7
+        assert [r.getMessage() for r in caplog.records] == [
+            "crossed book at line 3 (3 crossed rows)"]
+
     def test_zero_best_volume_dropped(self):
         good = make_orderbook_row()
         bad = make_orderbook_row(vol=0)
