@@ -6,8 +6,7 @@ that share rows, for eval), a single-layer LSTM as one fused op
 with hand-written backpropagation through time (plus a tape-free forward for
 eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
 step with decoupled weight decay, and a central finite-difference gradient
-checker. The generic NCHW ``conv2d`` and ``leaky_relu`` remain as the
-reference the fused convolution is checked against.
+checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
 samples on a small thread pool (numpy releases the interpreter lock in
@@ -143,21 +142,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """max(x, slope*x) with subgradient 1 at 0."""
-    # for 0 < slope < 1 the elementwise max equals the piecewise definition
-    out = Tensor(np.maximum(x.data, x.data * slope), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            slope_t = np.asarray(slope, x.data.dtype)
-            one = np.asarray(1.0, x.data.dtype)
-            x._accumulate(g * np.where(x.data >= 0, one, slope_t))
-
-    out._backward = backward
-    return out
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape), parents=(x,))
 
@@ -180,67 +164,6 @@ def concat(tensors, axis: int) -> Tensor:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
-
-    out._backward = backward
-    return out
-
-
-def _normalize_padding(padding):
-    """Accept int pairs or ((before, after), (before, after)) per spatial axis."""
-    ph, pw = padding
-    if np.isscalar(ph):
-        ph = (int(ph), int(ph))
-    if np.isscalar(pw):
-        pw = (int(pw), int(pw))
-    return tuple(ph), tuple(pw)
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1),
-           padding=(0, 0)) -> Tensor:
-    """Cross-correlation of (N,C,H,W) with (O,C,kh,kw) kernels."""
-    sh, sw = stride
-    (pt, pb), (pl, pr) = _normalize_padding(padding)
-    n, c, h, w_ = x.data.shape
-    o, cw, kh, kw = weight.data.shape
-    if cw != c:
-        raise ShapeMismatch(f"conv2d channels: input {c}, weight {cw}")
-    if bias.data.shape != (o,):
-        raise ShapeMismatch(f"conv2d bias shape {bias.data.shape}, expected ({o},)")
-    hp, wp = h + pt + pb, w_ + pl + pr
-    if hp < kh or wp < kw:
-        raise ShapeMismatch("kernel larger than padded input")
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-
-    def im2col(data):
-        xp = np.pad(data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
-                                                           axis=(2, 3))
-        windows = windows[:, :, ::sh, ::sw]          # N,C,Ho,Wo,kh,kw
-        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo,
-                                                           c * kh * kw)
-
-    wmat = weight.data.reshape(o, c * kh * kw)
-    y = (im2col(x.data) @ wmat.T + bias.data).reshape(n, ho, wo, o)
-    out = Tensor(y.transpose(0, 3, 1, 2), parents=(x, weight, bias))
-
-    def backward(g):
-        # the patch matrix is rebuilt here rather than captured at forward
-        # time: it is kernel-size times larger than the input, and keeping
-        # one per convolution would dominate peak memory
-        gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
-        if bias.requires_grad:
-            bias._accumulate(gm.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((gm.T @ im2col(x.data)).reshape(weight.data.shape))
-        if x.requires_grad:
-            gcols = (gm @ wmat).reshape(n, ho, wo, c, kh, kw)
-            gxp = np.zeros((n, c, hp, wp), x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += \
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            x._accumulate(gxp[:, :, pt:pt + h, pl:pl + w_])
 
     out._backward = backward
     return out
@@ -326,11 +249,11 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
                   time_pad=(0, 0)) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
 
-    ``x`` is (N, T, W, C) and ``weight`` (O, C, kh, kw), the ``conv2d``
-    layout. The kernel tiles W with stride kw; along T it slides at stride
-    1 over ``time_pad`` = (before, after) zeros. Each of the kh time taps is
-    one GEMM over a sample's (T*W/kw, kw*C) rows, shift-added into the
-    (N, To, W/kw, O) output, so no padded copy or patch matrix is built.
+    ``x`` is (N, T, W, C) and ``weight`` (O, C, kh, kw). The kernel tiles W
+    with stride kw; along T it slides at stride 1 over ``time_pad`` =
+    (before, after) zeros. Each of the kh time taps is one GEMM over a
+    sample's (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw, O)
+    output, so no padded copy or patch matrix is built.
     Only the LeakyReLU's sign mask is kept for backward.
 
     Forward and backward run over contiguous sample blocks, on the head

@@ -1,4 +1,4 @@
-"""LOBSTER-format order book ingestion, cleaning, and microstructural statistics.
+"""LOBSTER-format order book ingestion, cleaning, and synthetic days.
 
 Prices are kept as integers in 1e-4 currency units (the LOBSTER convention)
 end-to-end; conversion to currency happens only at reporting. Timestamps are
@@ -76,32 +76,6 @@ class StockMeta:
         return price_units(self.tick_size)
 
 
-@dataclass(frozen=True)
-class LobSnapshot:
-    """A single 10-level book state at one tick."""
-
-    timestamp: int  # ns since midnight
-    ask_prices: np.ndarray
-    ask_volumes: np.ndarray
-    bid_prices: np.ndarray
-    bid_volumes: np.ndarray
-
-    def is_crossed(self) -> bool:
-        return int(self.ask_prices[0]) <= int(self.bid_prices[0])
-
-    def validate(self) -> None:
-        if len(self.ask_prices) != N_LEVELS:
-            raise MissingLevels(f"expected {N_LEVELS} levels")
-        if np.any(np.diff(self.ask_prices) <= 0):
-            raise ValueError("ask prices not strictly increasing")
-        if np.any(np.diff(self.bid_prices) >= 0):
-            raise ValueError("bid prices not strictly decreasing")
-        if np.any(self.ask_volumes < 0) or np.any(self.bid_volumes < 0):
-            raise ValueError("negative volume")
-        if self.is_crossed():
-            raise ValueError("crossed book")
-
-
 @dataclass
 class LobSeries:
     """One trading day of book snapshots plus the aligned message fields.
@@ -121,24 +95,15 @@ class LobSeries:
     def T(self) -> int:
         return len(self.timestamps)
 
-    def snapshot(self, i: int) -> LobSnapshot:
-        row = self.book[i]
-        return LobSnapshot(
-            timestamp=int(self.timestamps[i]),
-            ask_prices=row[ASK_P::4],
-            ask_volumes=row[ASK_V::4],
-            bid_prices=row[BID_P::4],
-            bid_volumes=row[BID_V::4],
-        )
-
-    def snapshots(self):
-        return (self.snapshot(i) for i in range(self.T))
-
     def validate(self) -> None:
         """Check the book invariants of every snapshot at once.
 
-        Raises :class:`InvalidBook` for the first bad snapshot, naming the
-        first check it fails in the order :meth:`LobSnapshot.validate` uses.
+        Timestamps must not decrease, and a book without 10 levels raises
+        :class:`MissingLevels`. Each snapshot is then checked in this order:
+        ask prices strictly increasing, bid prices strictly decreasing, no
+        negative volume, best ask above best bid. Raises
+        :class:`InvalidBook` for the first bad snapshot, naming the first
+        check it fails.
         """
         back = np.flatnonzero(np.diff(self.timestamps) < 0)
         if len(back):
@@ -353,41 +318,9 @@ def clean_session(series: LobSeries, trim_start_s: float = 1800.0,
     )
 
 
-def mid_and_spread(snapshot: LobSnapshot) -> tuple[float, int]:
-    """Best-quote mid-price and spread, in 1e-4 currency units."""
-    ask = int(snapshot.ask_prices[0])
-    bid = int(snapshot.bid_prices[0])
-    return (ask + bid) / 2, ask - bid
-
-
 def mid_price_series(series: LobSeries) -> np.ndarray:
     """Twice the mid-price per snapshot, kept integer for exact labeling."""
     return (series.book[:, ASK_P] + series.book[:, BID_P]).astype(np.int64)
-
-
-def actual_depth(snapshot: LobSnapshot, side: str, tick_units: int) -> float:
-    """Span in ticks between the 1st and 10th quoted level on one side.
-
-    9.0 for a fully compact book.
-    """
-    if side == "ask":
-        prices = snapshot.ask_prices
-    elif side == "bid":
-        prices = snapshot.bid_prices
-    else:
-        raise ValueError(f"side must be 'ask' or 'bid', got {side!r}")
-    if len(prices) < N_LEVELS:
-        raise MissingLevels(f"need {N_LEVELS} levels, have {len(prices)}")
-    return abs(int(prices[N_LEVELS - 1]) - int(prices[0])) / tick_units
-
-
-def classify_tick_size(mean_spread_units: float, tick_units: int) -> str:
-    """Partition stocks into small/medium/large tick by mean spread vs tick."""
-    if mean_spread_units >= 3 * tick_units:
-        return "small"
-    if mean_spread_units <= 1.5 * tick_units:
-        return "large"
-    return "medium"
 
 
 SYNTH_REGIMES = ("compact", "sparse")
@@ -398,8 +331,8 @@ def synthesize_lob(seed: int, n_events: int, regime: str, meta: StockMeta,
                    start_s: float = 36_100.0, end_s: float = 55_700.0) -> LobSeries:
     """Generate a deterministic synthetic day of LOBSTER-like data.
 
-    ``compact`` emits consecutive-tick ladders on both sides (actual depth
-    exactly 9); ``sparse`` draws geometric inter-level gaps.
+    ``compact`` emits consecutive-tick ladders on both sides (a first-to-tenth
+    level span of 9 ticks); ``sparse`` draws geometric inter-level gaps.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")

@@ -128,8 +128,9 @@ class _Head:
         h = conv(h, self.conv_time2, time_pad=TIME_PAD)
         h = conv(h, self.conv_mix)
         h = engine.reshape(h, (n, t, h.shape[3]))
-        # the mask is drawn over (N, C, T), the unit order of the NCHW
-        # conv2d reference head, so a given rng drops the same units in both
+        # the mask is drawn over (N, C, T): that keeps the random stream
+        # trained checkpoints were drawn under, and the tests' NCHW reference
+        # head draws the same way, so a given rng drops the same units in both
         return engine.dropout(h, config.dropout_rate, train, rng,
                               draw_axes=(0, 2, 1))
 

@@ -102,6 +102,8 @@ class DayWindows:
         return len(self.ends)
 
     def __getitem__(self, i: int) -> LabeledWindow:
+        """Window ``i`` as a view. No stage calls it: outside the tests, the
+        benchmark's window oracle is its only caller."""
         end = int(self.ends[i])
         return LabeledWindow(features=self.rows[end - self.window_len + 1:end + 1],
                              label=int(self.labels[i]), day=self.day, origin=end)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class TrainConfig:
     beta2: float = 0.95
     eps: float = 1e-8
     weight_decay: float = 0.01
-    horizon: int = 10
     balanced_cap: int = 5000
     seed: int = 0
 
@@ -354,8 +352,7 @@ def emit_report(reports: list[EvalReport], out_dir, config_digest: str = "",
         manifest = out_dir / "run_manifest.json"
         write_atomic(manifest, json.dumps(
             {"config_digest": config_digest, "seed": seed,
-             "n_reports": len(reports), "horizons": horizons,
-             "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S")},
+             "n_reports": len(reports), "horizons": horizons},
             sort_keys=True) + "\n")
         written.append(str(manifest))
         return written

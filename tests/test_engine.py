@@ -11,12 +11,10 @@ from hloblab.engine import (
     LstmParams,
     Parameter,
     Tensor,
-    conv2d,
     conv_leaky_cl,
     dense,
     dropout,
     grad_check,
-    leaky_relu,
     lstm,
     lstm_last,
     softmax,
@@ -24,6 +22,7 @@ from hloblab.engine import (
 )
 from hloblab.errors import BadLabel, ShapeMismatch
 from hloblab.model import HlobConfig, _Head
+from reference_ops import conv2d, leaky_relu
 
 
 def tensor64(rng, shape):
@@ -124,21 +123,24 @@ class TestConv2d:
         w = tensor64(rng, (3, 2, 2, 2))
         b = tensor64(rng, (3,))
 
-        def loss_x(t):
-            return TestGradCheck.sum_sq(conv2d(t, w, b, stride=(2, 1),
-                                               padding=(1, 0)))
+        # symmetric padding with a time stride, and one-sided time padding
+        # with a width stride
+        for stride, padding in (((2, 1), (1, 0)), ((1, 2), ((1, 0), (0, 0)))):
+            def loss_x(t):
+                return TestGradCheck.sum_sq(conv2d(t, w, b, stride=stride,
+                                                   padding=padding))
 
-        def loss_w(t):
-            return TestGradCheck.sum_sq(conv2d(x, t, b, stride=(2, 1),
-                                               padding=(1, 0)))
+            def loss_w(t):
+                return TestGradCheck.sum_sq(conv2d(x, t, b, stride=stride,
+                                                   padding=padding))
 
-        def loss_b(t):
-            return TestGradCheck.sum_sq(conv2d(x, w, t, stride=(2, 1),
-                                               padding=(1, 0)))
+            def loss_b(t):
+                return TestGradCheck.sum_sq(conv2d(x, w, t, stride=stride,
+                                                   padding=padding))
 
-        assert grad_check(loss_x, x) < 1e-6
-        assert grad_check(loss_w, w) < 1e-6
-        assert grad_check(loss_b, b) < 1e-6
+            assert grad_check(loss_x, x) < 1e-6, stride
+            assert grad_check(loss_w, w) < 1e-6, stride
+            assert grad_check(loss_b, b) < 1e-6, stride
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):

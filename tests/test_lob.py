@@ -8,20 +8,16 @@ from hloblab.errors import (
     EmptyAfterClean,
     InvalidBook,
     MalformedRow,
-    MissingLevels,
     RowCountMismatch,
 )
 from hloblab.lob import (
-    LobSnapshot,
     StockMeta,
-    actual_depth,
-    classify_tick_size,
     clean_session,
-    mid_and_spread,
     parse_lobster_pair,
     serialize_lobster_pair,
     synthesize_lob,
 )
+from reference_ops import snapshot
 
 META = StockMeta(ticker="TEST", tick_size=0.01, lot_size=1)
 THETA = META.tick_units  # 100 units of 1e-4 currency
@@ -39,22 +35,11 @@ def make_message_row(time="36100.000000001"):
     return f"{time},1,42,10,1000500,1"
 
 
-def make_snapshot(ask1=1000500, bid1=1000400, ask_gap=100, bid_gap=100, vol=10):
-    lvl = np.arange(10)
-    return LobSnapshot(
-        timestamp=0,
-        ask_prices=ask1 + lvl * ask_gap,
-        ask_volumes=np.full(10, vol),
-        bid_prices=bid1 - lvl * bid_gap,
-        bid_volumes=np.full(10, vol),
-    )
-
-
 class TestParse:
     def test_direct_field_mapping(self):
         series = parse_lobster_pair([make_orderbook_row()],
                                     [make_message_row("34200.000000001")], META)
-        snap = series.snapshot(0)
+        snap = snapshot(series, 0)
         assert snap.ask_prices[0] == 1000500
         assert snap.bid_prices[0] == 1000400
         assert snap.timestamp == 34200000000001
@@ -288,7 +273,7 @@ class TestValidate:
         row = int(rng.integers(series.T))
         _plant(series.book, row, defect, rng)
         with pytest.raises(ValueError) as oracle:
-            series.snapshot(row).validate()
+            snapshot(series, row).validate()
         with pytest.raises(InvalidBook) as err:
             series.validate()
         assert err.value.index == row
@@ -388,79 +373,6 @@ class TestClean:
         clean_session(series).validate()
 
 
-class TestMicrostructure:
-    def test_mid_and_spread(self):
-        mid, spread = mid_and_spread(make_snapshot())
-        assert mid == 1000450
-        assert spread == 100  # one tick at theta = 0.01
-
-    def test_two_tick_spread(self):
-        mid, spread = mid_and_spread(make_snapshot(ask1=1000400 + 2 * THETA))
-        assert spread == 2 * THETA
-
-    def test_mean_spread_matches_oracle(self):
-        series = synthesize_lob(seed=11, n_events=300, regime="sparse", meta=META)
-        spreads = [mid_and_spread(s)[1] for s in series.snapshots()]
-        oracle = sum(int(series.book[i, 0]) - int(series.book[i, 2])
-                     for i in range(series.T)) / series.T
-        assert np.mean(spreads) == pytest.approx(oracle, abs=1e-10)
-
-    def test_actual_depth_compact(self):
-        snap = make_snapshot(ask_gap=THETA, bid_gap=THETA)
-        assert actual_depth(snap, "ask", THETA) == 9.0
-        assert actual_depth(snap, "bid", THETA) == 9.0
-
-    def test_actual_depth_arithmetic(self):
-        # nine half-tick gaps span 4.5 ticks
-        snap = make_snapshot(ask1=1000000, ask_gap=50)
-        assert actual_depth(snap, "ask", THETA) == 4.5
-
-    def test_actual_depth_sparse_hand_sum(self):
-        gaps = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256])
-        prices = 1000000 + np.concatenate([[0], np.cumsum(gaps)]) * THETA
-        snap = LobSnapshot(0, prices, np.full(10, 1),
-                           prices - 600 * THETA, np.full(10, 1))
-        assert actual_depth(snap, "ask", THETA) == float(gaps.sum())
-
-    def test_actual_depth_missing_levels(self):
-        snap = LobSnapshot(0, np.arange(5), np.ones(5), np.arange(5), np.ones(5))
-        with pytest.raises(MissingLevels):
-            actual_depth(snap, "ask", THETA)
-
-    def test_actual_depth_translation_invariant(self):
-        snap = make_snapshot(ask_gap=130)
-        shifted = make_snapshot(ask1=1000500 + 7777, ask_gap=130)
-        assert actual_depth(snap, "ask", THETA) == \
-            actual_depth(shifted, "ask", THETA)
-
-    def test_actual_depth_scales_with_dilation(self):
-        base = make_snapshot(ask1=0, ask_gap=100)
-        dilated = make_snapshot(ask1=0, ask_gap=300)
-        assert actual_depth(dilated, "ask", THETA) == \
-            3 * actual_depth(base, "ask", THETA)
-
-
-class TestTickClassification:
-    def test_small(self):
-        assert classify_tick_size(3.5 * THETA, THETA) == "small"
-        assert classify_tick_size(3.0 * THETA, THETA) == "small"  # boundary
-
-    def test_large(self):
-        assert classify_tick_size(1.0 * THETA, THETA) == "large"
-        assert classify_tick_size(1.5 * THETA, THETA) == "large"  # boundary
-
-    def test_medium(self):
-        assert classify_tick_size(2.0 * THETA, THETA) == "medium"
-
-    def test_total_order_preserving_partition(self):
-        spreads = np.linspace(0.01, 10.0, 500) * THETA
-        classes = [classify_tick_size(s, THETA) for s in spreads]
-        order = {"large": 0, "medium": 1, "small": 2}
-        ranks = [order[c] for c in classes]
-        assert ranks == sorted(ranks)
-        assert set(classes) == {"large", "medium", "small"}
-
-
 class TestSynthesize:
     def test_deterministic(self):
         a = synthesize_lob(seed=7, n_events=100, regime="compact", meta=META)
@@ -471,14 +383,16 @@ class TestSynthesize:
 
     def test_compact_depth_nine_everywhere(self):
         series = synthesize_lob(seed=7, n_events=50, regime="compact", meta=META)
-        for snap in series.snapshots():
-            assert actual_depth(snap, "ask", THETA) == 9.0
-            assert actual_depth(snap, "bid", THETA) == 9.0
+        # the first-to-tenth level span in ticks, per row
+        for col in (lob.ASK_P, lob.BID_P):
+            prices = series.book[:, col::4]
+            depth = np.abs(prices[:, -1] - prices[:, 0]) / THETA
+            assert np.all(depth == 9.0)
 
     def test_sparse_mean_depth_regression(self):
         series = synthesize_lob(seed=7, n_events=200, regime="sparse", meta=META)
-        mean_depth = np.mean([actual_depth(s, "ask", THETA)
-                              for s in series.snapshots()])
+        ask_p = series.book[:, lob.ASK_P::4]
+        mean_depth = np.mean(np.abs(ask_p[:, -1] - ask_p[:, 0]) / THETA)
         # nine geometric(0.4) gaps have mean span 9 / 0.4 = 22.5 ticks
         assert abs(mean_depth - 22.5) < 2.0
         # determinism pin

@@ -17,6 +17,7 @@ from hloblab.model import (
     predict_proba,
     save_checkpoint,
 )
+from reference_ops import conv2d
 
 EXPECTED_COUNTS = {
     "head.tetra.conv_pv": 96,
@@ -91,7 +92,7 @@ class TestShapeCascade:
 
             def conv(t, pair, **kw):
                 w, b = pair
-                return engine.conv2d(t, w.tensor, b.tensor, **kw)
+                return conv2d(t, w.tensor, b.tensor, **kw)
 
             h = conv(x, head.conv_pv, stride=(1, 2))
             assert h.shape == (1, 32, 100, w1)
