@@ -73,7 +73,9 @@ def dispatch(argv=None) -> int:
             return _run_gradcheck()
         cfg = RunConfig.load(args.config)
         return _run_verb(args.command, cfg)
-    except (ConfigError, FileNotFoundError, *INPUT_ERRORS) as exc:
+    # an OS error names the path it failed on: a missing input file or a
+    # directory the config names that is a file
+    except (ConfigError, OSError, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
     except HloblabError as exc:

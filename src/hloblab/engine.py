@@ -2,11 +2,11 @@
 
 Supplies exactly the layers the classifier needs: a fused channels-last
 convolution + LeakyReLU for the heads (plus a tape-free form over windows
-that share rows, for eval), a single-layer LSTM as one fused op
-with hand-written backpropagation through time (plus a tape-free forward for
-eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
-step with decoupled weight decay, and a central finite-difference gradient
-checker. Convolution weights are (O, C, kh, kw).
+that share rows, which runs every head layer in eval), a single-layer LSTM
+as one fused op with hand-written backpropagation through time (plus a
+tape-free forward for eval), dense, inverted dropout, stabilized softmax
+cross-entropy, an AdamW step with decoupled weight decay, and a central
+finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
 samples on a small thread pool (numpy releases the interpreter lock in
@@ -638,9 +638,9 @@ def conv_leaky_windows(run: np.ndarray, starts: np.ndarray, t_len: int,
     window's zero padding or one of its edge rows, computed per window and
     returned as (out, out_edge_rows, out_edge).
 
-    Each tap is one GEMM over ``run``, whose product adds into the shared
-    output rows and into the edge rows it reaches; an edge input row takes
-    a GEMM of its own. Every output row starts at the bias and adds its taps
+    Each tap is one GEMM over ``run`` and one over all the edge rows of all
+    windows; the products add into the shared output rows and into the edge
+    rows they reach. Every output row starts at the bias and adds its taps
     in order, skipping those on padding, which is :func:`conv_leaky_cl`'s
     add order: each window's rows are bit-identical to it.
     """
@@ -652,20 +652,25 @@ def conv_leaky_windows(run: np.ndarray, starts: np.ndarray, t_len: int,
     # the input row that each output row reads at each tap
     reads = np.arange(t_out)[:, None] + np.arange(kh) - before
     inside = (reads >= 0) & (reads < t_len)
-    slot = dict(zip(edge_rows.tolist(), edge))
+    edge_list = edge_rows.tolist()
     out_rows = np.flatnonzero(~inside.all(axis=1) | np.isin(reads, edge_rows).any(axis=1))
-    out = np.empty((max(0, r_in - kh + 1), wo, o), np.result_type(run, weight))
-    out[...] = bias
-    out_edge = np.empty((len(out_rows), len(starts), wo, o), out.dtype)
+    n_out = max(0, r_in - kh + 1)
+    out_edge = np.empty((len(out_rows), len(starts), wo, o), np.result_type(run, weight))
     out_edge[...] = bias
     for i, tap in enumerate(_tap_matrices(weight)):
         product = (run.reshape(r_in * wo, k) @ tap).reshape(r_in, wo, o)
-        out += product[i:i + len(out)]
+        edge_product = (edge.reshape(-1, k) @ tap).reshape(edge.shape[:2] + (wo, o))
         for y, r in zip(out_edge, reads[out_rows, i].tolist()):
-            if r in slot:
-                y += (slot[r].reshape(-1, k) @ tap).reshape(y.shape)
+            if r in edge_list:
+                y += edge_product[edge_list.index(r)]
             elif 0 <= r < t_len:
                 y += product[starts + r]
+        if i == 0:
+            # the edge rows have read the first product: it becomes the output
+            out = product[:n_out]
+            out += bias
+        else:
+            out += product[i:i + n_out]
     for y in (out, out_edge):
         np.maximum(y, y * slope, out=y)
     return out, out_rows, out_edge

@@ -6,18 +6,21 @@ pair, a stride-arity convolution merges each simplex, two time-axis (4x1)
 convolutions (zero-padded to preserve the 100-step extent) model short-range
 temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
-heads run channels-last, (N, T, width, C), so each layer is one fused
-``engine.conv_leaky_cl`` matmul and the head output is already the
-(N, T, C) sequence. Weights keep the (O, C, kh, kw) convolution layout.
+heads take (N, T, width) inputs and run channels-last, (N, T, width, C), so
+each layer is one fused ``engine.conv_leaky_cl`` matmul and the head output
+is already the (N, T, C) sequence. Weights keep the (O, C, kh, kw)
+convolution layout. ``_Head.layers`` lists the five layers once, for both
+the taped pass and the eval pass.
 The three (100 x 32) head outputs are concatenated into a (100 x 96)
 sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
 three class logits.
 
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
-computes the heads once per distinct row. Each time convolution's per-tap
-products of those rows also feed the rows next to each window's ends,
-which add up their taps per window and leave out the taps on padding.
+runs every head layer once per distinct row, with no tape
+(``engine.conv_leaky_windows``). Each layer's per-tap products of those
+rows also feed the rows next to each window's ends, which add up their
+taps per window and leave out the taps on padding.
 :meth:`HlobModel.classify` then runs the LSTM and the output layer on those
 sequences without a tape.
 """
@@ -69,8 +72,6 @@ class HlobConfig:
             if width != card * arity * 2:
                 raise ConfigInconsistent(
                     f"head width {width} != {card} * {arity} * 2")
-            if width % (2 * arity) != 0:
-                raise ConfigInconsistent(f"width {width} not divisible by 2*{arity}")
 
     @property
     def lstm_input(self) -> int:
@@ -106,27 +107,24 @@ class _Head:
         self.conv_mix = conv_param("conv_mix", c, c, 1, cardinality)
 
     def layers(self):
-        return [("conv_pv", self.conv_pv), ("conv_simplex", self.conv_simplex),
-                ("conv_time1", self.conv_time1), ("conv_time2", self.conv_time2),
-                ("conv_mix", self.conv_mix)]
+        """Each layer in order: name, (weight, bias), (before, after) time padding."""
+        return [("conv_pv", self.conv_pv, (0, 0)),
+                ("conv_simplex", self.conv_simplex, (0, 0)),
+                ("conv_time1", self.conv_time1, TIME_PAD),
+                ("conv_time2", self.conv_time2, TIME_PAD),
+                ("conv_mix", self.conv_mix, (0, 0))]
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, (w, b) in self.layers() for p in (w, b)]
+        return [p for _, (w, b), _ in self.layers() for p in (w, b)]
 
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
-        slope = config.leaky_slope
-
-        def conv(t, pair, time_pad=(0, 0)):
-            w, b = pair
-            return engine.conv_leaky_cl(t, w.tensor, b.tensor, slope, time_pad)
-
-        n, _, t, w = x.shape
-        h = conv(engine.reshape(x, (n, t, w, 1)), self.conv_pv)
-        h = conv(h, self.conv_simplex)
-        h = conv(h, self.conv_time1, time_pad=TIME_PAD)
-        h = conv(h, self.conv_time2, time_pad=TIME_PAD)
-        h = conv(h, self.conv_mix)
+        """Outputs (N, T, C) of (N, T, width) inputs."""
+        n, t, w = x.shape
+        h = engine.reshape(x, (n, t, w, 1))
+        for _, (weight, bias), time_pad in self.layers():
+            h = engine.conv_leaky_cl(h, weight.tensor, bias.tensor,
+                                     config.leaky_slope, time_pad)
         h = engine.reshape(h, (n, t, h.shape[3]))
         # the mask is drawn over (N, C, T): that keeps the random stream
         # trained checkpoints were drawn under, and the tests' NCHW reference
@@ -138,38 +136,27 @@ class _Head:
                      slope: float) -> np.ndarray:
         """Eval-mode outputs (N, T, C) of the windows ``rows[o:o + t_len]``.
 
-        ``rows`` is (R, width) and ``origins`` the N window starts. The
-        per-row layers run once over ``rows``, and so do the time
-        convolutions, unpadded: that gives every window row whose receptive
-        field holds no padding. The rows that see a window's zero padding
-        (time1 rows {0, T-2, T-1}, time2 rows {0, 1, T-4..T-1}) are added up
-        per window from the same per-tap products of the shared rows
-        (``engine.conv_leaky_windows``), so no row is convolved twice.
+        ``rows`` is (R, width) and ``origins`` the N window starts. Each
+        layer runs once over the shared rows, unpadded, with no tape
+        (``engine.conv_leaky_windows``): that gives every window row whose
+        receptive field holds no padding. The rows that see a window's zero
+        padding (time1 rows {0, T-2, T-1}, time2 and mix rows {0, 1,
+        T-4..T-1}) are added up per window from the same per-tap products,
+        so no row is convolved twice.
         """
-        def conv(x, pair):
-            w, b = pair
-            return engine.conv_leaky_cl(Tensor(x), w.tensor, b.tensor, slope).data
-
-        n_rows, width = rows.shape
-        run = conv(conv(rows.reshape(1, n_rows, width, 1), self.conv_pv),
-                   self.conv_simplex)[0]      # (R, W, C), one per row
         # window i's row r is run[starts[i] + r], or edge[e, i] for r = edge_rows[e]
-        starts = origins
+        run, starts = rows[:, :, None], origins
         edge_rows = np.arange(0)
         edge = np.empty((0, len(origins)) + run.shape[1:], run.dtype)
-        for w, b in (self.conv_time1, self.conv_time2):
+        for _, (weight, bias), time_pad in self.layers():
             run, edge_rows, edge = engine.conv_leaky_windows(
-                run, starts, t_len, edge_rows, edge, w.data, b.data, slope, TIME_PAD)
-            starts = starts - TIME_PAD[0]
-
-        n = len(origins)
-        out = np.empty((n, t_len, self.conv_mix[1].data.shape[0]), run.dtype)
-        mixed = conv(edge.reshape((1, -1) + edge.shape[2:]), self.conv_mix)
-        out[:, edge_rows] = mixed.reshape(len(edge_rows), n, -1).transpose(1, 0, 2)
+                run, starts, t_len, edge_rows, edge, weight.data, bias.data, slope,
+                time_pad)
+            starts = starts - time_pad[0]
+        out = np.empty((len(origins), t_len, run.shape[2]), run.dtype)
         inner = np.setdiff1d(np.arange(t_len), edge_rows)
-        if len(inner):
-            mixed = conv(run[None], self.conv_mix)[0, :, 0]
-            out[:, inner] = mixed[starts[:, None] + inner]
+        out[:, inner] = run[starts[:, None] + inner, 0]
+        out[:, edge_rows] = edge[:, :, 0].swapaxes(0, 1)
         return out
 
 
@@ -206,15 +193,11 @@ class HlobModel:
 
     def forward(self, inputs, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Map the three (N, 100, width) head inputs to (N, 3) logits."""
-        head_outputs = []
-        for head, arr in zip(self.heads, inputs):
-            arr = np.asarray(arr, self.dtype)
-            if arr.ndim == 2:
-                arr = arr[None]
-            n, t, w = arr.shape
-            x = Tensor(arr.reshape(n, 1, t, w))
-            head_outputs.append(head.forward(x, self.config, train, rng))
+        """(N, 3) logits of the three (N, 100, width) head inputs, arrays or Tensors."""
+        head_outputs = [head.forward(x if isinstance(x, Tensor)
+                                     else Tensor(np.asarray(x, self.dtype)),
+                                     self.config, train, rng)
+                        for head, x in zip(self.heads, inputs)]
         _, h_final, _ = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
         return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
 
@@ -248,7 +231,7 @@ class HlobModel:
         rows: list[tuple[str, int]] = []
         for head in self.heads:
             counts = {layer: w.data.size + b.data.size
-                      for layer, (w, b) in head.layers()}
+                      for layer, (w, b), _ in head.layers()}
             rows.append((f"head.{head.name}.conv_pv", counts["conv_pv"]))
             rows.append((f"head.{head.name}.block2",
                          counts["conv_simplex"] + counts["conv_time1"]

@@ -419,18 +419,7 @@ def hlob_loss_grad_check(seed: int = 0, n_coords: int = 24) -> float:
     x = engine.Tensor(inputs[0])
 
     def loss_fn(t):
-        n, tt, w_ = t.data.shape
-        head = model.heads[0]
-        h0 = head.forward(engine.reshape(t, (n, 1, tt, w_)), config, False, None)
-        others = []
-        for hd, a in zip(model.heads[1:], inputs[1:]):
-            a = np.asarray(a)
-            hx = engine.Tensor(a.reshape(a.shape[0], 1, a.shape[1], a.shape[2]))
-            others.append(hd.forward(hx, config, False, None))
-        seq = engine.concat([h0] + others, axis=2)
-        _, h_final, _ = engine.lstm(seq, model.lstm)
-        logits = engine.dense(h_final, model.out_w.tensor, model.out_b.tensor)
-        return engine.softmax_cross_entropy(logits, labels)
+        return engine.softmax_cross_entropy(model.forward([t] + inputs[1:]), labels)
 
     # probe the most sensitive input coordinates: elsewhere the gradient is
     # below finite-difference resolution, not wrong

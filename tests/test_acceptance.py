@@ -213,7 +213,7 @@ def test_criterion_05_shape_cascade():
         assert h.shape == (1, 32, 100, 1)
 
     inputs = [np.zeros((2, 100, w), np.float32) for w in cfg.head_widths]
-    outs = [head.forward(Tensor(a[:, None]), cfg, False, None)
+    outs = [head.forward(Tensor(a), cfg, False, None)
             for head, a in zip(model.heads, inputs)]
     seq = engine.concat(outs, axis=2)
     assert seq.shape == (2, 100, 96)

@@ -112,6 +112,18 @@ class TestDispatchErrors:
                              str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, key", [("synth", "data_dir"), ("ingest", "out_dir")])
+    def test_directory_naming_a_file_is_user_error(self, tmp_path, capsys, verb, key):
+        assert cli.dispatch(["synth", "--config", str(write_config(tmp_path))]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, **{key: taken})
+        capsys.readouterr()
+        assert cli.dispatch([verb, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(taken) in err and "Traceback" not in err
+
     def test_config_error_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("unknown_key = 1\n")

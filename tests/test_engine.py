@@ -215,35 +215,44 @@ class TestConvLeakyChannelsLast:
                           Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
                           0.01)
 
-    @pytest.mark.parametrize("kw", [1, 2])
-    def test_windows_over_shared_rows_match_each_window(self, kw):
-        # 7-row windows whose rows 0, 5 and 6 are their own (time1's edge
-        # rows, as time2 gets them); the others are shared rows, reached
-        # from starts that overlap, leave a gap and repeat
+    @pytest.mark.parametrize("kh, kw, edge_rows, time_pad, out_rows", [
+        # time2: rows 0, 5 and 6 are each window's own (time1's edge rows)
+        pytest.param(4, 1, [0, 5, 6], (1, 2), [0, 1, 3, 4, 5, 6], id="1"),
+        pytest.param(4, 2, [0, 5, 6], (1, 2), [0, 1, 3, 4, 5, 6], id="2"),
+        # conv_pv and conv_simplex: every row shared
+        pytest.param(1, 2, [], (0, 0), [], id="no-edge"),
+        # conv_mix: time2's edge rows, its kernel as wide as the row
+        pytest.param(1, 4, [0, 1, 3, 4, 5, 6], (0, 0), [0, 1, 3, 4, 5, 6], id="mix"),
+    ])
+    def test_windows_over_shared_rows_match_each_window(self, kh, kw, edge_rows,
+                                                        time_pad, out_rows):
+        # 7-row windows; rows not in edge_rows are shared rows, reached from
+        # starts that overlap, leave a gap and repeat
         rng = np.random.default_rng(22)
         t_len, n = 7, 4
         run = rng.standard_normal((12, 4, 3))
-        starts = np.array([-1, 0, 4, 4])
-        edge_rows = np.array([0, 5, 6])
-        edge = rng.standard_normal((3, n, 4, 3))
-        w = rng.standard_normal((5, 3, 4, kw))
+        # start -1 only where row 0 is an edge row
+        starts = np.array([-1, 0, 4, 4]) if 0 in edge_rows else np.array([0, 1, 5, 5])
+        edge_rows = np.array(edge_rows, np.int64)
+        edge = rng.standard_normal((len(edge_rows), n, 4, 3))
+        w = rng.standard_normal((5, 3, kh, kw))
         b = rng.standard_normal(5)
-        out, out_rows, out_edge = engine.conv_leaky_windows(
-            run, starts, t_len, edge_rows, edge, w, b, 0.01, (1, 2))
-        np.testing.assert_array_equal(out_rows, [0, 1, 3, 4, 5, 6])
+        out, got_rows, out_edge = engine.conv_leaky_windows(
+            run, starts, t_len, edge_rows, edge, w, b, 0.01, time_pad)
+        np.testing.assert_array_equal(got_rows, out_rows)
         shared = np.setdiff1d(np.arange(t_len), out_rows)
         for i, start in enumerate(starts):
-            x = run[start + np.arange(t_len)]   # start -1: row 0 is an edge row
+            x = run[start + np.arange(t_len)]
             x[edge_rows] = edge[:, i]
             want = conv_leaky_cl(Tensor(x[None]), Tensor(w), Tensor(b), 0.01,
-                                 (1, 2)).data[0]
+                                 time_pad).data[0]
             np.testing.assert_array_equal(out_edge[:, i], want[out_rows])
-            np.testing.assert_array_equal(out[start - 1 + shared], want[shared])
+            np.testing.assert_array_equal(out[start - time_pad[0] + shared], want[shared])
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
         cfg = HlobConfig()
         head = _Head("tri", 3, 52, cfg, np.random.default_rng(0), np.float64)
-        x = Tensor(np.random.default_rng(1).standard_normal((2, 1, 100, 312)))
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 100, 312)))
         kept = head.forward(x, cfg, train=True, rng=np.random.default_rng(2))
         full = head.forward(x, cfg, train=False, rng=None)
         # the draw of the NCHW head: one uniform per (N, C, T, 1) unit

@@ -201,7 +201,7 @@ class TestRunLogits:
         feats = windows.features(np.arange(9))
         heads = []
         for head, arr in zip(model.heads, assemble_head_inputs(feats, COMPLEX)):
-            heads.append(head.forward(Tensor(arr[:, None]), model.config, False,
+            heads.append(head.forward(Tensor(arr), model.config, False,
                                       None).data)
         want = np.concatenate(heads, axis=2)
         assert seq.shape == (9, 20, 96)
@@ -222,28 +222,41 @@ class TestRunLogits:
         feats = np.stack([w.features for w in views(days)])
         for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
                                    np.split(seq, 3, axis=2)):
-            want = head.forward(Tensor(arr[:, None].astype(np.float32)),
+            want = head.forward(Tensor(arr.astype(np.float32)),
                                 model.config, False, None).data
             assert part.dtype == want.dtype == np.float32
             for got_window, want_window in zip(part, want):
                 np.testing.assert_array_equal(got_window, want_window)
 
     def test_time_convolutions_run_only_over_shared_rows(self, monkeypatch):
-        # no padded convolution of per-window rows: the edge rows come from
-        # the shared rows' per-tap products
-        pads = []
-        conv = engine.conv_leaky_cl
-
-        def recorder(x, weight, bias, slope, time_pad=(0, 0)):
-            pads.append(tuple(time_pad))
-            return conv(x, weight, bias, slope, time_pad)
-
-        monkeypatch.setattr(engine, "conv_leaky_cl", recorder)
+        # every head layer runs tape-free over the shared rows, and the edge
+        # rows come from the shared rows' per-tap products: no taped
+        # convolution and no Tensor
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=5, dtype=np.float64)
         windows = day_windows(np.random.default_rng(15), "d1", 6, 30)
+        pads, tensors = [], []
+        conv_windows = engine.conv_leaky_windows
+        tensor_init = Tensor.__init__
+
+        def recorder(run, starts, t_len, edge_rows, edge, weight, bias, slope, time_pad):
+            pads.append(tuple(time_pad))
+            return conv_windows(run, starts, t_len, edge_rows, edge, weight, bias,
+                                slope, time_pad)
+
+        def taped(*args, **kwargs):
+            raise AssertionError("conv_leaky_cl called in eval")
+
+        def counted_init(tensor, *args, **kwargs):
+            tensors.append(tensor)
+            tensor_init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "conv_leaky_windows", recorder)
+        monkeypatch.setattr(engine, "conv_leaky_cl", taped)
+        monkeypatch.setattr(Tensor, "__init__", counted_init)
         model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
                              run_origins(windows.ends, 30), 30)
-        assert pads == [(0, 0)] * 12
+        assert pads == [(0, 0), (0, 0), (1, 2), (1, 2), (0, 0)] * 3
+        assert tensors == []
 
     def test_broken_runs(self):
         # a run broken by a window that does not overlap its neighbour and by

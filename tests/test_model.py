@@ -109,18 +109,12 @@ class TestShapeCascade:
         model = small_model()
         rng = np.random.default_rng(0)
         inputs = random_inputs(rng, n=2)
-        outs = [head.forward(Tensor(arr[:, None]), model.config, False, None)
+        outs = [head.forward(Tensor(arr), model.config, False, None)
                 for head, arr in zip(model.heads, inputs)]
         seq = engine.concat(outs, axis=2)
         assert seq.shape == (2, 100, 96)
         logits = model.forward(inputs)
         assert logits.shape == (2, 3)
-
-    def test_single_window_promoted_to_batch(self):
-        model = small_model()
-        rng = np.random.default_rng(1)
-        inputs = [a[0] for a in random_inputs(rng)]
-        assert model.forward(inputs).shape == (1, 3)
 
 
 class TestForward:
@@ -199,21 +193,15 @@ class TestGatherGradientConsistency:
         labels = np.array([1])
 
         def loss_of(window_arr):
-            inputs = assemble_head_inputs(window_arr, complex_)
+            inputs = assemble_head_inputs(window_arr[None], complex_)
             logits = model.forward(list(inputs))
             return engine.softmax_cross_entropy(logits, labels)
 
         # analytic: gradient w.r.t. each head input, scattered back by the
         # gather indices
-        inputs = [Tensor(np.asarray(a)[None], requires_grad=True)
-                  for a in assemble_head_inputs(window, complex_)]
-        outs = [head.forward(engine.reshape(x, (1, 1, 100, x.shape[2])),
-                             model.config, False, None)
-                for head, x in zip(model.heads, inputs)]
-        seq = engine.concat(outs, axis=2)
-        _, h_final, _ = engine.lstm(seq, model.lstm)
-        logits = engine.dense(h_final, model.out_w.tensor, model.out_b.tensor)
-        engine.softmax_cross_entropy(logits, labels).backward()
+        inputs = [Tensor(np.asarray(a), requires_grad=True)
+                  for a in assemble_head_inputs(window[None], complex_)]
+        engine.softmax_cross_entropy(model.forward(inputs), labels).backward()
 
         from hloblab.infonet import head_column_indices
         grad_window = np.zeros((100, 40))
