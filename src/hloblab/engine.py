@@ -1,12 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU for the heads (plus a tape-free form over windows
-that share rows, which runs every head layer in eval), a single-layer LSTM
-as one fused op with hand-written backpropagation through time (plus a
-tape-free forward for eval), dense, inverted dropout, stabilized softmax
-cross-entropy, an AdamW step with decoupled weight decay, and a central
-finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
+convolution + LeakyReLU for the heads (plus a tape-free form over a table
+of distinct rows and an index map of each window's rows into it, which
+runs every head layer in eval), a single-layer LSTM as one fused op with
+hand-written backpropagation through time (plus a tape-free forward for
+eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
+step with decoupled weight decay, and a central finite-difference gradient
+checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
 samples on a small thread pool (numpy releases the interpreter lock in
@@ -624,56 +625,58 @@ def _lstm_step(x_t, h, c, params: LstmParams, act, c_out, tanh_c, h_out) -> None
     np.multiply(act[:, 3 * hs:], tanh_c, out=h_out)
 
 
-def conv_leaky_windows(run: np.ndarray, starts: np.ndarray, t_len: int,
-                       edge_rows: np.ndarray, edge: np.ndarray, weight: np.ndarray,
-                       bias: np.ndarray, slope: float, time_pad
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`conv_leaky_cl` over N windows of ``t_len`` rows that share rows, with no tape.
+def conv_leaky_windows(rows: np.ndarray, shared: int, index: np.ndarray,
+                       weight: np.ndarray, bias: np.ndarray, slope: float, time_pad
+                       ) -> tuple[np.ndarray, int, np.ndarray]:
+    """:func:`conv_leaky_cl` over N windows that share rows, with no tape.
 
-    Window i's input row r is ``edge[e, i]`` when r is ``edge_rows[e]`` and
-    ``run[starts[i] + r]`` otherwise; ``run`` is (R, W, C) and ``edge``
-    (E, N, W, C). The output comes in the same form: the unpadded
-    convolution of ``run``, in which window row j is at
-    ``starts[i] - time_pad[0] + j``, and the output rows whose taps reach a
-    window's zero padding or one of its edge rows, computed per window and
-    returned as (out, out_edge_rows, out_edge).
+    ``rows`` is an (M, W, C) table of every distinct input row and ``index``
+    the (N, T) map of the windows onto it: window i's row r is
+    ``rows[index[i, r]]``. The first ``shared`` rows are a run that the
+    windows share; any other row is one window's own, and each window's
+    shared rows are consecutive in the run. The output comes in the same
+    form, ``(rows, shared, index)``: first the unpadded convolution of the
+    run, then, for each output row whose taps reach a window's zero padding
+    or an own row, that row of every window.
 
-    Each tap is one GEMM over ``run`` and one over all the edge rows of all
-    windows; the products add into the shared output rows and into the edge
-    rows they reach. Every output row starts at the bias and adds its taps
-    in order, skipping those on padding, which is :func:`conv_leaky_cl`'s
-    add order: each window's rows are bit-identical to it.
+    Each tap is one GEMM over all M rows; the run's outputs add shifted
+    slices of the product, and the other output rows gather theirs through
+    ``index``. Every output row starts at the bias and adds its taps in
+    order, skipping those on padding, which is :func:`conv_leaky_cl`'s add
+    order: each window's rows are bit-identical to it.
     """
-    r_in, w_, c = run.shape
+    m, w_, c = rows.shape
     o, _, kh, kw = weight.shape
     before, after = time_pad
+    n, t_len = index.shape
     wo, k = w_ // kw, kw * c
     t_out = t_len + before + after - kh + 1
-    # the input row that each output row reads at each tap
-    reads = np.arange(t_out)[:, None] + np.arange(kh) - before
-    inside = (reads >= 0) & (reads < t_len)
-    edge_list = edge_rows.tolist()
-    out_rows = np.flatnonzero(~inside.all(axis=1) | np.isin(reads, edge_rows).any(axis=1))
-    n_out = max(0, r_in - kh + 1)
-    out_edge = np.empty((len(out_rows), len(starts), wo, o), np.result_type(run, weight))
-    out_edge[...] = bias
+    # the output rows whose taps reach padding or an own row of some window
+    away = np.pad((index >= shared).any(axis=0), time_pad, constant_values=True)
+    edge_rows = np.flatnonzero(
+        np.lib.stride_tricks.sliding_window_view(away, kh).any(axis=1))
+    n_out = max(0, shared - kh + 1)
+    out = np.empty((n_out + len(edge_rows) * n, wo, o), np.result_type(rows, weight))
+    out[...] = bias
+    run_out = out[:n_out]
+    edge_out = out[n_out:].reshape(len(edge_rows), n, wo, o)
+    product = np.empty((m, wo, o), out.dtype)
     for i, tap in enumerate(_tap_matrices(weight)):
-        product = (run.reshape(r_in * wo, k) @ tap).reshape(r_in, wo, o)
-        edge_product = (edge.reshape(-1, k) @ tap).reshape(edge.shape[:2] + (wo, o))
-        for y, r in zip(out_edge, reads[out_rows, i].tolist()):
-            if r in edge_list:
-                y += edge_product[edge_list.index(r)]
-            elif 0 <= r < t_len:
-                y += product[starts + r]
-        if i == 0:
-            # the edge rows have read the first product: it becomes the output
-            out = product[:n_out]
-            out += bias
-        else:
-            out += product[i:i + n_out]
-    for y in (out, out_edge):
+        np.matmul(rows.reshape(m * wo, k), tap, out=product.reshape(m * wo, o))
+        run_out += product[i:i + n_out]
+        for y, r in zip(edge_out, (edge_rows + i - before).tolist()):
+            if 0 <= r < t_len:
+                y += product[index[:, r]]
+    # free the product before the LeakyReLU's temporaries, and take those
+    # one slab at a time, to keep the peak memory down
+    del product
+    for y in (run_out, *edge_out):
         np.maximum(y, y * slope, out=y)
-    return out, out_rows, out_edge
+    # the run's output row j reads input rows j to j + kh - 1, so a window's
+    # output row r off the edges is the run's at its input row r - before
+    out_index = np.pad(index, ((0, 0), time_pad))[:, :t_out]
+    out_index[:, edge_rows] = np.arange(n_out, len(out)).reshape(-1, n).T
+    return out, n_out, out_index
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, coords=None) -> float:

@@ -17,10 +17,11 @@ three class logits.
 
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
-runs every head layer once per distinct row, with no tape
-(``engine.conv_leaky_windows``). Each layer's per-tap products of those
-rows also feed the rows next to each window's ends, which add up their
-taps per window and leave out the taps on padding.
+runs every head layer with no tape over one table of distinct rows and an
+index map of each window's rows into it (``engine.conv_leaky_windows``).
+The table's shared rows are convolved once; the rows next to each
+window's ends follow as that window's own rows, which add up their taps
+from the same per-tap products and leave out the taps on padding.
 :meth:`HlobModel.classify` then runs the LSTM and the output layer on those
 sequences without a tape.
 """
@@ -137,27 +138,20 @@ class _Head:
         """Eval-mode outputs (N, T, C) of the windows ``rows[o:o + t_len]``.
 
         ``rows`` is (R, width) and ``origins`` the N window starts. Each
-        layer runs once over the shared rows, unpadded, with no tape
-        (``engine.conv_leaky_windows``): that gives every window row whose
-        receptive field holds no padding. The rows that see a window's zero
+        layer runs with no tape over one table of distinct rows and an
+        (N, T) map of each window's rows into it
+        (``engine.conv_leaky_windows``). The table starts with the shared
+        rows, convolved once, unpadded; the rows that see a window's zero
         padding (time1 rows {0, T-2, T-1}, time2 and mix rows {0, 1,
-        T-4..T-1}) are added up per window from the same per-tap products,
-        so no row is convolved twice.
+        T-4..T-1}) follow as each window's own, added up from the same
+        per-tap products, so no row is convolved twice.
         """
-        # window i's row r is run[starts[i] + r], or edge[e, i] for r = edge_rows[e]
-        run, starts = rows[:, :, None], origins
-        edge_rows = np.arange(0)
-        edge = np.empty((0, len(origins)) + run.shape[1:], run.dtype)
+        rows, shared = rows[:, :, None], len(rows)
+        index = origins[:, None] + np.arange(t_len)
         for _, (weight, bias), time_pad in self.layers():
-            run, edge_rows, edge = engine.conv_leaky_windows(
-                run, starts, t_len, edge_rows, edge, weight.data, bias.data, slope,
-                time_pad)
-            starts = starts - time_pad[0]
-        out = np.empty((len(origins), t_len, run.shape[2]), run.dtype)
-        inner = np.setdiff1d(np.arange(t_len), edge_rows)
-        out[:, inner] = run[starts[:, None] + inner, 0]
-        out[:, edge_rows] = edge[:, :, 0].swapaxes(0, 1)
-        return out
+            rows, shared, index = engine.conv_leaky_windows(
+                rows, shared, index, weight.data, bias.data, slope, time_pad)
+        return rows[index, 0]
 
 
 class HlobModel:

@@ -60,10 +60,11 @@ class EvalReport:
 
 
 # An eval chunk is the whole batches whose heads one call computes: at most
-# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch. The
-# heads' per-window edge rows and head sequences take memory per window and
-# the per-row activations per row; these caps keep a chunk near one batch of
-# 32 separate 100-row windows.
+# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch. In
+# the heads' row tables, each window's own rows (the ones that see its
+# padding) and its head sequence take memory per window, and the shared
+# rows per row; these caps keep a chunk near one batch of 32 separate
+# 100-row windows.
 EVAL_WINDOWS = 512
 EVAL_ROWS = 4096
 

@@ -215,7 +215,7 @@ class TestConvLeakyChannelsLast:
                           Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
                           0.01)
 
-    @pytest.mark.parametrize("kh, kw, edge_rows, time_pad, out_rows", [
+    @pytest.mark.parametrize("kh, kw, own, time_pad, out_rows", [
         # time2: rows 0, 5 and 6 are each window's own (time1's edge rows)
         pytest.param(4, 1, [0, 5, 6], (1, 2), [0, 1, 3, 4, 5, 6], id="1"),
         pytest.param(4, 2, [0, 5, 6], (1, 2), [0, 1, 3, 4, 5, 6], id="2"),
@@ -224,30 +224,31 @@ class TestConvLeakyChannelsLast:
         # conv_mix: time2's edge rows, its kernel as wide as the row
         pytest.param(1, 4, [0, 1, 3, 4, 5, 6], (0, 0), [0, 1, 3, 4, 5, 6], id="mix"),
     ])
-    def test_windows_over_shared_rows_match_each_window(self, kh, kw, edge_rows,
+    def test_windows_over_shared_rows_match_each_window(self, kh, kw, own,
                                                         time_pad, out_rows):
-        # 7-row windows; rows not in edge_rows are shared rows, reached from
-        # starts that overlap, leave a gap and repeat
+        # 7-row windows over a 12-row shared run, from starts that overlap,
+        # leave a gap and repeat, and a single window; each window's rows in
+        # ``own`` follow the run in the row table
         rng = np.random.default_rng(22)
-        t_len, n = 7, 4
-        run = rng.standard_normal((12, 4, 3))
-        # start -1 only where row 0 is an edge row
-        starts = np.array([-1, 0, 4, 4]) if 0 in edge_rows else np.array([0, 1, 5, 5])
-        edge_rows = np.array(edge_rows, np.int64)
-        edge = rng.standard_normal((len(edge_rows), n, 4, 3))
+        t_len, shared = 7, 12
         w = rng.standard_normal((5, 3, kh, kw))
         b = rng.standard_normal(5)
-        out, got_rows, out_edge = engine.conv_leaky_windows(
-            run, starts, t_len, edge_rows, edge, w, b, 0.01, time_pad)
-        np.testing.assert_array_equal(got_rows, out_rows)
-        shared = np.setdiff1d(np.arange(t_len), out_rows)
-        for i, start in enumerate(starts):
-            x = run[start + np.arange(t_len)]
-            x[edge_rows] = edge[:, i]
-            want = conv_leaky_cl(Tensor(x[None]), Tensor(w), Tensor(b), 0.01,
-                                 time_pad).data[0]
-            np.testing.assert_array_equal(out_edge[:, i], want[out_rows])
-            np.testing.assert_array_equal(out[start - time_pad[0] + shared], want[shared])
+        # start -1 only where row 0 is an own row
+        for starts in ([-1, 0, 4, 4], [-1]) if 0 in own else ([0, 1, 5, 5], [5]):
+            n = len(starts)
+            rows = rng.standard_normal((shared + n * len(own), 4, 3))
+            index = np.array(starts)[:, None] + np.arange(t_len)
+            index[:, own] = shared + np.arange(n * len(own)).reshape(n, len(own))
+            got, got_shared, got_index = engine.conv_leaky_windows(
+                rows, shared, index, w, b, 0.01, time_pad)
+            assert got_shared == shared - kh + 1
+            assert got_index.shape == (n, t_len)
+            np.testing.assert_array_equal(
+                np.flatnonzero((got_index >= got_shared).any(axis=0)), out_rows)
+            for i in range(n):
+                want = conv_leaky_cl(Tensor(rows[index[i]][None]), Tensor(w),
+                                     Tensor(b), 0.01, time_pad).data[0]
+                np.testing.assert_array_equal(got[got_index[i]], want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
         cfg = HlobConfig()

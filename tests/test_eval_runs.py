@@ -228,20 +228,38 @@ class TestRunLogits:
             for got_window, want_window in zip(part, want):
                 np.testing.assert_array_equal(got_window, want_window)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+    def test_float32_head_sequences_of_small_chunks_equal_forward(self, n):
+        # the default model on one run of n windows, as eval's last chunk
+        # of a day holds (eval-scan ends in 9); a GEMM over a few dozen
+        # rows of width 1,728 rounds unlike a taller one, so edge rows must
+        # come from the products of the whole row table
+        rng = np.random.default_rng(20 + n)
+        model = HlobModel(HlobConfig(), seed=10)
+        windows = day_windows(rng, "d1", n, 100)
+        seq = model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
+                                   run_origins(windows.ends, 100), 100)
+        feats = windows.features(np.arange(n))
+        for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
+                                   np.split(seq, 3, axis=2)):
+            want = head.forward(Tensor(arr.astype(np.float32)),
+                                model.config, False, None).data
+            assert part.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(part, want)
+
     def test_time_convolutions_run_only_over_shared_rows(self, monkeypatch):
-        # every head layer runs tape-free over the shared rows, and the edge
-        # rows come from the shared rows' per-tap products: no taped
-        # convolution and no Tensor
+        # every head layer runs tape-free over one row table, and the edge
+        # rows come from the table's per-tap products: no taped convolution
+        # and no Tensor
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=5, dtype=np.float64)
         windows = day_windows(np.random.default_rng(15), "d1", 6, 30)
         pads, tensors = [], []
         conv_windows = engine.conv_leaky_windows
         tensor_init = Tensor.__init__
 
-        def recorder(run, starts, t_len, edge_rows, edge, weight, bias, slope, time_pad):
+        def recorder(rows, shared, index, weight, bias, slope, time_pad):
             pads.append(tuple(time_pad))
-            return conv_windows(run, starts, t_len, edge_rows, edge, weight, bias,
-                                slope, time_pad)
+            return conv_windows(rows, shared, index, weight, bias, slope, time_pad)
 
         def taped(*args, **kwargs):
             raise AssertionError("conv_leaky_cl called in eval")
