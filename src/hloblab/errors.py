@@ -1,8 +1,17 @@
 """Exception hierarchy shared across the pipeline."""
 
+import copyreg
+
 
 class HloblabError(Exception):
     """Base class for all pipeline errors."""
+
+    def __reduce__(self):
+        # rebuild from the message and the attributes, without ``__init__``:
+        # a subclass's arguments are not its message, so the default reduce
+        # (``cls(*args)``) would wrap the message again or fail, and an
+        # ingest worker's error must cross back to its parent intact
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- ingestion ---

@@ -7,6 +7,7 @@ artifact records the run config digest for tamper detection.
 
 from __future__ import annotations
 
+import concurrent.futures
 import glob
 import hashlib
 import io
@@ -177,11 +178,27 @@ def run_synth(cfg: RunConfig) -> list[str]:
     return days
 
 
+# ingest runs its days in at most this many worker processes, and only when
+# their raw CSV pairs average at least MIN_POOLED_DAY_BYTES a day: on short
+# days starting the workers costs more than it saves. multiprocessing and
+# logging.handlers are imported only once a pool is due; imported with this
+# module they would add about 0.8 MB to the peak memory of every stage
+MAX_INGEST_WORKERS = 4
+MIN_POOLED_DAY_BYTES = 1 << 20
+
+
 def run_ingest(cfg: RunConfig) -> list[str]:
     """Parse and clean every configured day into out_dir/cleaned.
 
     Each day is written as its two CSVs, then saved as a ``.npy`` table named
     by their digest, which later stages load instead of parsing the CSVs.
+    Days are independent, so with two or more CPUs and days of at least
+    ``MIN_POOLED_DAY_BYTES`` of raw CSV on average they run in a pool of
+    ``min(CPUs, days, MAX_INGEST_WORKERS)`` forked worker processes;
+    otherwise they run inline, in config order. The files written are
+    byte-identical either way, and so is the stage's log: the parent emits
+    each worker's log records in config-day order and raises the error of
+    the first failing day.
     """
     meta = meta_from_config(cfg)
     trim_start_s, trim_end_s = cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s")
@@ -189,12 +206,100 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     data_dir = cfg.get_str("data_dir")
     clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
     clean_dir.mkdir(parents=True, exist_ok=True)
-    for day in days:
-        cleaned = lob.clean_session(_read_day(data_dir, meta, day),
-                                    trim_start_s, trim_end_s)
-        cleaned.validate()
-        _write_cache(clean_dir, cleaned, _write_day(clean_dir, cleaned))
+    cpus = engine.cpu_count()
+    workers = _ingest_workers(data_dir, meta.ticker, days, cpus)
+    log.info("ingest workers: %d (%d CPUs, %d days)", workers, cpus, len(days))
+    jobs = [(data_dir, clean_dir, meta, day, trim_start_s, trim_end_s) for day in days]
+    if workers == 1:
+        for job in jobs:
+            _ingest_day(*job)
+    else:
+        _ingest_pooled(jobs, workers)
     return days
+
+
+def _ingest_day(data_dir, clean_dir: Path, meta: lob.StockMeta, day: str,
+                trim_start_s: float, trim_end_s: float) -> None:
+    """Parse, clean and validate one day, and write its CSVs and ``.npy``."""
+    cleaned = lob.clean_session(_read_day(data_dir, meta, day), trim_start_s, trim_end_s)
+    cleaned.validate()
+    _write_cache(clean_dir, cleaned, _write_day(clean_dir, cleaned))
+
+
+def _ingest_workers(data_dir, ticker: str, days: list[str], cpus: int) -> int:
+    """Worker processes for ingesting ``days``; 1 runs them inline."""
+    workers = min(cpus, len(days), MAX_INGEST_WORKERS)
+    if workers < 2:
+        return 1
+    size = 0
+    for day in days:
+        for path in day_paths(data_dir, ticker, day):
+            try:
+                size += path.stat().st_size
+            except OSError:     # a missing day fails in its turn, as inline
+                pass
+    if size < len(days) * MIN_POOLED_DAY_BYTES:
+        return 1
+    import multiprocessing
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+class _DayFailed(Exception):
+    """A pooled day's error, with the log records the day made before it."""
+
+    def __str__(self):
+        return f"{len(self.args[0])} log records before the error above"
+
+
+class _HeldRecords(list):
+    put_nowait = list.append    # the queue a QueueHandler puts records on
+
+
+_held = _HeldRecords()   # a pool worker's log records of its current day
+
+
+def _hold_logs() -> None:
+    """Pool initializer: keep the worker's log records for the parent to emit."""
+    import logging.handlers
+    for logger in (logging.getLogger(), *logging.Logger.manager.loggerDict.values()):
+        for handler in list(getattr(logger, "handlers", ())):   # placeholders have none
+            logger.removeHandler(handler)
+    logging.getLogger().addHandler(logging.handlers.QueueHandler(_held))
+
+
+def _ingest_day_held(*job) -> list[logging.LogRecord]:
+    """:func:`_ingest_day` in a pool worker; returns the day's log records."""
+    _held.clear()
+    try:
+        _ingest_day(*job)
+    except BaseException as exc:
+        raise _DayFailed(list(_held), exc) from exc
+    return list(_held)
+
+
+def _ingest_pooled(jobs: list[tuple], workers: int) -> None:
+    """Run ``_ingest_day`` over ``jobs`` on a fork pool, in job order to the caller.
+
+    Each job's log records are emitted once the jobs before it have finished;
+    the first failing job's records are emitted, its error is raised and the
+    jobs not yet started are cancelled. The pool is shut down on return.
+    """
+    import multiprocessing
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_hold_logs)
+    try:
+        futures = [pool.submit(_ingest_day_held, *job) for job in jobs]
+        for future in futures:
+            try:
+                records, failed = future.result(), None
+            except _DayFailed as exc:
+                records, failed = exc.args[0], exc
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if failed is not None:
+                raise failed.args[1] from failed.__cause__   # the worker's traceback
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _clean_day(cfg: RunConfig, day: str) -> lob.LobSeries:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import logging
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,150 @@ class TestIngestInputErrors:
         assert err.startswith("error: malformed row at line 42: ")
         assert err.rstrip().endswith(f"(day {DAYS[3]}, file {path})")
         assert err.count("\n") == 1
+
+
+def force_ingest_pool(monkeypatch):
+    """Make ingest run its days on a pool of 2 workers, whatever their size."""
+    monkeypatch.setattr(engine, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pipeline, "MIN_POOLED_DAY_BYTES", 0)
+
+
+def edit_row(path, line, edit):
+    """Replace 1-based ``line`` of a CSV with ``edit(fields)``."""
+    rows = path.read_text().splitlines()
+    fields = rows[line - 1].split(",")
+    edit(fields)
+    rows[line - 1] = ",".join(fields)
+    path.write_text("\n".join(rows) + "\n")
+
+
+def cross_book(fields):   # best ask at the best bid
+    fields[lob.ASK_P] = fields[lob.BID_P]
+
+
+def flat_bid_ladder(fields):   # bid level 2 at level 1: an invalid book
+    fields[4 + lob.BID_P] = fields[lob.BID_P]
+
+
+def malformed(fields):
+    fields[1] = "1_000"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the ingest pool needs the fork start method")
+class TestPooledIngest:
+    """Ingest on a forked pool writes, logs and fails as it does inline."""
+
+    # crossed rows inside the trimmed window: one warning from the parse and
+    # one from the clean of each of these days
+    CROSSED = ((DAYS[1], 101), (DAYS[4], 120), (DAYS[8], 90))
+
+    @staticmethod
+    def _synth(tmp_path):
+        cfg_path = str(write_config(tmp_path, **{"synth.n_events": "200"}))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        data_dir = tmp_path / "data"
+        for day, line in TestPooledIngest.CROSSED:
+            edit_row(pipeline.day_paths(data_dir, "SYN", day)[1], line, cross_book)
+        return cfg_path, data_dir
+
+    @staticmethod
+    def _ingest(cfg_path, caplog, capsys):
+        """The workers line, exit code, stderr and other log records of one
+        ingest, and the files in its cleaned directory."""
+        caplog.clear()
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="hloblab"):
+            code = cli.dispatch(["ingest", "--config", cfg_path])
+        assert multiprocessing.active_children() == []
+        records = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+        workers = [r[2] for r in records if r[2].startswith("ingest workers: ")]
+        clean_dir = Path(RunConfig.load(cfg_path).get_str("out_dir")) / "cleaned"
+        files = {p.name: p.read_bytes() for p in clean_dir.iterdir()}
+        return (workers, code, capsys.readouterr().err,
+                [r for r in records if r[2] not in workers], files)
+
+    @staticmethod
+    def _crossed(*lines):
+        return [("WARNING", "hloblab.lob", f"crossed book at line {line} (1 crossed rows)")
+                for line in lines for _ in ("parse", "clean")]
+
+    def test_cleaned_days_equal_inline(self, tmp_path, monkeypatch, caplog, capsys):
+        cfg_path, _ = self._synth(tmp_path)
+        inline = self._ingest(cfg_path, caplog, capsys)
+        pooled_cfg = str(write_config(tmp_path, **{"synth.n_events": "200",
+                                                   "out_dir": tmp_path / "pooled"}))
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(pooled_cfg, caplog, capsys)
+        workers, code, err, records, files = inline
+        assert workers == [f"ingest workers: 1 ({engine.cpu_count()} CPUs, 9 days)"]
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert code == 0 and err == "" and len(files) == 3 * len(DAYS)
+        assert records == self._crossed(*(line for _, line in self.CROSSED))
+        assert pooled[1:] == inline[1:]
+
+    def test_ingest_logs_its_workers(self, tmp_path, monkeypatch, caplog):
+        cfg_path = str(write_config(tmp_path))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        # the 80-event days fall under the size gate, so they run inline
+        for workers, cpus in ((1, engine.cpu_count()), (2, 2)):
+            if workers == 2:
+                force_ingest_pool(monkeypatch)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="hloblab"):
+                assert cli.dispatch(["-v", "ingest", "--config", cfg_path]) == 0
+            expect = f"ingest workers: {workers} ({cpus} CPUs, {len(DAYS)} days)"
+            assert [r.getMessage() for r in caplog.records].count(expect) == 1
+            assert multiprocessing.active_children() == []
+
+    def test_failed_ingest_keeps_cleaned_days(self, tmp_path, monkeypatch):
+        # an error that is no HloblabError comes back from its worker too
+        force_ingest_pool(monkeypatch)
+        TestAtomicWrites().test_failed_ingest_keeps_cleaned_days(tmp_path, monkeypatch)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("tick_size", "nan"), ("trim_start_s", "-1"), ("trim_end_s", "inf"),
+        ("days", ",".join(DAYS + DAYS[:1])),
+    ])
+    def test_bad_key_stops_before_any_worker(self, tmp_path, monkeypatch, capsys,
+                                             key, value):
+        self._synth(tmp_path)
+        force_ingest_pool(monkeypatch)
+        started = []
+        monkeypatch.setattr(pipeline, "_ingest_pooled", lambda *args: started.append(args))
+        bad = str(write_config(tmp_path, **{"synth.n_events": "200", key: value}))
+        capsys.readouterr()
+        assert cli.dispatch(["ingest", "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at '{key}': ") and err.count("\n") == 1
+        assert started == []
+
+    @pytest.mark.parametrize("first, later", [(malformed, flat_bid_ladder),
+                                              (flat_bid_ladder, malformed)],
+                             ids=["malformed-row", "invalid-book"])
+    def test_first_failing_day_in_config_order(self, tmp_path, monkeypatch, caplog,
+                                               capsys, first, later):
+        cfg_path, data_dir = self._synth(tmp_path)
+        msg_3, ob_3 = pipeline.day_paths(data_dir, "SYN", DAYS[3])
+        msg_6, ob_6 = pipeline.day_paths(data_dir, "SYN", DAYS[6])
+        edit_row(ob_3 if first is flat_bid_ladder else msg_3, 100, first)
+        edit_row(ob_3, 110, cross_book)
+        edit_row(ob_6 if later is flat_bid_ladder else msg_6, 100, later)
+        inline = self._ingest(cfg_path, caplog, capsys)
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(cfg_path, caplog, capsys)
+        _, code, err, records, _ = inline
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert code == 1 and err.count("\n") == 1
+        if first is malformed:
+            # the parse fails before the day's crossed-book warnings
+            assert err.startswith("error: malformed row at line 100: ")
+            assert records == self._crossed(101)
+        else:
+            assert err.startswith(f"error: invalid book on {DAYS[3]} at snapshot ")
+            assert records == self._crossed(101, 110)
+        assert pooled[1:4] == inline[1:4]
 
 
 class TestBadValuesAtUse:
