@@ -16,8 +16,19 @@ class HloblabError(Exception):
 
 # --- ingestion ---
 
+def where(day=None, files=()) -> str:
+    """`` (day D, file F)`` or `` (day D, files O, M)`` naming the parts that
+    are known (not None), or ``""`` if none is."""
+    parts = [] if day is None else [f"day {day}"]
+    files = [str(f) for f in files if f is not None]
+    if files:
+        parts.append(f"file{'s' if len(files) > 1 else ''} {', '.join(files)}")
+    return f" ({', '.join(parts)})" if parts else ""
+
+
 class RowCountMismatch(HloblabError):
-    pass
+    """The two files of a day differ in rows; the message names the day and
+    the files when they are known (see :func:`where`)."""
 
 
 class MalformedRow(HloblabError):
@@ -27,13 +38,8 @@ class MalformedRow(HloblabError):
         self.line_number = line_number
         self.day = day
         self.file = file
-        where = []
-        if day is not None:
-            where.append(f"day {day}")
-        if file is not None:
-            where.append(f"file {file}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"malformed row at line {line_number}: {detail}{suffix}")
+        super().__init__(f"malformed row at line {line_number}: {detail}"
+                         f"{where(day, (file,))}")
 
 
 class CrossedBook(HloblabError):

@@ -11,6 +11,7 @@ error path of :func:`parse_lobster_pair` goes row by row, to name the line.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .errors import (
     MalformedRow,
     MissingLevels,
     RowCountMismatch,
+    where,
 )
 
 log = logging.getLogger(__name__)
@@ -41,6 +43,9 @@ ASK_P, ASK_V, BID_P, BID_V = 0, 1, 2, 3
 _OB_FORMAT = ",".join(["%d"] * N_BOOK_COLS)
 _MSG_FORMAT = "%d.%09d," + ",".join(["%d"] * (N_MSG_COLS - 1))
 _SERIALIZE_BLOCK = 256  # rows turned into Python ints at a time
+# 10, 100, ..., 10**19: the decimal width of a uint64 is one more than the
+# number of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 # what np.loadtxt accepts for an int64 field, once surrounding space is gone
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
@@ -83,6 +88,10 @@ class LobSeries:
     ``book`` has LOBSTER column order ask_p1, ask_v1, bid_p1, bid_v1, ...
     ``messages`` keeps the non-time message columns (type, id, size, price,
     direction) so a parsed series can be serialized back to its source rows.
+    ``source_rows``, when set, holds the (orderbook, message) lines the rows
+    were parsed from, one per snapshot; :func:`clean_session` keeps the lines
+    of the rows it keeps, and :func:`serialize_lobster_pair` returns them
+    instead of formatting the rows when they are already canonical.
     """
 
     meta: StockMeta
@@ -90,6 +99,8 @@ class LobSeries:
     timestamps: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     book: np.ndarray = field(default_factory=lambda: np.empty((0, N_BOOK_COLS), np.int64))
     messages: np.ndarray = field(default_factory=lambda: np.empty((0, 5), np.int64))
+    source_rows: tuple[list[str], list[str]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def T(self) -> int:
@@ -231,7 +242,8 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
     Row i of each stream produces snapshot i. Integer fields are parsed
     strictly (see :func:`_strict_ints`), timestamps too (see
     :func:`_parse_time_ns`); a :class:`MalformedRow` names the line, ``day``
-    and the file of ``files`` (orderbook, message) it is in. Crossed-book
+    and the file of ``files`` (orderbook, message) it is in, and a
+    :class:`RowCountMismatch` names ``day`` and both files. Crossed-book
     rows are reported with their 1-based line number but kept;
     :func:`clean_session` drops them.
 
@@ -244,7 +256,7 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
     if len(orderbook_rows) != len(message_rows):
         raise RowCountMismatch(
             f"{len(orderbook_rows)} orderbook rows vs {len(message_rows)} message rows"
-        )
+            f"{where(day, files)}")
     if not orderbook_rows:
         return LobSeries(meta=meta, day=day)
 
@@ -274,12 +286,63 @@ def _warn_crossed(crossed: np.ndarray) -> None:
         log.warning("%s", CrossedBook(int(lines[0]) + 1, lines.size))
 
 
+def _row_widths(values: np.ndarray) -> np.ndarray:
+    """Per row of the 2-D int64 ``values``, the characters ``%d`` writes for
+    its values, signs included."""
+    magnitude = np.abs(values).view(np.uint64)   # INT64_MIN wraps to 2**63
+    digits = (values < 0).view(np.int8) + np.int8(1)   # at most 20 a value
+    top = np.searchsorted(_POWERS_OF_TEN, magnitude.max(initial=0), side="right")
+    for power in _POWERS_OF_TEN[:top]:
+        digits += magnitude >= power
+    return digits.sum(axis=1, dtype=np.int64)
+
+
+def _line_lengths(series: LobSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the lengths of the orderbook and the message line
+    :data:`_OB_FORMAT` and :data:`_MSG_FORMAT` write for it."""
+    ob = _row_widths(series.book) + N_BOOK_COLS - 1
+    seconds = (series.timestamps // 10**9)[:, None]
+    msg = (_row_widths(seconds) + 1 + 9   # "." and the 9 fractional digits
+           + _row_widths(series.messages) + N_MSG_COLS - 1)
+    return ob, msg
+
+
+def _source_rows_canonical(series: LobSeries) -> bool:
+    """Whether ``series.source_rows`` are the lines the formatters would write.
+
+    The parse accepts an integer field only as ASCII digits with an optional
+    sign and surrounding space, so the canonical text of a value is the
+    shortest that parses to it and any other text is longer. A time field in
+    the form of :data:`_CANONICAL_TIMES` is likewise at least as long as its
+    canonical text, and only a leading zero makes it longer. So when the time
+    column has that form, a line as long as the canonical line holds exactly
+    the canonical text. A time field outside that form can be shorter
+    (``36103.0``), and a padded field elsewhere could make up the difference.
+    """
+    ob_rows, msg_rows = series.source_rows
+    ob_len, msg_len = _line_lengths(series)
+
+    def lengths(rows):
+        return np.fromiter(map(len, rows), np.int64, len(rows))
+
+    return (np.array_equal(lengths(ob_rows), ob_len)
+            and np.array_equal(lengths(msg_rows), msg_len)
+            and _CANONICAL_TIMES.fullmatch(
+                "\n".join([row.partition(",")[0] for row in msg_rows])) is not None)
+
+
 def serialize_lobster_pair(series: LobSeries) -> tuple[list[str], list[str]]:
     """Render a LobSeries back to (orderbook, message) LOBSTER rows.
 
     Round-trips byte-for-byte against sources with canonical 9-digit
-    fractional timestamps.
+    fractional timestamps. When ``series.source_rows`` are already those
+    canonical rows (no leading zero, ``+`` or space, 9 fractional digits),
+    they are returned without formatting the rows again; the result is the
+    same either way.
     """
+    if series.source_rows is not None and _source_rows_canonical(series):
+        ob_rows, msg_rows = series.source_rows
+        return list(ob_rows), list(msg_rows)
     ts = series.timestamps
     msg = np.column_stack([ts // 10**9, ts % 10**9, series.messages])
     ob_rows, msg_rows = [], []
@@ -295,7 +358,8 @@ def clean_session(series: LobSeries, trim_start_s: float = 1800.0,
     """Restrict to the trimmed continuous session and drop bad rows.
 
     Keeps snapshots inside [09:30 + trim_start, 16:00 - trim_end]; drops
-    crossed-book rows (reported) and rows with zero volume at level 1.
+    crossed-book rows (reported) and rows with zero volume at level 1. The
+    source lines of the kept rows, if the series has them, are kept too.
     """
     lo = SESSION_OPEN_NS + int(round(trim_start_s * 1e9))
     hi = SESSION_CLOSE_NS - int(round(trim_end_s * 1e9))
@@ -309,12 +373,18 @@ def clean_session(series: LobSeries, trim_start_s: float = 1800.0,
     if not np.any(keep):
         raise EmptyAfterClean(f"{series.meta.ticker} {series.day}: no snapshots survive")
 
+    source_rows = None
+    if series.source_rows is not None:
+        kept = keep.tolist()
+        source_rows = tuple(list(itertools.compress(rows, kept))
+                            for rows in series.source_rows)
     return LobSeries(
         meta=series.meta,
         day=series.day,
         timestamps=series.timestamps[keep].copy(),
         book=series.book[keep].copy(),
         messages=series.messages[keep].copy(),
+        source_rows=source_rows,
     )
 
 

@@ -145,15 +145,16 @@ def _read_lines(path: Path, day: str) -> list[str]:
     return text.splitlines()
 
 
-def _read_day(directory, meta: lob.StockMeta, day: str) -> lob.LobSeries:
+def _read_day(directory, meta: lob.StockMeta, day: str,
+              keep_rows: bool = False) -> lob.LobSeries:
+    """Parse a day's CSV pair; with ``keep_rows`` the series keeps their lines."""
     msg_path, ob_path = _existing_day_paths(directory, meta.ticker, day)
-    return lob.parse_lobster_pair(
-        _read_lines(ob_path, day),
-        _read_lines(msg_path, day),
-        meta,
-        day=day,
-        files=(str(ob_path), str(msg_path)),
-    )
+    ob_rows, msg_rows = _read_lines(ob_path, day), _read_lines(msg_path, day)
+    series = lob.parse_lobster_pair(ob_rows, msg_rows, meta, day=day,
+                                    files=(str(ob_path), str(msg_path)))
+    if keep_rows:
+        series.source_rows = (ob_rows, msg_rows)
+    return series
 
 
 def run_synth(cfg: RunConfig) -> list[str]:
@@ -192,6 +193,9 @@ def run_ingest(cfg: RunConfig) -> list[str]:
 
     Each day is written as its two CSVs, then saved as a ``.npy`` table named
     by their digest, which later stages load instead of parsing the CSVs.
+    The CSV lines of a kept row are its source lines when those are already
+    canonical, and are formatted from the parsed values otherwise; the bytes
+    are the same either way.
     Days are independent, so with two or more CPUs and days of at least
     ``MIN_POOLED_DAY_BYTES`` of raw CSV on average they run in a pool of
     ``min(CPUs, days, MAX_INGEST_WORKERS)`` forked worker processes;
@@ -220,8 +224,10 @@ def run_ingest(cfg: RunConfig) -> list[str]:
 
 def _ingest_day(data_dir, clean_dir: Path, meta: lob.StockMeta, day: str,
                 trim_start_s: float, trim_end_s: float) -> None:
-    """Parse, clean and validate one day, and write its CSVs and ``.npy``."""
-    cleaned = lob.clean_session(_read_day(data_dir, meta, day), trim_start_s, trim_end_s)
+    """Parse (keeping the source lines), clean and validate one day, and
+    write its CSVs and ``.npy``."""
+    cleaned = lob.clean_session(_read_day(data_dir, meta, day, keep_rows=True),
+                                trim_start_s, trim_end_s)
     cleaned.validate()
     _write_cache(clean_dir, cleaned, _write_day(clean_dir, cleaned))
 

@@ -251,6 +251,36 @@ def malformed(fields):
     fields[1] = "1_000"
 
 
+def edit_field(stream, line, col, text):
+    """A raw-day edit: field ``col`` of 1-based ``line`` becomes ``text(field)``."""
+    def edit(msg_path, ob_path):
+        def change(fields):
+            fields[col] = text(fields[col])
+        edit_row(ob_path if stream == "orderbook" else msg_path, line, change)
+    return edit
+
+
+def edit_bytes(change):
+    """A raw-day edit: both files' bytes become ``change(bytes)``."""
+    def edit(msg_path, ob_path):
+        for path in (msg_path, ob_path):
+            path.write_bytes(change(path.read_bytes()))
+    return edit
+
+
+def short_time(msg_path, ob_path):
+    """Line 1 as ``36100.0,000000001,...``: as long as its canonical line."""
+    def change(fields):
+        assert fields[:2] == ["36100.000000000", "1"]
+        fields[:2] = ["36100.0", "000000001"]
+    edit_row(msg_path, 1, change)
+
+
+def int64_extremes(msg_path, ob_path):
+    edit_field("message", 60, 2, lambda _: str(2**63 - 1))(msg_path, ob_path)
+    edit_field("message", 61, 2, lambda _: str(-2**63))(msg_path, ob_path)
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the ingest pool needs the fork start method")
 class TestPooledIngest:
@@ -323,6 +353,54 @@ class TestPooledIngest:
         force_ingest_pool(monkeypatch)
         TestAtomicWrites().test_failed_ingest_keeps_cleaned_days(tmp_path, monkeypatch)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("edit", [
+        short_time,
+        edit_field("orderbook", 50, lob.ASK_V, lambda f: "0" + f),
+        edit_field("orderbook", 50, lob.ASK_V, lambda f: "+" + f),
+        edit_field("message", 50, 3, lambda f: f" {f} "),
+        edit_bytes(lambda raw: raw.replace(b"\n", b"\r\n")),
+        edit_bytes(lambda raw: raw[:-1]),
+        int64_extremes,
+    ], ids=["short-time", "leading-zero", "plus-sign", "spaces", "crlf",
+            "no-final-newline", "int64-extremes"])
+    def test_cleaned_csvs_are_the_formatted_rows(self, tmp_path, monkeypatch, caplog,
+                                                  capsys, edit):
+        # whether ingest writes a day's kept source lines or formats its rows,
+        # the bytes are those the formatters write for the cleaned day
+        cfg_path, data_dir = self._synth(tmp_path)
+        edit(*pipeline.day_paths(data_dir, "SYN", DAYS[4]))
+        cfg = RunConfig.load(cfg_path)
+        want = {}
+        for day in DAYS:
+            series = lob.clean_session(
+                pipeline._read_day(data_dir, pipeline.meta_from_config(cfg), day),
+                cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s"))
+            assert series.source_rows is None
+            for path, rows in zip(pipeline.day_paths(data_dir, "SYN", day)[::-1],
+                                  lob.serialize_lobster_pair(series)):
+                want[path.name] = pipeline._csv_bytes(rows)
+        inline = self._ingest(cfg_path, caplog, capsys)
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(str(write_config(tmp_path, **{
+            "synth.n_events": "200", "out_dir": tmp_path / "pooled"})), caplog, capsys)
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert inline[1:3] == (0, "")
+        assert pooled[1:] == inline[1:]
+        assert {name: inline[4][name] for name in want} == want
+
+    def test_row_count_mismatch_names_day_and_files(self, tmp_path, monkeypatch,
+                                                    caplog, capsys):
+        cfg_path, data_dir = self._synth(tmp_path)
+        msg_path, ob_path = pipeline.day_paths(data_dir, "SYN", DAYS[3])
+        msg_path.write_text("".join(msg_path.read_text().splitlines(True)[:-1]))
+        inline = self._ingest(cfg_path, caplog, capsys)
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(cfg_path, caplog, capsys)
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert inline[1:3] == (1, "error: 200 orderbook rows vs 199 message rows "
+                                  f"(day {DAYS[3]}, files {ob_path}, {msg_path})\n")
+        assert pooled[1:4] == inline[1:4]
 
     @pytest.mark.parametrize("key, value", [
         ("tick_size", "nan"), ("trim_start_s", "-1"), ("trim_end_s", "inf"),
@@ -515,6 +593,13 @@ class TestCleanedDayCache:
         for day in DAYS:
             self._assert_same(pipeline._clean_day(cfg, day), self._parse(clean_dir, day))
         assert calls == DAYS   # only the reference parses above
+
+    def test_later_stages_hold_no_source_lines(self, tmp_path):
+        cfg, clean_dir = self._ingested(tmp_path)
+        assert pipeline._clean_day(cfg, DAYS[0]).source_rows is None   # the .npy
+        for path in clean_dir.glob("*.npy"):
+            path.unlink()
+        assert pipeline._clean_day(cfg, DAYS[0]).source_rows is None   # the parse
 
     def test_file_is_np_save_of_the_table(self, tmp_path):
         cfg, clean_dir = self._ingested(tmp_path)

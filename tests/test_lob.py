@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -210,6 +212,15 @@ class TestMalformedRowNamesTheFile:
         assert (err.line_number, err.day, err.file) == (2, "2024-03-01", self.FILES[1])
         assert str(err).endswith("(day 2024-03-01, file data/X_message_10.csv)")
 
+    def test_row_count_mismatch_names_day_and_files(self):
+        with pytest.raises(RowCountMismatch) as err:
+            parse_lobster_pair([make_orderbook_row()] * 3, [make_message_row()] * 2,
+                               META, day="2024-03-01", files=self.FILES)
+        assert str(err.value) == ("3 orderbook rows vs 2 message rows (day 2024-03-01, "
+                                  "files data/X_orderbook_10.csv, data/X_message_10.csv)")
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is RowCountMismatch and str(back) == str(err.value)
+
     def test_without_files_names_the_day(self):
         with pytest.raises(MalformedRow) as err:
             parse_lobster_pair(["1,2"], [make_message_row()], META, day="2024-03-01")
@@ -247,6 +258,110 @@ class TestCodec:
         np.testing.assert_array_equal(timestamps, series.timestamps)
         np.testing.assert_array_equal(book, series.book)
         np.testing.assert_array_equal(messages, series.messages)
+
+
+def with_source_rows(ob_rows, msg_rows):
+    """The parse of the rows, carrying them as its source lines."""
+    series = parse_lobster_pair(ob_rows, msg_rows, META)
+    series.source_rows = (ob_rows, msg_rows)
+    return series
+
+
+def formatted(series):
+    """What the formatters write for ``series``, whatever lines it carries."""
+    return serialize_lobster_pair(dataclasses.replace(series, source_rows=None))
+
+
+EXTREMES = [0, 1, -1, 9, 10, 10**18, 2**63 - 1, -2**63]
+
+
+class TestSourceRows:
+    """Serializing a parsed series returns its source lines only when they
+    are the lines the formatters write."""
+
+    @staticmethod
+    def _rows():
+        ob_rows = [make_orderbook_row(vol=v) for v in (10, 200, 7, 3000)]
+        msg_rows = [make_message_row(f"{t}.000000000") for t in (36100, 40000, 40001, 50000)]
+        return ob_rows, msg_rows
+
+    @pytest.mark.parametrize("line, canonical", [
+        ("36100.000000000,1,42,10,1000500,1", True),
+        (f"36100.000000000,1,{2**63 - 1},10,{-2**63},1", True),
+        # as long as the canonical line above, with the same values
+        ("36100.0,000000001,42,10,1000500,1", False),
+        ("036100.00000000,1,42,10,1000500,1", False),
+        ("36100,1,000000000042,10,1000500,1", False),
+        # longer than the canonical line
+        ("36100.000000000,1,+42,10,1000500,1", False),
+        ("36100.000000000,1,042,10,1000500,1", False),
+        ("36100.000000000,1, 42 ,10,1000500,1", False),
+        ("36100.000000000,1,42,10,1000500,1\r", False),
+    ])
+    def test_message_lines(self, line, canonical):
+        ob_rows, msg_rows = self._rows()
+        msg_rows[0] = line
+        series = with_source_rows(ob_rows, msg_rows)
+        assert lob._source_rows_canonical(series) is canonical
+        assert serialize_lobster_pair(series) == formatted(series)
+        if canonical:
+            assert serialize_lobster_pair(series) == (ob_rows, msg_rows)
+        else:
+            assert formatted(series)[1][0] == "36100.000000000,1,42,10,1000500,1"
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.replace(",10,", ",010,", 1), lambda r: r.replace(",10,", ",+10,", 1),
+        lambda r: r.replace(",10,", ", 10,", 1), lambda r: " " + r, lambda r: r + "\t",
+    ])
+    def test_orderbook_lines(self, edit):
+        ob_rows, msg_rows = self._rows()
+        ob_rows[2] = edit(make_orderbook_row(vol=10))
+        series = with_source_rows(ob_rows, msg_rows)
+        assert not lob._source_rows_canonical(series)
+        assert serialize_lobster_pair(series) == formatted(series)
+
+    def test_line_lengths_match_the_formatters(self):
+        values = EXTREMES + [int(v) for v in np.resize(EXTREMES, 7)]
+        series = lob.LobSeries(
+            meta=META, day="1970-01-01", timestamps=np.array(values, np.int64),
+            book=np.array([np.resize(np.roll(EXTREMES, i), lob.N_BOOK_COLS)
+                           for i in range(len(values))], np.int64),
+            messages=np.array([np.resize(np.roll(EXTREMES, -i), 5)
+                               for i in range(len(values))], np.int64))
+        ob_len, msg_len = lob._line_lengths(series)
+        assert ob_len.tolist() == [len(lob._OB_FORMAT % tuple(row))
+                                   for row in series.book.tolist()]
+        assert msg_len.tolist() == [
+            len(lob._MSG_FORMAT % (ts // 10**9, ts % 10**9, *row))
+            for ts, row in zip(series.timestamps.tolist(), series.messages.tolist())]
+        for value in EXTREMES:
+            one = np.array([[value]], np.int64)
+            assert lob._row_widths(one).tolist() == [len("%d" % value)]
+
+    def test_clean_keeps_the_lines_of_the_kept_rows(self, caplog):
+        times = ["34000.000000000", "36100.000000000", "40000.000000001", "40001.000000000",
+                 "41000.000000000", "50000.500000000", "57000.000000000"]
+        ob_rows = [make_orderbook_row(ask1=1000500 + 100 * i) for i in range(len(times))]
+        ob_rows[2] = make_orderbook_row(ask1=1000400, bid1=1000400)   # crossed
+        ob_rows[4] = make_orderbook_row(vol=0)                        # zero best
+        msg_rows = [f"{t},1,{i},10,1000500,1" for i, t in enumerate(times)]
+        with caplog.at_level("WARNING", logger="hloblab.lob"):
+            cleaned = clean_session(with_source_rows(ob_rows, msg_rows))
+        kept = [1, 3, 5]
+        assert cleaned.source_rows == ([ob_rows[i] for i in kept],
+                                       [msg_rows[i] for i in kept])
+        assert cleaned.source_rows == formatted(cleaned)
+        assert cleaned.messages[:, 1].tolist() == kept
+
+    def test_series_without_lines_keeps_none(self):
+        ob_rows, msg_rows = self._rows()
+        cleaned = clean_session(parse_lobster_pair(ob_rows, msg_rows, META))
+        assert cleaned.source_rows is None
+        assert serialize_lobster_pair(cleaned) == (ob_rows, msg_rows)
+
+    def test_empty_series(self):
+        series = lob.LobSeries(meta=META, day="1970-01-01", source_rows=([], []))
+        assert serialize_lobster_pair(series) == ([], [])
 
 
 def _plant(book, row, defect, rng):
