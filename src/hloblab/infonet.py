@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forkpool
 from .errors import (
     AsymmetricInput,
     EmptyList,
@@ -134,23 +135,67 @@ def mi_matrix(binned_indices: np.ndarray) -> np.ndarray:
     return _mi_of_columns(np.ascontiguousarray(binned_indices.T))
 
 
+# a day's bootstrap replicates run on a pool only when each worker gets two
+# replicates or more and replicates x rows reaches MIN_POOLED_MI_WORK. A
+# replicate costs about 10 ms plus 0.7 us a row (its 210 pair histograms
+# dominate), and starting and stopping a pool 12-40 ms: in the probe
+# recorded in CHANGES.md a pool that saved one replicate's time (2 or 3
+# replicates on two workers) lost at every size, and 10 replicates of 220
+# rows broke even
+MIN_POOLED_MI_WORK = 3_000
+
+
+def mi_workers(n_rows: int, n_bootstrap: int) -> int:
+    """Worker processes for ``n_bootstrap`` replicates of a day of
+    ``n_rows`` rows; 1 runs them inline."""
+    return forkpool.pool_workers(n_bootstrap // 2, n_bootstrap * n_rows,
+                                 MIN_POOLED_MI_WORK)
+
+
 def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
                     rng_seed: int = 0) -> np.ndarray:
     """Bootstrap-averaged daily MI matrix.
 
     The day's columns are transposed once; each replicate takes its resampled
     rows along the time axis, which gives a C-contiguous (20, T) stack.
+    Replicates are independent once their rows are drawn, so when
+    :func:`mi_workers` gives more than one worker, all the draws are made
+    first, in the same order from the same generator, and the replicates run
+    on a pool of forked processes that inherit the columns and the draws.
+    Their matrices are added in replicate order either way, so the result
+    is bit-identical to the inline loop.
     """
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
     rng = np.random.default_rng(rng_seed)
     cols = np.ascontiguousarray(binned.indices.T)
     t = cols.shape[1]
+    draws = (rng.integers(0, t, size=t) for _ in range(n_bootstrap))
     acc = np.zeros((N_VERTICES, N_VERTICES))
-    for _ in range(n_bootstrap):
-        rows = rng.integers(0, t, size=t)
-        acc += _mi_of_columns(np.take(cols, rows, axis=1))
+    workers = mi_workers(t, n_bootstrap)
+    if workers == 1:
+        for rows in draws:
+            acc += _mi_of_columns(np.take(cols, rows, axis=1))
+    else:
+        with forkpool.fork_pool(workers, _hold_replicates, (cols, list(draws))) as pool:
+            for mi in pool.map(_replicate_mi, range(n_bootstrap)):
+                acc += mi
     return acc / n_bootstrap
+
+
+_replicates = None   # a pool worker's (cols, draws), inherited through the fork
+
+
+def _hold_replicates(cols: np.ndarray, draws: list[np.ndarray]) -> None:
+    """Pool initializer: keep the day's columns and draws for :func:`_replicate_mi`."""
+    global _replicates
+    _replicates = cols, draws
+
+
+def _replicate_mi(i: int) -> np.ndarray:
+    """Replicate ``i``'s MI matrix, in a pool worker."""
+    cols, draws = _replicates
+    return _mi_of_columns(np.take(cols, draws[i], axis=1))
 
 
 def average_mi(daily: list[np.ndarray]) -> np.ndarray:

@@ -44,14 +44,37 @@ class LabeledWindow:
 
 
 def compute_norm_stats(prior_days: list[LobSeries]) -> NormStats:
-    """Mean/std per feature over the concatenated snapshots of 5 prior days."""
+    """Mean/std per feature over the concatenated snapshots of 5 prior days.
+
+    The days are streamed through one float64 buffer instead of stacked:
+    row 0 holds the running column sums, a day fills the rows after it, and
+    one axis-0 sum over both adds the day's rows to the total. numpy adds
+    the rows of an axis-0 sum in order, so this is the same sequence of
+    additions as ``mean`` and ``std`` over the stacked days, and the stats
+    are bit-identical to theirs. The second pass sums the squared deviations
+    from the mean the same way.
+    """
     if len(prior_days) != HISTORY_DAYS:
         raise InsufficientHistory(
             f"need exactly {HISTORY_DAYS} prior days, got {len(prior_days)}"
         )
-    stacked = np.concatenate([d.book for d in prior_days]).astype(np.float64)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+    books = [d.book for d in prior_days]
+    n = sum(len(book) for book in books)
+    buf = np.empty((max(len(book) for book in books) + 1, books[0].shape[1]))
+
+    def column_sums(deviation_from=None):
+        buf[0] = 0.0
+        for book in books:
+            rows = buf[1:len(book) + 1]
+            rows[:] = book
+            if deviation_from is not None:
+                np.subtract(rows, deviation_from, out=rows)
+                np.multiply(rows, rows, out=rows)
+            buf[0] = buf[:len(book) + 1].sum(axis=0)
+        return buf[0] / n
+
+    mean = column_sums()
+    std = np.maximum(np.sqrt(column_sums(deviation_from=mean)), STD_FLOOR)
     return NormStats(mean=mean, std=std,
                      source_days=tuple(d.day for d in prior_days))
 

@@ -3,7 +3,9 @@
 The model's heads run on the fused channels-last ``engine.conv_leaky_cl``;
 the generic NCHW ``conv2d`` and ``leaky_relu`` here are the textbook ops it
 must agree with. ``LobSnapshot`` is the per-snapshot book check that
-``LobSeries.validate`` runs over a whole day at once.
+``LobSeries.validate`` runs over a whole day at once. ``norm_stats`` is
+the mean and std over the stacked prior days that the streamed
+``preprocess.compute_norm_stats`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hloblab.engine import Tensor
-from hloblab.errors import MissingLevels, ShapeMismatch
+from hloblab.errors import InsufficientHistory, MissingLevels, ShapeMismatch
 from hloblab.lob import ASK_P, ASK_V, BID_P, BID_V, N_LEVELS
+from hloblab.preprocess import HISTORY_DAYS, STD_FLOOR, NormStats
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -129,3 +132,16 @@ def snapshot(series, i: int) -> LobSnapshot:
         bid_prices=row[BID_P::4],
         bid_volumes=row[BID_V::4],
     )
+
+
+def norm_stats(prior_days) -> NormStats:
+    """Mean/std per feature over the concatenated snapshots of 5 prior days."""
+    if len(prior_days) != HISTORY_DAYS:
+        raise InsufficientHistory(
+            f"need exactly {HISTORY_DAYS} prior days, got {len(prior_days)}"
+        )
+    stacked = np.concatenate([d.book for d in prior_days]).astype(np.float64)
+    mean = stacked.mean(axis=0)
+    std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+    return NormStats(mean=mean, std=std,
+                     source_days=tuple(d.day for d in prior_days))

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hloblab import cli, engine, lob, pipeline
+from hloblab import cli, engine, forkpool, infonet, lob, pipeline
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
-from hloblab.errors import ConfigError, IoFailure
+from hloblab.errors import ConfigError, IoFailure, LengthMismatch
 from hloblab.files import read_json
 from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
 
@@ -445,6 +445,119 @@ class TestPooledIngest:
             assert records == self._crossed(101, 110)
         assert pooled[1:4] == inline[1:4]
 
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                           "\x85", "\u2028", "\u2029"])
+    def test_line_separator_inside_a_row_is_a_malformed_row(
+            self, tmp_path, monkeypatch, caplog, capsys, separator):
+        # only "\n" ends a line, so a separator that str.splitlines breaks
+        # at is a character in line 3's price field, not a 201st row
+        cfg_path, data_dir = self._synth(tmp_path)
+        msg_path, _ = pipeline.day_paths(data_dir, "SYN", DAYS[3])
+        rows = msg_path.read_bytes().split(b"\n")
+        fields = rows[2].split(b",")
+        assert len(fields[4]) >= 2
+        fields[4] = fields[4][:1] + separator.encode() + fields[4][1:]
+        rows[2] = b",".join(fields)
+        msg_path.write_bytes(b"\n".join(rows))
+        inline = self._ingest(cfg_path, caplog, capsys)
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(cfg_path, caplog, capsys)
+        _, code, err, _, _ = inline
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: malformed row at line 3: message field ")
+        assert err.rstrip().endswith(f"(day {DAYS[3]}, file {msg_path})")
+        assert pooled[1:4] == inline[1:4]
+
+
+def force_mi_pool(monkeypatch):
+    """Make mi run a day's replicates on a pool of up to 2 workers, whatever
+    their work; returns the worker count of each pool started."""
+    monkeypatch.setattr(engine, "cpu_count", lambda: 2)
+    monkeypatch.setattr(infonet, "MIN_POOLED_MI_WORK", 0)
+    started = []
+    fork_pool = forkpool.fork_pool
+
+    def counted(workers, *args, **kwargs):
+        started.append(workers)
+        return fork_pool(workers, *args, **kwargs)
+
+    monkeypatch.setattr(forkpool, "fork_pool", counted)
+    return started
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the MI pool needs the fork start method")
+class TestPooledMi:
+    """A day's bootstrap replicates on a forked pool give the inline bytes and errors."""
+
+    @pytest.mark.parametrize("n_bootstrap", [1, 3, 5, 10, 11])
+    def test_daily_matrix_equals_inline(self, monkeypatch, n_bootstrap):
+        rng = np.random.default_rng(n_bootstrap)
+        binned = infonet.BinnedVolumes(rng.integers(0, 8, size=(150, 20)), 8, 1.0)
+        inline = infonet.daily_mi_matrix(binned, n_bootstrap, rng_seed=5)
+        started = force_mi_pool(monkeypatch)
+        pooled = infonet.daily_mi_matrix(binned, n_bootstrap, rng_seed=5)
+        # a worker runs two replicates or more: 1 or 3 replicates run inline
+        assert started == ([] if n_bootstrap < 4 else [2])
+        assert pooled.tobytes() == inline.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_bootstrap", [1, 3, 5, 10, 11])
+    def test_mi_files_equal_inline(self, tmp_path, monkeypatch, caplog, n_bootstrap):
+        cfg_path = str(write_config(tmp_path, bootstrap=n_bootstrap))
+        outputs = []
+        for pooled in (False, True):
+            for verb in ("synth", "ingest"):
+                assert cli.dispatch([verb, "--config", cfg_path]) == 0
+            started = force_mi_pool(monkeypatch) if pooled else []
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="hloblab"):
+                assert cli.dispatch(["-v", "mi", "--config", cfg_path]) == 0
+            assert multiprocessing.active_children() == []
+            workers = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("mi workers: ")]
+            outputs.append((workers, started, {
+                name: (tmp_path / "out" / name).read_bytes()
+                for name in ("mi_avg.json", "mi_avg.csv")}))
+        (inline_log, _, inline), (pooled_log, started, pooled) = outputs
+        n = 1 if n_bootstrap < 4 else 2
+        assert inline_log == [f"mi workers: 1 ({engine.cpu_count()} CPUs, "
+                              f"{n_bootstrap} replicates)"]
+        assert pooled_log == [f"mi workers: {n} (2 CPUs, {n_bootstrap} replicates)"]
+        assert started == ([] if n == 1 else [2, 2])   # one pool per training day
+        assert pooled == inline
+
+    def test_replicate_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
+        cfg_path = str(write_config(tmp_path, bootstrap=4))
+        for verb in ("synth", "ingest"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        replicate = infonet._mi_of_columns
+
+        def failing(cols):
+            if cols[0, 0] % 2:   # some replicates only, whichever worker runs them
+                raise LengthMismatch(f"replicate failed at {cols.shape}")
+            return replicate(cols)
+
+        monkeypatch.setattr(infonet, "_mi_of_columns", failing)
+        rng = np.random.default_rng(0)
+        binned = infonet.BinnedVolumes(rng.integers(0, 8, size=(150, 20)), 8, 1.0)
+        results = []
+        for pooled in (False, True):
+            started = force_mi_pool(monkeypatch) if pooled else []
+            with pytest.raises(LengthMismatch, match=r"replicate failed at \(20, 150\)"):
+                infonet.daily_mi_matrix(binned, 10, rng_seed=1)
+            capsys.readouterr()
+            code = cli.dispatch(["mi", "--config", cfg_path])
+            results.append((code, capsys.readouterr().err))
+            assert started == ([2, 2] if pooled else [])
+            assert multiprocessing.active_children() == []
+        assert results[1] == results[0]
+        code, err = results[0]
+        assert code == 2 and err.startswith("error: replicate failed at (20, ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "mi_avg.json").exists()
+
 
 class TestBadValuesAtUse:
     """Keys checked by the stage that reads them exit 1 naming the key."""
@@ -674,6 +787,19 @@ class TestCleanedDayCache:
             assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
             assert snapshot() == before, verb
 
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"1,2\n3,4", id="no-final-newline"),
+        pytest.param(b"1,2\r\n3,4\r\n", id="crlf"),
+        pytest.param(b"x" * ((1 << 20) - 1) + b"\ny\n", id="newline-ends-chunk"),
+        pytest.param(b"x" * (1 << 20) + b"\n", id="newline-starts-chunk"),
+    ])
+    def test_file_sha256_counts_newline_bytes(self, tmp_path, raw):
+        path = tmp_path / "day.csv"
+        path.write_bytes(raw)
+        assert pipeline._file_sha256(path) == (hashlib.sha256(raw).digest(),
+                                               raw.count(b"\n"))
+
 
 class TestPipelineStages:
     def test_synth_ingest_mi_tmfg(self, tmp_path, capsys):
@@ -716,6 +842,27 @@ class TestPipelineStages:
             with caplog.at_level(logging.INFO, logger="hloblab"):
                 assert cli.dispatch(["-v", verb, "--config", cfg_path]) == 0, verb
             assert [r.getMessage() for r in caplog.records].count(expect) == times, verb
+
+    def test_mi_logs_its_workers(self, tmp_path, monkeypatch, caplog):
+        cfg_path = str(write_config(tmp_path, bootstrap=4))
+        for verb in ("synth", "ingest"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        out_dir = tmp_path / "out"
+        before = {p.relative_to(out_dir) for p in out_dir.rglob("*")}
+        # 4 replicates of 80-event days fall under the work gate: inline
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        for forced in (False, True):
+            if forced:
+                force_mi_pool(monkeypatch)
+            workers, cpus = (2 if forced and fork else 1), engine.cpu_count()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="hloblab"):
+                assert cli.dispatch(["-v", "mi", "--config", cfg_path]) == 0
+            expect = f"mi workers: {workers} ({cpus} CPUs, 4 replicates)"
+            assert [r.getMessage() for r in caplog.records].count(expect) == 1
+            assert multiprocessing.active_children() == []
+            after = {p.relative_to(out_dir) for p in out_dir.rglob("*")}
+            assert after - before == {Path("mi_avg.json"), Path("mi_avg.csv")}
 
     def test_mi_deterministic(self, tmp_path):
         cfg_path = str(write_config(tmp_path))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hloblab.errors import InsufficientHistory, MissingClass, SeriesTooShort, ShapeMismatch
-from hloblab.lob import StockMeta, mid_price_series, synthesize_lob
+from hloblab.lob import LobSeries, StockMeta, mid_price_series, synthesize_lob
 from hloblab.preprocess import (
     STD_FLOOR,
     UNLABELED,
@@ -16,6 +16,7 @@ from hloblab.preprocess import (
     normalize_day,
     sequential_batches,
 )
+from reference_ops import norm_stats
 
 META = StockMeta(ticker="TEST")
 THETA = META.tick_units
@@ -71,6 +72,52 @@ class TestNormStats:
         days = synth_days(5)
         stats = compute_norm_stats(days)
         assert stats.source_days == tuple(d.day for d in days)
+
+
+class TestNormStatsStreamed:
+    """The streamed stats equal the stacked oracle's bytes."""
+
+    @staticmethod
+    def _days(rng, lengths, low, high):
+        return [LobSeries(meta=META, day=f"1970-01-{i + 1:02d}",
+                          book=rng.integers(low, high, size=(n, 40), dtype=np.int64))
+                for i, n in enumerate(lengths)]
+
+    @staticmethod
+    def _assert_bytes_equal(days):
+        got, want = compute_norm_stats(days), norm_stats(days)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.std.tobytes() == want.std.tobytes()
+        assert got.source_days == want.source_days
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_uneven_books(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 400, size=5)
+        lengths[seed % 5] = 1   # a one-row day, in every position
+        self._assert_bytes_equal(self._days(rng, lengths, -10**6, 10**6))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sums_beyond_2_53(self, seed):
+        # column sums, and sums of squared deviations, past float64's exact
+        # integers, so the order of the additions shows in the low bits
+        rng = np.random.default_rng(100 + seed)
+        days = self._days(rng, rng.integers(1, 300, size=5), -2**60, 2**60)
+        assert np.abs(np.concatenate([d.book for d in days]).astype(float)
+                      .sum(axis=0)).max() > 2.0**53
+        self._assert_bytes_equal(days)
+
+    def test_all_one_row_days(self):
+        self._assert_bytes_equal(self._days(np.random.default_rng(7), [1] * 5, -5, 5))
+
+    def test_negative_and_constant_columns(self):
+        days = self._days(np.random.default_rng(8), [3, 1, 50, 7, 2], -10**9, 0)
+        for d in days:
+            d.book[:, 5] = -3   # floored std
+        self._assert_bytes_equal(days)
+
+    def test_synthetic_days(self):
+        self._assert_bytes_equal(synth_days(5, base_seed=11))
 
 
 class TestNormalizeDay:
