@@ -15,7 +15,9 @@ matmul and in ufuncs over large arrays). Forward samples are independent.
 In backward each block writes its samples' input gradients and one weight
 and bias gradient partial per sample, and the calling thread adds the
 partials in sample order, so every result is bit-identical whatever the
-pool size. The pool has ``HEAD_WORKERS`` threads, including the caller:
+pool size. Eval's tape-free heads (``HlobModel.head_sequences``) run their
+blocks of windows on the same pool, each block writing its own windows'
+sequences. The pool has ``HEAD_WORKERS`` threads, including the caller:
 ``min(4, cpus // blas_threads)``, so that the head blocks and the BLAS
 threads together do not oversubscribe the CPUs the process may run on.
 
@@ -214,10 +216,13 @@ _pool: concurrent.futures.ThreadPoolExecutor | None = None
 def _sample_blocks(body, n: int, sample_elements: int) -> None:
     """Run ``body(lo, hi)`` over samples [0, n) in contiguous blocks.
 
-    The calling thread runs the first block and the head pool the others,
-    when there are ``n >= 2`` samples of at least ``MIN_THREADED_SAMPLE``
-    elements each; otherwise one call covers all of them. Once every block
-    has finished, the exception of the first block that raised is raised.
+    A sample is whatever unit ``body`` takes: a batch sample of
+    ``conv_leaky_cl``, or a block of eval windows. The calling thread runs
+    the first block and the head pool the others, when there are
+    ``n >= 2`` samples of at least ``MIN_THREADED_SAMPLE`` input plus
+    output elements each; otherwise one call covers all of them. Once
+    every block has finished, the exception of the first block that raised
+    is raised.
     """
     global _pool
     workers = min(HEAD_WORKERS, n) if sample_elements >= MIN_THREADED_SAMPLE else 1

@@ -22,6 +22,8 @@ index map of each window's rows into it (``engine.conv_leaky_windows``).
 The table's shared rows are convolved once; the rows next to each
 window's ends follow as that window's own rows, which add up their taps
 from the same per-tap products and leave out the taps on padding.
+Eval windows go through the heads in blocks of at most ``EVAL_BLOCK``
+windows, one table per block, and the blocks run on the head pool.
 :meth:`HlobModel.classify` then runs the LSTM and the output layer on those
 sequences without a tape.
 """
@@ -53,6 +55,17 @@ CHECKPOINT_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 # which keeps the window's extent
 TIME_KERNEL = 4
 TIME_PAD = (1, 2)
+
+# The most windows one block of head_sequences takes. Each block's row
+# tables, per-tap products and edge rows grow with its windows, and the head
+# pool runs several blocks at once. Evaluating a 521-window day at 1 BLAS
+# thread on 2 cores, this cap (6 blocks of 86-87 windows on 2 threads)
+# peaked at 95-97 MB RSS (tracemalloc 42-43 MB) against 121 MB (72 MB) for
+# the whole chunk serially, and a cap of 260 (2 blocks) at 102-103 MB
+# (51-52 MB) for no more speed: the cap, not the pool, keeps the memory
+# down. A cap of 64 was slower, as each block convolves again the rows it
+# shares with the next.
+EVAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -210,15 +223,41 @@ class HlobModel:
 
         ``row_inputs`` are the three heads' (R, width) inputs, one row per
         book row, and window i is rows ``origins[i]`` to
-        ``origins[i] + window_len - 1``. Windows may share rows, and a shared
-        row's per-row work is done once. Equals the concatenated head
-        outputs of :meth:`forward` in eval mode.
+        ``origins[i] + window_len - 1``. Windows may share rows. The windows
+        run in contiguous blocks of at most ``EVAL_BLOCK`` and of nearly
+        equal size: each block's heads run over the slice of rows its
+        windows read, so a row shared within a block is convolved once, and
+        one shared by two blocks once in each. The blocks run on the head
+        pool (``engine._sample_blocks``) and write their disjoint slices of
+        the output. Every window's sequence is bit-identical whatever the
+        blocks and the pool size, and equals the concatenated head outputs
+        of :meth:`forward` in eval mode.
         """
         origins = np.asarray(origins, np.int64)
-        parts = [head.forward_rows(np.asarray(rows, self.dtype), origins,
-                                   window_len, self.config.leaky_slope)
-                 for head, rows in zip(self.heads, row_inputs)]
-        return np.concatenate(parts, axis=2)
+        row_inputs = [np.asarray(rows, self.dtype) for rows in row_inputs]
+        n, c = len(origins), self.config.channels
+        out = np.empty((n, window_len, c * len(self.heads)), self.dtype)
+        slope = self.config.leaky_slope
+
+        # the fewest blocks of at most EVAL_BLOCK windows, and when there
+        # are several, a multiple of the pool size, so that the pool threads
+        # get the same number of windows give or take one per block
+        blocks = -(-n // EVAL_BLOCK)
+        if blocks > 1:
+            blocks += -blocks % engine.HEAD_WORKERS
+        bounds = [n * b // blocks for b in range(blocks + 1)]
+
+        def run_blocks(first, last):
+            for lo, hi in zip(bounds[first:last], bounds[first + 1:last + 1]):
+                at = origins[lo:hi]
+                start, stop = at.min(), at.max() + window_len
+                for k, (head, rows) in enumerate(zip(self.heads, row_inputs)):
+                    out[lo:hi, :, k * c:(k + 1) * c] = head.forward_rows(
+                        rows[start:stop], at - start, window_len, slope)
+
+        block_elements = (sum(rows.size for rows in row_inputs) + out.size) // blocks
+        engine._sample_blocks(run_blocks, blocks, block_elements)
+        return out
 
     def param_count_table(self) -> list[tuple[str, int]]:
         """Per-component trainable parameter counts, plus the total."""

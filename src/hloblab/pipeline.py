@@ -412,11 +412,16 @@ def hlob_config(cfg: RunConfig) -> HlobConfig:
     return HlobConfig(window_len=cfg.get_int("window_len"))
 
 
-def run_train(cfg: RunConfig) -> Path:
-    # the pool that runs the taped head convolutions; eval runs none
+def _log_head_threads() -> None:
+    """Log the head pool's size: train runs its head convolutions on it, and
+    eval its blocks of windows."""
     log.info("head conv threads: %d (%d CPUs / %d BLAS threads, at most %d)",
              engine.HEAD_WORKERS, engine.CPUS, engine.BLAS_THREADS,
              engine.MAX_HEAD_WORKERS)
+
+
+def run_train(cfg: RunConfig) -> Path:
+    _log_head_threads()
     out_dir = Path(cfg.get_str("out_dir"))
     config, model_config = train_config(cfg), hlob_config(cfg)
     # windows_for_day labels with horizon; read it here so that a bad value
@@ -440,6 +445,7 @@ _REPORT_FIELDS = {"ticker": str, "year": str, "horizon": int, "f1_macro": float,
 
 
 def run_eval(cfg: RunConfig) -> Path:
+    _log_head_threads()
     out_dir = Path(cfg.get_str("out_dir"))
     model_config, test_days = hlob_config(cfg), cfg.get_days("split.test")
     batch_size, horizon = cfg.get_int("train.batch_size"), cfg.get_int("horizon")

@@ -60,11 +60,13 @@ class EvalReport:
 
 
 # An eval chunk is the whole batches whose heads one call computes: at most
-# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch. In
+# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch, plus
+# the short last batch when it is all that is left and the rows allow. In
 # the heads' row tables, each window's own rows (the ones that see its
 # padding) and its head sequence take memory per window, and the shared
 # rows per row; these caps keep a chunk near one batch of 32 separate
-# 100-row windows.
+# 100-row windows. The heads then run the chunk in blocks of at most
+# model.EVAL_BLOCK windows.
 EVAL_WINDOWS = 512
 EVAL_ROWS = 4096
 
@@ -76,11 +78,14 @@ def _eval_batches(model: HlobModel, days: list[DayWindows],
     The heads run once on each chunk's distinct rows (see
     ``HlobModel.head_sequences``), so overlapping windows share their rows'
     work; runs come from the window ends (:func:`run_origins`). A chunk is
-    whole batches, except that the last one may end in a short batch. The
-    tape-free LSTM and the output layer run once over the whole batches and
-    once over that short batch: with OpenBLAS, a stack of whole batches gave
-    each batch the same bits as running it alone, but a short batch run
-    beside them did not.
+    whole batches; a short last batch joins the chunk before it when
+    ``EVAL_ROWS`` allows, so that the rows they share are not convolved
+    again. The tape-free LSTM and the output layer run once over the
+    chunk's whole batches and once over the short batch, which are the
+    stacks they ran on when the short batch was a chunk of its own. Those
+    stacks are kept as they are so that the logits keep their bits: with
+    OpenBLAS the LSTM's GEMMs may round differently at another height (a
+    512-row stack and its 32-row batches differed by up to 7.5e-9).
     """
     windows = join_windows(days)
     t_len, ends = windows.window_len, windows.ends
@@ -88,9 +93,11 @@ def _eval_batches(model: HlobModel, days: list[DayWindows],
     stops = origins + t_len
     lo = 0
     while lo < len(ends):
-        fit = min(int(np.searchsorted(stops, origins[lo] + EVAL_ROWS, side="right")),
-                  lo + EVAL_WINDOWS)
-        hi = min(len(ends), lo + batch_size * max(1, (fit - lo) // batch_size))
+        fit = int(np.searchsorted(stops, origins[lo] + EVAL_ROWS, side="right"))
+        hi = min(len(ends), lo + batch_size * max(
+            1, (min(fit, lo + EVAL_WINDOWS) - lo) // batch_size))
+        if len(ends) - hi < batch_size and fit == len(ends):
+            hi = len(ends)
         at, labels = origins[lo:hi], windows.labels[lo:hi]
         runs = np.split(ends[lo:hi], np.flatnonzero(np.diff(ends[lo:hi]) != 1) + 1)
         rows = np.concatenate([windows.rows[run[0] - t_len + 1:run[-1] + 1]

@@ -836,12 +836,34 @@ class TestPipelineStages:
             assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
         expect = (f"head conv threads: {engine.HEAD_WORKERS} ({engine.CPUS} CPUs / "
                   f"{engine.BLAS_THREADS} BLAS threads, at most 4)")
-        # eval's heads run tape-free, with no pool, so it logs none
-        for verb, times in (("train", 1), ("eval", 0)):
+        # train runs its head convolutions on the pool, and eval its blocks
+        # of windows
+        for verb, times in (("train", 1), ("eval", 1)):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="hloblab"):
                 assert cli.dispatch(["-v", verb, "--config", cfg_path]) == 0, verb
             assert [r.getMessage() for r in caplog.records].count(expect) == times, verb
+
+    def test_one_and_two_head_workers_write_the_same_artifacts(self, tmp_path, monkeypatch,
+                                                               head_pool):
+        cfg_path = str(write_config(tmp_path, **{
+            "synth.n_events": "220", "window_len": "20", "train.max_epochs": "1",
+            "train.balanced_cap": "1"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        out_dir = tmp_path / "out"
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+            assert cli.dispatch(["train", "--config", cfg_path]) == 0
+            before = head_pool.blocks
+            assert cli.dispatch(["eval", "--config", cfg_path]) == 0
+            # 191 test windows: two blocks of 95 and 96, the second on the pool
+            assert head_pool.blocks - before == workers - 1
+            written[workers] = {name: (out_dir / name).read_bytes()
+                                for name in ("model.ckpt", "history.json",
+                                             "eval_report.json")}
+        assert written[2] == written[1]
 
     def test_mi_logs_its_workers(self, tmp_path, monkeypatch, caplog):
         cfg_path = str(write_config(tmp_path, bootstrap=4))

@@ -1,14 +1,19 @@
 """The eval path over runs of overlapping windows against the per-window forward.
 
 ``evaluate`` and ``validation_loss`` compute the heads once per distinct row
-(``HlobModel.head_sequences``); every test here checks them against
-``HlobModel.forward(train=False)`` on the same windows and batches.
+(``HlobModel.head_sequences``); the tests here check them against
+``HlobModel.forward(train=False)`` on the same windows and batches, and the
+blocked heads on the head pool against one block run serially.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from hloblab import engine
+from hloblab import model as model_mod
 from hloblab import train as train_mod
 from hloblab.engine import Tensor, softmax_cross_entropy
 from hloblab.errors import ShapeMismatch
@@ -346,6 +351,151 @@ class TestRunLogits:
         rng = np.random.default_rng(11)
         model = HlobModel(HlobConfig(window_len=400, **SMALL), seed=7, dtype=np.float64)
         check_logits(model, [day_windows(rng, "d1", 6, 400)], 4)
+
+
+def blocked_days(rng):
+    """A run of 7 windows, a run of 4 that starts at a change of day, and a
+    window that shares no rows with any other: 12 windows of 100 rows."""
+    return [day_windows(rng, "d0", 7, 100), day_windows(rng, "d1", 4, 100),
+            day_windows(rng, "s0", 1, 100)]
+
+
+class TestHeadBlocks:
+    @staticmethod
+    def unblocked(monkeypatch, model, row_inputs, origins):
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK", len(origins))
+        return model.head_sequences(row_inputs, origins, 100)
+
+    def test_float32_sequences_equal_the_unblocked_for_every_block_size(self, monkeypatch):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
+        model = HlobModel(HlobConfig(), seed=11)
+        row_inputs, origins = layout(blocked_days(np.random.default_rng(40)))
+        assert np.flatnonzero(np.diff(origins) != 1).tolist() == [6, 10]
+        want = self.unblocked(monkeypatch, model, row_inputs, origins)
+        assert want.dtype == np.float32 and want.shape == (12, 100, 96)
+        # caps of 1 to 11 windows: 12, 6, 4, 3, 3, 2, ... blocks
+        for block in range(1, len(origins)):
+            monkeypatch.setattr(model_mod, "EVAL_BLOCK", block)
+            np.testing.assert_array_equal(
+                model.head_sequences(row_inputs, origins, 100), want, err_msg=str(block))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_any_pool_size_gives_the_same_bits(self, monkeypatch, head_pool, workers):
+        model = HlobModel(HlobConfig(), seed=12)
+        row_inputs, origins = layout(blocked_days(np.random.default_rng(41)))
+        want = self.unblocked(monkeypatch, model, row_inputs, origins)
+        assert head_pool.blocks == 0
+        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        # switch threads often, so that blocks interleave as much as they can
+        sys.setswitchinterval(1e-5)
+        try:
+            for block in (6, 5, 4):
+                monkeypatch.setattr(model_mod, "EVAL_BLOCK", block)
+                before = head_pool.blocks
+                np.testing.assert_array_equal(
+                    model.head_sequences(row_inputs, origins, 100), want)
+                # the caller runs the first group of blocks, the pool the others
+                assert head_pool.blocks - before == workers - 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers, sizes", [
+        (1, [104, 104, 104, 104, 105]),
+        (2, [86, 87, 87, 87, 87, 87]),
+        (3, [86, 87, 87, 87, 87, 87]),
+        (4, [65] * 7 + [66]),
+    ])
+    def test_blocks_are_capped_and_even_per_thread(self, monkeypatch, workers, sizes):
+        # eval-scan's 521 windows in one chunk, the short batch of 9 with them
+        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+        model = HlobModel(HlobConfig(window_len=5, **SMALL), seed=5)
+        row_inputs, origins = layout([day_windows(np.random.default_rng(46), "d1", 521, 5)])
+        blocks = []
+        forward_rows = model_mod._Head.forward_rows
+
+        def recorded(head, rows, at, t_len, slope):
+            if head is model.heads[0]:
+                blocks.append((len(at), len(rows)))
+            return forward_rows(head, rows, at, t_len, slope)
+
+        monkeypatch.setattr(model_mod._Head, "forward_rows", recorded)
+        model.head_sequences(row_inputs, origins, 5)
+        # each block reads the rows of its own windows and no others
+        assert sorted(blocks) == [(size, size + 4) for size in sizes]
+
+    def test_a_chunk_below_the_gate_stays_serial(self, monkeypatch, head_pool):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK", 2)
+        days = [day_windows(np.random.default_rng(42), "d1", 8, 5)]
+        model = HlobModel(HlobConfig(window_len=5, **SMALL), seed=5)
+        row_inputs, origins = layout(days)
+        # 4 blocks of 2 windows: 12 input rows of width 664 and 8 (5, 12)
+        # sequences, a few thousand elements a block
+        model.head_sequences(row_inputs, origins, 5)
+        assert head_pool.blocks == 0
+        check_logits(model, days, 3, tol=1e-6)
+        assert head_pool.blocks == 0
+
+    def test_a_pool_block_exception_reaches_evaluate(self, monkeypatch, head_pool):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 2)
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK", 4)
+        forward_rows = model_mod._Head.forward_rows
+        caller = threading.current_thread()
+
+        def failing(head, *args):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("block on a pool thread")
+            return forward_rows(head, *args)
+
+        monkeypatch.setattr(model_mod._Head, "forward_rows", failing)
+        model = HlobModel(HlobConfig(), seed=13)
+        with pytest.raises(FloatingPointError, match="pool thread"):
+            evaluate(model, blocked_days(np.random.default_rng(43)), COMPLEX)
+        assert head_pool.blocks == 1
+
+
+class TestShortLastBatch:
+    @staticmethod
+    def chunks(monkeypatch, days, batch_size):
+        """(windows, distinct rows) of each head call and the height of each
+        classify stack of one eval pass, with its logits."""
+        model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=5, dtype=np.float64)
+        heads, stacks = [], []
+        sequences, classify = model.head_sequences, model.classify
+
+        def counted_heads(rows, origins, t_len):
+            heads.append((len(origins), len(rows[0])))
+            return sequences(rows, origins, t_len)
+
+        def counted_classify(seq):
+            stacks.append(len(seq))
+            return classify(seq)
+
+        monkeypatch.setattr(model, "head_sequences", counted_heads)
+        monkeypatch.setattr(model, "classify", counted_classify)
+        logits = run_logits(model, days, batch_size)
+        assert max_rel(logits, reference_logits(model, views(days), batch_size)) < 1e-12
+        return heads, stacks
+
+    def test_joins_the_chunk_before_when_the_rows_allow(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "EVAL_WINDOWS", 8)
+        days = [day_windows(np.random.default_rng(44), "d1", 10, 30)]
+        heads, stacks = self.chunks(monkeypatch, days, 3)
+        # 2 batches, then the third with the short batch of 1 in one head
+        # call; classify still runs the third batch and the short one apart
+        assert heads == [(6, 35), (4, 33)]
+        assert stacks == [6, 3, 1]
+
+    def test_stays_apart_when_the_rows_do_not_allow(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "EVAL_WINDOWS", 8)
+        monkeypatch.setattr(train_mod, "EVAL_ROWS", 60)
+        rng = np.random.default_rng(45)
+        days = [day_windows(rng, "d1", 9, 30), day_windows(rng, "d2", 1, 30)]
+        heads, stacks = self.chunks(monkeypatch, days, 3)
+        # the last window starts a new run: 32 + 30 rows would pass 60
+        assert heads == [(6, 35), (3, 32), (1, 30)]
+        assert stacks == [6, 3, 1]
 
 
 class TestEvaluateAndValidation:
