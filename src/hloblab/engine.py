@@ -1,12 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU for the heads (plus a tape-free form over a table
-of distinct rows and an index map of each window's rows into it, which
-runs every head layer in eval), a single-layer LSTM as one fused op with
-hand-written backpropagation through time (plus a tape-free forward for
-eval), dense, inverted dropout, stabilized softmax cross-entropy, an AdamW
-step with decoupled weight decay, and a central finite-difference gradient
+convolution + LeakyReLU over the heads' (N, T, W*C) rows (plus a tape-free
+form over a table of distinct rows and an index map of each window's rows
+into it, which runs every head layer in eval), concat, a single-layer LSTM
+as one fused op with hand-written backpropagation through time (plus a
+tape-free forward for eval), dense (add, matmul and transpose), inverted
+dropout as one tape node, stabilized softmax cross-entropy, an AdamW step
+with decoupled weight decay, and a central finite-difference gradient
 checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
@@ -117,19 +118,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    out._backward = backward
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
@@ -140,17 +128,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape))
 
     out._backward = backward
     return out
@@ -255,11 +232,12 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
                   time_pad=(0, 0)) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
 
-    ``x`` is (N, T, W, C) and ``weight`` (O, C, kh, kw). The kernel tiles W
-    with stride kw; along T it slides at stride 1 over ``time_pad`` =
-    (before, after) zeros. Each of the kh time taps is one GEMM over a
-    sample's (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw, O)
-    output, so no padded copy or patch matrix is built.
+    ``x`` is (N, T, W*C): each time row holds W columns of C channels, C
+    read from ``weight`` (O, C, kh, kw). The kernel tiles W with stride kw;
+    along T it slides at stride 1 over ``time_pad`` = (before, after)
+    zeros. Each of the kh time taps is one GEMM over a sample's
+    (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw*O) output, the
+    layout the next layer takes, so no padded copy or patch matrix is built.
     Only the LeakyReLU's sign mask is kept for backward.
 
     Forward and backward run over contiguous sample blocks, on the head
@@ -268,19 +246,19 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     as its own partial, and adds the partials into zeroed sums in sample
     order afterwards, which is the add order of a single serial loop.
     """
-    n, t_len, w_, c = x.data.shape
-    o, cw, kh, kw = weight.data.shape
+    n, t_len, width = x.data.shape
+    o, c, kh, kw = weight.data.shape
     pb, pa = time_pad
-    if cw != c:
-        raise ShapeMismatch(f"conv_leaky_cl channels: input {c}, weight {cw}")
+    k = kw * c
     if bias.data.shape != (o,):
         raise ShapeMismatch(f"conv_leaky_cl bias shape {bias.data.shape}, expected ({o},)")
-    if w_ % kw != 0:
-        raise ShapeMismatch(f"conv_leaky_cl width {w_} not a multiple of kernel {kw}")
+    if width % k != 0:
+        raise ShapeMismatch(f"conv_leaky_cl row width {width} not a multiple of "
+                            f"kernel width {kw} x {c} channels")
     t_out = t_len + pb + pa - kh + 1
     if t_out < 1:
         raise ShapeMismatch("kernel longer than padded time axis")
-    wo, k = w_ // kw, kw * c
+    wo = width // k
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
     xs = x.data.reshape(n, t_len * wo, k)
@@ -314,7 +292,7 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
             np.greater_equal(ys, 0, out=mask[s])
 
     _sample_blocks(forward_block, n, sample_elements)
-    out = Tensor(y.reshape(n, t_out, wo, o), parents=(x, weight, bias))
+    out = Tensor(y.reshape(n, t_out, wo * o), parents=(x, weight, bias))
 
     def backward(g):
         g = g.reshape(y.shape)
@@ -398,7 +376,14 @@ def dropout(x: Tensor, rate: float, train: bool,
     axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
     keep = rng.random(tuple(x.shape[a] for a in axes)) >= rate
     mask = keep.transpose(np.argsort(axes)).astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+    out = Tensor(x.data * mask, parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * mask, owned=True)
+
+    out._backward = backward
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

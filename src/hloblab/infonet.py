@@ -161,9 +161,9 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     Replicates are independent once their rows are drawn, so when
     :func:`mi_workers` gives more than one worker, all the draws are made
     first, in the same order from the same generator, and the replicates run
-    on a pool of forked processes that inherit the columns and the draws.
-    Their matrices are added in replicate order either way, so the result
-    is bit-identical to the inline loop.
+    on a pool of forked processes that inherit the columns and the draws
+    (``forkpool.run_jobs``). Their matrices are added in replicate order
+    either way, so the result is bit-identical to the inline loop.
     """
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
@@ -172,30 +172,10 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     t = cols.shape[1]
     draws = (rng.integers(0, t, size=t) for _ in range(n_bootstrap))
     acc = np.zeros((N_VERTICES, N_VERTICES))
-    workers = mi_workers(t, n_bootstrap)
-    if workers == 1:
-        for rows in draws:
-            acc += _mi_of_columns(np.take(cols, rows, axis=1))
-    else:
-        with forkpool.fork_pool(workers, _hold_replicates, (cols, list(draws))) as pool:
-            for mi in pool.map(_replicate_mi, range(n_bootstrap)):
-                acc += mi
+    for mi in forkpool.run_jobs(lambda rows: _mi_of_columns(np.take(cols, rows, axis=1)),
+                                draws, mi_workers(t, n_bootstrap)):
+        acc += mi
     return acc / n_bootstrap
-
-
-_replicates = None   # a pool worker's (cols, draws), inherited through the fork
-
-
-def _hold_replicates(cols: np.ndarray, draws: list[np.ndarray]) -> None:
-    """Pool initializer: keep the day's columns and draws for :func:`_replicate_mi`."""
-    global _replicates
-    _replicates = cols, draws
-
-
-def _replicate_mi(i: int) -> np.ndarray:
-    """Replicate ``i``'s MI matrix, in a pool worker."""
-    cols, draws = _replicates
-    return _mi_of_columns(np.take(cols, draws[i], axis=1))
 
 
 def average_mi(daily: list[np.ndarray]) -> np.ndarray:

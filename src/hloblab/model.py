@@ -6,11 +6,11 @@ pair, a stride-arity convolution merges each simplex, two time-axis (4x1)
 convolutions (zero-padded to preserve the 100-step extent) model short-range
 temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
-heads take (N, T, width) inputs and run channels-last, (N, T, width, C), so
-each layer is one fused ``engine.conv_leaky_cl`` matmul and the head output
-is already the (N, T, C) sequence. Weights keep the (O, C, kh, kw)
-convolution layout. ``_Head.layers`` lists the five layers once, for both
-the taped pass and the eval pass.
+heads run channels-last on (N, T, width*C) rows, the layout one fused
+``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
+input and the last layer's (N, T, C) output need no reshape. Weights keep
+the (O, C, kh, kw) convolution layout. ``_Head.layers`` lists the five
+layers once, for both the taped pass and the eval pass.
 The three (100 x 32) head outputs are concatenated into a (100 x 96)
 sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
 three class logits.
@@ -134,16 +134,13 @@ class _Head:
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
         """Outputs (N, T, C) of (N, T, width) inputs."""
-        n, t, w = x.shape
-        h = engine.reshape(x, (n, t, w, 1))
         for _, (weight, bias), time_pad in self.layers():
-            h = engine.conv_leaky_cl(h, weight.tensor, bias.tensor,
+            x = engine.conv_leaky_cl(x, weight.tensor, bias.tensor,
                                      config.leaky_slope, time_pad)
-        h = engine.reshape(h, (n, t, h.shape[3]))
         # the mask is drawn over (N, C, T): that keeps the random stream
         # trained checkpoints were drawn under, and the tests' NCHW reference
         # head draws the same way, so a given rng drops the same units in both
-        return engine.dropout(h, config.dropout_rate, train, rng,
+        return engine.dropout(x, config.dropout_rate, train, rng,
                               draw_axes=(0, 2, 1))
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,

@@ -193,8 +193,7 @@ def run_synth(cfg: RunConfig) -> list[str]:
 
 # ingest runs its days on a pool only when their raw CSV pairs average at
 # least MIN_POOLED_DAY_BYTES a day: on short days starting the workers costs
-# more than it saves. Like multiprocessing (see forkpool), logging.handlers
-# is imported only once a pool is due
+# more than it saves
 MIN_POOLED_DAY_BYTES = 1 << 20
 
 
@@ -210,9 +209,8 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     ``MIN_POOLED_DAY_BYTES`` of raw CSV on average they run in a pool of
     ``min(CPUs, days, forkpool.MAX_WORKERS)`` forked worker processes;
     otherwise they run inline, in config order. The files written are
-    byte-identical either way, and so is the stage's log: the parent emits
-    each worker's log records in config-day order and raises the error of
-    the first failing day.
+    byte-identical either way, and so are the stage's log and its error,
+    the first failing day's (see ``forkpool.run_jobs``).
     """
     meta = meta_from_config(cfg)
     trim_start_s, trim_end_s = cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s")
@@ -224,11 +222,7 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     log.info("ingest workers: %d (%d CPUs, %d days)", workers, engine.cpu_count(),
              len(days))
     jobs = [(data_dir, clean_dir, meta, day, trim_start_s, trim_end_s) for day in days]
-    if workers == 1:
-        for job in jobs:
-            _ingest_day(*job)
-    else:
-        _ingest_pooled(jobs, workers)
+    forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers)
     return days
 
 
@@ -252,59 +246,6 @@ def _ingest_workers(data_dir, ticker: str, days: list[str]) -> int:
             except OSError:     # a missing day fails in its turn, as inline
                 pass
     return forkpool.pool_workers(len(days), size, len(days) * MIN_POOLED_DAY_BYTES)
-
-
-class _DayFailed(Exception):
-    """A pooled day's error, with the log records the day made before it."""
-
-    def __str__(self):
-        return f"{len(self.args[0])} log records before the error above"
-
-
-class _HeldRecords(list):
-    put_nowait = list.append    # the queue a QueueHandler puts records on
-
-
-_held = _HeldRecords()   # a pool worker's log records of its current day
-
-
-def _hold_logs() -> None:
-    """Pool initializer: keep the worker's log records for the parent to emit."""
-    import logging.handlers
-    for logger in (logging.getLogger(), *logging.Logger.manager.loggerDict.values()):
-        for handler in list(getattr(logger, "handlers", ())):   # placeholders have none
-            logger.removeHandler(handler)
-    logging.getLogger().addHandler(logging.handlers.QueueHandler(_held))
-
-
-def _ingest_day_held(*job) -> list[logging.LogRecord]:
-    """:func:`_ingest_day` in a pool worker; returns the day's log records."""
-    _held.clear()
-    try:
-        _ingest_day(*job)
-    except BaseException as exc:
-        raise _DayFailed(list(_held), exc) from exc
-    return list(_held)
-
-
-def _ingest_pooled(jobs: list[tuple], workers: int) -> None:
-    """Run ``_ingest_day`` over ``jobs`` on a fork pool, in job order to the caller.
-
-    Each job's log records are emitted once the jobs before it have finished;
-    the first failing job's records are emitted, its error is raised and the
-    jobs not yet started are cancelled. The pool is shut down on return.
-    """
-    with forkpool.fork_pool(workers, initializer=_hold_logs) as pool:
-        futures = [pool.submit(_ingest_day_held, *job) for job in jobs]
-        for future in futures:
-            try:
-                records, failed = future.result(), None
-            except _DayFailed as exc:
-                records, failed = exc.args[0], exc
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            if failed is not None:
-                raise failed.args[1] from failed.__cause__   # the worker's traceback
 
 
 def _clean_day(cfg: RunConfig, day: str) -> lob.LobSeries:
@@ -386,10 +327,25 @@ def windows_for_day(cfg: RunConfig, day: str) -> DayWindows:
     prior = [_clean_day(cfg, d) for d in days[pos - HISTORY_DAYS: pos]]
     stats = preprocess.compute_norm_stats(prior)
     series = _clean_day(cfg, day)
+    if series.T <= horizon:
+        raise ConfigError("horizon", f"day {day} has {series.T} events, not more "
+                                     f"than {horizon}")
     normalized = preprocess.normalize_day(series, stats)
     labels = preprocess.label_series(lob.mid_price_series(series), horizon,
                                      series.meta.tick_units)
     return preprocess.build_windows(normalized, labels, day, window_len)
+
+
+def _split_windows(cfg: RunConfig, key: str, days: list[str]) -> list[DayWindows]:
+    """:func:`windows_for_day` of each of the ``days`` of the split ``key``,
+    which must have a day and, over its days, a labelled window."""
+    if not days:
+        raise ConfigError(key, "no days configured")
+    windows = [windows_for_day(cfg, d) for d in days]
+    if not any(len(w) for w in windows):
+        raise ConfigError("window_len", f"no day of {key} has a labelled window of "
+                                        f"{cfg.get_int('window_len')} events")
+    return windows
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
@@ -429,8 +385,8 @@ def run_train(cfg: RunConfig) -> Path:
     cfg.get_int("horizon")
     train_days, val_days = cfg.get_days("split.train"), cfg.get_days("split.validation")
     complex_ = load_simplices(cfg)
-    train_by_day = {d: windows_for_day(cfg, d) for d in train_days}
-    val_windows = [windows_for_day(cfg, d) for d in val_days]
+    train_by_day = dict(zip(train_days, _split_windows(cfg, "split.train", train_days)))
+    val_windows = _split_windows(cfg, "split.validation", val_days)
     model = HlobModel(model_config, seed=config.seed)
     _, history = train_mod.train(model, train_by_day, val_windows, complex_, config)
     ckpt_path = out_dir / "model.ckpt"
@@ -453,7 +409,7 @@ def run_eval(cfg: RunConfig) -> Path:
     model, header = load_checkpoint(out_dir / "model.ckpt", expected_config=model_config)
     _check_digest(header["extra"].get("run_config_digest", ""), cfg, "model.ckpt")
 
-    test_windows = [windows_for_day(cfg, d) for d in test_days]
+    test_windows = _split_windows(cfg, "split.test", test_days)
     report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size,
                                 ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
                                 horizon=horizon)
@@ -493,7 +449,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results: dict[str, float] = {}
 
     # the heads' op, with a time kernel (kh > 1) over its (before, after) padding
-    xc = engine.Tensor(rng.normal(size=(2, 5, 4, 3)))
+    xc = engine.Tensor(rng.normal(size=(2, 5, 4, 3)).reshape(2, 5, 12))
     wc = engine.Tensor(rng.normal(size=(4, 3, 4, 2)), requires_grad=True)
     bc = engine.Tensor(rng.normal(size=4), requires_grad=True)
     results["conv_leaky_cl"] = engine.grad_check(
@@ -520,8 +476,13 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
 
 def _sum_sq(t: engine.Tensor) -> engine.Tensor:
-    flat = engine.reshape(t, (1, -1))
-    return engine.matmul(flat, engine.transpose(flat))
+    """``flat @ flat.T`` of ``t`` flattened to (1, size), one tape node whose
+    gradient adds flat's term and then flat.T's, as matmul's would."""
+    flat = t.data.reshape(1, -1)
+    out = engine.Tensor(flat @ flat.T, parents=(t,))
+    out._backward = lambda g: t._accumulate(
+        ((g @ flat) + (flat.T @ g).T).reshape(t.shape), owned=True)
+    return out
 
 
 def hlob_loss_grad_check(seed: int = 0, n_coords: int = 24) -> float:

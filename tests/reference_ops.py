@@ -2,10 +2,11 @@
 
 The model's heads run on the fused channels-last ``engine.conv_leaky_cl``;
 the generic NCHW ``conv2d`` and ``leaky_relu`` here are the textbook ops it
-must agree with. ``LobSnapshot`` is the per-snapshot book check that
-``LobSeries.validate`` runs over a whole day at once. ``norm_stats`` is
-the mean and std over the stacked prior days that the streamed
-``preprocess.compute_norm_stats`` must equal bit for bit.
+must agree with, and ``mul`` and ``reshape`` the generic tape ops the
+tests build references and scalar losses from. ``LobSnapshot`` is the
+per-snapshot book check that ``LobSeries.validate`` runs over a whole day
+at once. ``norm_stats`` is the mean and std over the stacked prior days
+that the streamed ``preprocess.compute_norm_stats`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +15,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hloblab.engine import Tensor
+from hloblab.engine import Tensor, _unbroadcast
 from hloblab.errors import InsufficientHistory, MissingLevels, ShapeMismatch
 from hloblab.lob import ASK_P, ASK_V, BID_P, BID_V, N_LEVELS
 from hloblab.preprocess import HISTORY_DAYS, STD_FLOOR, NormStats
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data * b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+
+    out._backward = backward
+    return out
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    out = Tensor(x.data.reshape(shape), parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(x.shape))
+
+    out._backward = backward
+    return out
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:

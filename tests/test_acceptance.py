@@ -30,7 +30,7 @@ from hloblab.train import (
     round_trip_stats,
     train,
 )
-from reference_ops import conv2d
+from reference_ops import conv2d, reshape
 
 THETA = 100  # one cent in 1e-4 currency units
 
@@ -235,7 +235,7 @@ def test_criterion_06_gradient_suite():
     # same function (finite differences evaluated in float32 drown in
     # rounding noise before reaching the tolerance)
     def sum_sq(t):
-        flat = engine.reshape(t, (1, -1))
+        flat = reshape(t, (1, -1))
         return engine.matmul(flat, engine.transpose(flat))
 
     def fd_gradient(f, x_data, h=1e-5):

@@ -10,7 +10,7 @@ import pytest
 
 from hloblab import cli, engine, forkpool, infonet, lob, pipeline
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
-from hloblab.errors import ConfigError, IoFailure, LengthMismatch
+from hloblab.errors import ConfigError, IoFailure, LengthMismatch, MalformedRow
 from hloblab.files import read_json
 from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
 
@@ -411,7 +411,7 @@ class TestPooledIngest:
         self._synth(tmp_path)
         force_ingest_pool(monkeypatch)
         started = []
-        monkeypatch.setattr(pipeline, "_ingest_pooled", lambda *args: started.append(args))
+        monkeypatch.setattr(forkpool, "fork_pool", lambda *args: started.append(args))
         bad = str(write_config(tmp_path, **{"synth.n_events": "200", key: value}))
         capsys.readouterr()
         assert cli.dispatch(["ingest", "--config", bad]) == 1
@@ -559,6 +559,66 @@ class TestPooledMi:
         assert not (tmp_path / "out" / "mi_avg.json").exists()
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+class TestRunJobs:
+    """``forkpool.run_jobs`` gives the inline results, log and error on a pool."""
+
+    def test_results_in_job_order_and_the_first_error(self):
+        # neither local functions nor lambdas pickle: the pool's function
+        # and jobs reach the workers only through the fork
+        jobs = [(i, lambda i=i: i * i) for i in range(7)]
+
+        def square(job):
+            return job[0], job[1]()
+
+        assert forkpool.run_jobs(square, jobs, 1) == [(i, i * i) for i in range(7)]
+        assert forkpool.run_jobs(square, iter(jobs), 2) == [(i, i * i) for i in range(7)]
+
+        def fail_2_and_4(job):
+            if job in (2, 4):
+                raise ValueError(f"job {job} failed")
+            return job
+
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="^job 2 failed$") as err:
+                forkpool.run_jobs(fail_2_and_4, range(6), workers)
+            if workers == 2:
+                # the worker's traceback, as the cause
+                assert "in fail_2_and_4" in str(err.value.__cause__)
+            assert forkpool._work is None
+            assert multiprocessing.active_children() == []
+
+    def test_job_that_logs_and_raises(self, tmp_path, monkeypatch, caplog, capsys):
+        # run_ingest calls _ingest_day by name, so this one runs in the workers
+        def ingest_day(data_dir, clean_dir, meta, day, *trims):
+            logging.getLogger("hloblab.pipeline").warning("read day %s", day)
+            if day in (DAYS[4], DAYS[6]):
+                raise MalformedRow(7, "bad field", day=day)
+
+        monkeypatch.setattr(pipeline, "_ingest_day", ingest_day)
+        cfg_path = str(write_config(tmp_path))
+        results = []
+        for pooled in (False, True):
+            if pooled:
+                force_ingest_pool(monkeypatch)
+            caplog.clear()
+            capsys.readouterr()
+            with caplog.at_level(logging.INFO, logger="hloblab"):
+                code = cli.dispatch(["ingest", "--config", cfg_path])
+            assert multiprocessing.active_children() == []
+            records = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+            results.append((code, capsys.readouterr().err, records))
+        (code, err, records), pooled = results
+        assert records[0][2] == f"ingest workers: 1 ({engine.cpu_count()} CPUs, 9 days)"
+        assert pooled[2][0][2] == "ingest workers: 2 (2 CPUs, 9 days)"
+        assert pooled[:2] == (code, err) and pooled[2][1:] == records[1:]
+        assert code == 1
+        assert err == f"error: malformed row at line 7: bad field (day {DAYS[4]})\n"
+        assert records[1:] == [("WARNING", "hloblab.pipeline", f"read day {day}")
+                               for day in DAYS[:5]]
+
+
 class TestBadValuesAtUse:
     """Keys checked by the stage that reads them exit 1 naming the key."""
 
@@ -599,6 +659,28 @@ class TestBadValuesAtUse:
         with pytest.raises(ConfigError) as err:
             pipeline.windows_for_day(RunConfig.load(bad), DAYS[7])
         assert err.value.key == key
+
+    def test_day_not_longer_than_horizon(self, tmp_path, capsys):
+        cfg_path = str(write_config(tmp_path, horizon=500, window_len=20,
+                                    **{"synth.n_events": "220"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at 'horizon': day {DAYS[5]} has ")
+        assert err.endswith(" events, not more than 500\n") and err.count("\n") == 1
+
+    def test_window_len_longer_than_every_day(self, tmp_path, capsys):
+        cfg_path = str(write_config(tmp_path, window_len=5000,
+                                    **{"synth.n_events": "220"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: config error at 'window_len': no day of split.train has a "
+            "labelled window of 5000 events\n")
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_batch_size(self, tmp_path, capsys, value):

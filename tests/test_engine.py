@@ -22,7 +22,7 @@ from hloblab.engine import (
 )
 from hloblab.errors import BadLabel, ShapeMismatch
 from hloblab.model import HlobConfig, _Head
-from reference_ops import conv2d, leaky_relu
+from reference_ops import conv2d, leaky_relu, mul, reshape
 
 
 def tensor64(rng, shape):
@@ -33,7 +33,7 @@ class TestTapeBasics:
     def test_add_mul_chain(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
         b = Tensor(np.array([3.0]), requires_grad=True)
-        out = engine.mul(engine.add(a, b), b)  # (a+b)*b = 15
+        out = mul(engine.add(a, b), b)  # (a+b)*b = 15
         out.backward()
         assert out.data == 15.0
         assert a.grad == 3.0       # d/da = b
@@ -46,7 +46,7 @@ class TestTapeBasics:
 
     def test_shared_node_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        out = engine.add(engine.mul(x, x), x)  # x^2 + x
+        out = engine.add(mul(x, x), x)  # x^2 + x
         out.backward()
         assert x.grad == 7.0
 
@@ -54,8 +54,8 @@ class TestTapeBasics:
         x = Tensor(np.ones((4, 3)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         s = engine.add(x, b)
-        loss = engine.matmul(engine.reshape(s, (1, 12)),
-                             engine.reshape(s, (12, 1)))
+        loss = engine.matmul(reshape(s, (1, 12)),
+                             reshape(s, (12, 1)))
         loss.backward()
         np.testing.assert_allclose(b.grad, 2.0 * 4 * np.ones(3))
 
@@ -63,7 +63,7 @@ class TestTapeBasics:
 class TestGradCheck:
     @staticmethod
     def sum_sq(x):
-        flat = engine.reshape(x, (1, x.data.size))
+        flat = reshape(x, (1, x.data.size))
         return engine.matmul(flat, engine.transpose(flat))
 
     def test_analytic_quadratic(self):
@@ -74,8 +74,7 @@ class TestGradCheck:
 
     def test_constant_function(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        err = grad_check(lambda t: engine.mul(Tensor(np.array(0.0)),
-                                              self.sum_sq(t)), x)
+        err = grad_check(lambda t: mul(Tensor(np.array(0.0)), self.sum_sq(t)), x)
         assert err == 0.0
 
 
@@ -171,7 +170,7 @@ class TestConvLeakyChannelsLast:
         w_data = rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw)
         b_data = rng.standard_normal(32)
 
-        x = Tensor(x_cl.copy(), requires_grad=True)
+        x = Tensor(x_cl.reshape(2, 100, width * c), requires_grad=True)
         w = Tensor(w_data.copy(), requires_grad=True)
         b = Tensor(b_data.copy(), requires_grad=True)
         out = conv_leaky_cl(x, w, b, 0.01, pad)
@@ -184,15 +183,16 @@ class TestConvLeakyChannelsLast:
                                 padding=(pad, (0, 0))), 0.01)
         TestGradCheck.sum_sq(ref).backward()
 
-        assert out.shape == (2, 100, width // kw, 32)
-        assert max_rel(out.data.transpose(0, 3, 1, 2), ref.data) < 1e-12
-        assert max_rel(x.grad.transpose(0, 3, 1, 2), xr.grad) < 1e-12
+        assert out.shape == (2, 100, width // kw * 32)
+        assert max_rel(out.data.reshape(2, 100, width // kw, 32).transpose(0, 3, 1, 2),
+                       ref.data) < 1e-12
+        assert max_rel(x.grad.reshape(x_cl.shape).transpose(0, 3, 1, 2), xr.grad) < 1e-12
         assert max_rel(w.grad, wr.grad) < 1e-12
         assert max_rel(b.grad, br.grad) < 1e-12
 
     def test_gradients_with_time_padding(self):
         rng = np.random.default_rng(21)
-        x = tensor64(rng, (2, 5, 4, 3))
+        x = tensor64(rng, (2, 5, 12))
         w = tensor64(rng, (4, 3, 4, 2))
         b = tensor64(rng, (4,))
 
@@ -205,14 +205,22 @@ class TestConvLeakyChannelsLast:
 
     def test_width_not_tiled_by_kernel(self):
         with pytest.raises(ShapeMismatch):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 5, 2))),
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 10))),
                           Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)),
                           0.01)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 4, 2))),
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
                           Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
+                          0.01)
+
+    def test_row_width_not_whole_kernel_columns(self):
+        # 12 columns are whole kernels of width 4 and whole pairs of
+        # channels, but not whole 4 x 2 kernel columns
+        with pytest.raises(ShapeMismatch, match="row width 12"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 12))),
+                          Tensor(np.zeros((1, 2, 1, 4))), Tensor(np.zeros(1)),
                           0.01)
 
     @pytest.mark.parametrize("kh, kw, own, time_pad, out_rows", [
@@ -246,9 +254,9 @@ class TestConvLeakyChannelsLast:
             np.testing.assert_array_equal(
                 np.flatnonzero((got_index >= got_shared).any(axis=0)), out_rows)
             for i in range(n):
-                want = conv_leaky_cl(Tensor(rows[index[i]][None]), Tensor(w),
-                                     Tensor(b), 0.01, time_pad).data[0]
-                np.testing.assert_array_equal(got[got_index[i]], want)
+                want = conv_leaky_cl(Tensor(rows[index[i]].reshape(1, t_len, -1)),
+                                     Tensor(w), Tensor(b), 0.01, time_pad).data[0]
+                np.testing.assert_array_equal(got[got_index[i]].reshape(want.shape), want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
         cfg = HlobConfig()
@@ -267,10 +275,10 @@ class TestConvLeakyChannelsLast:
 def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
     """The single-loop ``conv_leaky_cl``: output and the x, w, b gradients
     for the upstream gradient ``g``, with every sum in its add order."""
-    n, t_len, w_, c = x.shape
-    o, _, kh, kw = w.shape
+    n, t_len, width = x.shape
+    o, c, kh, kw = w.shape
     pb, pa = time_pad
-    t_out, wo, k = t_len + pb + pa - kh + 1, w_ // kw, kw * c
+    t_out, wo, k = t_len + pb + pa - kh + 1, width // (kw * c), kw * c
     xs = x.reshape(n, t_len * wo, k)
     taps = [w[:, :, i, :].transpose(2, 1, 0).reshape(k, o) for i in range(kh)]
 
@@ -297,7 +305,7 @@ def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
             out_r, in_r = spans(i)
             gw[i] += xs[s, in_r].T @ gz[out_r]
             gx[s, in_r] += (gz @ taps[i].T)[out_r]
-    return (y.reshape(n, t_out, wo, o), gx.reshape(x.shape),
+    return (y.reshape(n, t_out, wo * o), gx.reshape(x.shape),
             gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1), gb)
 
 
@@ -308,7 +316,7 @@ class TestHeadThreads:
     def layer_arrays(layer, n, t_len=100, seed=30):
         width, c, (kh, kw), pad = TestHeadThreads.HEAD_LAYERS[layer]
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, t_len, width, c), np.float32)
+        x = rng.standard_normal((n, t_len, width * c), np.float32)
         w = rng.standard_normal((32, c, kh, kw), np.float32) / np.float32(np.sqrt(c * kh * kw))
         b = rng.standard_normal(32, np.float32)
         return x, w, b, pad
@@ -329,7 +337,7 @@ class TestHeadThreads:
                 rng = np.random.default_rng(31)
                 upstream = Tensor(rng.standard_normal((out.data.size, 1), np.float32))
             # a random upstream gradient: d loss / d out = upstream
-            engine.matmul(engine.reshape(out, (1, out.data.size)), upstream).backward()
+            engine.matmul(reshape(out, (1, out.data.size)), upstream).backward()
             return out.data, x.grad, w.grad, b.grad
 
         serial = run(1)
@@ -402,7 +410,7 @@ class TestLeakyRelu:
         x = Tensor(np.array([0.0]), requires_grad=True)
         out = leaky_relu(x, 0.01)
         assert out.data == 0.0
-        engine.mul(out, Tensor(np.array(1.0))).backward()
+        mul(out, Tensor(np.array(1.0))).backward()
         assert x.grad == 1.0
 
     def test_gradient_away_from_kink(self):
@@ -545,8 +553,8 @@ def reference_lstm(x, params):
         f_g = _sigmoid(_cols(gates, hs, 2 * hs))
         g_g = _tanh(_cols(gates, 2 * hs, 3 * hs))
         o_g = _sigmoid(_cols(gates, 3 * hs, 4 * hs))
-        c = engine.add(engine.mul(f_g, c), engine.mul(i_g, g_g))
-        h = engine.mul(o_g, _tanh(c))
+        c = engine.add(mul(f_g, c), mul(i_g, g_g))
+        h = mul(o_g, _tanh(c))
         outputs.append(h)
     return _stack(outputs, axis=1), h, c
 
@@ -569,7 +577,7 @@ class TestFusedLstm:
         for q in p.parameters():
             q.tensor.grad = None
         out = fn(x, p)[which]
-        flat = engine.reshape(engine.mul(out, Tensor(weights)), (1, -1))
+        flat = reshape(mul(out, Tensor(weights)), (1, -1))
         engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), x_data.dtype))).backward()
         return out.data.copy(), [x.grad] + [q.tensor.grad.copy() for q in p.parameters()]
 
