@@ -1,26 +1,30 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU over the heads' (N, T, W*C) rows (plus a tape-free
-form over a table of distinct rows and an index map of each window's rows
-into it, which runs every head layer in eval), concat, a single-layer LSTM
+convolution + LeakyReLU over the heads' (N, T, W*C) rows, optionally led
+by a second such layer in the same tape node (plus a tape-free form over a
+table of distinct rows and an index map of each window's rows into it,
+which runs every head layer in eval), concat, a single-layer LSTM
 as one fused op with hand-written backpropagation through time (plus a
 tape-free forward for eval), dense (add, matmul and transpose), inverted
 dropout as one tape node, stabilized softmax cross-entropy, an AdamW step
 with decoupled weight decay, and a central finite-difference gradient
 checker. Convolution weights are (O, C, kh, kw).
 
-``conv_leaky_cl`` runs its per-sample loop over contiguous blocks of
-samples on a small thread pool (numpy releases the interpreter lock in
-matmul and in ufuncs over large arrays). Forward samples are independent.
-In backward each block writes its samples' input gradients and one weight
-and bias gradient partial per sample, and the calling thread adds the
-partials in sample order, so every result is bit-identical whatever the
-pool size. Eval's tape-free heads (``HlobModel.head_sequences``) run their
-blocks of windows on the same pool, each block writing its own windows'
-sequences. The pool has ``HEAD_WORKERS`` threads, including the caller:
-``min(4, cpus // blas_threads)``, so that the head blocks and the BLAS
-threads together do not oversubscribe the CPUs the process may run on.
+``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
+output gives the LeakyReLU's sign, and a leading layer's output, never
+kept, is computed again one sample at a time. It runs its per-sample loop
+over contiguous blocks of samples on a small thread pool (numpy releases
+the interpreter lock in matmul and in ufuncs over large arrays). Forward
+samples are independent. In backward each block writes its samples' input
+gradients and one weight and bias gradient partial per sample, and the
+calling thread adds the partials in sample order, so every result is
+bit-identical whatever the pool size. Eval's tape-free heads
+(``HlobModel.head_sequences``) run their blocks of windows on the same
+pool, each block writing its own windows' sequences. The pool has
+``HEAD_WORKERS`` threads, including the caller: ``min(4, cpus //
+blas_threads)``, so that the head blocks and the BLAS threads together do
+not oversubscribe the CPUs the process may run on.
 
 Training runs in float32 by default; gradient-check suites build in float64
 for finite-difference headroom.
@@ -228,8 +232,118 @@ def _tap_matrices(weight: np.ndarray) -> list[np.ndarray]:
             for i in range(kh)]
 
 
+class _ConvLayer:
+    """One channels-last convolution + LeakyReLU of :func:`conv_leaky_cl`,
+    run one sample's rows at a time.
+
+    A sample's input is its (T*W/kw, kw*C) rows and its output the
+    (To*W/kw, O) rows. Backward writes the sample's bias gradient and
+    per-tap weight gradient as partials, which :meth:`add_partials` sums.
+    """
+
+    def __init__(self, weight: Tensor, bias: Tensor, slope: float, time_pad,
+                 t_len: int, width: int, in_dtype):
+        o, c, kh, kw = weight.data.shape
+        pb, pa = time_pad
+        k = kw * c
+        if bias.data.shape != (o,):
+            raise ShapeMismatch(f"conv_leaky_cl bias shape {bias.data.shape}, expected ({o},)")
+        if width % k != 0:
+            raise ShapeMismatch(f"conv_leaky_cl row width {width} not a multiple of "
+                                f"kernel width {kw} x {c} channels")
+        t_out = t_len + pb + pa - kh + 1
+        if t_out < 1:
+            raise ShapeMismatch("kernel longer than padded time axis")
+        wo = width // k
+        self.weight, self.bias, self.slope = weight, bias, slope
+        self.taps = _tap_matrices(weight.data)
+        self.dtype = np.result_type(in_dtype, self.taps[0])
+        self.plain = kh == 1 and pb == pa == 0
+        self.t_out, self.width_out = t_out, wo * o
+        self.rows_in = (t_len * wo, k)
+        self.rows_out = (t_out * wo, o)
+        self.spans = []
+        for i in range(kh):
+            # the output and input rows of a sample that tap i connects
+            lo, hi = max(0, pb - i), min(t_out, t_len + pb - i)
+            self.spans.append((slice(lo * wo, hi * wo),
+                               slice((lo + i - pb) * wo, (hi + i - pb) * wo)))
+        self.gb_parts = self.gw_parts = None
+
+    def tap_buffer(self, dtype, backward=False):
+        """Scratch for one tap's product: (T*W/kw, O) in forward,
+        (To*W/kw, kw*C) in backward; a plain layer needs none."""
+        if self.plain:
+            return None
+        if backward:
+            return np.empty((self.rows_out[0], self.rows_in[1]), dtype)
+        return np.empty((self.rows_in[0], self.rows_out[1]), dtype)
+
+    def forward(self, xs, ys, tap_out) -> None:
+        """Write the LeakyReLU of sample rows ``xs``' convolution to ``ys``."""
+        if self.plain:
+            np.matmul(xs, self.taps[0], out=ys)
+            ys += self.bias.data
+        else:
+            ys[...] = self.bias.data
+            for tap, (out_r, in_r) in zip(self.taps, self.spans):
+                np.matmul(xs, tap, out=tap_out)
+                ys[out_r] += tap_out[in_r]
+        np.maximum(ys, ys * self.slope, out=ys)
+
+    def start_backward(self, n: int, dtype) -> None:
+        """Make the per-sample partials of the parameters that need gradients."""
+        o = self.rows_out[1]
+        self.gb_parts = np.empty((n, o), dtype) if self.bias.requires_grad else None
+        self.gw_parts = (np.empty((n, len(self.taps), self.rows_in[1], o), dtype)
+                         if self.weight.requires_grad else None)
+
+    def backward(self, s: int, xs, ys, g, gz, gx, tap_out) -> None:
+        """Sample ``s``'s partials, and its input gradient into ``gx`` unless
+        that is None, from its input rows ``xs``, its output ``ys`` and the
+        output's gradient ``g``. ``gz`` (To*W/kw, O) and ``tap_out``
+        (:meth:`tap_buffer`) are scratch.
+
+        The LeakyReLU's derivative is taken as 1 where the output is >= 0,
+        -0.0 included, and ``slope`` elsewhere, NaN included; with a
+        positive slope the output has its input's sign.
+        """
+        np.greater_equal(ys, 0, out=gz)
+        gz *= 1.0 - self.slope
+        gz += self.slope
+        gz *= g
+        if self.gb_parts is not None:
+            self.gb_parts[s] = gz.sum(axis=0)
+        if self.gw_parts is not None:
+            for i, (out_r, in_r) in enumerate(self.spans):
+                self.gw_parts[s, i] = xs[in_r].T @ gz[out_r]
+        if gx is None:
+            return
+        if self.plain:
+            np.matmul(gz, self.taps[0].T, out=gx)
+        else:
+            gx[...] = 0
+            for tap, (out_r, in_r) in zip(self.taps, self.spans):
+                np.matmul(gz, tap.T, out=tap_out)
+                gx[in_r] += tap_out[out_r]
+
+    def add_partials(self) -> None:
+        """Add each parameter's partials in sample order into its gradient."""
+        o, c, kh, kw = self.weight.data.shape
+        for param, parts in ((self.bias, self.gb_parts), (self.weight, self.gw_parts)):
+            if parts is None:
+                continue
+            total = np.zeros(parts.shape[1:], parts.dtype)
+            for part in parts:
+                total += part
+            if param is self.weight:
+                total = total.reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
+            param._accumulate(total)
+        self.gb_parts = self.gw_parts = None
+
+
 def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
-                  time_pad=(0, 0)) -> Tensor:
+                  time_pad=(0, 0), first=None) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
 
     ``x`` is (N, T, W*C): each time row holds W columns of C channels, C
@@ -238,7 +352,14 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     zeros. Each of the kh time taps is one GEMM over a sample's
     (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw*O) output, the
     layout the next layer takes, so no padded copy or patch matrix is built.
-    Only the LeakyReLU's sign mask is kept for backward.
+    Backward keeps no LeakyReLU mask: the output it holds has the sign.
+
+    ``first`` = (weight, bias) of an unpadded kh = 1 layer puts that layer,
+    with its own LeakyReLU, in front of this one in the same node: it reads
+    ``x``, and the main layer reads its output, which is made one sample at
+    a time in a scratch buffer and never kept. Backward runs the leading
+    layer again on each sample before the two layers' backward steps. The
+    output and every gradient equal those of two chained nodes bit for bit.
 
     Forward and backward run over contiguous sample blocks, on the head
     pool when the samples are large enough (see ``_sample_blocks``).
@@ -247,94 +368,68 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     order afterwards, which is the add order of a single serial loop.
     """
     n, t_len, width = x.data.shape
-    o, c, kh, kw = weight.data.shape
-    pb, pa = time_pad
-    k = kw * c
-    if bias.data.shape != (o,):
-        raise ShapeMismatch(f"conv_leaky_cl bias shape {bias.data.shape}, expected ({o},)")
-    if width % k != 0:
-        raise ShapeMismatch(f"conv_leaky_cl row width {width} not a multiple of "
-                            f"kernel width {kw} x {c} channels")
-    t_out = t_len + pb + pa - kh + 1
-    if t_out < 1:
-        raise ShapeMismatch("kernel longer than padded time axis")
-    wo = width // k
+    lead = None
+    if first is not None:
+        if first[0].data.shape[2] != 1:
+            raise ShapeMismatch(f"conv_leaky_cl leading kernel {first[0].data.shape[2:]}, "
+                                "expected a single time tap")
+        lead = _ConvLayer(*first, slope, (0, 0), t_len, width, x.data.dtype)
+        o0, c = lead.rows_out[1], weight.data.shape[1]
+        if o0 != c:
+            raise ShapeMismatch(f"conv_leaky_cl leading layer has {o0} outputs, "
+                                f"the main layer reads {c} channels")
+        width = lead.width_out
+    main = _ConvLayer(weight, bias, slope, time_pad, t_len, width,
+                      x.data.dtype if lead is None else lead.dtype)
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
-    xs = x.data.reshape(n, t_len * wo, k)
-    taps = _tap_matrices(weight.data)
-    plain = kh == 1 and pb == pa == 0
+    xs = x.data.reshape((n,) + (main if lead is None else lead).rows_in)
+    y = np.empty((n,) + main.rows_out, main.dtype)
+    sample_elements = xs[0].size + y[0].size + (0 if lead is None else t_len * width)
 
-    def spans(i):
-        """Output and input rows of one sample that tap i connects."""
-        lo, hi = max(0, pb - i), min(t_out, t_len + pb - i)
-        return (slice(lo * wo, hi * wo),
-                slice((lo + i - pb) * wo, (hi + i - pb) * wo))
-
-    y = np.empty((n, t_out * wo, o), np.result_type(xs, taps[0]))
-    mask = np.empty(y.shape, bool)
-    sample_elements = t_len * wo * k + t_out * wo * o
+    def lead_rows(s, h):
+        """Sample ``s``'s leading-layer output, written to ``h``, as the main
+        layer's input rows."""
+        lead.forward(xs[s], h, None)
+        return h.reshape(main.rows_in)
 
     def forward_block(lo, hi):
-        tap_out = np.empty((t_len * wo, o), y.dtype)
+        tap_out = main.tap_buffer(y.dtype)
+        h = None if lead is None else np.empty(lead.rows_out, lead.dtype)
         for s in range(lo, hi):
-            ys = y[s]
-            if plain:
-                np.matmul(xs[s], taps[0], out=ys)
-                ys += bias.data
-            else:
-                ys[...] = bias.data
-                for i in range(kh):
-                    out_r, in_r = spans(i)
-                    np.matmul(xs[s], taps[i], out=tap_out)
-                    ys[out_r] += tap_out[in_r]
-            np.maximum(ys, ys * slope, out=ys)
-            np.greater_equal(ys, 0, out=mask[s])
+            main.forward(xs[s] if lead is None else lead_rows(s, h), y[s], tap_out)
 
     _sample_blocks(forward_block, n, sample_elements)
-    out = Tensor(y.reshape(n, t_out, wo * o), parents=(x, weight, bias))
+    parents = (x, weight, bias) if lead is None else (x, *first, weight, bias)
+    out = Tensor(y.reshape(n, main.t_out, main.width_out), parents=parents)
 
     def backward(g):
         g = g.reshape(y.shape)
-        gb_parts = np.empty((n, o), g.dtype) if bias.requires_grad else None
-        gw_parts = np.empty((n, kh, k, o), g.dtype) if weight.requires_grad else None
         gx = np.empty(xs.shape, g.dtype) if x.requires_grad else None
+        main.start_backward(n, g.dtype)
+        if lead is not None:
+            lead.start_backward(n, g.dtype)
 
         def backward_block(lo, hi):
-            gx_tap = np.empty((t_out * wo, k), g.dtype)
+            gz = np.empty(main.rows_out, g.dtype)
+            tap_out = main.tap_buffer(g.dtype, backward=True)
+            if lead is not None:
+                h = np.empty(lead.rows_out, lead.dtype)
+                # the main layer's input gradient, and the leading layer's gz
+                gh, gz_lead = (np.empty(lead.rows_out, g.dtype) for _ in range(2))
             for s in range(lo, hi):
-                gz = mask[s].astype(g.dtype)
-                gz *= 1.0 - slope
-                gz += slope
-                gz *= g[s]
-                if gb_parts is not None:
-                    gb_parts[s] = gz.sum(axis=0)
-                if gw_parts is not None:
-                    for i in range(kh):
-                        out_r, in_r = spans(i)
-                        gw_parts[s, i] = xs[s, in_r].T @ gz[out_r]
-                if gx is None:
+                gx_s = None if gx is None else gx[s]
+                if lead is None:
+                    main.backward(s, xs[s], y[s], g[s], gz, gx_s, tap_out)
                     continue
-                if plain:
-                    np.matmul(gz, taps[0].T, out=gx[s])
-                else:
-                    gx[s] = 0
-                    for i in range(kh):
-                        out_r, in_r = spans(i)
-                        np.matmul(gz, taps[i].T, out=gx_tap)
-                        gx[s, in_r] += gx_tap[out_r]
+                main.backward(s, lead_rows(s, h), y[s], g[s], gz,
+                              gh.reshape(main.rows_in), tap_out)
+                lead.backward(s, xs[s], h, gh, gz_lead, gx_s, None)
 
         _sample_blocks(backward_block, n, sample_elements)
-        if gb_parts is not None:
-            gb = np.zeros(o, g.dtype)
-            for part in gb_parts:
-                gb += part
-            bias._accumulate(gb)
-        if gw_parts is not None:
-            gw = np.zeros((kh, k, o), g.dtype)
-            for part in gw_parts:
-                gw += part
-            weight._accumulate(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+        main.add_partials()
+        if lead is not None:
+            lead.add_partials()
         if gx is not None:
             x._accumulate(gx.reshape(x.data.shape), owned=True)
 

@@ -6,7 +6,8 @@ it. Workers are forked, so they inherit the job function and the jobs, the
 parent's arrays among them: only job numbers go out, and results and log
 records come back. ``multiprocessing`` is imported only once a pool is due
 (with this module it would add about 0.8 MB to every stage's peak memory),
-and ``logging.handlers`` only in the workers.
+and ``logging.handlers`` with it, in the parent, so that the workers
+inherit it through the fork instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def fork_pool(workers: int):
     """A ``ProcessPoolExecutor`` of ``workers`` forked processes that hold
     their log records for the parent; on exit the jobs not yet started are
     cancelled and the workers are joined, on success and on error."""
+    import logging.handlers     # for _hold_logs, so that no worker imports it
     import multiprocessing
     pool = concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"), initializer=_hold_logs)
@@ -95,8 +97,8 @@ _work = None             # the pool's (fn, jobs), inherited through the fork
 
 
 def _hold_logs() -> None:
-    """Pool initializer: keep the worker's log records for the parent to emit."""
-    import logging.handlers
+    """Pool initializer: keep the worker's log records for the parent to emit.
+    ``logging.handlers`` comes imported from the parent (:func:`fork_pool`)."""
     for logger in (logging.getLogger(), *logging.Logger.manager.loggerDict.values()):
         for handler in list(getattr(logger, "handlers", ())):   # placeholders have none
             logger.removeHandler(handler)

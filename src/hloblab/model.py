@@ -8,9 +8,13 @@ temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
 heads run channels-last on (N, T, width*C) rows, the layout one fused
 ``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
-input and the last layer's (N, T, C) output need no reshape. Weights keep
-the (O, C, kh, kw) convolution layout. ``_Head.layers`` lists the five
-layers once, for both the taped pass and the eval pass.
+input and the last layer's (N, T, C) output need no reshape. The first two
+layers share one node: the (price, volume) layer's output, 16 times its
+input and the largest array a head makes, is made inside the simplex
+layer's node one sample at a time, made again in backward, and never
+kept. Weights keep the (O, C, kh, kw) convolution layout.
+``_Head.layers`` lists the five layers once, for both the taped pass and
+the eval pass.
 The three (100 x 32) head outputs are concatenated into a (100 x 96)
 sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
 three class logits.
@@ -133,10 +137,14 @@ class _Head:
 
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
-        """Outputs (N, T, C) of (N, T, width) inputs."""
-        for _, (weight, bias), time_pad in self.layers():
+        """Outputs (N, T, C) of (N, T, width) inputs; ``conv_pv`` runs
+        inside ``conv_simplex``'s tape node, which does not keep its output."""
+        (_, pv, _), *rest = self.layers()
+        first = tuple(p.tensor for p in pv)
+        for _, (weight, bias), time_pad in rest:
             x = engine.conv_leaky_cl(x, weight.tensor, bias.tensor,
-                                     config.leaky_slope, time_pad)
+                                     config.leaky_slope, time_pad, first)
+            first = None
         # the mask is drawn over (N, C, T): that keeps the random stream
         # trained checkpoints were drawn under, and the tests' NCHW reference
         # head draws the same way, so a given rng drops the same units in both

@@ -471,6 +471,18 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["softmax_cross_entropy"] = engine.grad_check(
         lambda t: engine.softmax_cross_entropy(t, labels), logits)
 
+    # the heads' first two layers as they run them, conv_pv inside
+    # conv_simplex's node, checked through its input and all four parameters
+    pair = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((2, 3, 12), (3, 2, 1, 2), (3,), (4, 3, 1, 3), (4,))]
+
+    def pair_loss(i, t):
+        xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
+        return _sum_sq(engine.conv_leaky_cl(xt, w1, b1, 0.01, first=(w0, b0)))
+
+    results["conv_leaky_cl_pair"] = max(
+        engine.grad_check(lambda t, i=i: pair_loss(i, t), pair[i]) for i in range(len(pair)))
+
     results["hlob_loss"] = hlob_loss_grad_check(seed=seed)
     return results
 

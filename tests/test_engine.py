@@ -272,6 +272,147 @@ class TestConvLeakyChannelsLast:
         np.testing.assert_array_equal(kept.data, expect)
 
 
+def held_arrays(fn):
+    """The arrays a backward closure holds, through the closures, layers and
+    containers it holds in turn (not through the Tensors it reads)."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, engine._ConvLayer):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestLeadingLayer:
+    """``conv_leaky_cl(..., first=(weight, bias))``: a head's conv_pv run
+    inside its conv_simplex node."""
+
+    @staticmethod
+    def pair_arrays(arity, dtype, main_kernel=None, n=5, t_len=100, card=10, seed=40):
+        """x, the leading (conv_pv) weight and bias, the main layer's weight
+        and bias (conv_simplex, or a ``main_kernel`` (kh, kw)), and an
+        upstream gradient for the main layer's output."""
+        kh, kw = (1, arity) if main_kernel is None else main_kernel
+        rng = np.random.default_rng(seed)
+        width = card * arity * 2
+        arrays = [rng.standard_normal((n, t_len, width)),
+                  rng.standard_normal((32, 1, 1, 2)) / np.sqrt(2),
+                  rng.standard_normal(32),
+                  rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
+                  rng.standard_normal(32)]
+        # a main time kernel runs over (1, 2) padding, which keeps T
+        upstream = rng.standard_normal((n * t_len * (width // 2 // kw) * 32, 1))
+        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
+
+    @staticmethod
+    def run(arrays, upstream, paired, time_pad=(0, 0), x_grad=True):
+        """The output, then the gradients of x and the four parameters."""
+        x, w0, b0, w1, b1 = (Tensor(a.copy(), requires_grad=i > 0 or x_grad)
+                             for i, a in enumerate(arrays))
+        if paired:
+            out = conv_leaky_cl(x, w1, b1, 0.01, time_pad, first=(w0, b0))
+        else:
+            out = conv_leaky_cl(conv_leaky_cl(x, w0, b0, 0.01), w1, b1, 0.01, time_pad)
+        engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
+        return out.data, x.grad, w0.grad, b0.grad, w1.grad, b1.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_equals_two_chained_nodes(self, arity, dtype, monkeypatch, head_pool):
+        arrays, upstream = self.pair_arrays(arity, dtype)
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
+        chained = self.run(arrays, upstream, paired=False)
+        assert head_pool.blocks == 0
+        interval = sys.getswitchinterval()
+        # switch threads often, so that blocks interleave as much as they can
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 4):
+                monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+                for got, want in zip(self.run(arrays, upstream, paired=True), chained):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+        # forward and backward each hand all blocks but the first to the pool
+        assert head_pool.blocks == sum(2 * (w - 1) for w in (2, 3, 4))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_kernel_main_layer(self, workers, monkeypatch, head_pool):
+        # a padded 4 x 1 main layer reads the leading layer's output rows
+        # through its taps' shifted spans
+        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+        arrays, upstream = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
+        chained = self.run(arrays, upstream, paired=False, time_pad=(1, 2))
+        for got, want in zip(self.run(arrays, upstream, True, (1, 2)), chained):
+            assert np.array_equal(got, want)
+
+    def test_input_without_gradient(self):
+        # training's head inputs are plain arrays: only the four parameters
+        # take gradients, and the leading layer's still come back
+        arrays, upstream = self.pair_arrays(3, np.float32, n=2, t_len=20)
+        got = self.run(arrays, upstream, paired=True, x_grad=False)
+        want = self.run(arrays, upstream, paired=False, x_grad=False)
+        assert got[1] is None and want[1] is None
+        for g, w in zip(got[2:], want[2:]):
+            assert np.array_equal(g, w)
+
+    def test_one_tape_node(self):
+        arrays, _ = self.pair_arrays(2, np.float32, n=1, t_len=4)
+        x, w0, b0, w1, b1 = (Tensor(a) for a in arrays)
+        out = conv_leaky_cl(x, w1, b1, 0.01, first=(w0, b0))
+        assert out._parents == (x, w0, b0, w1, b1)
+        assert out.shape == (1, 4, 10 * 32)
+
+    def test_backward_holds_no_mask_or_leading_output(self):
+        arrays, _ = self.pair_arrays(3, np.float32, main_kernel=(4, 1), n=2, t_len=6)
+        x, w0, b0, w1, b1 = (Tensor(a, requires_grad=True) for a in arrays)
+        lead_size = 2 * 6 * 30 * 32
+        for out in (conv_leaky_cl(x, w0, b0, 0.01),
+                    conv_leaky_cl(x, w1, b1, 0.01, (1, 2), first=(w0, b0))):
+            held = held_arrays(out._backward)
+            assert not [a.shape for a in held if a.dtype == bool]
+        # the pair holds its own output, and no other array the size of conv_pv's
+        assert not [a.shape for a in held
+                    if a.size >= lead_size and not np.shares_memory(a, out.data)]
+
+    def test_leading_outputs_not_main_channels(self):
+        # 4 outputs of 4 columns are 16 columns, whole 2 x 2 kernel columns,
+        # but the main layer reads 2 channels
+        with pytest.raises(ShapeMismatch, match="leading layer has 4 outputs"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
+                          Tensor(np.zeros(1)), 0.01,
+                          first=(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))))
+
+    def test_leading_row_width_not_whole_kernel_columns(self):
+        with pytest.raises(ShapeMismatch, match="row width 12"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 12))), Tensor(np.zeros((1, 2, 1, 2))),
+                          Tensor(np.zeros(1)), 0.01,
+                          first=(Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2))))
+
+    def test_leading_output_not_whole_main_kernel_columns(self):
+        # 4 columns of 3 leading outputs are 12, not whole 3 x 3 kernel columns
+        with pytest.raises(ShapeMismatch, match="row width 12"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 3))),
+                          Tensor(np.zeros(1)), 0.01,
+                          first=(Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3))))
+
+    def test_leading_layer_with_a_time_kernel(self):
+        with pytest.raises(ShapeMismatch, match="single time tap"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
+                          Tensor(np.zeros(1)), 0.01,
+                          first=(Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(2))))
+
+
 def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
     """The single-loop ``conv_leaky_cl``: output and the x, w, b gradients
     for the upstream gradient ``g``, with every sum in its add order."""
