@@ -583,8 +583,8 @@ class LstmParams:
         return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
 
-def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Run a single-layer LSTM over (N, T, I); returns (outputs, h_T, c_T).
+def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
+    """Run a single-layer LSTM over (N, T, I); returns (outputs, h_T).
 
     The forward keeps the gate activations (T, N, 4H), the cell states and
     tanh(c); backward is hand-written backpropagation through time over them
@@ -608,11 +608,11 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
         _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
                    h[t + 1])
 
-    def bptt(dh_seq, dh_last, dc_last):
-        """Accumulate the gradients of one upstream (any of the three may be None)."""
+    def bptt(dh_seq, dh_last):
+        """Accumulate the gradients of one upstream (the other is None)."""
         dgates = np.empty_like(act)
         dh = np.zeros((n, hs), dtype) if dh_last is None else dh_last
-        dc = np.zeros((n, hs), dtype) if dc_last is None else dc_last
+        dc = np.zeros((n, hs), dtype)
         dact = np.empty((n, 4 * hs), dtype)
         # the weight gradients accumulate transposed, (I, 4H) and (H, 4H)
         gw_ih = np.zeros((i_size, 4 * hs), dtype)
@@ -640,7 +640,7 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
             dc = dc * a[:, hs:2 * hs]
         # the input-side terms add up in the order the per-step tape
         # composition added them, which keeps trained weights bit-identical
-        # to it: time order from h_T or c_T, reverse time from the outputs
+        # to it: time order from h_T, reverse time from the outputs
         for t in range(t_len) if dh_seq is None else reversed(range(t_len)):
             gw_ih += x_steps[t].T @ dgates[t]
             gb_ih += dgates[t].sum(axis=0)
@@ -654,12 +654,10 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
 
     parents = (x,) + tuple(p.tensor for p in params.parameters())
     outputs = Tensor(h[1:].transpose(1, 0, 2), parents=parents,
-                     backward_fn=lambda g: bptt(g, None, None))
+                     backward_fn=lambda g: bptt(g, None))
     h_last = Tensor(h[t_len], parents=parents,
-                    backward_fn=lambda g: bptt(None, g, None))
-    c_last = Tensor(c[t_len], parents=parents,
-                    backward_fn=lambda g: bptt(None, None, g))
-    return outputs, h_last, c_last
+                    backward_fn=lambda g: bptt(None, g))
+    return outputs, h_last
 
 
 def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:

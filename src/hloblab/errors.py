@@ -143,6 +143,10 @@ class DigestMismatch(HloblabError):
     pass
 
 
+class WorkerLost(HloblabError):
+    """A pool worker process died, so a job's result never came back."""
+
+
 # --- training / cli ---
 
 class EmptyDataset(HloblabError):

@@ -17,6 +17,7 @@ import contextlib
 import logging
 
 from . import engine
+from .errors import WorkerLost
 
 MAX_WORKERS = 4
 
@@ -49,23 +50,25 @@ def fork_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def run_jobs(fn, jobs, workers: int) -> list:
+def run_jobs(fn, jobs, workers: int, name) -> list:
     """``[fn(job) for job in jobs]``, inline for 1 worker, else on a
     :func:`fork_pool` that inherits ``fn`` and the listed jobs as module
     state and is sent only job numbers (results still pickle). Each job's
     log records are emitted once the jobs before it have finished; the
     first failing job's error is then raised with the worker's traceback as
-    its cause, and the jobs not yet started are cancelled. One pool runs at
-    a time.
+    its cause, and the jobs not yet started are cancelled. A worker that
+    dies (killed, or exited) raises :class:`WorkerLost` naming
+    ``name(i)``, the first job ``i`` whose result did not come back, once
+    every worker is joined. One pool runs at a time.
     """
     if workers == 1:
         return [fn(job) for job in jobs]
     global _work
     _work = fn, list(jobs)
+    results = []
     try:
         with fork_pool(workers) as pool:
             futures = [pool.submit(_run_held, i) for i in range(len(_work[1]))]
-            results = []
             for future in futures:
                 try:
                     (result, records), failed = future.result(), None
@@ -77,6 +80,9 @@ def run_jobs(fn, jobs, workers: int) -> list:
                     raise failed.args[1] from failed.__cause__   # the worker's traceback
                 results.append(result)
             return results
+    except concurrent.futures.BrokenExecutor as exc:
+        raise WorkerLost(f"a pool worker died: {name(len(results))} "
+                         "returned no result") from exc
     finally:
         _work = None
 

@@ -173,7 +173,8 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     draws = (rng.integers(0, t, size=t) for _ in range(n_bootstrap))
     acc = np.zeros((N_VERTICES, N_VERTICES))
     for mi in forkpool.run_jobs(lambda rows: _mi_of_columns(np.take(cols, rows, axis=1)),
-                                draws, mi_workers(t, n_bootstrap)):
+                                draws, mi_workers(t, n_bootstrap),
+                                lambda i: f"MI bootstrap replicate {i + 1} of {n_bootstrap}"):
         acc += mi
     return acc / n_bootstrap
 

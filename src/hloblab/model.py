@@ -210,7 +210,7 @@ class HlobModel:
                                      else Tensor(np.asarray(x, self.dtype)),
                                      self.config, train, rng)
                         for head, x in zip(self.heads, inputs)]
-        _, h_final, _ = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
+        _, h_final = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
         return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
 
     def classify(self, seq: np.ndarray) -> np.ndarray:
@@ -281,12 +281,11 @@ class HlobModel:
         return rows
 
 
-def predict_proba(logits) -> np.ndarray:
-    """Stabilized softmax over logits; rows sum to 1."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if not np.all(np.isfinite(arr)):
+def predict_proba(logits: np.ndarray) -> np.ndarray:
+    """Stabilized softmax over an array of logits; rows sum to 1."""
+    if not np.all(np.isfinite(logits)):
         raise NonFiniteLogit("logits contain non-finite values")
-    return engine.softmax(arr)
+    return engine.softmax(logits)
 
 
 def save_checkpoint(model: HlobModel, path, optimizer: engine.AdamW | None = None,

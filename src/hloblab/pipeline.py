@@ -222,7 +222,8 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     log.info("ingest workers: %d (%d CPUs, %d days)", workers, engine.cpu_count(),
              len(days))
     jobs = [(data_dir, clean_dir, meta, day, trim_start_s, trim_end_s) for day in days]
-    forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers)
+    forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers,
+                      lambda i: f"the ingest of day {days[i]}")
     return days
 
 

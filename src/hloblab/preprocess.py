@@ -117,7 +117,7 @@ class DayWindows:
 
     day: str
     rows: np.ndarray      # (R, 40) normalized rows
-    ends: np.ndarray      # (N,) int64, each window's last row
+    ends: np.ndarray      # (N,) int64, each window's last row, ascending
     labels: np.ndarray    # (N,) int64, in {-1, 0, +1}
     window_len: int = WINDOW_LEN
 
@@ -152,31 +152,22 @@ def build_windows(normalized: np.ndarray, labels: np.ndarray, day: str,
 def join_windows(days: list[DayWindows]) -> DayWindows:
     """The days' windows as one set over their rows laid end to end, in order.
 
-    Windows of different lengths or widths raise :class:`ShapeMismatch`.
+    Each day adds its rows through its last window's end (none without a
+    window); one day is returned as it is. Windows of different lengths or
+    widths raise :class:`ShapeMismatch`.
     """
     shapes = {(d.window_len, d.rows.shape[1]) for d in days}
     if len(shapes) > 1:
         raise ShapeMismatch(f"windows differ in shape: {sorted(shapes)}")
     if len(days) == 1:
         return days[0]
-    starts = np.cumsum([0] + [len(d.rows) for d in days[:-1]])
+    stops = [int(d.ends[-1]) + 1 if len(d) else 0 for d in days]
+    starts = np.cumsum([0] + stops[:-1])
     return DayWindows(",".join(d.day for d in days),
-                      np.concatenate([d.rows for d in days]),
+                      np.concatenate([d.rows[:stop] for d, stop in zip(days, stops)]),
                       np.concatenate([d.ends + s for d, s in zip(days, starts)]),
                       np.concatenate([d.labels for d in days]),
                       days[0].window_len)
-
-
-def run_origins(ends: np.ndarray, window_len: int) -> np.ndarray:
-    """First row of each window when windows are laid out in runs of shared rows.
-
-    The windows are laid end to end, except that a window ending one row
-    after the previous one continues its run and starts one row after it.
-    A day's consecutive windows thus share one copy of the day's rows, and
-    a gap or a new day starts a new run.
-    """
-    steps = np.where(np.diff(ends) == 1, 1, window_len)
-    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
 
 
 def balanced_sample(labels: np.ndarray, cap: int = 5000,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .preprocess import (
     balanced_sample,
     join_windows,
     label_to_class,
-    run_origins,
     sequential_batches,
 )
 
@@ -53,20 +52,19 @@ class EvalReport:
     p_t: float
     tt: int
     confusion: np.ndarray  # (3, 3), rows = truth, cols = prediction
-    loss_history: list[float] = field(default_factory=list)
     ticker: str = ""
     year: str = ""
     horizon: int = 0
 
 
 # An eval chunk is the whole batches whose heads one call computes: at most
-# EVAL_WINDOWS windows and EVAL_ROWS distinct rows, or else one batch, plus
-# the short last batch when it is all that is left and the rows allow. In
-# the heads' row tables, each window's own rows (the ones that see its
-# padding) and its head sequence take memory per window, and the shared
-# rows per row; these caps keep a chunk near one batch of 32 separate
-# 100-row windows. The heads then run the chunk in blocks of at most
-# model.EVAL_BLOCK windows.
+# EVAL_WINDOWS windows and EVAL_ROWS rows in the slice of the joined day rows
+# they read, or else one batch, plus the short last batch when it is all
+# that is left and the rows allow. In the heads' row tables, each window's
+# own rows (the ones that see its padding) and its head sequence take memory
+# per window, and the slice's rows per row; these caps keep a chunk near one
+# batch of 32 separate 100-row windows. The heads then run the chunk in
+# blocks of at most model.EVAL_BLOCK windows.
 EVAL_WINDOWS = 512
 EVAL_ROWS = 4096
 
@@ -75,40 +73,38 @@ def _eval_batches(model: HlobModel, days: list[DayWindows],
                   complex_: SimplicialComplex, batch_size: int):
     """Eval-mode logits of sequential batches: yields (labels, logits).
 
-    The heads run once on each chunk's distinct rows (see
-    ``HlobModel.head_sequences``), so overlapping windows share their rows'
-    work; runs come from the window ends (:func:`run_origins`). A chunk is
-    whole batches; a short last batch joins the chunk before it when
-    ``EVAL_ROWS`` allows, so that the rows they share are not convolved
-    again. The tape-free LSTM and the output layer run once over the
-    chunk's whole batches and once over the short batch, which are the
-    stacks they ran on when the short batch was a chunk of its own. Those
-    stacks are kept as they are so that the logits keep their bits: with
-    OpenBLAS the LSTM's GEMMs may round differently at another height (a
-    512-row stack and its 32-row batches differed by up to 7.5e-9).
+    The heads run once on each chunk's slice of the days' joined rows
+    (:func:`join_windows`), from its first window's start to its last
+    window's end (see ``HlobModel.head_sequences``), so overlapping windows
+    share their rows' work. A chunk is whole batches; a short last batch
+    joins the chunk before it when ``EVAL_ROWS`` allows, so that the rows
+    they share are not convolved again. The tape-free LSTM and the output
+    layer run once over the chunk's whole batches and once over the short
+    batch, which are the stacks they ran on when the short batch was a
+    chunk of its own. Those stacks are kept as they are so that the logits
+    keep their bits: with OpenBLAS the LSTM's GEMMs may round differently
+    at another height (a 512-row stack and its 32-row batches differed by
+    up to 7.5e-9).
     """
     windows = join_windows(days)
     t_len, ends = windows.window_len, windows.ends
-    origins = run_origins(ends, t_len)
-    stops = origins + t_len
+    starts, stops = ends - (t_len - 1), ends + 1
     lo = 0
     while lo < len(ends):
-        fit = int(np.searchsorted(stops, origins[lo] + EVAL_ROWS, side="right"))
+        fit = int(np.searchsorted(stops, starts[lo] + EVAL_ROWS, side="right"))
         hi = min(len(ends), lo + batch_size * max(
             1, (min(fit, lo + EVAL_WINDOWS) - lo) // batch_size))
         if len(ends) - hi < batch_size and fit == len(ends):
             hi = len(ends)
-        at, labels = origins[lo:hi], windows.labels[lo:hi]
-        runs = np.split(ends[lo:hi], np.flatnonzero(np.diff(ends[lo:hi]) != 1) + 1)
-        rows = np.concatenate([windows.rows[run[0] - t_len + 1:run[-1] + 1]
-                               for run in runs])
+        at, labels = starts[lo:hi], windows.labels[lo:hi]
+        rows = windows.rows[at[0]:stops[hi - 1]]
         seq = model.head_sequences(infonet.assemble_head_inputs(rows, complex_),
                                    at - at[0], t_len)
         whole = len(at) - len(at) % batch_size
         logits = np.concatenate([model.classify(part)
                                  for part in (seq[:whole], seq[whole:]) if len(part)])
         for b in range(0, len(at), batch_size):
-            yield labels[b:b + batch_size], engine.Tensor(logits[b:b + batch_size])
+            yield labels[b:b + batch_size], logits[b:b + batch_size]
         lo = hi
 
 
@@ -124,7 +120,8 @@ def validation_loss(model: HlobModel, days: list[DayWindows],
                     complex_: SimplicialComplex, batch_size: int) -> float:
     total, count = 0.0, 0
     for labels, logits in _eval_batches(model, days, complex_, batch_size):
-        loss = engine.softmax_cross_entropy(logits, label_to_class(labels))
+        loss = engine.softmax_cross_entropy(engine.Tensor(logits),
+                                            label_to_class(labels))
         total += float(loss.data) * len(labels)
         count += len(labels)
     return total / count
@@ -226,10 +223,7 @@ def evaluate(model: HlobModel, test_days: list[DayWindows],
         raise EmptyDataset("no test windows")
     predictions: list[int] = []
     labels: list[int] = []
-    losses: list[float] = []
     for batch, logits in _eval_batches(model, test_days, complex_, batch_size):
-        losses.append(float(engine.softmax_cross_entropy(
-            logits, label_to_class(batch)).data))
         probs = predict_proba(logits)
         predictions.extend((probs.argmax(axis=1) - 1).tolist())
         labels.extend(batch.tolist())
@@ -242,7 +236,6 @@ def evaluate(model: HlobModel, test_days: list[DayWindows],
         p_t=p_t,
         tt=tt,
         confusion=confusion,
-        loss_history=losses,
         ticker=ticker,
         year=year,
         horizon=horizon,

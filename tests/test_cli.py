@@ -3,6 +3,9 @@ import io
 import json
 import logging
 import multiprocessing
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -572,8 +575,8 @@ class TestRunJobs:
         def square(job):
             return job[0], job[1]()
 
-        assert forkpool.run_jobs(square, jobs, 1) == [(i, i * i) for i in range(7)]
-        assert forkpool.run_jobs(square, iter(jobs), 2) == [(i, i * i) for i in range(7)]
+        assert forkpool.run_jobs(square, jobs, 1, str) == [(i, i * i) for i in range(7)]
+        assert forkpool.run_jobs(square, iter(jobs), 2, str) == [(i, i * i) for i in range(7)]
 
         def fail_2_and_4(job):
             if job in (2, 4):
@@ -582,7 +585,7 @@ class TestRunJobs:
 
         for workers in (1, 2):
             with pytest.raises(ValueError, match="^job 2 failed$") as err:
-                forkpool.run_jobs(fail_2_and_4, range(6), workers)
+                forkpool.run_jobs(fail_2_and_4, range(6), workers, str)
             if workers == 2:
                 # the worker's traceback, as the cause
                 assert "in fail_2_and_4" in str(err.value.__cause__)
@@ -617,6 +620,69 @@ class TestRunJobs:
         assert err == f"error: malformed row at line 7: bad field (day {DAYS[4]})\n"
         assert records[1:] == [("WARNING", "hloblab.pipeline", f"read day {day}")
                                for day in DAYS[:5]]
+
+
+def die(how):
+    if how == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    os._exit(3)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+class TestLostWorker:
+    """A pool worker that dies, as the out-of-memory killer ends one, ends
+    the stage with exit 2 and one error line naming the first lost job."""
+
+    @pytest.mark.parametrize("how", ["sigkill", "exit-3"])
+    @pytest.mark.parametrize("which", ["first", "last"])
+    @pytest.mark.parametrize("stage", ["ingest", "mi"])
+    def test_one_error_line_and_every_worker_joined(self, tmp_path, monkeypatch, capfd,
+                                                    stage, which, how):
+        cfg_path = str(write_config(tmp_path, bootstrap=4))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        if stage == "ingest":
+            force_ingest_pool(monkeypatch)
+        else:
+            assert cli.dispatch(["ingest", "--config", cfg_path]) == 0
+            force_mi_pool(monkeypatch)
+        done = tmp_path / "done"
+        done.mkdir()
+        run_jobs = forkpool.run_jobs
+
+        def dying(fn, jobs, workers, name):
+            jobs = list(jobs)
+            k = 0 if which == "first" else len(jobs) - 1
+
+            def job_or_death(job):
+                i = next(i for i, j in enumerate(jobs) if j is job)
+                if i != k:
+                    result = fn(job)
+                    (done / str(i)).touch()
+                    return result
+                # the jobs before k return first, so k's result is the first lost
+                deadline = time.monotonic() + 60
+                while (not all((done / str(j)).exists() for j in range(k))
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.2)
+                die(how)
+
+            return run_jobs(job_or_death, jobs, workers, name)
+
+        monkeypatch.setattr(forkpool, "run_jobs", dying)
+        capfd.readouterr()
+        code = cli.dispatch([stage, "--config", cfg_path])
+        out, err = capfd.readouterr()
+        assert multiprocessing.active_children() == []
+        lost = (f"the ingest of day {DAYS[0 if which == 'first' else -1]}"
+                if stage == "ingest" else
+                f"MI bootstrap replicate {1 if which == 'first' else 4} of 4")
+        assert (code, out, err) == (2, "", f"error: a pool worker died: {lost} "
+                                           "returned no result\n")
+        assert forkpool._work is None
+        if stage == "mi":
+            assert not (tmp_path / "out" / "mi_avg.json").exists()
 
 
 class TestBadValuesAtUse:

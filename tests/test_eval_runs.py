@@ -1,6 +1,7 @@
-"""The eval path over runs of overlapping windows against the per-window forward.
+"""The eval path over overlapping windows against the per-window forward.
 
-``evaluate`` and ``validation_loss`` compute the heads once per distinct row
+``evaluate`` and ``validation_loss`` read each window from the days' joined
+rows and compute the heads once per row of a chunk's slice
 (``HlobModel.head_sequences``); the tests here check them against
 ``HlobModel.forward(train=False)`` on the same windows and batches, and the
 blocked heads on the head pool against one block run serially.
@@ -19,7 +20,7 @@ from hloblab.engine import Tensor, softmax_cross_entropy
 from hloblab.errors import ShapeMismatch
 from hloblab.infonet import assemble_head_inputs, build_tmfg, extract_simplices
 from hloblab.model import HlobConfig, HlobModel
-from hloblab.preprocess import DayWindows, label_to_class, run_origins
+from hloblab.preprocess import UNLABELED, DayWindows, build_windows, label_to_class
 from hloblab.train import evaluate, validation_loss
 
 
@@ -53,7 +54,7 @@ def views(days):
 
 # The layout before window ends were kept: runs were found by comparing the
 # rows of neighbouring windows. Kept here as the reference for the layout
-# that eval now takes from the ends.
+# that eval takes from the joined rows of days that build_windows makes.
 def reference_origins(windows):
     shape = windows[0].features.shape
     if any(w.features.shape != shape for w in windows):
@@ -105,6 +106,18 @@ def assert_reference_layout(days):
     return origins
 
 
+def assert_window_rows(days):
+    """Each window's head inputs are the laid-out rows from its origin on;
+    returns the origins."""
+    windows = views(days)
+    row_inputs, origins = layout(days)
+    index = origins[:, None] + np.arange(windows[0].features.shape[0])
+    feats = np.stack([w.features for w in windows])
+    for got, want in zip(row_inputs, assemble_head_inputs(feats, COMPLEX)):
+        np.testing.assert_array_equal(got[index], want)
+    return origins
+
+
 def reference_logits(model, windows, batch_size):
     """Per-window forward, batch by batch in list order."""
     out = []
@@ -121,7 +134,7 @@ def run_logits(model, days, batch_size):
         [len(windows[lo:lo + batch_size]) for lo in range(0, len(windows), batch_size)]
     for lo, (labels, _) in zip(range(0, len(windows), batch_size), batches):
         assert labels.tolist() == [w.label for w in windows[lo:lo + batch_size]]
-    return np.concatenate([logits.data for _, logits in batches])
+    return np.concatenate([logits for _, logits in batches])
 
 
 def check_logits(model, days, batch_size, tol=1e-12):
@@ -143,20 +156,22 @@ class TestWindowRows:
         assert len(layout(days)[0][0]) == 11
 
     def test_runs_break_at_a_gap_and_a_new_day(self):
+        # windows of a day read its rows wherever they are, across a gap;
+        # the next day's rows follow the day's last window end
         rng = np.random.default_rng(2)
         a = day_windows(rng, "d1", 6, 5)
         b = day_windows(rng, "d2", 4, 5)
-        days = [subset(a, np.r_[0:3, 4:6]), b]   # a[3] skipped: a[4] does not overlap a[2]
-        origins = assert_reference_layout(days)
-        np.testing.assert_array_equal(origins, [0, 1, 2, 7, 8, 13, 14, 15, 16])
-        assert len(layout(days)[0][0]) == 7 + 6 + 8
+        days = [subset(a, np.r_[0:3, 4:6]), b]   # a[3] skipped: a[4] shares rows with a[2]
+        origins = assert_window_rows(days)
+        np.testing.assert_array_equal(origins, [0, 1, 2, 4, 5, 10, 11, 12, 13])
+        assert len(layout(days)[0][0]) == 10 + 8
 
     def test_runs_of_one(self):
         rng = np.random.default_rng(3)
         one_day = subset(day_windows(rng, "d1", 9, 4), np.r_[0, 2, 4, 8])
         days = [one_day] + [day_windows(rng, f"s{i}", 1, 4) for i in range(3)]
-        origins = assert_reference_layout(days)
-        np.testing.assert_array_equal(origins, 4 * np.arange(7))
+        origins = assert_window_rows(days)
+        np.testing.assert_array_equal(origins, [0, 2, 4, 8, 12, 16, 20])
 
     def test_a_new_day_starts_a_run_even_when_its_rows_repeat(self):
         # the second day's window has the rows of the first day's window
@@ -167,6 +182,26 @@ class TestWindowRows:
         np.testing.assert_array_equal(layout(days)[1], [0, 4])
         model = HlobModel(HlobConfig(window_len=4, **SMALL), seed=1, dtype=np.float64)
         check_logits(model, days, 2)
+
+    def test_built_days_with_horizon_tails_and_an_empty_day(self):
+        # each day's unlabelled tail rows are left out of the joined rows,
+        # and a day shorter than a window adds none, so the windows of
+        # build_windows lie as the runs of shared rows did
+        rng = np.random.default_rng(16)
+        t_len, horizon = 5, 3
+
+        def built(day, n_rows):
+            labels = rng.integers(-1, 2, n_rows)
+            labels[n_rows - horizon:] = UNLABELED
+            return build_windows(rng.standard_normal((n_rows, 40)), labels, day, t_len)
+
+        days = [built("d1", 12), built("d2", 4), built("d3", 9), built("d4", 7)]
+        assert [len(d) for d in days] == [5, 0, 2, 0]
+        origins = assert_reference_layout(days)
+        np.testing.assert_array_equal(origins, [0, 1, 2, 3, 4, 9, 10])
+        assert len(layout(days)[0][0]) == 9 + 6
+        model = HlobModel(HlobConfig(window_len=t_len, **SMALL), seed=2, dtype=np.float64)
+        check_logits(model, days, 3)
 
     def test_windows_of_different_length_rejected(self):
         rng = np.random.default_rng(4)
@@ -202,7 +237,7 @@ class TestRunLogits:
         model = HlobModel(HlobConfig(window_len=20), seed=2, dtype=np.float64)
         windows = day_windows(rng, "d1", 9, 20)
         seq = model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
-                                   run_origins(windows.ends, 20), 20)
+                                   windows.ends - 19, 20)
         feats = windows.features(np.arange(9))
         heads = []
         for head, arr in zip(model.heads, assemble_head_inputs(feats, COMPLEX)):
@@ -243,7 +278,7 @@ class TestRunLogits:
         model = HlobModel(HlobConfig(), seed=10)
         windows = day_windows(rng, "d1", n, 100)
         seq = model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
-                                   run_origins(windows.ends, 100), 100)
+                                   windows.ends - 99, 100)
         feats = windows.features(np.arange(n))
         for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
                                    np.split(seq, 3, axis=2)):
@@ -277,7 +312,7 @@ class TestRunLogits:
         monkeypatch.setattr(engine, "conv_leaky_cl", taped)
         monkeypatch.setattr(Tensor, "__init__", counted_init)
         model.head_sequences(assemble_head_inputs(windows.rows, COMPLEX),
-                             run_origins(windows.ends, 30), 30)
+                             windows.ends - 29, 30)
         assert pads == [(0, 0), (0, 0), (1, 2), (1, 2), (0, 0)] * 3
         assert tensors == []
 
@@ -291,8 +326,8 @@ class TestRunLogits:
         b = day_windows(rng, "d2", 9, 30)
         days = [subset(a, slice(0, 5)), stray, subset(a, slice(5, None)), b]
         np.testing.assert_array_equal(
-            assert_reference_layout(days),
-            [0, 1, 2, 3, 4, 34] + list(range(64, 71)) + list(range(100, 109)))
+            assert_window_rows(days),
+            [0, 1, 2, 3, 4, 34] + list(range(69, 76)) + list(range(105, 114)))
         check_logits(model, days, 4)
 
     def test_runs_of_one(self):
@@ -499,22 +534,14 @@ class TestShortLastBatch:
 
 
 class TestEvaluateAndValidation:
-    def test_evaluate_loss_history_and_predictions(self):
+    def test_evaluate_predictions(self):
         rng = np.random.default_rng(12)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=8, dtype=np.float64)
         days = [day_windows(rng, "d1", 11, 30), day_windows(rng, "d2", 6, 30)]
         report = evaluate(model, days, COMPLEX, batch_size=5)
         windows = views(days)
-        want_losses, want_preds = [], []
-        for lo in range(0, len(windows), 5):
-            batch = windows[lo:lo + 5]
-            logits = reference_logits(model, batch, 5)
-            ids = np.array([label_to_class(w.label) for w in batch])
-            want_losses.append(float(softmax_cross_entropy(Tensor(logits), ids).data))
-            want_preds.extend(logits.argmax(axis=1) - 1)
         # 17 windows in batches of 5: the last batch is short
-        assert len(report.loss_history) == 4
-        np.testing.assert_allclose(report.loss_history, want_losses, rtol=1e-12)
+        want_preds = reference_logits(model, windows, 5).argmax(axis=1) - 1
         labels = [w.label for w in windows]
         assert report.confusion.sum() == 17
         np.testing.assert_array_equal(

@@ -124,7 +124,7 @@ class TestForward:
         cfg = model.config
         logits = model.forward([np.zeros((1, 100, w)) for w in cfg.head_widths])
         assert np.all(logits.data == logits.data[0, 0])
-        np.testing.assert_allclose(predict_proba(logits)[0], 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(predict_proba(logits.data)[0], 1 / 3, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -311,6 +311,19 @@ class TestDayWindows:
         np.testing.assert_array_equal(joined.labels, np.r_[a.labels, b.labels])
         assert join_windows([a]) is a
 
+    def test_join_keeps_each_day_through_its_last_window_end(self):
+        # horizon tails of 3 rows; d2 is shorter than a window and d4 has
+        # only unlabelled rows past its first window's end
+        a = build_windows(*self.day(30, slice(27, None)), "d1", 7)
+        empty = build_windows(*self.day(5, slice(2, None)), "d2", 7)
+        b = build_windows(*self.day(20, np.r_[9, 17:20]), "d3", 7)
+        none = build_windows(*self.day(12, slice(4, None)), "d4", 7)
+        assert (len(empty), len(none)) == (0, 0)
+        joined = join_windows([a, empty, b, none])
+        np.testing.assert_array_equal(joined.rows, np.concatenate([a.rows[:27], b.rows[:17]]))
+        np.testing.assert_array_equal(joined.ends, np.r_[a.ends, 27 + b.ends])
+        np.testing.assert_array_equal(joined.labels, np.r_[a.labels, b.labels])
+
     @pytest.mark.parametrize("shape", [(8, 40), (7, 39)])
     def test_join_of_different_shapes_rejected(self, shape):
         window_len, width = shape
