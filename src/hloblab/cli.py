@@ -81,6 +81,9 @@ def dispatch(argv=None) -> int:
     except HloblabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except MemoryError as exc:     # a pooled job's too, re-raised here
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _run_verb(command: str, cfg: RunConfig) -> int:

@@ -4,12 +4,12 @@ Supplies exactly the layers the classifier needs: a fused channels-last
 convolution + LeakyReLU over the heads' (N, T, W*C) rows, optionally led
 by a second such layer in the same tape node (plus a tape-free form over a
 table of distinct rows and an index map of each window's rows into it,
-which runs every head layer in eval), concat, a single-layer LSTM
-as one fused op with hand-written backpropagation through time (plus a
-tape-free forward for eval), dense (add, matmul and transpose), inverted
-dropout as one tape node, stabilized softmax cross-entropy, an AdamW step
-with decoupled weight decay, and a central finite-difference gradient
-checker. Convolution weights are (O, C, kh, kw).
+which runs every head layer in eval), concat, a single-layer LSTM's final
+hidden state as one fused op with hand-written backpropagation through time
+(plus a tape-free forward for eval), dense (add, matmul and transpose),
+inverted dropout of the heads' output as one tape node, stabilized softmax
+cross-entropy, an AdamW step with decoupled weight decay, and a central
+finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
 output gives the LeakyReLU's sign, and a leading layer's output, never
@@ -45,12 +45,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
-        self._backward = backward_fn
+        self._backward = None
 
     @property
     def shape(self):
@@ -456,21 +456,19 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, train: bool,
-            rng: np.random.Generator | None = None, draw_axes=None) -> Tensor:
-    """Inverted dropout: identity in eval mode, rescaled mask in train mode.
-
-    ``draw_axes`` draws the mask over ``x``'s axes in that order and
-    transposes it back, so a layout change can keep the random stream.
+            rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout of the heads' (N, T, C) output: identity in eval mode,
+    a rescaled mask drawn from ``rng`` over (N, C, T) in train mode. That
+    order keeps the random stream trained checkpoints were drawn under, and
+    the tests' NCHW reference head draws the same way.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
         return x
-    if rng is None:
-        rng = np.random.default_rng()
-    axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
-    keep = rng.random(tuple(x.shape[a] for a in axes)) >= rate
-    mask = keep.transpose(np.argsort(axes)).astype(x.data.dtype) / (1.0 - rate)
+    n, t_len, c = x.data.shape
+    keep = rng.random((n, c, t_len)) >= rate
+    mask = keep.transpose(0, 2, 1).astype(x.data.dtype) / (1.0 - rate)
     out = Tensor(x.data * mask, parents=(x,))
 
     def backward(g):
@@ -583,14 +581,13 @@ class LstmParams:
         return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
 
-def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """Run a single-layer LSTM over (N, T, I); returns (outputs, h_T).
+def lstm(x: Tensor, params: LstmParams) -> Tensor:
+    """The final hidden state h_T (N, H) of a single-layer LSTM over (N, T, I),
+    as one tape node; the model reads no other step's output.
 
     The forward keeps the gate activations (T, N, 4H), the cell states and
     tanh(c); backward is hand-written backpropagation through time over them
-    (Greff et al., arXiv:1503.04069). Each returned tensor is one tape node
-    whose backward runs that BPTT from its own gradient, so a loss that reads
-    only ``h_T`` puts a single LSTM node on the tape.
+    (Greff et al., arXiv:1503.04069), starting from h_T's gradient.
     """
     n, t_len, i_size = x.data.shape
     if i_size != params.input_size:
@@ -607,11 +604,10 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     for t in range(t_len):
         _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
                    h[t + 1])
+    out = Tensor(h[t_len], parents=(x,) + tuple(p.tensor for p in params.parameters()))
 
-    def bptt(dh_seq, dh_last):
-        """Accumulate the gradients of one upstream (the other is None)."""
+    def backward(dh):
         dgates = np.empty_like(act)
-        dh = np.zeros((n, hs), dtype) if dh_last is None else dh_last
         dc = np.zeros((n, hs), dtype)
         dact = np.empty((n, 4 * hs), dtype)
         # the weight gradients accumulate transposed, (I, 4H) and (H, 4H)
@@ -620,8 +616,6 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
         gb_ih = np.zeros(4 * hs, dtype)
         gb_hh = np.zeros(4 * hs, dtype)
         for t in reversed(range(t_len)):
-            if dh_seq is not None:
-                dh = dh + dh_seq[:, t]
             a, tc, dg = act[t], tanh_c[t], dgates[t]
             dc = dc + dh * a[:, 3 * hs:] * (1.0 - tc * tc)
             # upstream of each gate activation, then through its nonlinearity
@@ -638,10 +632,9 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
             gb_hh += dg.sum(axis=0)
             dh = dg @ w_hh
             dc = dc * a[:, hs:2 * hs]
-        # the input-side terms add up in the order the per-step tape
+        # the input-side terms add up in time order, as the per-step tape
         # composition added them, which keeps trained weights bit-identical
-        # to it: time order from h_T, reverse time from the outputs
-        for t in range(t_len) if dh_seq is None else reversed(range(t_len)):
+        for t in range(t_len):
             gw_ih += x_steps[t].T @ dgates[t]
             gb_ih += dgates[t].sum(axis=0)
         if x.requires_grad:
@@ -652,12 +645,8 @@ def lstm(x: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
             if p.tensor.requires_grad:
                 p.tensor._accumulate(g, owned=True)
 
-    parents = (x,) + tuple(p.tensor for p in params.parameters())
-    outputs = Tensor(h[1:].transpose(1, 0, 2), parents=parents,
-                     backward_fn=lambda g: bptt(g, None))
-    h_last = Tensor(h[t_len], parents=parents,
-                    backward_fn=lambda g: bptt(None, g))
-    return outputs, h_last
+    out._backward = backward
+    return out
 
 
 def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 from .errors import IoFailure
 
+TEMP_NAME = ".{}.{}.tmp"    # write_atomic's temporary file: .<name>.<pid>.tmp
+
 
 def write_atomic(path, data) -> None:
     """Write ``data`` to ``path`` so readers see the old file or the new one.
@@ -17,7 +19,7 @@ def write_atomic(path, data) -> None:
     failure the temporary file is removed and ``path`` is untouched.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(TEMP_NAME.format(path.name, os.getpid()))
     try:
         tmp.write_bytes(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)

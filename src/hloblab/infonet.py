@@ -153,7 +153,7 @@ def mi_workers(n_rows: int, n_bootstrap: int) -> int:
 
 
 def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
-                    rng_seed: int = 0) -> np.ndarray:
+                    rng_seed: int = 0, *, day: str | None = None) -> np.ndarray:
     """Bootstrap-averaged daily MI matrix.
 
     The day's columns are transposed once; each replicate takes its resampled
@@ -163,7 +163,8 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     first, in the same order from the same generator, and the replicates run
     on a pool of forked processes that inherit the columns and the draws
     (``forkpool.run_jobs``). Their matrices are added in replicate order
-    either way, so the result is bit-identical to the inline loop.
+    either way, so the result is bit-identical to the inline loop. A lost
+    worker's error names its replicate, and ``day`` when given.
     """
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
@@ -172,9 +173,11 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     t = cols.shape[1]
     draws = (rng.integers(0, t, size=t) for _ in range(n_bootstrap))
     acc = np.zeros((N_VERTICES, N_VERTICES))
+    of_day = "" if day is None else f" of day {day}"
     for mi in forkpool.run_jobs(lambda rows: _mi_of_columns(np.take(cols, rows, axis=1)),
                                 draws, mi_workers(t, n_bootstrap),
-                                lambda i: f"MI bootstrap replicate {i + 1} of {n_bootstrap}"):
+                                lambda i: f"MI bootstrap replicate {i + 1} of "
+                                          f"{n_bootstrap}{of_day}"):
         acc += mi
     return acc / n_bootstrap
 

@@ -36,6 +36,8 @@ N_MSG_COLS = 6  # time, type, id, size, price, direction
 
 SESSION_OPEN_NS = 34_200 * 10**9   # 09:30
 SESSION_CLOSE_NS = 57_600 * 10**9  # 16:00
+SYNTH_START_S = 36_100.0           # 10:01:40, synthesize_lob's first event
+SYNTH_END_S = 55_700.0             # 15:28:20, its last
 
 # column offsets within one level block (ask_p, ask_v, bid_p, bid_v)
 ASK_P, ASK_V, BID_P, BID_V = 0, 1, 2, 3
@@ -397,8 +399,7 @@ SYNTH_REGIMES = ("compact", "sparse")
 
 
 def synthesize_lob(seed: int, n_events: int, regime: str, meta: StockMeta,
-                   day: str = "1970-01-01",
-                   start_s: float = 36_100.0, end_s: float = 55_700.0) -> LobSeries:
+                   day: str = "1970-01-01") -> LobSeries:
     """Generate a deterministic synthetic day of LOBSTER-like data.
 
     ``compact`` emits consecutive-tick ladders on both sides (a first-to-tenth
@@ -413,7 +414,7 @@ def synthesize_lob(seed: int, n_events: int, regime: str, meta: StockMeta,
     theta = meta.tick_units
     base_bid = 100 * 10_000  # start around $100
 
-    timestamps = np.linspace(start_s * 1e9, end_s * 1e9, n_events).astype(np.int64)
+    timestamps = np.linspace(SYNTH_START_S * 1e9, SYNTH_END_S * 1e9, n_events).astype(np.int64)
     book = np.empty((n_events, N_BOOK_COLS), np.int64)
     messages = np.empty((n_events, 5), np.int64)
 

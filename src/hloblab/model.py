@@ -145,11 +145,7 @@ class _Head:
             x = engine.conv_leaky_cl(x, weight.tensor, bias.tensor,
                                      config.leaky_slope, time_pad, first)
             first = None
-        # the mask is drawn over (N, C, T): that keeps the random stream
-        # trained checkpoints were drawn under, and the tests' NCHW reference
-        # head draws the same way, so a given rng drops the same units in both
-        return engine.dropout(x, config.dropout_rate, train, rng,
-                              draw_axes=(0, 2, 1))
+        return engine.dropout(x, config.dropout_rate, train, rng)
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,
                      slope: float) -> np.ndarray:
@@ -210,7 +206,7 @@ class HlobModel:
                                      else Tensor(np.asarray(x, self.dtype)),
                                      self.config, train, rng)
                         for head, x in zip(self.heads, inputs)]
-        _, h_final = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
+        h_final = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
         return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
 
     def classify(self, seq: np.ndarray) -> np.ndarray:

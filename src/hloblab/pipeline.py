@@ -19,8 +19,8 @@ import numpy as np
 
 from . import engine, forkpool, infonet, lob, preprocess, train as train_mod
 from .config import RunConfig
-from .errors import ConfigError, DigestMismatch, MalformedRow
-from .files import read_json, write_atomic
+from .errors import ConfigError, DigestMismatch, MalformedRow, WorkerLost
+from .files import TEMP_NAME, read_json, write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
 from .preprocess import HISTORY_DAYS, DayWindows
@@ -222,8 +222,13 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     log.info("ingest workers: %d (%d CPUs, %d days)", workers, engine.cpu_count(),
              len(days))
     jobs = [(data_dir, clean_dir, meta, day, trim_start_s, trim_end_s) for day in days]
-    forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers,
-                      lambda i: f"the ingest of day {days[i]}")
+    try:
+        forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers,
+                          lambda i: f"the ingest of day {days[i]}")
+    except WorkerLost:  # other workers were terminated, maybe inside write_atomic
+        for tmp in clean_dir.glob(TEMP_NAME.format("*", "[0-9]*")):
+            tmp.unlink()
+        raise
     return days
 
 
@@ -281,7 +286,7 @@ def run_mi(cfg: RunConfig) -> Path:
         binned = infonet.bin_volumes(_clean_day(cfg, day), n_bins)
         workers = max(workers, infonet.mi_workers(len(binned.indices), n_bootstrap))
         daily.append(infonet.daily_mi_matrix(binned, n_bootstrap,
-                                             rng_seed=seed * 99_991 + i))
+                                             rng_seed=seed * 99_991 + i, day=day))
     # the largest pool a day's replicates ran on; 1 means every day inline
     log.info("mi workers: %d (%d CPUs, %d replicates)", workers, engine.cpu_count(),
              n_bootstrap)
@@ -459,7 +464,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     lstm_params = engine.LstmParams("gc", 2, 2, rng, dtype=np.float64)
     seq = engine.Tensor(rng.normal(size=(1, 3, 2)))
     results["lstm"] = engine.grad_check(
-        lambda t: _sum_sq(engine.lstm(t, lstm_params)[0]), seq)
+        lambda t: _sum_sq(engine.lstm(t, lstm_params)), seq)
 
     dw = engine.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     db = engine.Tensor(rng.normal(size=3), requires_grad=True)

@@ -290,10 +290,10 @@ def test_criterion_06_gradient_suite():
     p64 = LstmParams("gc64", 2, 2, np.random.default_rng(14), dtype=np.float64)
     p32 = LstmParams("gc32", 2, 2, np.random.default_rng(14), dtype=np.float32)
     s32 = Tensor(s.astype(np.float32), requires_grad=True)
-    sum_sq(engine.lstm(s32, p32)[0]).backward()
+    sum_sq(engine.lstm(s32, p32)).backward()
     err = norm_rel_error(
         s32.grad.astype(np.float64),
-        fd_gradient(lambda t: sum_sq(engine.lstm(t, p64)[0]), s.copy()))
+        fd_gradient(lambda t: sum_sq(engine.lstm(t, p64)), s.copy()))
     assert err < 1e-4, f"float32 lstm: {err}"
 
     elapsed = time.monotonic() - start

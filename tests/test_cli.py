@@ -14,7 +14,7 @@ import pytest
 from hloblab import cli, engine, forkpool, infonet, lob, pipeline
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
 from hloblab.errors import ConfigError, IoFailure, LengthMismatch, MalformedRow
-from hloblab.files import read_json
+from hloblab.files import TEMP_NAME, read_json
 from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
 
 DAYS = [f"1970-01-{d:02d}" for d in range(1, 10)]
@@ -152,6 +152,25 @@ class TestDispatchErrors:
         capsys.readouterr()
         assert cli.dispatch(["ingest", "--config", bad]) == 1
         assert capsys.readouterr().err.startswith("error: config error at 'tick_size': ")
+
+    @pytest.mark.parametrize("where", ["stage", "pooled job"])
+    def test_out_of_memory_is_one_line(self, tmp_path, monkeypatch, capfd, where):
+        cfg_path = str(write_config(tmp_path))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+
+        def refused(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        if where == "stage":
+            monkeypatch.setattr(pipeline, "run_ingest", refused)
+        else:   # raised in a worker, re-raised in the parent
+            force_ingest_pool(monkeypatch)
+            monkeypatch.setattr(pipeline, "_ingest_day", refused)
+        capfd.readouterr()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 2
+        assert capfd.readouterr() == (
+            "", "error: out of memory: Unable to allocate 7.28 TiB for an array\n")
+        assert multiprocessing.active_children() == []
 
     def test_internal_error_exit_code(self, tmp_path, capsys):
         # mi without cleaned inputs surfaces as a config error (user error);
@@ -635,7 +654,7 @@ class TestLostWorker:
     the stage with exit 2 and one error line naming the first lost job."""
 
     @pytest.mark.parametrize("how", ["sigkill", "exit-3"])
-    @pytest.mark.parametrize("which", ["first", "last"])
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
     @pytest.mark.parametrize("stage", ["ingest", "mi"])
     def test_one_error_line_and_every_worker_joined(self, tmp_path, monkeypatch, capfd,
                                                     stage, which, how):
@@ -652,7 +671,7 @@ class TestLostWorker:
 
         def dying(fn, jobs, workers, name):
             jobs = list(jobs)
-            k = 0 if which == "first" else len(jobs) - 1
+            k = {"first": 0, "middle": len(jobs) // 2, "last": len(jobs) - 1}[which]
 
             def job_or_death(job):
                 i = next(i for i, j in enumerate(jobs) if j is job)
@@ -675,14 +694,61 @@ class TestLostWorker:
         code = cli.dispatch([stage, "--config", cfg_path])
         out, err = capfd.readouterr()
         assert multiprocessing.active_children() == []
-        lost = (f"the ingest of day {DAYS[0 if which == 'first' else -1]}"
-                if stage == "ingest" else
-                f"MI bootstrap replicate {1 if which == 'first' else 4} of 4")
+        # job k of 9 days or of 4 replicates, on the first training day's pool
+        i = ["first", "middle", "last"].index(which)
+        lost = (f"the ingest of day {DAYS[(0, 4, 8)[i]]}" if stage == "ingest" else
+                f"MI bootstrap replicate {(1, 3, 4)[i]} of 4 of day {DAYS[5]}")
         assert (code, out, err) == (2, "", f"error: a pool worker died: {lost} "
                                            "returned no result\n")
         assert forkpool._work is None
         if stage == "mi":
             assert not (tmp_path / "out" / "mi_avg.json").exists()
+
+    def test_a_terminated_sibling_leaves_no_temporary_file(self, tmp_path, monkeypatch,
+                                                          capfd):
+        cfg_path = str(write_config(tmp_path))
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        ref_cfg = str(write_config(ref, data_dir=tmp_path / "data"))
+        for verb, path in (("synth", cfg_path), ("ingest", ref_cfg)):
+            assert cli.dispatch([verb, "--config", path]) == 0
+        force_ingest_pool(monkeypatch)
+        held = tmp_path / "held"
+        write_atomic = pipeline.write_atomic
+
+        def wait_for(path):
+            deadline = time.monotonic() + 60
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def held_or_dying(path, data):
+            # the first day's worker stops with write_atomic's temporary file
+            # written, and the second day's worker dies once it has
+            if DAYS[0] in path.name:
+                path.with_name(TEMP_NAME.format(path.name, os.getpid())).write_bytes(data)
+                held.touch()
+                wait_for(tmp_path / "never")    # the broken pool terminates it
+            elif DAYS[1] in path.name:
+                wait_for(held)
+                die("sigkill")
+            write_atomic(path, data)
+
+        monkeypatch.setattr(pipeline, "write_atomic", held_or_dying)
+        capfd.readouterr()
+        code = cli.dispatch(["ingest", "--config", cfg_path])
+        assert held.exists()
+        assert (code, *capfd.readouterr()) == (
+            2, "", f"error: a pool worker died: the ingest of day {DAYS[0]} "
+                   "returned no result\n")
+        assert multiprocessing.active_children() == []
+        assert list((tmp_path / "out").rglob(".*.tmp")) == []
+        monkeypatch.undo()
+        assert cli.dispatch(["ingest", "--config", cfg_path]) == 0
+
+        def files(out_dir):
+            return {p.name: p.read_bytes() for p in (out_dir / "cleaned").iterdir()}
+
+        assert files(tmp_path / "out") == files(ref / "out")
 
 
 class TestBadValuesAtUse:
