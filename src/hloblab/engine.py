@@ -13,7 +13,11 @@ finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
 output gives the LeakyReLU's sign, and a leading layer's output, never
-kept, is computed again one sample at a time. It runs its per-sample loop
+kept, is computed again one sample at a time. A time layer writes its input
+gradient over the spent output gradient it was handed, and
+``Tensor.backward`` releases each node once its backward has run, so a
+spent activation and its closure's buffers are freed during the backward
+pass, not after it. ``conv_leaky_cl`` runs its per-sample loop
 over contiguous blocks of samples on a small thread pool (numpy releases
 the interpreter lock in matmul and in ufuncs over large arrays). Forward
 samples are independent. In backward each block writes its samples' input
@@ -26,8 +30,9 @@ pool, each block writing its own windows' sequences. The pool has
 blas_threads)``, so that the head blocks and the BLAS threads together do
 not oversubscribe the CPUs the process may run on.
 
-Training runs in float32 by default; gradient-check suites build in float64
-for finite-difference headroom.
+Training runs in float32 by default, and ``train`` casts the book rows to
+the model's dtype before the head gather, so no float64 head input is made;
+gradient-check suites build in float64 for finite-difference headroom.
 """
 
 from __future__ import annotations
@@ -57,6 +62,16 @@ class Tensor:
         return self.data.shape
 
     def backward(self):
+        """Reverse-mode gradients of this scalar into every tensor it reads.
+
+        Each node's backward is handed the node's own gradient, which
+        belongs to that node and is dropped after the call: a backward may
+        write into it, and an op whose input gradient has the output
+        gradient's shape returns it in that same buffer. A spent node drops
+        its gradient, parents and closure, and the walk lets go of it, so
+        an intermediate tensor, its data and the buffers its closure held
+        are freed before this returns; one the caller holds keeps its data.
+        """
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar")
         # depth-first post-order, kept on an explicit stack so that a deep
@@ -77,7 +92,9 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        # popping, not iterating, leaves ``order`` no reference to a spent node
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             if node._parents:
@@ -353,6 +370,10 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw*O) output, the
     layout the next layer takes, so no padded copy or patch matrix is built.
     Backward keeps no LeakyReLU mask: the output it holds has the sign.
+    When the input rows have the output rows' shape, as in the time layers
+    (C = O, kw = 1 and padding that keeps T), backward writes each sample's
+    input gradient over that sample's rows of the output gradient it was
+    handed, once it has read them, and allocates no input gradient.
 
     ``first`` = (weight, bias) of an unpadded kh = 1 layer puts that layer,
     with its own LeakyReLU, in front of this one in the same node: it reads
@@ -405,7 +426,12 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
 
     def backward(g):
         g = g.reshape(y.shape)
-        gx = np.empty(xs.shape, g.dtype) if x.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            # a sample's input gradient is written after its g[s] is read, so
+            # input rows of the output rows' shape (the time layers) take
+            # their gradient in g, which this node owns (Tensor.backward)
+            gx = g if xs.shape == g.shape else np.empty(xs.shape, g.dtype)
         main.start_backward(n, g.dtype)
         if lead is not None:
             lead.start_backward(n, g.dtype)

@@ -97,7 +97,9 @@ def _eval_batches(model: HlobModel, days: list[DayWindows],
         if len(ends) - hi < batch_size and fit == len(ends):
             hi = len(ends)
         at, labels = starts[lo:hi], windows.labels[lo:hi]
-        rows = windows.rows[at[0]:stops[hi - 1]]
+        # cast before the gather, which gives the same bits, so that no
+        # float64 head input is made
+        rows = windows.rows[at[0]:stops[hi - 1]].astype(model.dtype, copy=False)
         seq = model.head_sequences(infonet.assemble_head_inputs(rows, complex_),
                                    at - at[0], t_len)
         whole = len(at) - len(at) % batch_size
@@ -171,9 +173,9 @@ def train(model: HlobModel, train_windows_by_day: dict[str, DayWindows],
 
         running, seen = 0.0, 0
         for number, batch in enumerate(sequential_batches(pool, config.batch_size), 1):
-            logits = model.forward(
-                infonet.assemble_head_inputs(windows.features(batch), complex_),
-                train=True, rng=epoch_rng)
+            features = windows.features(batch).astype(model.dtype, copy=False)
+            logits = model.forward(infonet.assemble_head_inputs(features, complex_),
+                                   train=True, rng=epoch_rng)
             loss = engine.softmax_cross_entropy(logits,
                                                 label_to_class(windows.labels[batch]))
             if not np.isfinite(loss.data):

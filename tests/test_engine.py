@@ -1,6 +1,7 @@
 import os
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ class TestTapeBasics:
                              reshape(s, (12, 1)))
         loss.backward()
         np.testing.assert_allclose(b.grad, 2.0 * 4 * np.ones(3))
+
+    def test_spent_nodes_are_freed_before_backward_returns(self):
+        a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        one = Tensor(np.ones(3))
+        first = engine.add(a, one)
+        hidden = engine.add(first, one)
+        held = engine.add(hidden, one)
+        loss = engine.matmul(reshape(held, (1, 12)), Tensor(np.ones((12, 1))))
+        # Tensor takes no weak reference; the array it alone holds does
+        spent = weakref.ref(hidden.data)
+        del hidden
+        seen = []
+        backward = first._backward
+        # ``first``'s backward runs after the spent ``hidden``'s
+        first._backward = lambda g: (seen.append(spent() is None), backward(g))
+        loss.backward()
+        assert seen == [True]
+        np.testing.assert_array_equal(held.data, a.data + 3.0)
+        np.testing.assert_array_equal(first.data, a.data + 1.0)
+        np.testing.assert_array_equal(a.grad, np.ones((4, 3)))
 
 
 class TestGradCheck:
@@ -366,6 +387,24 @@ class TestLeadingLayer:
         for g, w in zip(got[2:], want[2:]):
             assert np.array_equal(g, w)
 
+    def test_gradcheck_with_a_one_channel_leading_layer(self):
+        # conv_pv's shape: one input channel, kernel (1, 2). As
+        # pipeline.hlob_loss_grad_check does, probe the 24 largest-gradient
+        # coordinates of x and of each parameter: finite differences cannot
+        # resolve a near-zero gradient's relative error
+        rng = np.random.default_rng(42)
+        pair = [tensor64(rng, shape)
+                for shape in ((2, 3, 12), (3, 1, 1, 2), (3,), (4, 3, 1, 3), (4,))]
+
+        def loss(i, t):
+            xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
+            return TestGradCheck.sum_sq(conv_leaky_cl(xt, w1, b1, 0.01, first=(w0, b0)))
+
+        loss(0, pair[0]).backward()
+        largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in pair]
+        for i, (t, coords) in enumerate(zip(pair, largest)):
+            assert grad_check(lambda u, i=i: loss(i, u), t, coords=coords) < 1e-6
+
     def test_one_tape_node(self):
         arrays, _ = self.pair_arrays(2, np.float32, n=1, t_len=4)
         x, w0, b0, w1, b1 = (Tensor(a) for a in arrays)
@@ -540,6 +579,52 @@ class TestHeadThreads:
             engine._sample_blocks(body, 4, engine.MIN_THREADED_SAMPLE)
         assert ran == [(0, 2)]
         assert head_pool.blocks == 1
+
+
+class TestSpentOutputGradient:
+    """A time layer writes its input gradient over the output gradient it
+    is handed; layers whose input and output rows differ do not."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_time_layer_input_gradient_in_the_handed_gradient(
+            self, workers, monkeypatch, head_pool):
+        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
+        x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays("conv_time1", 5)
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
+        out = conv_leaky_cl(x, w, b, 0.01, pad)
+        upstream = np.random.default_rng(33).standard_normal(out.shape, np.float32)
+        handed = upstream.copy()
+        interval = sys.getswitchinterval()
+        # switch threads often, so that blocks interleave as much as they can
+        sys.setswitchinterval(1e-5)
+        try:
+            out._backward(handed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.shares_memory(x.grad, handed)
+        # the serial loop, given a copy of the gradient, reads it intact
+        want = serial_conv_leaky_cl(x_data, w_data, b_data, 0.01, pad, upstream.copy())
+        for got, expect in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert np.array_equal(got, expect)
+        assert head_pool.blocks == 2 * (workers - 1)
+
+    @pytest.mark.parametrize("layer", ["pair", "conv_mix"])
+    def test_other_layers_allocate_their_input_gradient(self, layer):
+        if layer == "pair":
+            (x_data, w0, b0, w_data, b_data), _ = TestLeadingLayer.pair_arrays(
+                3, np.float32, n=2, t_len=20)
+            first, pad = (Tensor(w0), Tensor(b0)), (0, 0)
+        else:
+            x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays("conv_mix", 2)
+            first = None
+        x = Tensor(x_data, requires_grad=True)
+        out = conv_leaky_cl(x, Tensor(w_data), Tensor(b_data), 0.01, pad, first)
+        upstream = np.random.default_rng(34).standard_normal(out.shape, np.float32)
+        handed = upstream.copy()
+        out._backward(handed)
+        assert x.grad.shape == x.shape
+        assert not np.shares_memory(x.grad, handed)
+        assert np.array_equal(handed, upstream)
 
 
 class TestLeakyRelu:

@@ -76,6 +76,9 @@ def reference_rows(windows, origins):
 class LayoutProbe:
     """Stands in for the model and records what each eval chunk hands the heads."""
 
+    # the book rows' own dtype, so eval gathers the rows as they are
+    dtype = np.float64
+
     def __init__(self):
         self.calls = []
 

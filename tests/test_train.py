@@ -10,7 +10,7 @@ from test_cli import write_config
 from hloblab import cli, engine, pipeline
 from hloblab.config import RunConfig
 from hloblab.errors import EmptyDataset, LengthMismatch, NonFiniteLoss
-from hloblab.infonet import SimplicialComplex
+from hloblab.infonet import SimplicialComplex, build_tmfg, extract_simplices
 from hloblab.model import HlobConfig, HlobModel, save_checkpoint
 from hloblab.preprocess import DayWindows
 from hloblab.train import (
@@ -274,6 +274,34 @@ class TestTrainStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 260 * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_train_feeds_a_batch_32_step_under_205_mb(self):
+        """``train`` on 33 float64 windows of the default model (a batch-32
+        step, a batch-1 step and validation) allocates under 205 MB at its
+        peak, about 196 MB. Gathering the head inputs in float64, a new
+        input-gradient buffer in each time layer and spent nodes held until
+        backward returned took it to about 213 MB."""
+        config = HlobConfig()
+        model = HlobModel(config, seed=0)
+        w = np.random.default_rng(0).random((20, 20))
+        np.fill_diagonal(w, 0.0)
+        complex_ = extract_simplices(build_tmfg((w + w.T) / 2))
+        rng = np.random.default_rng(5)
+
+        def day(name, n):
+            t_len = config.window_len
+            return DayWindows(name, rng.standard_normal((n + t_len - 1, 40)),
+                              np.arange(t_len - 1, n + t_len - 1),
+                              np.resize(np.array([-1, 0, 1]), n), t_len)
+
+        train_days, val_days = {"d1": day("d1", 33)}, [day("d2", 4)]
+        tracemalloc.start()
+        try:
+            train(model, train_days, val_days, complex_, TrainConfig(max_epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 205 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestConfusionAndScores:
