@@ -97,8 +97,7 @@ def _run_verb(command: str, cfg: RunConfig) -> int:
         path = pipeline.run_mi(cfg)
         print(f"wrote {path}")
     elif command == "tmfg":
-        path = pipeline.run_tmfg(cfg)
-        complex_ = pipeline.load_simplices(cfg)
+        path, complex_ = pipeline.run_tmfg(cfg)
         print(f"wrote {path} "
               f"(tetrahedra {len(complex_.tetrahedra)}, "
               f"triangles {len(complex_.triangles)}, "

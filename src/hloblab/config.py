@@ -103,9 +103,23 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        values = parse_config_text(Path(path).read_text())
+        """The config file at ``path``, which must be UTF-8, under the
+        ``HLOBLAB_*`` overrides, whose values must be UTF-8 too."""
+        raw = Path(path).read_bytes()
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"line {line}",
+                              f"byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
+        values = parse_config_text(text)
         for env_key, env_val in sorted(os.environ.items()):
             if env_key.startswith(ENV_PREFIX):
+                try:
+                    env_val.encode()
+                except UnicodeEncodeError:
+                    # os.environ holds an undecodable byte as a lone surrogate
+                    raise ConfigError(env_key, "value is not valid UTF-8") from None
                 key = env_key[len(ENV_PREFIX):].lower().replace("__", ".")
                 values[key] = env_val
         return cls(values)
@@ -153,8 +167,10 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    r"""``key = value`` lines; only ``\n`` ends a line, so the line numbers
+    errors give are those of the file's ``\n`` bytes."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -534,22 +534,16 @@ def softmax_cross_entropy(logits: Tensor, class_ids: np.ndarray) -> Tensor:
     return out
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named trainable tensor with AdamW moment buffers."""
 
+    __slots__ = ("name", "m", "v")
+
     def __init__(self, name: str, data: np.ndarray):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
         self.m = np.zeros_like(data)
         self.v = np.zeros_like(data)
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = value
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -576,7 +570,7 @@ class AdamW:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             p.m = self.beta1 * p.m + (1.0 - self.beta1) * g
@@ -630,7 +624,7 @@ def lstm(x: Tensor, params: LstmParams) -> Tensor:
     for t in range(t_len):
         _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
                    h[t + 1])
-    out = Tensor(h[t_len], parents=(x,) + tuple(p.tensor for p in params.parameters()))
+    out = Tensor(h[t_len], parents=(x, *params.parameters()))
 
     def backward(dh):
         dgates = np.empty_like(act)
@@ -668,8 +662,8 @@ def lstm(x: Tensor, params: LstmParams) -> Tensor:
             x._accumulate(gx.transpose(1, 0, 2))
         for p, g in ((params.w_ih, gw_ih.T), (params.w_hh, gw_hh.T),
                      (params.b_ih, gb_ih), (params.b_hh, gb_hh)):
-            if p.tensor.requires_grad:
-                p.tensor._accumulate(g, owned=True)
+            if p.requires_grad:
+                p._accumulate(g, owned=True)
 
     out._backward = backward
     return out

@@ -34,15 +34,6 @@ DEFAULT_BOOTSTRAP = 10
 
 
 @dataclass(frozen=True)
-class BinnedVolumes:
-    """Integer bin indices for the 20 volume columns of one day."""
-
-    indices: np.ndarray  # (T, 20) int
-    n_bins: int
-    bin_width: float
-
-
-@dataclass(frozen=True)
 class Tmfg:
     """Greedy maximally filtered planar graph over 20 volume levels."""
 
@@ -69,18 +60,18 @@ def volume_columns(series: LobSeries) -> np.ndarray:
     )
 
 
-def bin_volumes(series: LobSeries, n_bins: int = DEFAULT_BINS) -> BinnedVolumes:
-    """Equally spaced binning, one width shared by all 20 volume columns."""
+def bin_volumes(series: LobSeries, n_bins: int = DEFAULT_BINS) -> np.ndarray:
+    """The day's (T, 20) int64 bin indices: equally spaced bins, one width
+    shared by all 20 volume columns."""
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
     vols = volume_columns(series).astype(np.float64)
     lo, hi = vols.min(), vols.max()
     if hi == lo:
         log.warning("degenerate volume range (%s); all samples in bin 0", lo)
-        return BinnedVolumes(np.zeros(vols.shape, np.int64), n_bins, 1.0)
+        return np.zeros(vols.shape, np.int64)
     width = (hi - lo) / n_bins
-    idx = np.minimum(np.floor((vols - lo) / width).astype(np.int64), n_bins - 1)
-    return BinnedVolumes(idx, n_bins, width)
+    return np.minimum(np.floor((vols - lo) / width).astype(np.int64), n_bins - 1)
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
@@ -152,7 +143,7 @@ def mi_workers(n_rows: int, n_bootstrap: int) -> int:
                                  MIN_POOLED_MI_WORK)
 
 
-def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
+def daily_mi_matrix(binned_indices: np.ndarray, n_bootstrap: int = DEFAULT_BOOTSTRAP,
                     rng_seed: int = 0, *, day: str | None = None) -> np.ndarray:
     """Bootstrap-averaged daily MI matrix.
 
@@ -169,7 +160,7 @@ def daily_mi_matrix(binned: BinnedVolumes, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    cols = np.ascontiguousarray(binned.indices.T)
+    cols = np.ascontiguousarray(binned_indices.T)
     t = cols.shape[1]
     draws = (rng.integers(0, t, size=t) for _ in range(n_bootstrap))
     acc = np.zeros((N_VERTICES, N_VERTICES))
@@ -385,13 +376,17 @@ def mi_matrix_to_csv(m: np.ndarray) -> str:
     return "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
 
 
-def simplices_to_json(complex_: SimplicialComplex, config_digest: str = "") -> str:
+def simplices_to_json(complex_: SimplicialComplex, config_digest: str,
+                      retained_weight: float) -> str:
+    """The complex as ``simplices.json`` holds it, with the config digest and
+    the similarity weight the graph retained (:func:`graph_score`)."""
     return json.dumps(
         {
             "tetrahedra": complex_.tetrahedra.tolist(),
             "triangles": complex_.triangles.tolist(),
             "edges": complex_.edges.tolist(),
             "config_digest": config_digest,
+            "retained_weight": retained_weight,
         },
         sort_keys=True,
     )

@@ -107,8 +107,6 @@ class _Head:
                  config: HlobConfig, rng: np.random.Generator, dtype):
         c = config.channels
         self.name = name
-        self.arity = arity
-        self.cardinality = cardinality
 
         def conv_param(layer, out_c, in_c, kh, kw):
             fan_in = in_c * kh * kw
@@ -139,11 +137,9 @@ class _Head:
                 rng: np.random.Generator | None) -> Tensor:
         """Outputs (N, T, C) of (N, T, width) inputs; ``conv_pv`` runs
         inside ``conv_simplex``'s tape node, which does not keep its output."""
-        (_, pv, _), *rest = self.layers()
-        first = tuple(p.tensor for p in pv)
+        (_, first, _), *rest = self.layers()
         for _, (weight, bias), time_pad in rest:
-            x = engine.conv_leaky_cl(x, weight.tensor, bias.tensor,
-                                     config.leaky_slope, time_pad, first)
+            x = engine.conv_leaky_cl(x, weight, bias, config.leaky_slope, time_pad, first)
             first = None
         return engine.dropout(x, config.dropout_rate, train, rng)
 
@@ -207,7 +203,7 @@ class HlobModel:
                                      self.config, train, rng)
                         for head, x in zip(self.heads, inputs)]
         h_final = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
-        return engine.dense(h_final, self.out_w.tensor, self.out_b.tensor)
+        return engine.dense(h_final, self.out_w, self.out_b)
 
     def classify(self, seq: np.ndarray) -> np.ndarray:
         """Eval-mode (N, 3) logits of (N, T, 96) head sequences, with no tape.

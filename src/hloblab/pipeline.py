@@ -284,7 +284,7 @@ def run_mi(cfg: RunConfig) -> Path:
     daily, workers = [], 1
     for i, day in enumerate(sorted(train_days)):
         binned = infonet.bin_volumes(_clean_day(cfg, day), n_bins)
-        workers = max(workers, infonet.mi_workers(len(binned.indices), n_bootstrap))
+        workers = max(workers, infonet.mi_workers(len(binned), n_bootstrap))
         daily.append(infonet.daily_mi_matrix(binned, n_bootstrap,
                                              rng_seed=seed * 99_991 + i, day=day))
     # the largest pool a day's replicates ran on; 1 means every day inline
@@ -297,8 +297,9 @@ def run_mi(cfg: RunConfig) -> Path:
     return json_path
 
 
-def run_tmfg(cfg: RunConfig) -> Path:
-    """Build the TMFG from the averaged MI matrix and emit its simplices."""
+def run_tmfg(cfg: RunConfig) -> tuple[Path, SimplicialComplex]:
+    """Build the TMFG from the averaged MI matrix, write its simplices, and
+    return the path written and the complex."""
     out_dir = Path(cfg.get_str("out_dir"))
     mi_path = out_dir / "mi_avg.json"
     matrix, stored = infonet.mi_matrix_from_obj(
@@ -308,10 +309,8 @@ def run_tmfg(cfg: RunConfig) -> Path:
     complex_ = infonet.extract_simplices(graph)
     score = infonet.graph_score(matrix, graph)
     path = out_dir / "simplices.json"
-    obj = json.loads(infonet.simplices_to_json(complex_, cfg.digest()))
-    obj["retained_weight"] = score
-    write_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
-    return path
+    write_atomic(path, infonet.simplices_to_json(complex_, cfg.digest(), score) + "\n")
+    return path, complex_
 
 
 def load_simplices(cfg: RunConfig) -> SimplicialComplex:
@@ -416,13 +415,12 @@ def run_eval(cfg: RunConfig) -> Path:
     _check_digest(header["extra"].get("run_config_digest", ""), cfg, "model.ckpt")
 
     test_windows = _split_windows(cfg, "split.test", test_days)
-    report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size,
-                                ticker=cfg.get_str("ticker"), year=cfg.get_str("year"),
-                                horizon=horizon)
+    report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size)
     path = out_dir / "eval_report.json"
     obj = {key: getattr(report, key) for key in _REPORT_FIELDS}
-    obj |= {"confusion": report.confusion.tolist(), "config_digest": cfg.digest(),
-            "p_t_definition": "opener-closer-scan-v1"}
+    obj |= {"ticker": cfg.get_str("ticker"), "year": cfg.get_str("year"),
+            "horizon": horizon, "confusion": report.confusion.tolist(),
+            "config_digest": cfg.digest(), "p_t_definition": "opener-closer-scan-v1"}
     write_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
     return path
 

@@ -218,8 +218,7 @@ def _restore_state(model: HlobModel, state: dict) -> None:
 
 
 def evaluate(model: HlobModel, test_days: list[DayWindows],
-             complex_: SimplicialComplex, batch_size: int = 32,
-             ticker: str = "", year: str = "", horizon: int = 0) -> EvalReport:
+             complex_: SimplicialComplex, batch_size: int = 32) -> EvalReport:
     """Sequential evaluation: confusion matrix, F1, MCC, and round-trip stats."""
     if not sum(len(d) for d in test_days):
         raise EmptyDataset("no test windows")
@@ -238,9 +237,6 @@ def evaluate(model: HlobModel, test_days: list[DayWindows],
         p_t=p_t,
         tt=tt,
         confusion=confusion,
-        ticker=ticker,
-        year=year,
-        horizon=horizon,
     )
 
 

@@ -196,20 +196,16 @@ def test_criterion_05_shape_cascade():
                 "edge": (216, 108, 54)}
     for head, arity in zip(model.heads, cfg.arities):
         w0, w1, w2 = cascades[head.name]
-        h = conv2d(Tensor(np.zeros((1, 1, 100, w0), np.float32)),
-                   head.conv_pv[0].tensor, head.conv_pv[1].tensor,
+        h = conv2d(Tensor(np.zeros((1, 1, 100, w0), np.float32)), *head.conv_pv,
                    stride=(1, 2))
         assert h.shape == (1, 32, 100, w1)
-        h = conv2d(h, head.conv_simplex[0].tensor, head.conv_simplex[1].tensor,
-                   stride=(1, arity))
+        h = conv2d(h, *head.conv_simplex, stride=(1, arity))
         assert h.shape == (1, 32, 100, w2)
-        h = conv2d(h, head.conv_time1[0].tensor, head.conv_time1[1].tensor,
-                   padding=((1, 2), (0, 0)))
+        h = conv2d(h, *head.conv_time1, padding=((1, 2), (0, 0)))
         assert h.shape == (1, 32, 100, w2)     # time extent preserved
-        h = conv2d(h, head.conv_time2[0].tensor, head.conv_time2[1].tensor,
-                   padding=((1, 2), (0, 0)))
+        h = conv2d(h, *head.conv_time2, padding=((1, 2), (0, 0)))
         assert h.shape == (1, 32, 100, w2)
-        h = conv2d(h, head.conv_mix[0].tensor, head.conv_mix[1].tensor)
+        h = conv2d(h, *head.conv_mix)
         assert h.shape == (1, 32, 100, 1)
 
     inputs = [np.zeros((2, 100, w), np.float32) for w in cfg.head_widths]

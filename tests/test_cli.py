@@ -128,6 +128,31 @@ class TestDispatchErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(taken) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, line, byte", [
+        (b"ticker = SYN\n# caf\xe9\n", 2, "0xe9"),
+        # U+2028 ends no line: only "\n" counts
+        (b"# a\xe2\x80\xa8b\r\nyear = 19\xff70\n", 2, "0xff"),
+    ])
+    def test_config_file_not_utf8_is_one_error_line(self, tmp_path, capsys, raw, line,
+                                                     byte):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(raw)
+        assert cli.dispatch(["describe", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: config error at 'line {line}': "
+                                           f"byte {byte} is not valid UTF-8\n")
+
+    def test_line_numbers_count_only_newlines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("# a\u2028b = 1\x85c = 2\nno equals sign here\n")
+        assert err.value.key == "line 2"
+
+    def test_env_override_not_utf8_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # os.environ hands an undecodable byte over as a lone surrogate
+        monkeypatch.setenv("HLOBLAB_YEAR", "19\udcff70")
+        assert cli.dispatch(["describe", "--config", str(write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == ("error: config error at 'HLOBLAB_YEAR': "
+                                           "value is not valid UTF-8\n")
+
     def test_config_error_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("unknown_key = 1\n")
@@ -516,7 +541,7 @@ class TestPooledMi:
     @pytest.mark.parametrize("n_bootstrap", [1, 3, 5, 10, 11])
     def test_daily_matrix_equals_inline(self, monkeypatch, n_bootstrap):
         rng = np.random.default_rng(n_bootstrap)
-        binned = infonet.BinnedVolumes(rng.integers(0, 8, size=(150, 20)), 8, 1.0)
+        binned = rng.integers(0, 8, size=(150, 20))
         inline = infonet.daily_mi_matrix(binned, n_bootstrap, rng_seed=5)
         started = force_mi_pool(monkeypatch)
         pooled = infonet.daily_mi_matrix(binned, n_bootstrap, rng_seed=5)
@@ -563,7 +588,7 @@ class TestPooledMi:
 
         monkeypatch.setattr(infonet, "_mi_of_columns", failing)
         rng = np.random.default_rng(0)
-        binned = infonet.BinnedVolumes(rng.integers(0, 8, size=(150, 20)), 8, 1.0)
+        binned = rng.integers(0, 8, size=(150, 20))
         results = []
         for pooled in (False, True):
             started = force_mi_pool(monkeypatch) if pooled else []
@@ -1016,7 +1041,7 @@ class TestCleanedDayCache:
 
 
 class TestPipelineStages:
-    def test_synth_ingest_mi_tmfg(self, tmp_path, capsys):
+    def test_synth_ingest_mi_tmfg(self, tmp_path, capsys, monkeypatch):
         cfg_path = str(write_config(tmp_path))
 
         assert cli.dispatch(["synth", "--config", cfg_path]) == 0
@@ -1033,6 +1058,9 @@ class TestPipelineStages:
         assert (tmp_path / "out" / "mi_avg.json").exists()
         assert (tmp_path / "out" / "mi_avg.csv").exists()
 
+        # tmfg prints the counts of the complex it built: it reads no file back
+        monkeypatch.setattr(pipeline, "load_simplices",
+                            lambda cfg: pytest.fail("tmfg read simplices.json back"))
         assert cli.dispatch(["tmfg", "--config", cfg_path]) == 0
         obj = json.loads((tmp_path / "out" / "simplices.json").read_text())
         assert len(obj["tetrahedra"]) == 17
@@ -1040,7 +1068,16 @@ class TestPipelineStages:
         assert len(obj["edges"]) == 54
         assert obj["retained_weight"] > 0
         out = capsys.readouterr().out
-        assert "tetrahedra 17" in out
+        assert "(tetrahedra 17, triangles 52, edges 54)" in out
+
+    def test_eval_report_holds_the_configs_ticker_year_and_horizon(self, tmp_path):
+        cfg_path = str(write_config(tmp_path, **{
+            "ticker": "ABC", "year": "2017", "horizon": "5", "synth.n_events": "220",
+            "window_len": "20", "train.max_epochs": "1", "train.balanced_cap": "1"}))
+        for verb in ("synth", "ingest", "mi", "tmfg", "train", "eval"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+        assert (report["ticker"], report["year"], report["horizon"]) == ("ABC", "2017", 5)
 
     def test_train_and_eval_log_the_head_threads(self, tmp_path, caplog):
         cfg_path = str(write_config(tmp_path, **{

@@ -692,11 +692,9 @@ class TestLstm:
         assert grad_check(loss, x) < 1e-6
 
         def loss_w(t):
-            p.w_hh.tensor = t
             return TestGradCheck.sum_sq(lstm(x, p))
 
-        w = Tensor(p.w_hh.data.copy(), requires_grad=True)
-        assert grad_check(loss_w, w) < 1e-6
+        assert grad_check(loss_w, p.w_hh) < 1e-6
 
     def test_input_size_mismatch(self):
         p = LstmParams("lstm", 3, 2, np.random.default_rng(0))
@@ -753,12 +751,12 @@ def reference_lstm(x, params):
     hs = params.hidden_size
     h = Tensor(np.zeros((n, hs), x.data.dtype))
     c = Tensor(np.zeros((n, hs), x.data.dtype))
-    w_ih_t = engine.transpose(params.w_ih.tensor)
-    w_hh_t = engine.transpose(params.w_hh.tensor)
+    w_ih_t = engine.transpose(params.w_ih)
+    w_hh_t = engine.transpose(params.w_hh)
     for t in range(t_len):
         gates = engine.add(
-            engine.add(engine.matmul(_take(x, t, 1), w_ih_t), params.b_ih.tensor),
-            engine.add(engine.matmul(h, w_hh_t), params.b_hh.tensor))
+            engine.add(engine.matmul(_take(x, t, 1), w_ih_t), params.b_ih),
+            engine.add(engine.matmul(h, w_hh_t), params.b_hh))
         i_g = _sigmoid(_cols(gates, 0, hs))
         f_g = _sigmoid(_cols(gates, hs, 2 * hs))
         g_g = _tanh(_cols(gates, 2 * hs, 3 * hs))
@@ -784,11 +782,11 @@ class TestFusedLstm:
         """The output of ``fn`` and the gradients of sum(weights * it)."""
         x = Tensor(x_data.copy(), requires_grad=True)
         for q in p.parameters():
-            q.tensor.grad = None
+            q.grad = None
         out = fn(x, p)
         flat = reshape(mul(out, Tensor(weights)), (1, -1))
         engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), x_data.dtype))).backward()
-        return out.data.copy(), [x.grad] + [q.tensor.grad.copy() for q in p.parameters()]
+        return out.data.copy(), [x.grad] + [q.grad.copy() for q in p.parameters()]
 
     def test_matches_composition_float64(self):
         p = self.params(np.float64)
@@ -826,19 +824,14 @@ class TestFusedLstm:
 
         assert grad_check(loss, x) < 1e-6
         for q in p.parameters():
-            def loss_q(t, q=q):
-                q.tensor = t
-                return TestGradCheck.sum_sq(lstm(x, p))
-
-            assert grad_check(loss_q, Tensor(q.data.copy(), requires_grad=True)) < 1e-6, \
-                q.name
+            assert grad_check(lambda t: TestGradCheck.sum_sq(lstm(x, p)), q) < 1e-6, q.name
 
     def test_one_tape_node(self):
         p = self.params(np.float64)
         x = Tensor(np.ones((2, 50, 6)), requires_grad=True)
         h_last = lstm(x, p)
         assert set(map(id, h_last._parents)) == \
-            {id(x)} | {id(q.tensor) for q in p.parameters()}
+            {id(x)} | {id(q) for q in p.parameters()}
 
     def test_last_state_without_tape(self):
         p = self.params(np.float64)
@@ -957,7 +950,7 @@ class TestSoftmax:
 class TestAdamW:
     def test_one_step_hand_value(self):
         p = Parameter("p", np.array([1.0]))
-        p.tensor.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         opt = AdamW([p], lr=6e-5, beta1=0.90, beta2=0.95, eps=1e-8,
                     weight_decay=0.01)
         opt.step()
@@ -969,7 +962,7 @@ class TestAdamW:
 
     def test_zero_grad_zero_wd_fixed_point(self):
         p = Parameter("p", np.array([1.5]))
-        p.tensor.grad = np.array([0.0])
+        p.grad = np.array([0.0])
         AdamW([p], weight_decay=0.0).step()
         assert p.data[0] == 1.5
 
@@ -979,7 +972,7 @@ class TestAdamW:
         g = rng.standard_normal(4)
 
         p1 = Parameter("p", data.copy())
-        p1.tensor.grad = g.copy()
+        p1.grad = g.copy()
         AdamW([p1], lr=1e-3, weight_decay=0.0).step()
 
         # plain Adam by hand
@@ -992,7 +985,7 @@ class TestAdamW:
 
     def test_decoupled_decay_direction(self):
         p = Parameter("p", np.array([10.0]))
-        p.tensor.grad = np.array([0.0])
+        p.grad = np.array([0.0])
         AdamW([p], lr=1e-2, weight_decay=0.1).step()
         assert p.data[0] == pytest.approx(10.0 * (1 - 1e-2 * 0.1), abs=1e-12)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from hloblab.errors import (
 )
 from hloblab.infonet import (
     N_VERTICES,
-    BinnedVolumes,
     SimplicialComplex,
     assemble_head_inputs,
     average_mi,
@@ -109,7 +109,7 @@ class TestBinVolumes:
         day.book[:, 1::2] = 100
         with caplog.at_level("WARNING", logger="hloblab.infonet"):
             binned = bin_volumes(day, 10)
-        assert np.all(binned.indices == 0)
+        assert np.all(binned == 0)
         assert "degenerate" in caplog.text
 
     def test_max_clamped_to_last_bin(self):
@@ -117,8 +117,7 @@ class TestBinVolumes:
         day.book[:, 1::2] = 0
         day.book[0, 1] = 100
         binned = bin_volumes(day, 10)
-        assert binned.indices[0, 0] == 9
-        assert binned.bin_width == 10.0
+        assert binned[0, 0] == 9
 
     def test_matches_counting_oracle(self):
         day = synth_day()
@@ -127,8 +126,9 @@ class TestBinVolumes:
         lo, hi = vols.min(), vols.max()
         width = (hi - lo) / 32
         oracle = np.minimum(((vols - lo) // width).astype(int), 31)
-        np.testing.assert_array_equal(binned.indices, oracle)
-        assert binned.indices.min() >= 0 and binned.indices.max() <= 31
+        assert binned.dtype == np.int64 and binned.shape == vols.shape
+        np.testing.assert_array_equal(binned, oracle)
+        assert binned.min() >= 0 and binned.max() <= 31
 
     def test_rejects_single_bin(self):
         with pytest.raises(ValueError):
@@ -208,19 +208,19 @@ class TestDailyMi:
 
     def test_diagonal_is_entropy(self):
         binned = bin_volumes(synth_day(), 8)
-        m = mi_matrix(binned.indices)
+        m = mi_matrix(binned)
         for i in range(20):
-            col = binned.indices[:, i]
+            col = binned[:, i]
             assert m[i, i] == pytest.approx(mutual_information(col, col),
                                             abs=1e-12)
 
     def test_bootstrap_near_plugin(self):
         # few bins and a long day keep the plug-in resampling bias small
         binned = bin_volumes(synth_day(seed=4, n_events=2000), 4)
-        plugin = mi_matrix(binned.indices)
+        plugin = mi_matrix(binned)
         rng = np.random.default_rng(9)
-        t = binned.indices.shape[0]
-        draws = np.stack([mi_matrix(binned.indices[rng.integers(0, t, t)])
+        t = binned.shape[0]
+        draws = np.stack([mi_matrix(binned[rng.integers(0, t, t)])
                           for _ in range(10)])
         se = draws.std(axis=0)
         boot = daily_mi_matrix(binned, n_bootstrap=10, rng_seed=3)
@@ -251,7 +251,7 @@ class TestMiMatrixAgainstReference:
         assert np.all(m == 0)
 
     def test_synthetic_day(self):
-        idx = bin_volumes(synth_day(seed=2, n_events=400), 16).indices
+        idx = bin_volumes(synth_day(seed=2, n_events=400), 16)
         assert np.array_equal(mi_matrix(idx), reference_mi_matrix(idx))
 
     @pytest.mark.parametrize("n_bins, t, n_bootstrap", [
@@ -273,8 +273,7 @@ class TestMiMatrixAgainstReference:
         acc = np.zeros((N_VERTICES, N_VERTICES))
         for rows in draws:
             acc += reference_mi_matrix(idx[rows])
-        got = daily_mi_matrix(BinnedVolumes(idx, n_bins, 1.0), n_bootstrap,
-                              rng_seed=11)
+        got = daily_mi_matrix(idx, n_bootstrap, rng_seed=11)
         assert np.array_equal(got, acc / n_bootstrap)
 
 
@@ -525,7 +524,9 @@ class TestSerialization:
     def test_simplices_round_trip(self):
         c = extract_simplices(
             build_tmfg(random_symmetric(np.random.default_rng(1))))
-        out, digest = simplices_from_json(simplices_to_json(c, "xyz"))
+        text = simplices_to_json(c, "xyz", 1.5)
+        assert json.loads(text)["retained_weight"] == 1.5
+        out, digest = simplices_from_json(text)
         np.testing.assert_array_equal(out.tetrahedra, c.tetrahedra)
         np.testing.assert_array_equal(out.triangles, c.triangles)
         np.testing.assert_array_equal(out.edges, c.edges)

@@ -90,19 +90,15 @@ class TestShapeCascade:
             w0, w1, w2, w3 = cascades[head.name]
             x = Tensor(np.zeros((1, 1, 100, w0)))
 
-            def conv(t, pair, **kw):
-                w, b = pair
-                return conv2d(t, w.tensor, b.tensor, **kw)
-
-            h = conv(x, head.conv_pv, stride=(1, 2))
+            h = conv2d(x, *head.conv_pv, stride=(1, 2))
             assert h.shape == (1, 32, 100, w1)
-            h = conv(h, head.conv_simplex, stride=(1, arity))
+            h = conv2d(h, *head.conv_simplex, stride=(1, arity))
             assert h.shape == (1, 32, 100, w2)
-            h = conv(h, head.conv_time1, padding=((1, 2), (0, 0)))
+            h = conv2d(h, *head.conv_time1, padding=((1, 2), (0, 0)))
             assert h.shape == (1, 32, 100, w2)  # time extent preserved
-            h = conv(h, head.conv_time2, padding=((1, 2), (0, 0)))
+            h = conv2d(h, *head.conv_time2, padding=((1, 2), (0, 0)))
             assert h.shape == (1, 32, 100, w2)
-            h = conv(h, head.conv_mix)
+            h = conv2d(h, *head.conv_mix)
             assert h.shape == (1, 32, 100, w3)
 
     def test_concatenated_sequence_and_logits(self):
@@ -226,15 +222,15 @@ class TestGatherGradientConsistency:
             assert abs(numeric - analytic) / denom < 1e-5
 
 
-def tape_nodes(root):
-    """Number of tape nodes reachable from ``root``."""
+def tape_ids(root):
+    """The ids of the tape nodes reachable from ``root``."""
     seen, todo = {id(root)}, [root]
     while todo:
         for p in todo.pop()._parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 todo.append(p)
-    return len(seen)
+    return seen
 
 
 class TestTape:
@@ -244,9 +240,26 @@ class TestTape:
         inputs = random_inputs(np.random.default_rng(13), n=32, dtype=np.float32)
         logits = model.forward(inputs, train=True, rng=np.random.default_rng(14))
         loss = engine.softmax_cross_entropy(logits, np.arange(32) % 3)
-        assert tape_nodes(loss) < 100
+        assert len(tape_ids(loss)) < 100
         loss.backward()
-        assert all(p.tensor.grad is not None for p in model.parameters())
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_parameters_are_the_tapes_own_leaves(self):
+        # the tape reads each parameter object itself, and AdamW steps the
+        # objects that backward wrote the gradients to
+        model = HlobModel(HlobConfig(), seed=0)
+        params = model.parameters()
+        inputs = random_inputs(np.random.default_rng(15), n=4, dtype=np.float32)
+        logits = model.forward(inputs, train=True, rng=np.random.default_rng(16))
+        loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
+        reached = tape_ids(loss)
+        assert all(id(p) in reached for p in params)
+        before = [p.data.copy() for p in params]
+        loss.backward()
+        engine.AdamW(params).step()
+        for p, old in zip(params, before):
+            assert p.grad is not None, p.name
+            assert not np.array_equal(p.data, old), p.name
 
 
 class TestCheckpoint:
@@ -265,7 +278,7 @@ class TestCheckpoint:
         model = small_model(dtype=np.float32)
         opt = engine.AdamW(model.parameters())
         for p in model.parameters():
-            p.tensor.grad = np.ones_like(p.data)
+            p.grad = np.ones_like(p.data)
         opt.step()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, optimizer=opt)

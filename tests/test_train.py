@@ -255,9 +255,11 @@ class TestHeadThreads:
 class TestTrainStepMemory:
     def test_batch_32_step_peak(self):
         """One default-model batch-32 train step (forward, backward, AdamW)
-        allocates under 260 MB at its peak. With conv_pv's output and the
-        LeakyReLU masks on the tape it took about 406 MB, without them
-        about 197 MB."""
+        allocates under 190 MB at its peak, about 177 MB at one head worker
+        and at two. With conv_pv's output and the LeakyReLU masks on the
+        tape it took about 406 MB; a new input-gradient buffer in each time
+        layer and spent nodes held until backward returned took it to about
+        194 MB."""
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         optimizer = engine.AdamW(model.parameters())
@@ -273,7 +275,7 @@ class TestTrainStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 260 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak < 190 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_train_feeds_a_batch_32_step_under_205_mb(self):
         """``train`` on 33 float64 windows of the default model (a batch-32
@@ -438,14 +440,12 @@ class TestEvaluate:
     def test_report_invariants(self):
         rng = np.random.default_rng(9)
         windows = make_windows(rng, 20, "t1")
-        report = evaluate(tiny_model(), [windows], TINY_COMPLEX,
-                          ticker="SYN", year="1970", horizon=10)
+        report = evaluate(tiny_model(), [windows], TINY_COMPLEX)
         assert report.confusion.sum() == 20
         assert 0.0 <= report.f1_macro <= 1.0
         assert -1.0 <= report.mcc <= 1.0
         assert 0.0 <= report.p_t <= 1.0
         assert report.tt >= 0
-        assert report.ticker == "SYN"
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
