@@ -2,7 +2,7 @@
 
 Supplies exactly the layers the classifier needs: a fused channels-last
 convolution + LeakyReLU over the heads' (N, T, W*C) rows, optionally led
-by a second such layer in the same tape node (plus a tape-free form over a
+by a chain of such layers in the same tape node (plus a tape-free form over a
 table of distinct rows and an index map of each window's rows into it,
 which runs every head layer in eval), concat, a single-layer LSTM's final
 hidden state as one fused op with hand-written backpropagation through time
@@ -12,8 +12,8 @@ cross-entropy, an AdamW step with decoupled weight decay, and a central
 finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
-output gives the LeakyReLU's sign, and a leading layer's output, never
-kept, is computed again one sample at a time. A time layer writes its input
+output gives the LeakyReLU's sign, and the leading layers' outputs, never
+kept, are computed again one sample at a time. A time layer writes its input
 gradient over the spent output gradient it was handed, and
 ``Tensor.backward`` releases each node once its backward has run, so a
 spent activation and its closure's buffers are freed during the backward
@@ -360,7 +360,7 @@ class _ConvLayer:
 
 
 def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
-                  time_pad=(0, 0), first=None) -> Tensor:
+                  time_pad=(0, 0), lead=()) -> Tensor:
     """LeakyReLU of a channels-last convolution, fused into one tape node.
 
     ``x`` is (N, T, W*C): each time row holds W columns of C channels, C
@@ -375,12 +375,14 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     input gradient over that sample's rows of the output gradient it was
     handed, once it has read them, and allocates no input gradient.
 
-    ``first`` = (weight, bias) of an unpadded kh = 1 layer puts that layer,
-    with its own LeakyReLU, in front of this one in the same node: it reads
-    ``x``, and the main layer reads its output, which is made one sample at
-    a time in a scratch buffer and never kept. Backward runs the leading
-    layer again on each sample before the two layers' backward steps. The
-    output and every gradient equal those of two chained nodes bit for bit.
+    ``lead`` = ((weight, bias), ...) puts a chain of unpadded kh = 1
+    layers, each with its own LeakyReLU, in front of this one in the same
+    node: the first reads ``x``, each next one the previous one's output,
+    and the main layer the last one's. Their outputs are made one sample at
+    a time in scratch buffers and never kept. Backward runs the chain again
+    on each sample, then the main layer's backward step and the leading
+    layers' in reverse order. The output and every gradient equal those of
+    the chained nodes bit for bit.
 
     Forward and backward run over contiguous sample blocks, on the head
     pool when the samples are large enough (see ``_sample_blocks``).
@@ -389,39 +391,52 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
     order afterwards, which is the add order of a single serial loop.
     """
     n, t_len, width = x.data.shape
-    lead = None
-    if first is not None:
-        if first[0].data.shape[2] != 1:
-            raise ShapeMismatch(f"conv_leaky_cl leading kernel {first[0].data.shape[2:]}, "
-                                "expected a single time tap")
-        lead = _ConvLayer(*first, slope, (0, 0), t_len, width, x.data.dtype)
-        o0, c = lead.rows_out[1], weight.data.shape[1]
-        if o0 != c:
-            raise ShapeMismatch(f"conv_leaky_cl leading layer has {o0} outputs, "
-                                f"the main layer reads {c} channels")
-        width = lead.width_out
-    main = _ConvLayer(weight, bias, slope, time_pad, t_len, width,
-                      x.data.dtype if lead is None else lead.dtype)
+    layers, dtype = [], x.data.dtype
+    for i, (w, b) in enumerate((*lead, (weight, bias))):
+        is_main = i == len(lead)
+        if layers and layers[-1].rows_out[1] != w.data.shape[1]:
+            reader = "the main layer" if is_main else f"leading layer {i}"
+            raise ShapeMismatch(f"conv_leaky_cl leading layer {i - 1} has "
+                                f"{layers[-1].rows_out[1]} outputs, {reader} reads "
+                                f"{w.data.shape[1]} channels")
+        if not is_main and w.data.shape[2] != 1:
+            raise ShapeMismatch(f"conv_leaky_cl leading layer {i} kernel "
+                                f"{w.data.shape[2:]}, expected a single time tap")
+        layers.append(_ConvLayer(w, b, slope, time_pad if is_main else (0, 0),
+                                 t_len, width, dtype))
+        width, dtype = layers[-1].width_out, layers[-1].dtype
+    *leads, main = layers
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
-    xs = x.data.reshape((n,) + (main if lead is None else lead).rows_in)
+    xs = x.data.reshape((n,) + layers[0].rows_in)
     y = np.empty((n,) + main.rows_out, main.dtype)
-    sample_elements = xs[0].size + y[0].size + (0 if lead is None else t_len * width)
+    sample_elements = xs[0].size + y[0].size + sum(t_len * layer.width_out
+                                                    for layer in leads)
 
-    def lead_rows(s, h):
-        """Sample ``s``'s leading-layer output, written to ``h``, as the main
-        layer's input rows."""
-        lead.forward(xs[s], h, None)
-        return h.reshape(main.rows_in)
+    def scratch(dtype=None):
+        """One buffer per leading layer's output, in ``dtype`` or the
+        layer's own, and the list of the layers' input rows: a sample's
+        (set per sample), then each buffer as the next layer's."""
+        bufs = [np.empty(layer.rows_out, layer.dtype if dtype is None else dtype)
+                for layer in leads]
+        return bufs, [None] + [b.reshape(after.rows_in) for b, after in zip(bufs, layers[1:])]
+
+    def run_leads(s, hs, rows):
+        """Sample ``s``'s leading-layer outputs into ``hs``; ``rows`` then
+        holds each layer's input rows."""
+        rows[0] = xs[s]
+        for layer, x_rows, h in zip(leads, rows, hs):
+            layer.forward(x_rows, h, None)
 
     def forward_block(lo, hi):
         tap_out = main.tap_buffer(y.dtype)
-        h = None if lead is None else np.empty(lead.rows_out, lead.dtype)
+        hs, rows = scratch()
         for s in range(lo, hi):
-            main.forward(xs[s] if lead is None else lead_rows(s, h), y[s], tap_out)
+            run_leads(s, hs, rows)
+            main.forward(rows[-1], y[s], tap_out)
 
     _sample_blocks(forward_block, n, sample_elements)
-    parents = (x, weight, bias) if lead is None else (x, *first, weight, bias)
+    parents = (x, *(p for pair in lead for p in pair), weight, bias)
     out = Tensor(y.reshape(n, main.t_out, main.width_out), parents=parents)
 
     def backward(g):
@@ -432,30 +447,27 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
             # input rows of the output rows' shape (the time layers) take
             # their gradient in g, which this node owns (Tensor.backward)
             gx = g if xs.shape == g.shape else np.empty(xs.shape, g.dtype)
-        main.start_backward(n, g.dtype)
-        if lead is not None:
-            lead.start_backward(n, g.dtype)
+        for layer in layers:
+            layer.start_backward(n, g.dtype)
 
         def backward_block(lo, hi):
             gz = np.empty(main.rows_out, g.dtype)
             tap_out = main.tap_buffer(g.dtype, backward=True)
-            if lead is not None:
-                h = np.empty(lead.rows_out, lead.dtype)
-                # the main layer's input gradient, and the leading layer's gz
-                gh, gz_lead = (np.empty(lead.rows_out, g.dtype) for _ in range(2))
+            hs, rows = scratch()
+            # each leading layer's output gradient and gz scratch; a layer's
+            # input gradient is the output gradient of the layer before it
+            ghs, grads_in = scratch(g.dtype)
+            gzs, _ = scratch(g.dtype)
             for s in range(lo, hi):
-                gx_s = None if gx is None else gx[s]
-                if lead is None:
-                    main.backward(s, xs[s], y[s], g[s], gz, gx_s, tap_out)
-                    continue
-                main.backward(s, lead_rows(s, h), y[s], g[s], gz,
-                              gh.reshape(main.rows_in), tap_out)
-                lead.backward(s, xs[s], h, gh, gz_lead, gx_s, None)
+                run_leads(s, hs, rows)
+                grads_in[0] = None if gx is None else gx[s]
+                main.backward(s, rows[-1], y[s], g[s], gz, grads_in[-1], tap_out)
+                for i in reversed(range(len(leads))):
+                    leads[i].backward(s, rows[i], hs[i], ghs[i], gzs[i], grads_in[i], None)
 
         _sample_blocks(backward_block, n, sample_elements)
-        main.add_partials()
-        if lead is not None:
-            lead.add_partials()
+        for layer in layers:
+            layer.add_partials()
         if gx is not None:
             x._accumulate(gx.reshape(x.data.shape), owned=True)
 

@@ -121,11 +121,6 @@ def _mi_of_columns(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def mi_matrix(binned_indices: np.ndarray) -> np.ndarray:
-    """Full symmetric pairwise MI matrix; diagonal holds column entropies."""
-    return _mi_of_columns(np.ascontiguousarray(binned_indices.T))
-
-
 # a day's bootstrap replicates run on a pool only when each worker gets two
 # replicates or more and replicates x rows reaches MIN_POOLED_MI_WORK. A
 # replicate costs about 10 ms plus 0.7 us a row (its 210 pair histograms

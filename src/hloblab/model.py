@@ -8,11 +8,12 @@ temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
 heads run channels-last on (N, T, width*C) rows, the layout one fused
 ``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
-input and the last layer's (N, T, C) output need no reshape. The first two
+input and the last layer's (N, T, C) output need no reshape. The first three
 layers share one node: the (price, volume) layer's output, 16 times its
-input and the largest array a head makes, is made inside the simplex
-layer's node one sample at a time, made again in backward, and never
-kept. Weights keep the (O, C, kh, kw) convolution layout.
+input and the largest array a head makes, and the simplex layer's output
+are made inside the first time layer's node one sample at a time, made
+again in backward, and never kept. Weights keep the (O, C, kh, kw)
+convolution layout.
 ``_Head.layers`` lists the five layers once, for both the taped pass and
 the eval pass.
 The three (100 x 32) head outputs are concatenated into a (100 x 96)
@@ -135,12 +136,14 @@ class _Head:
 
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
-        """Outputs (N, T, C) of (N, T, width) inputs; ``conv_pv`` runs
-        inside ``conv_simplex``'s tape node, which does not keep its output."""
-        (_, first, _), *rest = self.layers()
+        """Outputs (N, T, C) of (N, T, width) inputs; ``conv_pv`` and
+        ``conv_simplex`` run inside ``conv_time1``'s tape node, which does
+        not keep their outputs."""
+        (_, pv, _), (_, simplex, _), *rest = self.layers()
+        lead = (pv, simplex)
         for _, (weight, bias), time_pad in rest:
-            x = engine.conv_leaky_cl(x, weight, bias, config.leaky_slope, time_pad, first)
-            first = None
+            x = engine.conv_leaky_cl(x, weight, bias, config.leaky_slope, time_pad, lead)
+            lead = ()
         return engine.dropout(x, config.dropout_rate, train, rng)
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,

@@ -475,17 +475,37 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["softmax_cross_entropy"] = engine.grad_check(
         lambda t: engine.softmax_cross_entropy(t, labels), logits)
 
-    # the heads' first two layers as they run them, conv_pv inside
-    # conv_simplex's node, checked through its input and all four parameters
+    # one leading layer, conv_pv inside conv_simplex's node, checked through
+    # its input and all four parameters
     pair = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
             for shape in ((2, 3, 12), (3, 2, 1, 2), (3,), (4, 3, 1, 3), (4,))]
 
     def pair_loss(i, t):
         xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, w1, b1, 0.01, first=(w0, b0)))
+        return _sum_sq(engine.conv_leaky_cl(xt, w1, b1, 0.01, lead=((w0, b0),)))
 
     results["conv_leaky_cl_pair"] = max(
         engine.grad_check(lambda t, i=i: pair_loss(i, t), pair[i]) for i in range(len(pair)))
+
+    # the heads' first three layers as they run them, conv_pv and
+    # conv_simplex inside the 4x1 time layer's node over its (1, 2) padding,
+    # checked through its input and all six parameters at the 24
+    # largest-gradient coordinates of each: three layers deep, some
+    # gradients are below finite-difference resolution, not wrong
+    chain = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
+             for shape in ((2, 5, 12), (3, 1, 1, 2), (3,), (4, 3, 1, 3), (4,),
+                           (4, 4, 4, 1), (4,))]
+
+    def chain_loss(i, t):
+        xt, w0, b0, w1, b1, w2, b2 = chain[:i] + [t] + chain[i + 1:]
+        return _sum_sq(engine.conv_leaky_cl(xt, w2, b2, 0.01, (1, 2),
+                                            lead=((w0, b0), (w1, b1))))
+
+    chain_loss(0, chain[0]).backward()
+    largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in chain]
+    results["conv_leaky_cl_chain"] = max(
+        engine.grad_check(lambda t, i=i: chain_loss(i, t), chain[i], coords=coords)
+        for i, coords in enumerate(largest))
 
     results["hlob_loss"] = hlob_loss_grad_check(seed=seed)
     return results

@@ -1193,8 +1193,9 @@ class TestPipelineStages:
 class TestGradcheckSuite:
     def test_layer_suite_under_tolerance(self):
         results = pipeline.gradcheck_suite(seed=0)
-        assert set(results) == {"conv_leaky_cl", "conv_leaky_cl_pair", "lstm",
-                                "dense", "softmax_cross_entropy", "hlob_loss"}
+        assert set(results) == {"conv_leaky_cl", "conv_leaky_cl_pair",
+                                "conv_leaky_cl_chain", "lstm", "dense",
+                                "softmax_cross_entropy", "hlob_loss"}
         for name, err in results.items():
             assert err < 1e-6, f"{name}: {err}"
 

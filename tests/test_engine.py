@@ -314,8 +314,9 @@ def held_arrays(fn):
 
 
 class TestLeadingLayer:
-    """``conv_leaky_cl(..., first=(weight, bias))``: a head's conv_pv run
-    inside its conv_simplex node."""
+    """``conv_leaky_cl(..., lead=((weight, bias), ...))``: a head's conv_pv
+    and conv_simplex run inside its conv_time1 node, or one leading layer
+    inside the next layer's node."""
 
     @staticmethod
     def pair_arrays(arity, dtype, main_kernel=None, n=5, t_len=100, card=10, seed=40):
@@ -335,23 +336,42 @@ class TestLeadingLayer:
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
     @staticmethod
-    def run(arrays, upstream, paired, time_pad=(0, 0), x_grad=True):
-        """The output, then the gradients of x and the four parameters."""
-        x, w0, b0, w1, b1 = (Tensor(a.copy(), requires_grad=i > 0 or x_grad)
-                             for i, a in enumerate(arrays))
-        if paired:
-            out = conv_leaky_cl(x, w1, b1, 0.01, time_pad, first=(w0, b0))
-        else:
-            out = conv_leaky_cl(conv_leaky_cl(x, w0, b0, 0.01), w1, b1, 0.01, time_pad)
-        engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
-        return out.data, x.grad, w0.grad, b0.grad, w1.grad, b1.grad
+    def chain_arrays(arity, dtype, n=5, t_len=100, card=10, seed=41):
+        """x, then the weight and bias of conv_pv, conv_simplex and a padded
+        4 x 1 time layer, as a head runs them, and an upstream gradient for
+        the time layer's output."""
+        rng = np.random.default_rng(seed)
+        width = card * arity * 2
+        arrays = [rng.standard_normal((n, t_len, width))]
+        for c, kh, kw in ((1, 1, 2), (32, 1, arity), (32, 4, 1)):
+            arrays += [rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw),
+                       rng.standard_normal(32)]
+        upstream = rng.standard_normal((n * t_len * card * 32, 1))
+        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_equals_two_chained_nodes(self, arity, dtype, monkeypatch, head_pool):
-        arrays, upstream = self.pair_arrays(arity, dtype)
+    @staticmethod
+    def run(arrays, upstream, fused, time_pad=(0, 0), x_grad=True):
+        """The output, then the gradients of x and of each layer's weight
+        and bias, of ``arrays`` = x, then each layer's weight and bias, the
+        main layer's last: one node with leading layers, or chained nodes."""
+        x, *params = (Tensor(a.copy(), requires_grad=i > 0 or x_grad)
+                      for i, a in enumerate(arrays))
+        *lead, (w, b) = zip(params[::2], params[1::2])
+        if fused:
+            out = conv_leaky_cl(x, w, b, 0.01, time_pad, lead=tuple(lead))
+        else:
+            out = x
+            for w0, b0 in lead:
+                out = conv_leaky_cl(out, w0, b0, 0.01)
+            out = conv_leaky_cl(out, w, b, 0.01, time_pad)
+        engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
+        return out.data, x.grad, *(p.grad for p in params)
+
+    def check_equals_chained(self, arrays, upstream, time_pad, monkeypatch, head_pool):
+        """The fused node's output and gradients equal the chained nodes'
+        bit for bit at 1 to 4 head workers."""
         monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
-        chained = self.run(arrays, upstream, paired=False)
+        chained = self.run(arrays, upstream, False, time_pad)
         assert head_pool.blocks == 0
         interval = sys.getswitchinterval()
         # switch threads often, so that blocks interleave as much as they can
@@ -359,13 +379,28 @@ class TestLeadingLayer:
         try:
             for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-                for got, want in zip(self.run(arrays, upstream, paired=True), chained):
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want)
+                got = self.run(arrays, upstream, True, time_pad)
+                assert len(got) == len(chained) == len(arrays) + 1
+                for g, want in zip(got, chained):
+                    assert g.dtype == want.dtype
+                    assert np.array_equal(g, want)
         finally:
             sys.setswitchinterval(interval)
         # forward and backward each hand all blocks but the first to the pool
         assert head_pool.blocks == sum(2 * (w - 1) for w in (2, 3, 4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_equals_two_chained_nodes(self, arity, dtype, monkeypatch, head_pool):
+        arrays, upstream = self.pair_arrays(arity, dtype)
+        self.check_equals_chained(arrays, upstream, (0, 0), monkeypatch, head_pool)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_two_leads_equal_three_chained_nodes(self, arity, dtype, monkeypatch,
+                                                 head_pool):
+        arrays, upstream = self.chain_arrays(arity, dtype)
+        self.check_equals_chained(arrays, upstream, (1, 2), monkeypatch, head_pool)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_time_kernel_main_layer(self, workers, monkeypatch, head_pool):
@@ -373,7 +408,7 @@ class TestLeadingLayer:
         # through its taps' shifted spans
         monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
         arrays, upstream = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
-        chained = self.run(arrays, upstream, paired=False, time_pad=(1, 2))
+        chained = self.run(arrays, upstream, fused=False, time_pad=(1, 2))
         for got, want in zip(self.run(arrays, upstream, True, (1, 2)), chained):
             assert np.array_equal(got, want)
 
@@ -381,8 +416,8 @@ class TestLeadingLayer:
         # training's head inputs are plain arrays: only the four parameters
         # take gradients, and the leading layer's still come back
         arrays, upstream = self.pair_arrays(3, np.float32, n=2, t_len=20)
-        got = self.run(arrays, upstream, paired=True, x_grad=False)
-        want = self.run(arrays, upstream, paired=False, x_grad=False)
+        got = self.run(arrays, upstream, fused=True, x_grad=False)
+        want = self.run(arrays, upstream, fused=False, x_grad=False)
         assert got[1] is None and want[1] is None
         for g, w in zip(got[2:], want[2:]):
             assert np.array_equal(g, w)
@@ -398,7 +433,7 @@ class TestLeadingLayer:
 
         def loss(i, t):
             xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-            return TestGradCheck.sum_sq(conv_leaky_cl(xt, w1, b1, 0.01, first=(w0, b0)))
+            return TestGradCheck.sum_sq(conv_leaky_cl(xt, w1, b1, 0.01, lead=((w0, b0),)))
 
         loss(0, pair[0]).backward()
         largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in pair]
@@ -408,8 +443,13 @@ class TestLeadingLayer:
     def test_one_tape_node(self):
         arrays, _ = self.pair_arrays(2, np.float32, n=1, t_len=4)
         x, w0, b0, w1, b1 = (Tensor(a) for a in arrays)
-        out = conv_leaky_cl(x, w1, b1, 0.01, first=(w0, b0))
+        out = conv_leaky_cl(x, w1, b1, 0.01, lead=((w0, b0),))
         assert out._parents == (x, w0, b0, w1, b1)
+        assert out.shape == (1, 4, 10 * 32)
+        arrays, _ = self.chain_arrays(2, np.float32, n=1, t_len=4)
+        x, w0, b0, w1, b1, w2, b2 = (Tensor(a) for a in arrays)
+        out = conv_leaky_cl(x, w2, b2, 0.01, (1, 2), lead=((w0, b0), (w1, b1)))
+        assert out._parents == (x, w0, b0, w1, b1, w2, b2)
         assert out.shape == (1, 4, 10 * 32)
 
     def test_backward_holds_no_mask_or_leading_output(self):
@@ -417,7 +457,7 @@ class TestLeadingLayer:
         x, w0, b0, w1, b1 = (Tensor(a, requires_grad=True) for a in arrays)
         lead_size = 2 * 6 * 30 * 32
         for out in (conv_leaky_cl(x, w0, b0, 0.01),
-                    conv_leaky_cl(x, w1, b1, 0.01, (1, 2), first=(w0, b0))):
+                    conv_leaky_cl(x, w1, b1, 0.01, (1, 2), lead=((w0, b0),))):
             held = held_arrays(out._backward)
             assert not [a.shape for a in held if a.dtype == bool]
         # the pair holds its own output, and no other array the size of conv_pv's
@@ -427,29 +467,57 @@ class TestLeadingLayer:
     def test_leading_outputs_not_main_channels(self):
         # 4 outputs of 4 columns are 16 columns, whole 2 x 2 kernel columns,
         # but the main layer reads 2 channels
-        with pytest.raises(ShapeMismatch, match="leading layer has 4 outputs"):
+        with pytest.raises(ShapeMismatch, match="leading layer 0 has 4 outputs, "
+                                                "the main layer reads 2 channels"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
                           Tensor(np.zeros(1)), 0.01,
-                          first=(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))))
+                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),))
 
     def test_leading_row_width_not_whole_kernel_columns(self):
         with pytest.raises(ShapeMismatch, match="row width 12"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 12))), Tensor(np.zeros((1, 2, 1, 2))),
                           Tensor(np.zeros(1)), 0.01,
-                          first=(Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2))))
+                          lead=((Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2))),))
 
     def test_leading_output_not_whole_main_kernel_columns(self):
         # 4 columns of 3 leading outputs are 12, not whole 3 x 3 kernel columns
         with pytest.raises(ShapeMismatch, match="row width 12"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 3))),
                           Tensor(np.zeros(1)), 0.01,
-                          first=(Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3))))
+                          lead=((Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3))),))
 
     def test_leading_layer_with_a_time_kernel(self):
-        with pytest.raises(ShapeMismatch, match="single time tap"):
+        with pytest.raises(ShapeMismatch, match="leading layer 0 kernel .* single time tap"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
                           Tensor(np.zeros(1)), 0.01,
-                          first=(Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(2))))
+                          lead=((Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(2))),))
+
+    def test_two_leads_hold_neither_leading_output(self):
+        arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=6)
+        x, w0, b0, w1, b1, w2, b2 = (Tensor(a, requires_grad=True) for a in arrays)
+        out = conv_leaky_cl(x, w2, b2, 0.01, (1, 2), lead=((w0, b0), (w1, b1)))
+        held = held_arrays(out._backward)
+        assert not [a.shape for a in held if a.dtype == bool]
+        # conv_simplex's output is the size of the node's own; conv_pv's twice that
+        assert not [a.shape for a in held
+                    if a.size >= out.data.size and not np.shares_memory(a, out.data)]
+
+    def test_lead_outputs_not_next_lead_channels(self):
+        # conv_pv's 4 outputs over 4 columns are 16 columns, whole 2 x 2
+        # kernel columns, but the second leading layer reads 2 channels
+        with pytest.raises(ShapeMismatch, match="leading layer 0 has 4 outputs, "
+                                                "leading layer 1 reads 2 channels"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 1))),
+                          Tensor(np.zeros(1)), 0.01,
+                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),
+                                (Tensor(np.zeros((3, 2, 1, 2))), Tensor(np.zeros(3)))))
+
+    def test_second_lead_with_a_time_kernel(self):
+        with pytest.raises(ShapeMismatch, match="leading layer 1 kernel .* single time tap"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 1))),
+                          Tensor(np.zeros(1)), 0.01,
+                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),
+                                (Tensor(np.zeros((3, 4, 2, 2))), Tensor(np.zeros(3)))))
 
 
 def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
@@ -613,12 +681,12 @@ class TestSpentOutputGradient:
         if layer == "pair":
             (x_data, w0, b0, w_data, b_data), _ = TestLeadingLayer.pair_arrays(
                 3, np.float32, n=2, t_len=20)
-            first, pad = (Tensor(w0), Tensor(b0)), (0, 0)
+            lead, pad = ((Tensor(w0), Tensor(b0)),), (0, 0)
         else:
             x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays("conv_mix", 2)
-            first = None
+            lead = ()
         x = Tensor(x_data, requires_grad=True)
-        out = conv_leaky_cl(x, Tensor(w_data), Tensor(b_data), 0.01, pad, first)
+        out = conv_leaky_cl(x, Tensor(w_data), Tensor(b_data), 0.01, pad, lead)
         upstream = np.random.default_rng(34).standard_normal(out.shape, np.float32)
         handed = upstream.copy()
         out._backward(handed)

@@ -23,7 +23,6 @@ from hloblab.infonet import (
     extract_simplices,
     graph_score,
     head_column_indices,
-    mi_matrix,
     mi_matrix_from_json,
     mi_matrix_to_json,
     mutual_information,
@@ -31,6 +30,7 @@ from hloblab.infonet import (
     simplices_to_json,
     volume_columns,
     _mi_from_joint,
+    _mi_of_columns,
 )
 from hloblab.lob import StockMeta, synthesize_lob
 
@@ -208,7 +208,7 @@ class TestDailyMi:
 
     def test_diagonal_is_entropy(self):
         binned = bin_volumes(synth_day(), 8)
-        m = mi_matrix(binned)
+        m = _mi_of_columns(np.ascontiguousarray(binned.T))
         for i in range(20):
             col = binned[:, i]
             assert m[i, i] == pytest.approx(mutual_information(col, col),
@@ -217,10 +217,10 @@ class TestDailyMi:
     def test_bootstrap_near_plugin(self):
         # few bins and a long day keep the plug-in resampling bias small
         binned = bin_volumes(synth_day(seed=4, n_events=2000), 4)
-        plugin = mi_matrix(binned)
+        plugin = _mi_of_columns(np.ascontiguousarray(binned.T))
         rng = np.random.default_rng(9)
         t = binned.shape[0]
-        draws = np.stack([mi_matrix(binned[rng.integers(0, t, t)])
+        draws = np.stack([_mi_of_columns(np.ascontiguousarray(binned[rng.integers(0, t, t)].T))
                           for _ in range(10)])
         se = draws.std(axis=0)
         boot = daily_mi_matrix(binned, n_bootstrap=10, rng_seed=3)
@@ -242,17 +242,19 @@ class TestMiMatrixAgainstReference:
         rng = np.random.default_rng(n_bins)
         for _ in range(2):
             cols = unequal_columns(rng, t, n_bins, k)
-            assert np.array_equal(mi_matrix(cols), reference_mi_matrix(cols))
+            assert np.array_equal(_mi_of_columns(np.ascontiguousarray(cols.T)),
+                                  reference_mi_matrix(cols))
 
     def test_single_row(self):
         cols = unequal_columns(np.random.default_rng(0), 1, 32)
-        m = mi_matrix(cols)
+        m = _mi_of_columns(np.ascontiguousarray(cols.T))
         assert np.array_equal(m, reference_mi_matrix(cols))
         assert np.all(m == 0)
 
     def test_synthetic_day(self):
         idx = bin_volumes(synth_day(seed=2, n_events=400), 16)
-        assert np.array_equal(mi_matrix(idx), reference_mi_matrix(idx))
+        assert np.array_equal(_mi_of_columns(np.ascontiguousarray(idx.T)),
+                              reference_mi_matrix(idx))
 
     @pytest.mark.parametrize("n_bins, t, n_bootstrap", [
         (2, 150, 3), (32, 300, 3), (32, 1, 3),

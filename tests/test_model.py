@@ -223,12 +223,12 @@ class TestGatherGradientConsistency:
 
 
 def tape_ids(root):
-    """The ids of the tape nodes reachable from ``root``."""
-    seen, todo = {id(root)}, [root]
+    """The tape nodes reachable from ``root``, by id."""
+    seen, todo = {id(root): root}, [root]
     while todo:
         for p in todo.pop()._parents:
             if id(p) not in seen:
-                seen.add(id(p))
+                seen[id(p)] = p
                 todo.append(p)
     return seen
 
@@ -243,6 +243,28 @@ class TestTape:
         assert len(tape_ids(loss)) < 100
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
+
+    def test_train_step_keeps_no_simplex_output(self):
+        # conv_pv and conv_simplex run inside conv_time1's node, which reads
+        # the head input: three conv nodes a head, 57 nodes in all (36
+        # parameters, 3 inputs, 4 nodes a head, concat, LSTM, dense's 3 and
+        # the loss). Of the (N, 100, cardinality * 32) tensors the tape keeps
+        # only conv_time1's and conv_time2's outputs, not conv_simplex's
+        config = HlobConfig()
+        model = HlobModel(config, seed=0)
+        inputs = [Tensor(x) for x in random_inputs(np.random.default_rng(17), n=4,
+                                                   dtype=np.float32)]
+        logits = model.forward(inputs, train=True, rng=np.random.default_rng(18))
+        loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
+        nodes = tape_ids(loss).values()
+        assert len(nodes) == 57
+        for head, x, card in zip(model.heads, inputs, config.cardinalities):
+            reader, = [t for t in nodes if head.conv_time1[0] in t._parents]
+            assert reader._parents == (x, *head.conv_pv, *head.conv_simplex,
+                                       *head.conv_time1)
+            simplex_shaped = [t for t in nodes
+                              if t.shape == (4, config.window_len, card * 32)]
+            assert len(simplex_shaped) == 2
 
     def test_parameters_are_the_tapes_own_leaves(self):
         # the tape reads each parameter object itself, and AdamW steps the
