@@ -21,6 +21,7 @@ from . import lob
 from .errors import ConfigError
 
 ENV_PREFIX = "HLOBLAB_"
+IN_DAYS = "a nonempty list of days listed in days"
 
 
 class Key(NamedTuple):
@@ -41,6 +42,15 @@ def _within(least, most) -> tuple[str, Callable]:
     return f"from {least} to {most}", lambda v, cfg: least <= v <= most
 
 
+def _split(key, *others) -> tuple[str, Callable]:
+    """A split's rule: IN_DAYS, under its own error, and disjoint from ``others``."""
+    def ok(v, cfg):
+        if not v or not set(v) <= set(cfg.get_days("days")):
+            raise ConfigError(key, f"must be {IN_DAYS}, got {cfg.values[key]!r}")
+        return not set(v) & {d for other in others for d in cfg.get_days(other)}
+    return (f"disjoint from {' and '.join(others)}" if others else IN_DAYS), ok
+
+
 # upper bounds that keep the stages' integer arithmetic inside int64: a trim
 # is at most the 09:30-16:00 session, in seconds, a tick at most 10,000
 # currency units, 1e8 integer price units, and a lot at most 10^9 shares, so
@@ -57,14 +67,12 @@ KEYS = {
     "year": Key("1970", str),
     "data_dir": Key("data", str),
     "out_dir": Key("out", str),
-    "days": Key("", list, "a list of distinct days",
-                lambda v, cfg: len(set(v)) == len(v)),
-    "split.train": Key("", list),
-    "split.validation": Key("", list, "disjoint from split.train",
-                            lambda v, cfg: not set(v) & set(cfg.get_days("split.train"))),
-    "split.test": Key("", list, "disjoint from split.train and split.validation",
-                      lambda v, cfg: not set(v) & set(cfg.get_days("split.train") +
-                                                      cfg.get_days("split.validation"))),
+    "days": Key(",".join(f"1970-01-{d:02d}" for d in range(1, 10)), list,
+                "a nonempty list of distinct days", lambda v, cfg: v and len(set(v)) == len(v)),
+    "split.train": Key("1970-01-06,1970-01-07", list, *_split("split.train")),
+    "split.validation": Key("1970-01-08", list, *_split("split.validation", "split.train")),
+    "split.test": Key("1970-01-09", list,
+                      *_split("split.test", "split.train", "split.validation")),
     "horizon": Key("10", int, *_at_least(1)),
     "n_bins": Key("32", int, "from 2 to 1024", lambda v, cfg: 2 <= v <= 1024),
     "bootstrap": Key("10", int, *_at_least(1)),

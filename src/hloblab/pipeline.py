@@ -173,8 +173,6 @@ def run_synth(cfg: RunConfig) -> list[str]:
     """Generate a synthetic LOBSTER pair for every configured day."""
     meta = meta_from_config(cfg)
     days = cfg.get_days("days")
-    if not days:
-        raise ConfigError("days", "no days configured")
     n_events, regime = cfg.get_int("synth.n_events"), cfg.get_str("synth.regime")
     base_seed = cfg.get_int("seed")
     data_dir = Path(cfg.get_str("data_dir"))
@@ -277,8 +275,6 @@ def run_mi(cfg: RunConfig) -> Path:
     """Bootstrap daily MI matrices over the training days and average them."""
     out_dir = Path(cfg.get_str("out_dir"))
     train_days = cfg.get_days("split.train")
-    if not train_days:
-        raise ConfigError("split.train", "no training days configured")
     n_bins, n_bootstrap = cfg.get_int("n_bins"), cfg.get_int("bootstrap")
     seed = cfg.get_int("seed")
     daily, workers = [], 1
@@ -341,13 +337,11 @@ def windows_for_day(cfg: RunConfig, day: str) -> DayWindows:
     return preprocess.build_windows(normalized, labels, day, window_len)
 
 
-def _split_windows(cfg: RunConfig, key: str, days: list[str]) -> list[DayWindows]:
-    """:func:`windows_for_day` of each of the ``days`` of the split ``key``,
-    which must have a day and, over its days, a labelled window."""
-    if not days:
-        raise ConfigError(key, "no days configured")
-    windows = [windows_for_day(cfg, d) for d in days]
-    if not any(len(w) for w in windows):
+def _split_windows(cfg: RunConfig, key: str, days: list[str]) -> DayWindows:
+    """The ``days`` of the split ``key``, each windowed, joined into one set
+    that must hold a labelled window; no day's own set outlives the join."""
+    windows = preprocess.join_windows([windows_for_day(cfg, d) for d in days])
+    if not len(windows):
         raise ConfigError("window_len", f"no day of {key} has a labelled window of "
                                         f"{cfg.get_int('window_len')} events")
     return windows
@@ -390,10 +384,11 @@ def run_train(cfg: RunConfig) -> Path:
     cfg.get_int("horizon")
     train_days, val_days = cfg.get_days("split.train"), cfg.get_days("split.validation")
     complex_ = load_simplices(cfg)
-    train_by_day = dict(zip(train_days, _split_windows(cfg, "split.train", train_days)))
+    # train samples the training days in name order, each day once
+    train_windows = _split_windows(cfg, "split.train", sorted(set(train_days)))
     val_windows = _split_windows(cfg, "split.validation", val_days)
     model = HlobModel(model_config, seed=config.seed)
-    _, history = train_mod.train(model, train_by_day, val_windows, complex_, config)
+    _, history = train_mod.train(model, train_windows, val_windows, complex_, config)
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt_path, extra={"run_config_digest": cfg.digest()})
     write_atomic(out_dir / "history.json", json.dumps(history, sort_keys=True) + "\n")

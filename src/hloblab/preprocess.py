@@ -109,7 +109,8 @@ def label_series(mids_x2: np.ndarray, horizon: int, tick_units: int) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class DayWindows:
-    """A day's labelled windows as arrays over its rows.
+    """Labelled windows as arrays over their rows: one day's, or those of the
+    days ``day`` names, joined by commas, with their ``day_sizes`` counts.
 
     Window i is ``rows[ends[i] - window_len + 1:ends[i] + 1]`` with label
     ``labels[i]``. Indexing gives it as a :class:`LabeledWindow` view.
@@ -120,6 +121,11 @@ class DayWindows:
     ends: np.ndarray      # (N,) int64, each window's last row, ascending
     labels: np.ndarray    # (N,) int64, in {-1, 0, +1}
     window_len: int = WINDOW_LEN
+    day_sizes: tuple[int, ...] | None = None   # None: one day, all windows
+
+    def __post_init__(self):
+        if self.day_sizes is None:
+            object.__setattr__(self, "day_sizes", (len(self.ends),))
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -153,8 +159,8 @@ def join_windows(days: list[DayWindows]) -> DayWindows:
     """The days' windows as one set over their rows laid end to end, in order.
 
     Each day adds its rows through its last window's end (none without a
-    window); one day is returned as it is. Windows of different lengths or
-    widths raise :class:`ShapeMismatch`.
+    window) and its count, 0 too, to ``day_sizes``; one day is returned as
+    it is. Windows of different lengths or widths raise :class:`ShapeMismatch`.
     """
     shapes = {(d.window_len, d.rows.shape[1]) for d in days}
     if len(shapes) > 1:
@@ -167,7 +173,7 @@ def join_windows(days: list[DayWindows]) -> DayWindows:
                       np.concatenate([d.rows[:stop] for d, stop in zip(days, stops)]),
                       np.concatenate([d.ends + s for d, s in zip(days, starts)]),
                       np.concatenate([d.labels for d in days]),
-                      days[0].window_len)
+                      days[0].window_len, sum((d.day_sizes for d in days), ()))
 
 
 def balanced_sample(labels: np.ndarray, cap: int = 5000,

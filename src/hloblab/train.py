@@ -19,13 +19,7 @@ from .errors import EmptyDataset, IoFailure, LengthMismatch, MissingClass, NonFi
 from .files import write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobModel, predict_proba
-from .preprocess import (
-    DayWindows,
-    balanced_sample,
-    join_windows,
-    label_to_class,
-    sequential_batches,
-)
+from .preprocess import DayWindows, balanced_sample, label_to_class, sequential_batches
 
 log = logging.getLogger(__name__)
 
@@ -69,12 +63,12 @@ EVAL_WINDOWS = 512
 EVAL_ROWS = 4096
 
 
-def _eval_batches(model: HlobModel, days: list[DayWindows],
+def _eval_batches(model: HlobModel, windows: DayWindows,
                   complex_: SimplicialComplex, batch_size: int):
     """Eval-mode logits of sequential batches: yields (labels, logits).
 
-    The heads run once on each chunk's slice of the days' joined rows
-    (:func:`join_windows`), from its first window's start to its last
+    The heads run once on each chunk's slice of the rows, which the split's
+    days were joined into once, from its first window's start to its last
     window's end (see ``HlobModel.head_sequences``), so overlapping windows
     share their rows' work. A chunk is whole batches; a short last batch
     joins the chunk before it when ``EVAL_ROWS`` allows, so that the rows
@@ -86,7 +80,6 @@ def _eval_batches(model: HlobModel, days: list[DayWindows],
     at another height (a 512-row stack and its 32-row batches differed by
     up to 7.5e-9).
     """
-    windows = join_windows(days)
     t_len, ends = windows.window_len, windows.ends
     starts, stops = ends - (t_len - 1), ends + 1
     lo = 0
@@ -118,10 +111,10 @@ def _epoch_should_stop(best_history: list[float], patience: int,
     return best_history[e - patience - 1] - best_history[-1] < delta
 
 
-def validation_loss(model: HlobModel, days: list[DayWindows],
+def validation_loss(model: HlobModel, windows: DayWindows,
                     complex_: SimplicialComplex, batch_size: int) -> float:
     total, count = 0.0, 0
-    for labels, logits in _eval_batches(model, days, complex_, batch_size):
+    for labels, logits in _eval_batches(model, windows, complex_, batch_size):
         loss = engine.softmax_cross_entropy(engine.Tensor(logits),
                                             label_to_class(labels))
         total += float(loss.data) * len(labels)
@@ -129,23 +122,20 @@ def validation_loss(model: HlobModel, days: list[DayWindows],
     return total / count
 
 
-def train(model: HlobModel, train_windows_by_day: dict[str, DayWindows],
-          val_days: list[DayWindows], complex_: SimplicialComplex,
-          config: TrainConfig) -> tuple[dict, dict]:
+def train(model: HlobModel, windows: DayWindows, val_windows: DayWindows,
+          complex_: SimplicialComplex, config: TrainConfig) -> tuple[dict, dict]:
     """Train with per-day balanced sampling and validation-loss early stopping.
 
     Returns (best parameter state, history). The state maps parameter names
     to (data, m, v) arrays from the best-validation-loss epoch. A NaN or
     infinite batch loss raises :class:`NonFiniteLoss` before that batch
-    updates any parameter. Each epoch shuffles indices into the training
-    days' windows laid end to end, and each batch gathers its windows' rows.
+    updates any parameter. Each epoch samples the training days in turn,
+    each from its ``windows.day_sizes`` slice of the labels, and each batch
+    gathers its windows' rows.
     """
-    if not train_windows_by_day or not sum(len(d) for d in val_days):
+    if not len(windows) or not len(val_windows):
         raise EmptyDataset("need nonempty training and validation sets")
-    names = sorted(train_windows_by_day)
-    days = [train_windows_by_day[name] for name in names]
-    windows = join_windows(days)
-    starts = np.cumsum([0] + [len(d) for d in days[:-1]])
+    starts = np.cumsum((0,) + windows.day_sizes[:-1])
 
     optimizer = engine.AdamW(model.parameters(), lr=config.lr,
                              beta1=config.beta1, beta2=config.beta2,
@@ -158,9 +148,10 @@ def train(model: HlobModel, train_windows_by_day: dict[str, DayWindows],
     for epoch in range(1, config.max_epochs + 1):
         epoch_rng = np.random.default_rng((config.seed, epoch))
         picks = []
-        for name, day, start in zip(names, days, starts):
+        for name, start, size in zip(windows.day.split(","), starts, windows.day_sizes):
             try:
-                picked = balanced_sample(day.labels, cap=config.balanced_cap,
+                picked = balanced_sample(windows.labels[start:start + size],
+                                         cap=config.balanced_cap,
                                          rng_seed=int(epoch_rng.integers(2**32)))
             except MissingClass as exc:
                 log.warning("skipping day %s: %s", name, exc)
@@ -186,7 +177,7 @@ def train(model: HlobModel, train_windows_by_day: dict[str, DayWindows],
             seen += len(batch)
         history["train_loss"].append(running / seen)
 
-        val = validation_loss(model, val_days, complex_, config.batch_size)
+        val = validation_loss(model, val_windows, complex_, config.batch_size)
         history["val_loss"].append(val)
         if val < best_loss:
             best_loss = val
@@ -217,14 +208,14 @@ def _restore_state(model: HlobModel, state: dict) -> None:
         p.v = v.copy()
 
 
-def evaluate(model: HlobModel, test_days: list[DayWindows],
+def evaluate(model: HlobModel, windows: DayWindows,
              complex_: SimplicialComplex, batch_size: int = 32) -> EvalReport:
     """Sequential evaluation: confusion matrix, F1, MCC, and round-trip stats."""
-    if not sum(len(d) for d in test_days):
+    if not len(windows):
         raise EmptyDataset("no test windows")
     predictions: list[int] = []
     labels: list[int] = []
-    for batch, logits in _eval_batches(model, test_days, complex_, batch_size):
+    for batch, logits in _eval_batches(model, windows, complex_, batch_size):
         probs = predict_proba(logits)
         predictions.extend((probs.argmax(axis=1) - 1).tolist())
         labels.extend(batch.tolist())

@@ -353,8 +353,8 @@ def test_criterion_08_training_harness():
     frozen = TrainConfig(lr=0.0, weight_decay=0.0, max_epochs=100,
                          balanced_cap=4, seed=1)
     _, history = train(model,
-                       {"d1": _toy_windows(rng, 12, "d1", 10, 0.0)},
-                       [_toy_windows(rng, 6, "v1", 10, 0.0)],
+                       _toy_windows(rng, 12, "d1", 10, 0.0),
+                       _toy_windows(rng, 6, "v1", 10, 0.0),
                        TINY_COMPLEX, frozen)
     assert history["stopped_epoch"] == 16
 
@@ -376,8 +376,8 @@ def test_criterion_08_training_harness():
     train_windows = _toy_windows(rng, 30, "d1", 100, 1.0)
     val_windows = _toy_windows(rng, 9, "v1", 100, 1.0)
     cfg = TrainConfig(lr=1e-3, max_epochs=50, balanced_cap=10, seed=2)
-    train(full, {"d1": train_windows}, [val_windows], complex_, cfg)
-    report = evaluate(full, [train_windows], complex_)
+    train(full, train_windows, val_windows, complex_, cfg)
+    report = evaluate(full, train_windows, complex_)
     accuracy = np.trace(report.confusion) / report.confusion.sum()
     elapsed = time.monotonic() - start
     assert accuracy >= 0.95, f"train accuracy {accuracy:.3f}"

@@ -1238,6 +1238,7 @@ BAD_VALUES = [
     ("train.balanced_cap", "0", "train"),
     ("split.test", DAYS[6], "eval"), ("split.test", f"{DAYS[7]},{DAYS[5]}", "eval"),
     ("split.validation", DAYS[6], "train"), ("split.validation", f"{DAYS[7]},{DAYS[5]}", "train"),
+    ("split.train", f"{DAYS[5]},2024-01-06", "mi"), ("days", "", "ingest"),
 ]
 
 
@@ -1289,7 +1290,8 @@ class TestKeyRules:
     def test_split_overlaps(self):
         # the three splits are disjoint: a validation day may not be a
         # training day, and a test day may be neither
-        cfg = RunConfig({"split.train": "a,b", "split.validation": "c", "split.test": "d"})
+        cfg = RunConfig({"days": "a,b,c,d", "split.train": "a,b", "split.validation": "c",
+                         "split.test": "d"})
         assert cfg.get_days("split.validation") == ["c"]
         assert cfg.get_days("split.test") == ["d"]
         for key, value in [("split.test", "a"), ("split.test", "d,c"),

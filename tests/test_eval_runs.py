@@ -20,7 +20,13 @@ from hloblab.engine import Tensor, softmax_cross_entropy
 from hloblab.errors import ShapeMismatch
 from hloblab.infonet import assemble_head_inputs, build_tmfg, extract_simplices
 from hloblab.model import HlobConfig, HlobModel
-from hloblab.preprocess import UNLABELED, DayWindows, build_windows, label_to_class
+from hloblab.preprocess import (
+    UNLABELED,
+    DayWindows,
+    build_windows,
+    join_windows,
+    label_to_class,
+)
 from hloblab.train import evaluate, validation_loss
 
 
@@ -93,7 +99,7 @@ class LayoutProbe:
 def layout(days):
     """The head inputs and window origins eval lays out for ``days`` in one chunk."""
     probe = LayoutProbe()
-    list(train_mod._eval_batches(probe, days, COMPLEX, 10**6))
+    list(train_mod._eval_batches(probe, join_windows(days), COMPLEX, 10**6))
     [(row_inputs, origins)] = probe.calls
     return row_inputs, origins
 
@@ -132,7 +138,7 @@ def reference_logits(model, windows, batch_size):
 
 def run_logits(model, days, batch_size):
     windows = views(days)
-    batches = list(train_mod._eval_batches(model, days, COMPLEX, batch_size))
+    batches = list(train_mod._eval_batches(model, join_windows(days), COMPLEX, batch_size))
     assert [len(b) for b, _ in batches] == \
         [len(windows[lo:lo + batch_size]) for lo in range(0, len(windows), batch_size)]
     for lo, (labels, _) in zip(range(0, len(windows), batch_size), batches):
@@ -212,7 +218,8 @@ class TestWindowRows:
         with pytest.raises(ShapeMismatch):
             layout(days)
         with pytest.raises(ShapeMismatch):
-            evaluate(HlobModel(HlobConfig(window_len=5, **SMALL), seed=0), days, COMPLEX)
+            evaluate(HlobModel(HlobConfig(window_len=5, **SMALL), seed=0),
+                     join_windows(days), COMPLEX)
 
 
 class TestRunLogits:
@@ -371,7 +378,7 @@ class TestRunLogits:
         rng = np.random.default_rng(10)
         days = ([day_windows(rng, "d1", 23, 30)]
                 + [day_windows(rng, f"s{i}", 1, 30) for i in range(4)])
-        list(train_mod._eval_batches(model, days, COMPLEX, 3))
+        list(train_mod._eval_batches(model, join_windows(days), COMPLEX, 3))
         # (windows, distinct rows): 2 batches per chunk along the run, the
         # run's end with the first separate window (64 rows), then one
         # batch of 3 separate windows, as 2 batches would pass 64 rows
@@ -489,7 +496,7 @@ class TestHeadBlocks:
         monkeypatch.setattr(model_mod._Head, "forward_rows", failing)
         model = HlobModel(HlobConfig(), seed=13)
         with pytest.raises(FloatingPointError, match="pool thread"):
-            evaluate(model, blocked_days(np.random.default_rng(43)), COMPLEX)
+            evaluate(model, join_windows(blocked_days(np.random.default_rng(43))), COMPLEX)
         assert head_pool.blocks == 1
 
 
@@ -541,7 +548,7 @@ class TestEvaluateAndValidation:
         rng = np.random.default_rng(12)
         model = HlobModel(HlobConfig(window_len=30, **SMALL), seed=8, dtype=np.float64)
         days = [day_windows(rng, "d1", 11, 30), day_windows(rng, "d2", 6, 30)]
-        report = evaluate(model, days, COMPLEX, batch_size=5)
+        report = evaluate(model, join_windows(days), COMPLEX, batch_size=5)
         windows = views(days)
         # 17 windows in batches of 5: the last batch is short
         want_preds = reference_logits(model, windows, 5).argmax(axis=1) - 1
@@ -560,4 +567,4 @@ class TestEvaluateAndValidation:
         want = sum(float(softmax_cross_entropy(Tensor(logits[lo:lo + 4]),
                                                ids[lo:lo + 4]).data) * len(ids[lo:lo + 4])
                    for lo in range(0, 10, 4)) / 10
-        assert validation_loss(model, [day], COMPLEX, 4) == pytest.approx(want, rel=1e-12)
+        assert validation_loss(model, day, COMPLEX, 4) == pytest.approx(want, rel=1e-12)

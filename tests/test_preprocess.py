@@ -6,6 +6,7 @@ from hloblab.lob import LobSeries, StockMeta, mid_price_series, synthesize_lob
 from hloblab.preprocess import (
     STD_FLOOR,
     UNLABELED,
+    DayWindows,
     LabeledWindow,
     balanced_sample,
     build_windows,
@@ -323,6 +324,18 @@ class TestDayWindows:
         np.testing.assert_array_equal(joined.rows, np.concatenate([a.rows[:27], b.rows[:17]]))
         np.testing.assert_array_equal(joined.ends, np.r_[a.ends, 27 + b.ends])
         np.testing.assert_array_equal(joined.labels, np.r_[a.labels, b.labels])
+
+    def test_join_records_each_days_window_count(self):
+        # a day's own set, built or constructed, is one day of all its
+        # windows; a join names its days in order with their counts, 0 too
+        a = build_windows(*self.day(30, slice(27, None)), "d1", 7)
+        empty = build_windows(*self.day(5, slice(2, None)), "d2", 7)
+        b = DayWindows("d3", np.zeros((9, 40)), np.array([6, 8]), np.array([1, -1]), 7)
+        assert (a.day_sizes, empty.day_sizes, b.day_sizes) == ((21,), (0,), (2,))
+        joined = join_windows([a, empty, b])
+        assert (joined.day, joined.day_sizes) == ("d1,d2,d3", (21, 0, 2))
+        twice = join_windows([joined, a])
+        assert (twice.day, twice.day_sizes) == ("d1,d2,d3,d1", (21, 0, 2, 21))
 
     @pytest.mark.parametrize("shape", [(8, 40), (7, 39)])
     def test_join_of_different_shapes_rejected(self, shape):

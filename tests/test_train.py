@@ -1,18 +1,21 @@
 import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from test_cli import write_config
+from test_cli import DAYS, write_config
 
-from hloblab import cli, engine, pipeline
+from hloblab import cli, engine, pipeline, preprocess
+from hloblab import train as train_mod
 from hloblab.config import RunConfig
 from hloblab.errors import EmptyDataset, LengthMismatch, NonFiniteLoss
 from hloblab.infonet import SimplicialComplex, build_tmfg, extract_simplices
 from hloblab.model import HlobConfig, HlobModel, save_checkpoint
-from hloblab.preprocess import DayWindows
+from hloblab.preprocess import DayWindows, join_windows
 from hloblab.train import (
     EvalReport,
     TrainConfig,
@@ -40,6 +43,10 @@ TINY_COMPLEX = SimplicialComplex(
 
 def tiny_model(seed=0):
     return HlobModel(TINY_CONFIG, seed=seed, dtype=np.float64)
+
+
+EMPTY = DayWindows("e1", np.empty((0, 40)), np.empty(0, np.int64),
+                   np.empty(0, np.int64), 10)
 
 
 def make_windows(rng, n, day, label_cycle=(-1, 0, 1), signal=0.0, length=10):
@@ -82,8 +89,8 @@ class TestEarlyStopper:
 class TestTrainLoop:
     def test_constant_val_loss_stops_at_epoch_16(self):
         rng = np.random.default_rng(0)
-        train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = [make_windows(rng, 6, "v1")]
+        train_days = make_windows(rng, 12, "d1")
+        val = make_windows(rng, 6, "v1")
         # lr 0 and wd 0 freeze the model, so validation loss is constant
         config = TrainConfig(lr=0.0, weight_decay=0.0, max_epochs=100,
                              balanced_cap=4, seed=1)
@@ -95,8 +102,8 @@ class TestTrainLoop:
 
     def test_best_state_restored(self):
         rng = np.random.default_rng(1)
-        train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = [make_windows(rng, 6, "v1")]
+        train_days = make_windows(rng, 12, "d1")
+        val = make_windows(rng, 6, "v1")
         config = TrainConfig(lr=1e-3, max_epochs=3, balanced_cap=4, seed=2)
         model = tiny_model()
         state, history = train(model, train_days, val, TINY_COMPLEX, config)
@@ -110,8 +117,8 @@ class TestTrainLoop:
     def test_deterministic_runs(self):
         def run():
             rng = np.random.default_rng(2)
-            train_days = {"d1": make_windows(rng, 12, "d1")}
-            val = [make_windows(rng, 6, "v1")]
+            train_days = make_windows(rng, 12, "d1")
+            val = make_windows(rng, 6, "v1")
             config = TrainConfig(lr=1e-3, max_epochs=2, balanced_cap=4, seed=3)
             model = tiny_model()
             train(model, train_days, val, TINY_COMPLEX, config)
@@ -122,8 +129,8 @@ class TestTrainLoop:
 
     def test_non_finite_loss_stops_before_the_step(self):
         rng = np.random.default_rng(1)
-        train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = [make_windows(rng, 6, "v1")]
+        train_days = make_windows(rng, 12, "d1")
+        val = make_windows(rng, 6, "v1")
         config = TrainConfig(lr=1e-3, max_epochs=3, balanced_cap=4, seed=2)
         model = tiny_model()
         model.out_b.data[1] = np.nan
@@ -139,24 +146,24 @@ class TestTrainLoop:
         rng = np.random.default_rng(3)
         good = make_windows(rng, 12, "d1")
         bad = make_windows(rng, 8, "d2", label_cycle=(1, 1))
-        val = [make_windows(rng, 6, "v1")]
+        val = make_windows(rng, 6, "v1")
         config = TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=4, seed=4)
         with caplog.at_level("WARNING", logger="hloblab.train"):
-            train(tiny_model(), {"d1": good, "d2": bad}, val, TINY_COMPLEX,
+            train(tiny_model(), join_windows([good, bad]), val, TINY_COMPLEX,
                   config)
         assert "skipping day d2" in caplog.text
 
     def test_all_days_missing_class(self):
         rng = np.random.default_rng(4)
         bad = make_windows(rng, 8, "d1", label_cycle=(1,))
-        val = [make_windows(rng, 6, "v1")]
+        val = make_windows(rng, 6, "v1")
         config = TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=4)
         with pytest.raises(EmptyDataset):
-            train(tiny_model(), {"d1": bad}, val, TINY_COMPLEX, config)
+            train(tiny_model(), bad, val, TINY_COMPLEX, config)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyDataset):
-            train(tiny_model(), {}, [], TINY_COMPLEX, TrainConfig())
+            train(tiny_model(), EMPTY, EMPTY, TINY_COMPLEX, TrainConfig())
 
     def test_long_window_trains(self):
         # the unrolled LSTM puts thousands of nodes in a chain; backward
@@ -166,8 +173,8 @@ class TestTrainLoop:
                             arities=(4, 3, 2), cardinalities=(1, 1, 1),
                             lstm_hidden=4)
         model = HlobModel(config, seed=0, dtype=np.float64)
-        train_days = {"d1": make_windows(rng, 3, "d1", length=400)}
-        val = [make_windows(rng, 3, "v1", length=400)]
+        train_days = make_windows(rng, 3, "d1", length=400)
+        val = make_windows(rng, 3, "v1", length=400)
         before = [p.data.copy() for p in model.parameters()]
         _, history = train(model, train_days, val, TINY_COMPLEX,
                            TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=1,
@@ -179,12 +186,12 @@ class TestTrainLoop:
 
     def test_learns_separable_toy_set(self):
         rng = np.random.default_rng(5)
-        train_days = {"d1": make_windows(rng, 30, "d1", signal=2.0)}
-        val = [make_windows(rng, 9, "v1", signal=2.0)]
+        train_days = make_windows(rng, 30, "d1", signal=2.0)
+        val = make_windows(rng, 9, "v1", signal=2.0)
         config = TrainConfig(lr=1e-2, max_epochs=50, balanced_cap=10, seed=6)
         model = tiny_model()
         train(model, train_days, val, TINY_COMPLEX, config)
-        report = evaluate(model, [train_days["d1"]], TINY_COMPLEX)
+        report = evaluate(model, train_days, TINY_COMPLEX)
         accuracy = np.trace(report.confusion) / report.confusion.sum()
         assert accuracy >= 0.95
 
@@ -208,8 +215,8 @@ class TestEngineOpsUsed:
         for name in public:
             monkeypatch.setattr(engine, name, recorder(name, getattr(engine, name)))
         rng = np.random.default_rng(9)
-        train_days = {"d1": make_windows(rng, 12, "d1")}
-        val = [make_windows(rng, 6, "v1")]
+        train_days = make_windows(rng, 12, "d1")
+        val = make_windows(rng, 6, "v1")
         model = tiny_model()
         train(model, train_days, val, TINY_COMPLEX,
               TrainConfig(lr=1e-3, max_epochs=1, balanced_cap=4, seed=1))
@@ -226,16 +233,17 @@ class TestHeadThreads:
             assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
         cfg = RunConfig.load(cfg_path)
         complex_ = pipeline.load_simplices(cfg)
-        train_by_day = {d: pipeline.windows_for_day(cfg, d)
-                        for d in cfg.get_days("split.train")}
-        val = [pipeline.windows_for_day(cfg, d) for d in cfg.get_days("split.validation")]
+        train_windows = join_windows([pipeline.windows_for_day(cfg, d)
+                                      for d in cfg.get_days("split.train")])
+        val = join_windows([pipeline.windows_for_day(cfg, d)
+                            for d in cfg.get_days("split.validation")])
         config = dataclasses.replace(pipeline.train_config(cfg), lr=1e-3,
                                      max_epochs=2, batch_size=8, balanced_cap=4)
 
         def run(workers):
             monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
             model = HlobModel(pipeline.hlob_config(cfg), seed=config.seed)
-            state, history = train(model, train_by_day, val, complex_, config)
+            state, history = train(model, train_windows, val, complex_, config)
             path = tmp_path / f"model_{workers}.ckpt"
             save_checkpoint(model, path)
             return state, history, path.read_bytes()
@@ -250,6 +258,44 @@ class TestHeadThreads:
         for name, arrays in state_1.items():
             for got, want in zip(state_2[name], arrays):
                 np.testing.assert_array_equal(got, want)
+
+
+class TestSplitsJoinedOnce:
+    def test_train_holds_no_day_rows_and_joins_each_split_once(self, tmp_path, monkeypatch):
+        """``run_train`` joins each split once, and when ``train`` starts no
+        day's own rows of a multi-day split are alive, so the training rows
+        are held once; three epochs of validation join nothing again."""
+        days = DAYS + ["1970-01-10"]
+        cfg_path = str(write_config(tmp_path, days=",".join(days), **{
+            "split.train": f"{days[6]},{days[5]}", "split.validation": f"{days[7]},{days[8]}",
+            "split.test": days[9], "synth.n_events": "220", "window_len": "20",
+            "train.max_epochs": "3", "train.batch_size": "8", "train.balanced_cap": "4"}))
+        for verb in ("synth", "ingest", "mi", "tmfg"):
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        day_rows, joins, alive = [], [], []
+        windows_for_day, join, train_fn = (pipeline.windows_for_day, preprocess.join_windows,
+                                           train_mod.train)
+
+        def windowed(cfg, day):
+            windows = windows_for_day(cfg, day)
+            day_rows.append(weakref.ref(windows.rows))
+            return windows
+
+        def joined(windows):
+            joins.append([w.day for w in windows])
+            return join(windows)
+
+        def started(*args):
+            alive.extend(ref() is not None for ref in day_rows)
+            return train_fn(*args)
+
+        monkeypatch.setattr(pipeline, "windows_for_day", windowed)
+        monkeypatch.setattr(preprocess, "join_windows", joined)
+        monkeypatch.setattr(train_mod, "train", started)
+        pipeline.run_train(RunConfig.load(cfg_path))
+        assert alive == [False] * 4
+        assert joins == [days[5:7], days[7:9]]
+        assert len(json.loads((tmp_path / "out" / "history.json").read_text())["val_loss"]) == 3
 
 
 class TestTrainStepMemory:
@@ -297,7 +343,7 @@ class TestTrainStepMemory:
                               np.arange(t_len - 1, n + t_len - 1),
                               np.resize(np.array([-1, 0, 1]), n), t_len)
 
-        train_days, val_days = {"d1": day("d1", 33)}, [day("d2", 4)]
+        train_days, val_days = day("d1", 33), day("d2", 4)
         tracemalloc.start()
         try:
             train(model, train_days, val_days, complex_, TrainConfig(max_epochs=1))
@@ -441,7 +487,7 @@ class TestEvaluate:
     def test_report_invariants(self):
         rng = np.random.default_rng(9)
         windows = make_windows(rng, 20, "t1")
-        report = evaluate(tiny_model(), [windows], TINY_COMPLEX)
+        report = evaluate(tiny_model(), windows, TINY_COMPLEX)
         assert report.confusion.sum() == 20
         assert 0.0 <= report.f1_macro <= 1.0
         assert -1.0 <= report.mcc <= 1.0
@@ -450,7 +496,7 @@ class TestEvaluate:
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            evaluate(tiny_model(), [], TINY_COMPLEX)
+            evaluate(tiny_model(), EMPTY, TINY_COMPLEX)
 
 
 def make_report(ticker, year, f1, mcc, p_t, tt, horizon=10):
