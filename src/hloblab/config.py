@@ -175,9 +175,11 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    r"""``key = value`` lines; only ``\n`` ends a line, so the line numbers
-    errors give are those of the file's ``\n`` bytes."""
+    r"""``key = value`` lines, each key at most once; only ``\n`` ends a
+    line, so the line numbers errors give are those of the file's ``\n``
+    bytes."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -185,5 +187,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}", f"expected 'key = value': {stripped!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(key, f"set on line {lines[key]} and again on line {line_no}")
+        lines[key] = line_no
+        values[key] = value.strip()
     return values

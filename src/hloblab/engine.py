@@ -26,9 +26,9 @@ calling thread adds the partials in sample order, so every result is
 bit-identical whatever the pool size. Eval's tape-free heads
 (``HlobModel.head_sequences``) run their blocks of windows on the same
 pool, each block writing its own windows' sequences. The pool has
-``HEAD_WORKERS`` threads, including the caller: ``min(4, cpus //
-blas_threads)``, so that the head blocks and the BLAS threads together do
-not oversubscribe the CPUs the process may run on.
+``HEAD_WORKERS`` threads, including the caller: one per CPU the process
+may run on, at most 4. Importing the package pins OpenBLAS to one thread,
+so the pool's threads do not share the CPUs with BLAS threads.
 
 Training runs in float32 by default, and ``train`` casts the book rows to
 the model's dtype before the head gather, so no float64 head input is made;
@@ -170,8 +170,6 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-# the environment variables OpenBLAS reads its thread count from, in its order
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 MAX_HEAD_WORKERS = 4
 # a sample of fewer input plus output elements than this runs serially:
 # handing it to another thread costs more than its GEMMs (training on short
@@ -187,27 +185,8 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def blas_threads(environ, cpus: int) -> int:
-    """OpenBLAS's thread count: the first positive integer among
-    ``BLAS_THREAD_VARS``, else its default of one thread per CPU."""
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return cpus
-
-
-def head_workers(cpus: int, blas: int) -> int:
-    """Threads for the head convolutions, the calling thread included."""
-    return max(1, min(MAX_HEAD_WORKERS, cpus // blas))
-
-
 CPUS = cpu_count()
-BLAS_THREADS = blas_threads(os.environ, CPUS)
-HEAD_WORKERS = head_workers(CPUS, BLAS_THREADS)
+HEAD_WORKERS = min(MAX_HEAD_WORKERS, CPUS)
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
 
 

@@ -370,9 +370,8 @@ def hlob_config(cfg: RunConfig) -> HlobConfig:
 def _log_head_threads() -> None:
     """Log the head pool's size: train runs its head convolutions on it, and
     eval its blocks of windows."""
-    log.info("head conv threads: %d (%d CPUs / %d BLAS threads, at most %d)",
-             engine.HEAD_WORKERS, engine.CPUS, engine.BLAS_THREADS,
-             engine.MAX_HEAD_WORKERS)
+    log.info("head conv threads: %d (%d CPUs, at most %d)",
+             engine.HEAD_WORKERS, engine.CPUS, engine.MAX_HEAD_WORKERS)
 
 
 def run_train(cfg: RunConfig) -> Path:

@@ -7,11 +7,16 @@ pytest itself reports one PASSED/FAILED line per criterion under ``-v``.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hloblab
 from hloblab import cli, engine, pipeline
 from hloblab.engine import LstmParams, Tensor, dense, grad_check
 from hloblab.infonet import (
@@ -505,3 +510,34 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     _passed(10, f"two full pipeline runs byte-identical in {elapsed:.0f}s")
+
+
+def test_criterion_10_config_trains_one_model_under_any_blas_setting(tmp_path):
+    """The same model.ckpt and history.json whatever BLAS thread variables
+    are set, and a head pool of min(4, cpus). Each run is its own ``python -m
+    hloblab.cli`` process with an environment built here, as this process
+    has OpenBLAS pinned already. OpenBLAS's own default is a thread per CPU,
+    which rounds some of the weight-gradient GEMMs differently from one."""
+    dropped = ("OPENBLAS_", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "HLOBLAB_")
+    base = {k: v for k, v in os.environ.items() if not k.startswith(dropped)}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(hloblab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    cpus = engine.cpu_count()
+    pool_line = (f"INFO hloblab.pipeline: head conv threads: {min(4, cpus)} "
+                 f"({cpus} CPUs, at most 4)")
+    written = {}
+    for name, blas in (("unset", {}), ("openblas-1", {"OPENBLAS_NUM_THREADS": "1"}),
+                       ("openblas-2", {"OPENBLAS_NUM_THREADS": "2"}),
+                       ("omp-2", {"OMP_NUM_THREADS": "2"})):
+        root = tmp_path / name
+        cfg = str(_smoke_config(root))
+        for verb in ("synth", "ingest", "mi", "tmfg", "train"):
+            done = subprocess.run([sys.executable, "-m", "hloblab.cli", "-v", verb,
+                                   "--config", cfg], env={**base, **blas},
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, (name, verb, done.stderr)
+        assert done.stderr.splitlines().count(pool_line) == 1, (name, done.stderr)
+        written[name] = {n: (root / "out" / n).read_bytes()
+                         for n in ("model.ckpt", "history.json")}
+    for name, files in written.items():
+        assert files == written["unset"], name

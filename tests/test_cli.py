@@ -59,6 +59,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("no equals sign here\n")
 
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("seed = 1\n# seed = 3\ntrain.lr = 1e-3\n seed=2\n")
+        assert err.value.key == "seed"
+        assert str(err.value).endswith("set on line 1 and again on line 4")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             RunConfig({"tickr": "ABC"})
@@ -84,9 +90,12 @@ class TestConfigParsing:
         path = write_config(tmp_path)
         monkeypatch.setenv("HLOBLAB_TRAIN__LR", "0.5")
         monkeypatch.setenv("HLOBLAB_HORIZON", "50")
+        # a key the file sets once: the override replaces its value
+        monkeypatch.setenv("HLOBLAB_SEED", "9")
         cfg = RunConfig.load(path)
         assert cfg.get_float("train.lr") == 0.5
         assert cfg.get_int("horizon") == 50
+        assert cfg.get_int("seed") == 9
 
     def test_digest_sensitivity(self, tmp_path):
         a = RunConfig.load(write_config(tmp_path))
@@ -145,6 +154,13 @@ class TestDispatchErrors:
         with pytest.raises(ConfigError) as err:
             parse_config_text("# a\u2028b = 1\x85c = 2\nno equals sign here\n")
         assert err.value.key == "line 2"
+
+    def test_config_key_set_twice_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("ticker = SYN\nhorizon = 5\nticker = ABC\n")
+        assert cli.dispatch(["describe", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: config error at 'ticker': "
+                                           "set on line 1 and again on line 3\n")
 
     def test_env_override_not_utf8_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # os.environ hands an undecodable byte over as a lone surrogate
@@ -1085,8 +1101,7 @@ class TestPipelineStages:
             "train.balanced_cap": "1"}))
         for verb in ("synth", "ingest", "mi", "tmfg"):
             assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
-        expect = (f"head conv threads: {engine.HEAD_WORKERS} ({engine.CPUS} CPUs / "
-                  f"{engine.BLAS_THREADS} BLAS threads, at most 4)")
+        expect = f"head conv threads: {engine.HEAD_WORKERS} ({engine.CPUS} CPUs, at most 4)"
         # train runs its head convolutions on the pool, and eval its blocks
         # of windows
         for verb, times in (("train", 1), ("eval", 1)):

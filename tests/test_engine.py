@@ -604,25 +604,10 @@ class TestHeadThreads:
         # forward and backward each hand all blocks but the first to the pool
         assert head_pool.blocks == sum(2 * (min(w, n) - 1) for w in (2, 3, 4))
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_pool_size_rule(self, cpus):
-        def workers(**environ):
-            return engine.head_workers(cpus, engine.blas_threads(environ, cpus))
-
-        # OpenBLAS then uses a thread per CPU, which leaves none for the pool
-        assert workers() == 1
-        assert workers(OPENBLAS_NUM_THREADS="1") == min(4, cpus)
-        assert workers(OMP_NUM_THREADS="2") == max(1, cpus // 2)
-        assert workers(GOTO_NUM_THREADS="1", OMP_NUM_THREADS=str(cpus)) == min(4, cpus)
-        assert workers(OPENBLAS_NUM_THREADS=str(cpus), OMP_NUM_THREADS="1") == 1
-        for ignored in ("0", "-1", "two", "1.5", ""):
-            assert workers(OPENBLAS_NUM_THREADS=ignored) == 1
-            assert workers(OPENBLAS_NUM_THREADS=ignored, OMP_NUM_THREADS="1") == min(4, cpus)
-
-    def test_module_pool_size_follows_the_environment(self):
+    def test_pool_size_rule_at_one_blas_thread(self):
         assert engine.CPUS == engine.cpu_count() >= 1
-        assert engine.BLAS_THREADS == engine.blas_threads(os.environ, engine.CPUS)
-        assert engine.HEAD_WORKERS == engine.head_workers(engine.CPUS, engine.BLAS_THREADS)
+        assert engine.HEAD_WORKERS == min(4, engine.CPUS)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_small_samples_stay_serial(self, monkeypatch, head_pool):
         monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
