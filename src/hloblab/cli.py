@@ -89,10 +89,10 @@ def dispatch(argv=None) -> int:
 def _run_verb(command: str, cfg: RunConfig) -> int:
     if command == "synth":
         days = pipeline.run_synth(cfg)
-        print(f"synthesized {len(days)} days into {cfg.get_str('data_dir')}")
+        print(f"synthesized {len(days)} days into {cfg['data_dir']}")
     elif command == "ingest":
         days = pipeline.run_ingest(cfg)
-        print(f"cleaned {len(days)} days into {cfg.get_str('out_dir')}/cleaned")
+        print(f"cleaned {len(days)} days into {cfg['out_dir']}/cleaned")
     elif command == "mi":
         path = pipeline.run_mi(cfg)
         print(f"wrote {path}")

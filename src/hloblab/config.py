@@ -5,8 +5,9 @@ with sectioned keys like ``train.lr``. Environment variables prefixed
 ``HLOBLAB_`` override file values; a double underscore maps to the section
 dot (``HLOBLAB_TRAIN__LR`` overrides ``train.lr``).
 
-:data:`KEYS` gives each key's default, type and rule. The typed getters
-check the rule on every read, so a bad value stops the stage that reads it.
+:data:`KEYS` gives each key's default, type and rule. ``cfg[key]`` reads a
+key as its type and checks its rule on every read, so a bad value stops the
+stage that reads it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def _within(least, most) -> tuple[str, Callable]:
 def _split(key, *others) -> tuple[str, Callable]:
     """A split's rule: IN_DAYS, under its own error, and disjoint from ``others``."""
     def ok(v, cfg):
-        if not v or not set(v) <= set(cfg.get_days("days")):
+        if not v or not set(v) <= set(cfg["days"]):
             raise ConfigError(key, f"must be {IN_DAYS}, got {cfg.values[key]!r}")
-        return not set(v) & {d for other in others for d in cfg.get_days(other)}
+        return not set(v) & {d for other in others for d in cfg[other]}
     return (f"disjoint from {' and '.join(others)}" if others else IN_DAYS), ok
 
 
@@ -112,7 +113,8 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         """The config file at ``path``, which must be UTF-8, under the
-        ``HLOBLAB_*`` overrides, whose values must be UTF-8 too."""
+        ``HLOBLAB_*`` overrides, whose values must be UTF-8 too; each
+        override must name a key, and no key may have two."""
         raw = Path(path).read_bytes()
         try:
             text = raw.decode()
@@ -121,6 +123,7 @@ class RunConfig:
             raise ConfigError(f"line {line}",
                               f"byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
         values = parse_config_text(text)
+        overridden: dict[str, str] = {}
         for env_key, env_val in sorted(os.environ.items()):
             if env_key.startswith(ENV_PREFIX):
                 try:
@@ -129,6 +132,11 @@ class RunConfig:
                     # os.environ holds an undecodable byte as a lone surrogate
                     raise ConfigError(env_key, "value is not valid UTF-8") from None
                 key = env_key[len(ENV_PREFIX):].lower().replace("__", ".")
+                if key not in KEYS:
+                    raise ConfigError(env_key, "unknown key")
+                if key in overridden:
+                    raise ConfigError(key, f"set by both {overridden[key]} and {env_key}")
+                overridden[key] = env_key
                 values[key] = env_val
         return cls(values)
 
@@ -143,35 +151,23 @@ class RunConfig:
                               if k not in self.DIGEST_EXCLUDED)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _get(self, key, kind):
-        """``key`` read as ``kind``; the key's rule applies if it is declared so."""
+    def __getitem__(self, key):
+        """``key`` read as ``KEYS[key].kind``; its value must meet the key's rule."""
         raw = value = self.values[key]
         spec = KEYS[key]
-        if kind is list:
+        if spec.kind is list:
             value = [d.strip() for d in raw.split(",") if d.strip()]
-        elif kind is not str:
+        elif spec.kind is not str:
             try:
-                value = kind(raw)
-                fits = -2**63 <= value < 2**63 if kind is int else math.isfinite(value)
+                value = spec.kind(raw)
+                fits = -2**63 <= value < 2**63 if spec.kind is int else math.isfinite(value)
             except ValueError:
                 fits = False
             if not fits:
-                raise ConfigError(key, f"must be {_NUMBER[kind]}, got {raw!r}")
-        if kind is spec.kind and spec.ok is not None and not spec.ok(value, self):
+                raise ConfigError(key, f"must be {_NUMBER[spec.kind]}, got {raw!r}")
+        if spec.ok is not None and not spec.ok(value, self):
             raise ConfigError(key, f"must be {spec.must}, got {raw!r}")
         return value
-
-    def get_str(self, key) -> str:
-        return self._get(key, str)
-
-    def get_int(self, key) -> int:
-        return self._get(key, int)
-
-    def get_float(self, key) -> float:
-        return self._get(key, float)
-
-    def get_days(self, key) -> list[str]:
-        return self._get(key, list)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -7,6 +7,7 @@ artifact records the run config digest for tamper detection.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import hashlib
 import io
@@ -30,9 +31,8 @@ log = logging.getLogger(__name__)
 
 
 def meta_from_config(cfg: RunConfig) -> lob.StockMeta:
-    return lob.StockMeta(ticker=cfg.get_str("ticker"),
-                         tick_size=cfg.get_float("tick_size"),
-                         lot_size=cfg.get_int("lot_size"))
+    return lob.StockMeta(ticker=cfg["ticker"], tick_size=cfg["tick_size"],
+                         lot_size=cfg["lot_size"])
 
 
 def day_paths(directory, ticker: str, day: str) -> tuple[Path, Path]:
@@ -172,10 +172,10 @@ def _read_day(directory, meta: lob.StockMeta, day: str,
 def run_synth(cfg: RunConfig) -> list[str]:
     """Generate a synthetic LOBSTER pair for every configured day."""
     meta = meta_from_config(cfg)
-    days = cfg.get_days("days")
-    n_events, regime = cfg.get_int("synth.n_events"), cfg.get_str("synth.regime")
-    base_seed = cfg.get_int("seed")
-    data_dir = Path(cfg.get_str("data_dir"))
+    days = cfg["days"]
+    n_events, regime = cfg["synth.n_events"], cfg["synth.regime"]
+    base_seed = cfg["seed"]
+    data_dir = Path(cfg["data_dir"])
     data_dir.mkdir(parents=True, exist_ok=True)
     for i, day in enumerate(days):
         series = lob.synthesize_lob(
@@ -211,10 +211,10 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     the first failing day's (see ``forkpool.run_jobs``).
     """
     meta = meta_from_config(cfg)
-    trim_start_s, trim_end_s = cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s")
-    days = cfg.get_days("days")
-    data_dir = cfg.get_str("data_dir")
-    clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
+    trim_start_s, trim_end_s = cfg["trim_start_s"], cfg["trim_end_s"]
+    days = cfg["days"]
+    data_dir = cfg["data_dir"]
+    clean_dir = Path(cfg["out_dir"]) / "cleaned"
     clean_dir.mkdir(parents=True, exist_ok=True)
     workers = _ingest_workers(data_dir, meta.ticker, days)
     log.info("ingest workers: %d (%d CPUs, %d days)", workers, engine.cpu_count(),
@@ -254,7 +254,7 @@ def _ingest_workers(data_dir, ticker: str, days: list[str]) -> int:
 
 def _clean_day(cfg: RunConfig, day: str) -> lob.LobSeries:
     """One cleaned day: its ``.npy`` if that matches the CSVs, else their parse."""
-    clean_dir = Path(cfg.get_str("out_dir")) / "cleaned"
+    clean_dir = Path(cfg["out_dir"]) / "cleaned"
     meta = meta_from_config(cfg)
     msg_path, ob_path = _existing_day_paths(clean_dir, meta.ticker, day)
     ob_sha256, n_rows = _file_sha256(ob_path)
@@ -273,10 +273,10 @@ def _check_digest(stored: str, cfg: RunConfig, artifact: str) -> None:
 
 def run_mi(cfg: RunConfig) -> Path:
     """Bootstrap daily MI matrices over the training days and average them."""
-    out_dir = Path(cfg.get_str("out_dir"))
-    train_days = cfg.get_days("split.train")
-    n_bins, n_bootstrap = cfg.get_int("n_bins"), cfg.get_int("bootstrap")
-    seed = cfg.get_int("seed")
+    out_dir = Path(cfg["out_dir"])
+    train_days = cfg["split.train"]
+    n_bins, n_bootstrap = cfg["n_bins"], cfg["bootstrap"]
+    seed = cfg["seed"]
     daily, workers = [], 1
     for i, day in enumerate(sorted(train_days)):
         binned = infonet.bin_volumes(_clean_day(cfg, day), n_bins)
@@ -296,7 +296,7 @@ def run_mi(cfg: RunConfig) -> Path:
 def run_tmfg(cfg: RunConfig) -> tuple[Path, SimplicialComplex]:
     """Build the TMFG from the averaged MI matrix, write its simplices, and
     return the path written and the complex."""
-    out_dir = Path(cfg.get_str("out_dir"))
+    out_dir = Path(cfg["out_dir"])
     mi_path = out_dir / "mi_avg.json"
     matrix, stored = infonet.mi_matrix_from_obj(
         read_json(mi_path, infonet.MI_JSON_FIELDS), mi_path)
@@ -310,7 +310,7 @@ def run_tmfg(cfg: RunConfig) -> tuple[Path, SimplicialComplex]:
 
 
 def load_simplices(cfg: RunConfig) -> SimplicialComplex:
-    out_dir = Path(cfg.get_str("out_dir"))
+    out_dir = Path(cfg["out_dir"])
     path = out_dir / "simplices.json"
     complex_, stored = infonet.simplices_from_obj(
         read_json(path, infonet.SIMPLICES_JSON_FIELDS), path)
@@ -320,11 +320,11 @@ def load_simplices(cfg: RunConfig) -> SimplicialComplex:
 
 def windows_for_day(cfg: RunConfig, day: str) -> DayWindows:
     """Normalize one day with trailing 5-day stats and window it with labels."""
-    days = cfg.get_days("days")
+    days = cfg["days"]
     pos = days.index(day) if day in days else -1
     if pos < HISTORY_DAYS:
         raise ConfigError("days", f"day {day} needs {HISTORY_DAYS} days before it")
-    horizon, window_len = cfg.get_int("horizon"), cfg.get_int("window_len")
+    horizon, window_len = cfg["horizon"], cfg["window_len"]
     prior = [_clean_day(cfg, d) for d in days[pos - HISTORY_DAYS: pos]]
     stats = preprocess.compute_norm_stats(prior)
     series = _clean_day(cfg, day)
@@ -343,28 +343,18 @@ def _split_windows(cfg: RunConfig, key: str, days: list[str]) -> DayWindows:
     windows = preprocess.join_windows([windows_for_day(cfg, d) for d in days])
     if not len(windows):
         raise ConfigError("window_len", f"no day of {key} has a labelled window of "
-                                        f"{cfg.get_int('window_len')} events")
+                                        f"{cfg['window_len']} events")
     return windows
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.get_int("train.batch_size"),
-        max_epochs=cfg.get_int("train.max_epochs"),
-        early_stop_delta=cfg.get_float("train.early_stop_delta"),
-        patience=cfg.get_int("train.patience"),
-        lr=cfg.get_float("train.lr"),
-        beta1=cfg.get_float("train.beta1"),
-        beta2=cfg.get_float("train.beta2"),
-        eps=cfg.get_float("train.eps"),
-        weight_decay=cfg.get_float("train.weight_decay"),
-        balanced_cap=cfg.get_int("train.balanced_cap"),
-        seed=cfg.get_int("seed"),
-    )
+    """``seed``, and each other field from its ``train.<field>`` key."""
+    return TrainConfig(**{f.name: cfg[f.name if f.name == "seed" else f"train.{f.name}"]
+                          for f in dataclasses.fields(TrainConfig)})
 
 
 def hlob_config(cfg: RunConfig) -> HlobConfig:
-    return HlobConfig(window_len=cfg.get_int("window_len"))
+    return HlobConfig(window_len=cfg["window_len"])
 
 
 def _log_head_threads() -> None:
@@ -376,12 +366,12 @@ def _log_head_threads() -> None:
 
 def run_train(cfg: RunConfig) -> Path:
     _log_head_threads()
-    out_dir = Path(cfg.get_str("out_dir"))
+    out_dir = Path(cfg["out_dir"])
     config, model_config = train_config(cfg), hlob_config(cfg)
     # windows_for_day labels with horizon; read it here so that a bad value
     # stops the stage before any file is read
-    cfg.get_int("horizon")
-    train_days, val_days = cfg.get_days("split.train"), cfg.get_days("split.validation")
+    cfg["horizon"]
+    train_days, val_days = cfg["split.train"], cfg["split.validation"]
     complex_ = load_simplices(cfg)
     # train samples the training days in name order, each day once
     train_windows = _split_windows(cfg, "split.train", sorted(set(train_days)))
@@ -401,9 +391,9 @@ _REPORT_FIELDS = {"ticker": str, "year": str, "horizon": int, "f1_macro": float,
 
 def run_eval(cfg: RunConfig) -> Path:
     _log_head_threads()
-    out_dir = Path(cfg.get_str("out_dir"))
-    model_config, test_days = hlob_config(cfg), cfg.get_days("split.test")
-    batch_size, horizon = cfg.get_int("train.batch_size"), cfg.get_int("horizon")
+    out_dir = Path(cfg["out_dir"])
+    model_config, test_days = hlob_config(cfg), cfg["split.test"]
+    batch_size, horizon = cfg["train.batch_size"], cfg["horizon"]
     complex_ = load_simplices(cfg)
     model, header = load_checkpoint(out_dir / "model.ckpt", expected_config=model_config)
     _check_digest(header["extra"].get("run_config_digest", ""), cfg, "model.ckpt")
@@ -412,7 +402,7 @@ def run_eval(cfg: RunConfig) -> Path:
     report = train_mod.evaluate(model, test_windows, complex_, batch_size=batch_size)
     path = out_dir / "eval_report.json"
     obj = {key: getattr(report, key) for key in _REPORT_FIELDS}
-    obj |= {"ticker": cfg.get_str("ticker"), "year": cfg.get_str("year"),
+    obj |= {"ticker": cfg["ticker"], "year": cfg["year"],
             "horizon": horizon, "confusion": report.confusion.tolist(),
             "config_digest": cfg.digest(), "p_t_definition": "opener-closer-scan-v1"}
     write_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
@@ -420,7 +410,7 @@ def run_eval(cfg: RunConfig) -> Path:
 
 
 def run_report(cfg: RunConfig) -> list[str]:
-    out_dir = Path(cfg.get_str("out_dir"))
+    out_dir = Path(cfg["out_dir"])
     reports = []
     for path in sorted(out_dir.glob("eval_report*.json")):
         obj = read_json(path, _REPORT_FIELDS)
@@ -431,11 +421,11 @@ def run_report(cfg: RunConfig) -> list[str]:
         raise ConfigError("out_dir", "no eval_report*.json files to aggregate")
     return train_mod.emit_report(reports, out_dir / "reports",
                                  config_digest=cfg.digest(),
-                                 seed=cfg.get_int("seed"))
+                                 seed=cfg["seed"])
 
 
 def describe_model(cfg: RunConfig) -> list[tuple[str, int]]:
-    return HlobModel(hlob_config(cfg), seed=cfg.get_int("seed")).param_count_table()
+    return HlobModel(hlob_config(cfg), seed=cfg["seed"]).param_count_table()
 
 
 def gradcheck_suite(seed: int = 0) -> dict[str, float]:

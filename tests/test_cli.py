@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import logging
@@ -11,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hloblab import cli, engine, forkpool, infonet, lob, pipeline
+from hloblab import cli, engine, forkpool, infonet, lob, pipeline, preprocess, train
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
 from hloblab.errors import ConfigError, IoFailure, LengthMismatch, MalformedRow
 from hloblab.files import TEMP_NAME, read_json
-from hloblab.model import CHECKPOINT_MAGIC, HlobModel, save_checkpoint
+from hloblab.model import CHECKPOINT_MAGIC, HlobConfig, HlobModel, save_checkpoint
 
 DAYS = [f"1970-01-{d:02d}" for d in range(1, 10)]
 
@@ -72,19 +74,19 @@ class TestConfigParsing:
 
     def test_defaults_applied(self):
         cfg = RunConfig({})
-        assert cfg.get_int("horizon") == 10
-        assert cfg.get_float("train.lr") == 6e-5
-        assert cfg.get_int("train.balanced_cap") == 5000
+        assert cfg["horizon"] == 10
+        assert cfg["train.lr"] == 6e-5
+        assert cfg["train.balanced_cap"] == 5000
 
     def test_typed_getter_error_names_key(self):
         cfg = RunConfig({"horizon": "ten"})
         with pytest.raises(ConfigError) as err:
-            cfg.get_int("horizon")
+            cfg["horizon"]
         assert err.value.key == "horizon"
 
     def test_day_list_parsing(self):
         cfg = RunConfig({"days": " a , b ,, c "})
-        assert cfg.get_days("days") == ["a", "b", "c"]
+        assert cfg["days"] == ["a", "b", "c"]
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -93,9 +95,9 @@ class TestConfigParsing:
         # a key the file sets once: the override replaces its value
         monkeypatch.setenv("HLOBLAB_SEED", "9")
         cfg = RunConfig.load(path)
-        assert cfg.get_float("train.lr") == 0.5
-        assert cfg.get_int("horizon") == 50
-        assert cfg.get_int("seed") == 9
+        assert cfg["train.lr"] == 0.5
+        assert cfg["horizon"] == 50
+        assert cfg["seed"] == 9
 
     def test_digest_sensitivity(self, tmp_path):
         a = RunConfig.load(write_config(tmp_path))
@@ -105,10 +107,10 @@ class TestConfigParsing:
         assert a.digest() != c.digest()
 
     def test_every_default_key_documented_type(self):
-        # all defaults must parse through their expected getters
+        # every default reads as its declared type
         cfg = RunConfig({})
-        for key in DEFAULTS:
-            assert isinstance(cfg.get_str(key), str)
+        for key, spec in KEYS.items():
+            assert isinstance(cfg[key], spec.kind), key
 
 
 class TestDispatchErrors:
@@ -168,6 +170,33 @@ class TestDispatchErrors:
         assert cli.dispatch(["describe", "--config", str(write_config(tmp_path))]) == 1
         assert capsys.readouterr().err == ("error: config error at 'HLOBLAB_YEAR': "
                                            "value is not valid UTF-8\n")
+
+    @pytest.mark.parametrize("first, second, key", [
+        ("HLOBLAB_SEED", "HLOBLAB_seed", "seed"),
+        ("HLOBLAB_TRAIN__LR", "HLOBLAB_train.lr", "train.lr"),
+    ])
+    @pytest.mark.parametrize("values", [("5", "9"), ("9", "5")])
+    def test_two_overrides_of_one_key_are_one_error_line(self, tmp_path, capsys,
+                                                          monkeypatch, first, second,
+                                                          key, values):
+        for name, value in zip((first, second), values):
+            monkeypatch.setenv(name, value)
+        assert cli.dispatch(["describe", "--config", str(write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == (f"error: config error at '{key}': "
+                                           f"set by both {first} and {second}\n")
+
+    @pytest.mark.parametrize("env, line, where", [
+        ({"HLOBLAB_HORIZN": "5"}, "", "HLOBLAB_HORIZN"),
+        ({}, "horizn = 5\n", "horizn"),
+    ])
+    def test_unknown_key_names_what_the_user_wrote(self, tmp_path, capsys, monkeypatch,
+                                                   env, line, where):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + line)
+        assert cli.dispatch(["describe", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config error at '{where}': unknown key\n"
 
     def test_config_error_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -373,7 +402,7 @@ class TestPooledIngest:
         assert multiprocessing.active_children() == []
         records = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
         workers = [r[2] for r in records if r[2].startswith("ingest workers: ")]
-        clean_dir = Path(RunConfig.load(cfg_path).get_str("out_dir")) / "cleaned"
+        clean_dir = Path(RunConfig.load(cfg_path)["out_dir"]) / "cleaned"
         files = {p.name: p.read_bytes() for p in clean_dir.iterdir()}
         return (workers, code, capsys.readouterr().err,
                 [r for r in records if r[2] not in workers], files)
@@ -438,7 +467,7 @@ class TestPooledIngest:
         for day in DAYS:
             series = lob.clean_session(
                 pipeline._read_day(data_dir, pipeline.meta_from_config(cfg), day),
-                cfg.get_float("trim_start_s"), cfg.get_float("trim_end_s"))
+                cfg["trim_start_s"], cfg["trim_end_s"])
             assert series.source_rows is None
             for path, rows in zip(pipeline.day_paths(data_dir, "SYN", day)[::-1],
                                   lob.serialize_lobster_pair(series)):
@@ -1276,51 +1305,50 @@ class TestKeyRules:
 
     def test_defaults_meet_their_rules(self):
         cfg = RunConfig({})
-        getters = {str: cfg.get_str, int: cfg.get_int, float: cfg.get_float,
-                   list: cfg.get_days}
-        for key, spec in KEYS.items():
-            getters[spec.kind](key)   # raises if the default breaks the rule
+        for key in KEYS:
+            cfg[key]   # raises if the default breaks the rule
         assert DEFAULTS == {key: spec.default for key, spec in KEYS.items()}
 
     def test_rule_applies_on_read_not_at_load(self):
         cfg = RunConfig({"horizon": "0", "train.beta2": "1.5"})
-        assert cfg.get_int("n_bins") == 32
+        assert cfg["n_bins"] == 32
         with pytest.raises(ConfigError, match=r"^config error at 'horizon': "
                                               r"must be at least 1, got '0'$"):
-            cfg.get_int("horizon")
+            cfg["horizon"]
         with pytest.raises(ConfigError, match=r"must be in \[0, 1\), got '1.5'$"):
-            cfg.get_float("train.beta2")
-        assert cfg.get_str("horizon") == "0"   # only the declared type checks
+            cfg["train.beta2"]
 
     def test_int64_and_finite_bounds(self):
         cfg = RunConfig({"seed": str(2**63 - 1), "horizon": str(2**63),
                          "train.lr": "1e308", "train.eps": "1e309"})
-        assert cfg.get_int("seed") == 2**63 - 1
-        assert cfg.get_float("train.lr") == 1e308
+        assert cfg["seed"] == 2**63 - 1
+        assert cfg["train.lr"] == 1e308
         with pytest.raises(ConfigError, match="must be an int64 integer"):
-            cfg.get_int("horizon")
+            cfg["horizon"]
         with pytest.raises(ConfigError, match="must be a finite number"):
-            cfg.get_float("train.eps")
+            cfg["train.eps"]
 
     def test_split_overlaps(self):
         # the three splits are disjoint: a validation day may not be a
         # training day, and a test day may be neither
         cfg = RunConfig({"days": "a,b,c,d", "split.train": "a,b", "split.validation": "c",
                          "split.test": "d"})
-        assert cfg.get_days("split.validation") == ["c"]
-        assert cfg.get_days("split.test") == ["d"]
+        assert cfg["split.validation"] == ["c"]
+        assert cfg["split.test"] == ["d"]
         for key, value in [("split.test", "a"), ("split.test", "d,c"),
                            ("split.validation", "b"), ("split.validation", "c,a")]:
             bad = RunConfig(cfg.values | {key: value})
             with pytest.raises(ConfigError) as err:
-                bad.get_days(key)
+                bad[key]
             assert err.value.key == key
         bad = RunConfig(cfg.values | {"split.validation": "b"})
         with pytest.raises(ConfigError, match="^config error at 'split.validation': "
                                               "must be disjoint from split.train, got 'b'$"):
-            bad.get_days("split.test")   # the test rule reads split.validation
+            bad["split.test"]   # the test rule reads split.validation
 
-    def test_readme_table_lists_every_key(self):
+    @staticmethod
+    def _readme_rows():
+        """The README key table's cells, by key."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
         rows = {}
@@ -1328,12 +1356,81 @@ class TestKeyRules:
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             if line.startswith("| `") and len(cells) == 4:
                 rows[cells[0].strip("`")] = cells
+        return rows
+
+    def test_readme_table_lists_every_key(self):
+        rows = self._readme_rows()
         assert set(rows) == set(KEYS)
         for key, spec in KEYS.items():
             _, default, rule, verbs = rows[key]
             assert default == (f"`{spec.default}`" if spec.default else ""), key
             assert spec.must in rule, key
             assert verbs, key
+
+
+    def test_readme_read_by_is_the_verbs_that_read(self, tmp_path, monkeypatch):
+        cfg_path = str(write_config(tmp_path, **{
+            "synth.n_events": "220", "window_len": "20", "train.max_epochs": "1",
+            "train.balanced_cap": "1"}))
+        read_by = {key: set() for key in KEYS}
+        running = []
+        getitem = RunConfig.__getitem__
+
+        def recording_getitem(cfg, key):
+            read_by[key].add(running[-1])
+            return getitem(cfg, key)
+
+        monkeypatch.setattr(RunConfig, "__getitem__", recording_getitem)
+        for verb in ("synth", "ingest", "mi", "tmfg", "train", "eval", "report",
+                     "describe"):
+            running.append(verb)
+            assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
+        for key, (*_, verbs) in self._readme_rows().items():
+            assert set(verbs.split(", ")) == read_by[key], key
+
+
+def arg_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+# the defaults the library uses when no config gives a value, by the key
+# whose default they must equal
+LIBRARY_DEFAULTS = [
+    pytest.param(key, arg_default(engine.AdamW, key.split(".")[1]), id=f"AdamW-{key}")
+    for key in ("train.lr", "train.beta1", "train.beta2", "train.eps", "train.weight_decay")
+] + [
+    pytest.param("window_len", preprocess.WINDOW_LEN, id="WINDOW_LEN"),
+    pytest.param("window_len", HlobConfig().window_len, id="HlobConfig"),
+    pytest.param("n_bins", infonet.DEFAULT_BINS, id="DEFAULT_BINS"),
+    pytest.param("bootstrap", infonet.DEFAULT_BOOTSTRAP, id="DEFAULT_BOOTSTRAP"),
+    pytest.param("tick_size", lob.StockMeta("SYN").tick_size, id="StockMeta-tick"),
+    pytest.param("lot_size", lob.StockMeta("SYN").lot_size, id="StockMeta-lot"),
+    pytest.param("trim_start_s", arg_default(lob.clean_session, "trim_start_s"),
+                 id="clean_session-start"),
+    pytest.param("trim_end_s", arg_default(lob.clean_session, "trim_end_s"),
+                 id="clean_session-end"),
+    pytest.param("train.balanced_cap", arg_default(preprocess.balanced_sample, "cap"),
+                 id="balanced_sample"),
+    pytest.param("train.batch_size", arg_default(train.evaluate, "batch_size"),
+                 id="evaluate"),
+    pytest.param("train.batch_size", arg_default(preprocess.sequential_batches,
+                                                 "batch_size"), id="sequential_batches"),
+]
+
+
+class TestLibraryDefaults:
+    """The library's own defaults are the config's."""
+
+    @pytest.mark.parametrize("key, default", LIBRARY_DEFAULTS)
+    def test_default_is_the_keys(self, key, default):
+        value = RunConfig({})[key]
+        assert (type(default), default) == (type(value), value)
+
+    def test_train_config_is_seed_and_the_train_keys(self):
+        assert train.TrainConfig() == pipeline.train_config(RunConfig({}))
+        fields = {f.name for f in dataclasses.fields(train.TrainConfig)}
+        assert fields == {"seed"} | {key.removeprefix("train.") for key in KEYS
+                                     if key.startswith("train.")}
 
 
 class TestCorruptArtifacts:

@@ -233,9 +233,9 @@ class TestHeadThreads:
         cfg = RunConfig.load(cfg_path)
         complex_ = pipeline.load_simplices(cfg)
         train_windows = join_windows([pipeline.windows_for_day(cfg, d)
-                                      for d in cfg.get_days("split.train")])
+                                      for d in cfg["split.train"]])
         val = join_windows([pipeline.windows_for_day(cfg, d)
-                            for d in cfg.get_days("split.validation")])
+                            for d in cfg["split.validation"]])
         config = dataclasses.replace(pipeline.train_config(cfg), lr=1e-3,
                                      max_epochs=2, batch_size=8, balanced_cap=4)
 
