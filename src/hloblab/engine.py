@@ -4,12 +4,14 @@ Supplies exactly the layers the classifier needs: a fused channels-last
 convolution + LeakyReLU over the heads' (N, T, W*C) rows, optionally led
 by a chain of such layers in the same tape node (plus a tape-free form over a
 table of distinct rows and an index map of each window's rows into it,
-which runs every head layer in eval), concat, a single-layer LSTM's final
-hidden state as one fused op with hand-written backpropagation through time
-(plus a tape-free forward for eval), dense (add, matmul and transpose),
-inverted dropout of the heads' output as one tape node, stabilized softmax
-cross-entropy, an AdamW step with decoupled weight decay, and a central
-finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
+which runs every head layer in eval), a single-layer LSTM's final hidden
+state as one fused op with hand-written backpropagation through time, which
+takes the heads' outputs as they are and writes them side by side into the
+time-major layout its steps read (plus a tape-free forward for eval), dense
+(add, matmul and transpose), inverted dropout of the heads' output as one
+tape node, stabilized softmax cross-entropy, an AdamW step with decoupled
+weight decay, and a central finite-difference gradient checker. Convolution
+weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
 output gives the LeakyReLU's sign, and the leading layers' outputs, never
@@ -149,22 +151,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def concat(tensors, axis: int) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
 
     out._backward = backward
     return out
@@ -592,30 +578,34 @@ class LstmParams:
         return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
 
-def lstm(x: Tensor, params: LstmParams) -> Tensor:
-    """The final hidden state h_T (N, H) of a single-layer LSTM over (N, T, I),
-    as one tape node; the model reads no other step's output.
+def lstm(parts, params: LstmParams) -> Tensor:
+    """The final hidden state h_T (N, H) of a single-layer LSTM over the
+    (N, T, I_k) tensors ``parts`` side by side, as one tape node; the model
+    passes its heads' outputs and reads no other step's output.
 
+    The parts are written once into the time-major (T, N, I) array the steps
+    read, and backward hands each part its columns of the input gradient.
     The forward keeps the gate activations (T, N, 4H), the cell states and
     tanh(c); backward is hand-written backpropagation through time over them
     (Greff et al., arXiv:1503.04069), starting from h_T's gradient.
     """
-    n, t_len, i_size = x.data.shape
+    x_steps = _time_major([p.data for p in parts])
+    t_len, n, i_size = x_steps.shape
     if i_size != params.input_size:
         raise ShapeMismatch(f"lstm input size {i_size}, expected {params.input_size}")
     hs = params.hidden_size
     w_ih, w_hh = params.w_ih.data, params.w_hh.data
-    dtype = x.data.dtype
+    dtype = x_steps.dtype
     act = np.empty((t_len, n, 4 * hs), dtype)
     # c[t + 1] and h[t + 1] are the states after step t; row 0 is the zero start
     c = np.zeros((t_len + 1, n, hs), dtype)
     h = np.zeros((t_len + 1, n, hs), dtype)
     tanh_c = np.empty((t_len, n, hs), dtype)
-    x_steps = _time_major(x.data)
     for t in range(t_len):
         _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
                    h[t + 1])
-    out = Tensor(h[t_len], parents=(x, *params.parameters()))
+    out = Tensor(h[t_len], parents=(*parts, *params.parameters()))
+    bounds = np.cumsum([0] + [p.data.shape[2] for p in parts]).tolist()
 
     def backward(dh):
         dgates = np.empty_like(act)
@@ -648,9 +638,11 @@ def lstm(x: Tensor, params: LstmParams) -> Tensor:
         for t in range(t_len):
             gw_ih += x_steps[t].T @ dgates[t]
             gb_ih += dgates[t].sum(axis=0)
-        if x.requires_grad:
+        if any(p.requires_grad for p in parts):
             gx = (dgates.reshape(t_len * n, 4 * hs) @ w_ih).reshape(t_len, n, i_size)
-            x._accumulate(gx.transpose(1, 0, 2))
+            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                if p.requires_grad:
+                    p._accumulate(gx[:, :, lo:hi].transpose(1, 0, 2))
         for p, g in ((params.w_ih, gw_ih.T), (params.w_hh, gw_hh.T),
                      (params.b_ih, gb_ih), (params.b_hh, gb_hh)):
             if p.requires_grad:
@@ -674,14 +666,17 @@ def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:
     tanh_c = np.empty((n, hs), x.dtype)
     h = np.zeros((n, hs), x.dtype)
     c = np.zeros((n, hs), x.dtype)
-    for x_t in _time_major(x):
+    for x_t in _time_major([x]):
         _lstm_step(x_t, h, c, params, act, c, tanh_c, h)
     return h
 
 
-def _time_major(x: np.ndarray) -> np.ndarray:
-    """(N, T, I) as a contiguous (T, N, I) copy, so each step's rows are adjacent."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
+def _time_major(parts) -> np.ndarray:
+    """The (N, T, I_k) arrays ``parts`` side by side as one contiguous
+    (T, N, I) array, so each step's rows are adjacent."""
+    if any(p.ndim != 3 or p.shape[:2] != parts[0].shape[:2] for p in parts):
+        raise ShapeMismatch(f"lstm input parts {[p.shape for p in parts]} differ in (N, T)")
+    return np.concatenate([p.transpose(1, 0, 2) for p in parts], axis=2)
 
 
 def _lstm_step(x_t, h, c, params: LstmParams, act, c_out, tanh_c, h_out) -> None:

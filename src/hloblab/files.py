@@ -33,7 +33,8 @@ def read_json(path, fields: dict[str, type], data: bytes | None = None) -> dict:
 
     ``fields`` maps each key the object must hold to its type. Text that
     is not JSON, a value that is not an object, a missing key or a value of
-    another type raises :class:`IoFailure` naming ``path``.
+    another type raises :class:`IoFailure` naming ``path``; a JSON boolean
+    is not an int, though Python's ``bool`` is one.
     """
     try:
         obj = json.loads(Path(path).read_bytes() if data is None else data)
@@ -44,6 +45,7 @@ def read_json(path, fields: dict[str, type], data: bytes | None = None) -> dict:
     for key, kind in fields.items():
         if key not in obj:
             raise IoFailure(f"corrupt {path}: no '{key}'")
-        if not isinstance(obj[key], kind):
+        value = obj[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise IoFailure(f"corrupt {path}: '{key}' is not of type {kind.__name__}")
     return obj

@@ -289,23 +289,18 @@ def graph_score(w: np.ndarray, g: Tmfg) -> float:
 def head_column_indices(complex_: SimplicialComplex) -> tuple[np.ndarray, ...]:
     """Flattened book-column gather indices for the three heads.
 
-    Vertex v maps to (price, volume) columns of its level and side in the
-    LOBSTER 40-column layout: level = v % 10, ask side for v < 10.
+    Vertex v maps to the (price, volume) columns of its level and side in
+    the LOBSTER 40-column layout: level = v % 10, ask side for v < 10, so
+    its price column is 4 * (v % 10) + 2 * (v >= 10) and its volume the next.
     """
-    def price_col(v: int) -> int:
-        if not 0 <= v < N_VERTICES:
-            raise IndexOutOfRange(f"vertex {v} out of range")
-        level = v % N_LEVELS
-        return 4 * level + (0 if v < N_LEVELS else 2)
-
     out = []
     for simplices in (complex_.tetrahedra, complex_.triangles, complex_.edges):
-        cols: list[int] = []
-        for simplex in simplices:
-            for v in simplex:
-                p = price_col(int(v))
-                cols.extend([p, p + 1])  # (price, volume) pair order
-        out.append(np.array(cols, np.int64))
+        v = np.asarray(simplices, np.int64).reshape(-1)
+        bad = v[(v < 0) | (v >= N_VERTICES)]
+        if bad.size:
+            raise IndexOutOfRange(f"vertex {bad[0]} out of range")
+        price = 4 * (v % N_LEVELS) + 2 * (v >= N_LEVELS)
+        out.append((price[:, None] + [0, 1]).reshape(-1))
     return tuple(out)
 
 
@@ -350,11 +345,14 @@ def mi_matrix_from_obj(obj: dict, path="mi_avg.json") -> tuple[np.ndarray, str]:
     ``path``.
     """
     shape = obj["shape"]
+    # numpy would read a JSON boolean as 1.0 or 0.0 and a string as its number
+    numbers = isinstance(obj["data"], list) and all(type(v) in (int, float)
+                                                    for v in obj["data"])
     try:
-        data = np.array(obj["data"], np.float64)
-    except (TypeError, ValueError, OverflowError):
+        data = np.array(obj["data"], np.float64) if numbers else None
+    except OverflowError:   # an int past float64's range
         data = None
-    if data is None or data.ndim != 1:
+    if data is None:
         raise IoFailure(f"corrupt {path}: 'data' is not a flat list of numbers")
     if not np.isfinite(data).all():
         raise IoFailure(f"corrupt {path}: 'data' holds a value that is not finite")
@@ -403,7 +401,9 @@ def simplices_from_obj(obj: dict, path="simplices.json") -> tuple[SimplicialComp
             arr = np.array(obj[key], np.int64)
         except (TypeError, ValueError, OverflowError):
             arr = None
-        if arr is None or arr.ndim != 2 or arr.shape[1] != width:
+        # numpy would read a boolean, a float or a string as a vertex id
+        if (arr is None or arr.ndim != 2 or arr.shape[1] != width
+                or any(type(v) is not int for row in obj[key] for v in row)):
             raise IoFailure(f"corrupt {path}: '{key}' is not rows of {width} "
                             "vertex ids")
         if arr.size and not (arr.min() >= 0 and arr.max() < N_VERTICES):

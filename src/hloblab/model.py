@@ -16,9 +16,9 @@ again in backward, and never kept. Weights keep the (O, C, kh, kw)
 convolution layout.
 ``_Head.layers`` lists the five layers once, for both the taped pass and
 the eval pass.
-The three (100 x 32) head outputs are concatenated into a (100 x 96)
-sequence feeding a 32-unit LSTM whose final state a linear layer maps to the
-three class logits.
+The three (100 x 32) head outputs go as they are to a 32-unit LSTM
+(``engine.lstm``), which reads them side by side as one (100 x 96) sequence
+and whose final state a linear layer maps to the three class logits.
 
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
@@ -205,7 +205,7 @@ class HlobModel:
                                      else Tensor(np.asarray(x, self.dtype)),
                                      self.config, train, rng)
                         for head, x in zip(self.heads, inputs)]
-        h_final = engine.lstm(engine.concat(head_outputs, axis=2), self.lstm)
+        h_final = engine.lstm(head_outputs, self.lstm)
         return engine.dense(h_final, self.out_w, self.out_b)
 
     def classify(self, seq: np.ndarray) -> np.ndarray:
@@ -230,8 +230,8 @@ class HlobModel:
         one shared by two blocks once in each. The blocks run on the head
         pool (``engine._sample_blocks``) and write their disjoint slices of
         the output. Every window's sequence is bit-identical whatever the
-        blocks and the pool size, and equals the concatenated head outputs
-        of :meth:`forward` in eval mode.
+        blocks and the pool size, and equals the head outputs of
+        :meth:`forward` in eval mode, side by side.
         """
         origins = np.asarray(origins, np.int64)
         row_inputs = [np.asarray(rows, self.dtype) for rows in row_inputs]
@@ -433,7 +433,8 @@ def _load_payload(path, header: dict, model: HlobModel, payload: memoryview) -> 
         nbytes = int(np.prod(shape)) * dtype.itemsize
         for key, want in (("dtype", str(dtype)), ("shape", shape),
                           ("nbytes", nbytes), ("offset", offset)):
-            if entry[key] != want:
+            # as JSON text, where a boolean or a float is not an int
+            if json.dumps(entry[key]) != json.dumps(want):
                 raise IoFailure(f"corrupt {path}: entry {name} has {key} "
                                 f"{entry[key]!r}, expected {want!r}")
         if offset + nbytes > len(payload):

@@ -446,7 +446,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     lstm_params = engine.LstmParams("gc", 2, 2, rng, dtype=np.float64)
     seq = engine.Tensor(rng.normal(size=(1, 3, 2)))
     results["lstm"] = engine.grad_check(
-        lambda t: _sum_sq(engine.lstm(t, lstm_params)), seq)
+        lambda t: _sum_sq(engine.lstm([t], lstm_params)), seq)
 
     dw = engine.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     db = engine.Tensor(rng.normal(size=3), requires_grad=True)

@@ -216,7 +216,7 @@ def test_criterion_05_shape_cascade():
     inputs = [np.zeros((2, 100, w), np.float32) for w in cfg.head_widths]
     outs = [head.forward(Tensor(a), cfg, False, None)
             for head, a in zip(model.heads, inputs)]
-    seq = engine.concat(outs, axis=2)
+    seq = np.concatenate([out.data for out in outs], axis=2)
     assert seq.shape == (2, 100, 96)
     assert model.forward(inputs).shape == (2, 3)
     _passed(5, "width cascades 136/312/216 -> 1 with time extent 100; "
@@ -291,10 +291,10 @@ def test_criterion_06_gradient_suite():
     p64 = LstmParams("gc64", 2, 2, np.random.default_rng(14), dtype=np.float64)
     p32 = LstmParams("gc32", 2, 2, np.random.default_rng(14), dtype=np.float32)
     s32 = Tensor(s.astype(np.float32), requires_grad=True)
-    sum_sq(engine.lstm(s32, p32)).backward()
+    sum_sq(engine.lstm([s32], p32)).backward()
     err = norm_rel_error(
         s32.grad.astype(np.float64),
-        fd_gradient(lambda t: sum_sq(engine.lstm(t, p64)), s.copy()))
+        fd_gradient(lambda t: sum_sq(engine.lstm([t], p64)), s.copy()))
     assert err < 1e-4, f"float32 lstm: {err}"
 
     elapsed = time.monotonic() - start

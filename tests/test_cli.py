@@ -1471,6 +1471,8 @@ class TestCorruptArtifacts:
         ("mcc", {}, "no 'mcc'"),
         (None, {"tt": "4"}, "'tt' is not of type int"),
         (None, {"confusion": None}, "'confusion' is not of type list"),
+        (None, {"tt": True}, "'tt' is not of type int"),
+        (None, {"horizon": True}, "'horizon' is not of type int"),
     ])
     def test_report_missing_or_mistyped_field(self, tmp_path, capsys, drop, changes,
                                               detail):
@@ -1531,6 +1533,22 @@ class TestCorruptArtifacts:
         assert cli.dispatch(["train", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, detail)
 
+    @pytest.mark.parametrize("key, row, detail", [
+        ("tetrahedra", [True, False, True, False], "'tetrahedra' is not rows of 4"),
+        ("edges", [1, True], "'edges' is not rows of 2"),
+        ("triangles", [0, 1, 2.0], "'triangles' is not rows of 3"),
+    ], ids=["booleans", "int-and-boolean", "float"])
+    def test_train_with_simplex_of_vertex_ids_that_are_not_ints(self, tmp_path, capsys,
+                                                                key, row, detail):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
+        path = tmp_path / "out" / "simplices.json"
+        obj = json.loads(path.read_text())
+        obj[key][0] = row
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["train", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, detail)
+
     def test_train_with_simplices_missing_edges(self, tmp_path, capsys):
         cfg_path = self._run(tmp_path, "synth", "ingest", "mi", "tmfg")
         path = tmp_path / "out" / "simplices.json"
@@ -1563,6 +1581,10 @@ class TestCorruptArtifacts:
     def test_eval_with_checkpoint_header_missing_seed(self, tmp_path, capsys):
         self._eval_with_edited_header(tmp_path, capsys, lambda h: h.pop("seed"),
                                       "no 'seed'")
+
+    def test_eval_with_checkpoint_header_boolean_seed(self, tmp_path, capsys):
+        self._eval_with_edited_header(tmp_path, capsys, lambda h: h.update(seed=True),
+                                      "'seed' is not of type int")
 
     def test_eval_with_checkpoint_config_extra_field(self, tmp_path, capsys):
         self._eval_with_edited_header(
@@ -1603,9 +1625,13 @@ class TestCorruptArtifacts:
         (lambda h: h["entries"].append(dict(h["entries"][0])), "appears more than once"),
         (lambda h: h["entries"].insert(0, 7), "entry 0 is not an object"),
         (lambda h: h["entries"][3].pop("nbytes"), "entry 3 is not an object"),
+        (lambda h: h["entries"][0].update(offset=False), "has offset False, expected 0"),
+        (lambda h: h["entries"][0].update(shape=[True if s == 1 else s
+                                                 for s in h["entries"][0]["shape"]]),
+         "True, True"),
     ], ids=["entry-dtype", "shape", "negative-offset", "offset-gap", "nbytes",
             "int8", "header-dtype", "missing", "unknown", "twice", "not-object",
-            "no-nbytes"])
+            "no-nbytes", "boolean-offset", "boolean-shape"])
     def test_eval_with_checkpoint_entry_table_not_matching_model(self, tmp_path, capsys,
                                                                  edit, detail):
         self._eval_with_edited_header(tmp_path, capsys, edit, detail)
@@ -1637,6 +1663,19 @@ class TestCorruptArtifacts:
         assert not (tmp_path / "out" / "simplices.json").exists()
 
 
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["boolean", "string"])
+    def test_tmfg_with_mi_value_that_is_not_a_number(self, tmp_path, capsys, value):
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi")
+        path = tmp_path / "out" / "mi_avg.json"
+        obj = json.loads(path.read_text())
+        obj["data"][21] = value
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "'data' is not a flat list of numbers")
+        assert not (tmp_path / "out" / "simplices.json").exists()
+
+
 class TestReadJson:
     def test_returns_object_with_its_fields(self, tmp_path):
         path = tmp_path / "a.json"
@@ -1649,6 +1688,7 @@ class TestReadJson:
         (b'{"n": 3} x', "Extra data"), (b'{"n": 3}\xff', "codec"),
         (b"[]", "not a JSON object"), (b'{"m": 3}', "no 'n'"),
         (b'{"n": "3"}', "'n' is not of type int"),
+        (b'{"n": true}', "'n' is not of type int"),
     ])
     def test_corrupt_is_io_failure_naming_file(self, tmp_path, raw, detail):
         path = tmp_path / "a.json"

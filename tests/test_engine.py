@@ -711,14 +711,14 @@ class TestLstm:
         p = LstmParams("lstm", 3, 2, np.random.default_rng(0), np.float64)
         for q in p.parameters():
             q.data = np.zeros_like(q.data)
-        h = lstm(Tensor(np.ones((1, 4, 3))), p)
+        h = lstm([Tensor(np.ones((1, 4, 3)))], p)
         np.testing.assert_array_equal(h.data, 0.0)
 
     def test_forward_matches_naive_recurrence(self):
         rng = np.random.default_rng(4)
         p = LstmParams("lstm", 2, 2, rng, np.float64)
         x = rng.standard_normal((1, 3, 2))
-        h_t = lstm(Tensor(x), p)
+        h_t = lstm([Tensor(x)], p)
 
         def sig(a):
             return 1.0 / (1.0 + np.exp(-a))
@@ -740,19 +740,19 @@ class TestLstm:
         x = tensor64(rng, (1, 3, 2))
 
         def loss(t):
-            return TestGradCheck.sum_sq(lstm(t, p))
+            return TestGradCheck.sum_sq(lstm([t], p))
 
         assert grad_check(loss, x) < 1e-6
 
         def loss_w(t):
-            return TestGradCheck.sum_sq(lstm(x, p))
+            return TestGradCheck.sum_sq(lstm([x], p))
 
         assert grad_check(loss_w, p.w_hh) < 1e-6
 
     def test_input_size_mismatch(self):
         p = LstmParams("lstm", 3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            lstm(Tensor(np.zeros((1, 4, 5))), p)
+            lstm([Tensor(np.zeros((1, 4, 5)))], p)
         with pytest.raises(ShapeMismatch):
             lstm_last(np.zeros((1, 4, 5)), p)
 
@@ -795,6 +795,11 @@ def _cols(x, lo, hi):
 
     out._backward = backward
     return out
+
+
+def fused_lstm(x, params):
+    """:func:`lstm` over the one part ``x``."""
+    return lstm([x], params)
 
 
 def reference_lstm(x, params):
@@ -846,7 +851,7 @@ class TestFusedLstm:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((5, 9, 6))
         weights = rng.standard_normal((5, 4))
-        out, grads = self.grads(lstm, x, p, weights)
+        out, grads = self.grads(fused_lstm, x, p, weights)
         ref_out, ref_grads = self.grads(reference_lstm, x, p, weights)
         assert max_rel(out, ref_out) < 1e-12
         for name, g, ref in zip(["x", "w_ih", "w_hh", "b_ih", "b_hh"], grads, ref_grads):
@@ -860,7 +865,7 @@ class TestFusedLstm:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((32, 100, 96)).astype(np.float32)
         weights = rng.standard_normal((32, 32)).astype(np.float32)
-        out, grads = self.grads(lstm, x, p, weights)
+        out, grads = self.grads(fused_lstm, x, p, weights)
         ref_out, ref_grads = self.grads(reference_lstm, x, p, weights)
         np.testing.assert_array_equal(out, ref_out)
         assert max_rel(grads[0], ref_grads[0]) < 1e-6
@@ -873,23 +878,57 @@ class TestFusedLstm:
         x = tensor64(rng, (2, 4, 3))
 
         def loss(t):
-            return TestGradCheck.sum_sq(lstm(t, p))
+            return TestGradCheck.sum_sq(lstm([t], p))
 
         assert grad_check(loss, x) < 1e-6
         for q in p.parameters():
-            assert grad_check(lambda t: TestGradCheck.sum_sq(lstm(x, p)), q) < 1e-6, q.name
+            assert grad_check(lambda t: TestGradCheck.sum_sq(lstm([x], p)), q) < 1e-6, q.name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parts_match_one_part_bit_for_bit(self, dtype):
+        # the parts' columns reach the GEMMs in the order of one part that
+        # holds them side by side, and each part gets its columns' gradient
+        p = self.params(dtype, i_size=96, hs=32)
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((6, 20, 96)).astype(dtype)
+        weights = rng.standard_normal((6, 32)).astype(dtype)
+
+        def run(arrays):
+            parts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            for q in p.parameters():
+                q.grad = None
+            out = lstm(parts, p)
+            flat = reshape(mul(out, Tensor(weights)), (1, -1))
+            engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), dtype))).backward()
+            return out.data, [t.grad for t in parts], [q.grad.copy() for q in p.parameters()]
+
+        out, part_grads, param_grads = run([x[:, :, :32], x[:, :, 32:72], x[:, :, 72:]])
+        ref_out, (ref_grad,), ref_param_grads = run([x])
+        np.testing.assert_array_equal(out, ref_out)
+        for g, lo, hi in zip(part_grads, (0, 32, 72), (32, 72, 96)):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, ref_grad[:, :, lo:hi])
+        for g, ref in zip(param_grads, ref_param_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_parts_differing_in_n_or_t_raise(self):
+        p = self.params(np.float64)
+        a = Tensor(np.zeros((2, 5, 3)))
+        for b in (np.zeros((3, 5, 3)), np.zeros((2, 4, 3))):
+            with pytest.raises(ShapeMismatch, match="differ in"):
+                lstm([a, Tensor(b)], p)
 
     def test_one_tape_node(self):
         p = self.params(np.float64)
         x = Tensor(np.ones((2, 50, 6)), requires_grad=True)
-        h_last = lstm(x, p)
+        h_last = lstm([x], p)
         assert set(map(id, h_last._parents)) == \
             {id(x)} | {id(q) for q in p.parameters()}
 
     def test_last_state_without_tape(self):
         p = self.params(np.float64)
         x = np.random.default_rng(34).standard_normal((12, 7, 6))
-        h_last = lstm(Tensor(x), p)
+        h_last = lstm([Tensor(x)], p)
         np.testing.assert_array_equal(lstm_last(x, p), h_last.data)
         # rows are independent: a stack of batches gives each batch's rows
         split = np.concatenate([lstm_last(x[:4], p), lstm_last(x[4:], p)])
@@ -905,7 +944,7 @@ class TestFusedLstm:
         x = np.ones((3, 5, 6), np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h_last = lstm(Tensor(x), p)
+            h_last = lstm([Tensor(x)], p)
             h = lstm_last(x, p)
         assert np.all(np.isfinite(h))
         np.testing.assert_array_equal(h, h_last.data)

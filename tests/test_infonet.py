@@ -490,6 +490,29 @@ class TestHeadInputs:
                     pos += 2
             assert pos == arr.shape[1]
 
+    def test_column_indices_match_the_per_vertex_loop(self):
+        # the columns the per-vertex loop gave before they were computed as
+        # one array expression per simplex array
+        complex_ = self.complex20()
+        simplex_arrays = (complex_.tetrahedra, complex_.triangles, complex_.edges)
+        for got, simplices in zip(head_column_indices(complex_), simplex_arrays):
+            want = []
+            for simplex in simplices:
+                for v in simplex:
+                    price = 4 * (int(v) % 10) + (0 if v < 10 else 2)
+                    want.extend([price, price + 1])
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.array(want, np.int64))
+
+    @pytest.mark.parametrize("vertex", [20, -1])
+    def test_vertex_outside_the_book_rejected(self, vertex):
+        complex_ = self.complex20()
+        edges = complex_.edges.copy()
+        edges[3, 1] = vertex
+        with pytest.raises(IndexOutOfRange, match=f"vertex {vertex} out of range"):
+            head_column_indices(SimplicialComplex(complex_.tetrahedra,
+                                                  complex_.triangles, edges))
+
     def test_pure_gather(self):
         complex_ = self.complex20()
         rng = np.random.default_rng(0)

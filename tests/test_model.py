@@ -107,10 +107,14 @@ class TestShapeCascade:
         inputs = random_inputs(rng, n=2)
         outs = [head.forward(Tensor(arr), model.config, False, None)
                 for head, arr in zip(model.heads, inputs)]
-        seq = engine.concat(outs, axis=2)
+        seq = np.concatenate([out.data for out in outs], axis=2)
         assert seq.shape == (2, 100, 96)
         logits = model.forward(inputs)
         assert logits.shape == (2, 3)
+        # the LSTM reads the heads' outputs as the one sequence they make
+        h_final = engine.lstm([Tensor(seq)], model.lstm)
+        ref = engine.dense(h_final, model.out_w, model.out_b)
+        np.testing.assert_array_equal(logits.data, ref.data)
 
 
 class TestForward:
@@ -246,9 +250,9 @@ class TestTape:
 
     def test_train_step_keeps_no_simplex_output(self):
         # conv_pv and conv_simplex run inside conv_time1's node, which reads
-        # the head input: three conv nodes a head, 57 nodes in all (36
-        # parameters, 3 inputs, 4 nodes a head, concat, LSTM, dense's 3 and
-        # the loss). Of the (N, 100, cardinality * 32) tensors the tape keeps
+        # the head input: three conv nodes a head, 56 nodes in all (36
+        # parameters, 3 inputs, 4 nodes a head, the LSTM, which reads the
+        # heads' outputs, dense's 3 and the loss). Of the (N, 100, cardinality * 32) tensors the tape keeps
         # only conv_time1's and conv_time2's outputs, not conv_simplex's
         config = HlobConfig()
         model = HlobModel(config, seed=0)
@@ -257,7 +261,7 @@ class TestTape:
         logits = model.forward(inputs, train=True, rng=np.random.default_rng(18))
         loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
         nodes = tape_ids(loss).values()
-        assert len(nodes) == 57
+        assert len(nodes) == 56
         for head, x, card in zip(model.heads, inputs, config.cardinalities):
             reader, = [t for t in nodes if head.conv_time1[0] in t._parents]
             assert reader._parents == (x, *head.conv_pv, *head.conv_simplex,
