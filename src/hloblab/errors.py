@@ -42,15 +42,6 @@ class MalformedRow(HloblabError):
                          f"{where(day, (file,))}")
 
 
-class CrossedBook(HloblabError):
-    """``count`` crossed rows, the first of them at 1-based ``line_number``."""
-
-    def __init__(self, line_number, count):
-        self.line_number = line_number
-        self.count = count
-        super().__init__(f"crossed book at line {line_number} ({count} crossed rows)")
-
-
 class EmptyAfterClean(HloblabError):
     pass
 

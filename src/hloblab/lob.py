@@ -12,14 +12,12 @@ error path of :func:`parse_lobster_pair` goes row by row, to name the line.
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    CrossedBook,
     EmptyAfterClean,
     InvalidBook,
     MalformedRow,
@@ -27,8 +25,6 @@ from .errors import (
     RowCountMismatch,
     where,
 )
-
-log = logging.getLogger(__name__)
 
 N_LEVELS = 10
 N_BOOK_COLS = 4 * N_LEVELS
@@ -246,8 +242,7 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
     :func:`_parse_time_ns`); a :class:`MalformedRow` names the line, ``day``
     and the file of ``files`` (orderbook, message) it is in, and a
     :class:`RowCountMismatch` names ``day`` and both files. Crossed-book
-    rows are reported with their 1-based line number but kept;
-    :func:`clean_session` drops them.
+    rows (see :func:`crossed`) are kept; :func:`clean_session` drops them.
 
     The day is read whole: one comma count per row checks the field counts
     and ``np.loadtxt`` converts the integer columns. If either finds a
@@ -274,18 +269,13 @@ def parse_lobster_pair(orderbook_rows, message_rows, meta: StockMeta,
         # rescan then returns them parsed
         timestamps, book, messages = _parse_rows(orderbook_rows, message_rows,
                                                  day, files)
-
-    _warn_crossed(book[:, ASK_P] <= book[:, BID_P])
-
     return LobSeries(meta=meta, day=day, timestamps=timestamps, book=book,
                      messages=messages)
 
 
-def _warn_crossed(crossed: np.ndarray) -> None:
-    """One WARNING for a call's crossed rows: the first 1-based line and the count."""
-    lines = np.flatnonzero(crossed)
-    if lines.size:
-        log.warning("%s", CrossedBook(int(lines[0]) + 1, lines.size))
+def crossed(series: LobSeries) -> np.ndarray:
+    """Per snapshot, whether its book is crossed: best ask at or below best bid."""
+    return series.book[:, ASK_P] <= series.book[:, BID_P]
 
 
 def _row_widths(values: np.ndarray) -> np.ndarray:
@@ -360,18 +350,15 @@ def clean_session(series: LobSeries, trim_start_s: float = 1800.0,
     """Restrict to the trimmed continuous session and drop bad rows.
 
     Keeps snapshots inside [09:30 + trim_start, 16:00 - trim_end]; drops
-    crossed-book rows (reported) and rows with zero volume at level 1. The
-    source lines of the kept rows, if the series has them, are kept too.
+    crossed-book rows (see :func:`crossed`) and rows with zero volume at
+    level 1. The source lines of the kept rows, if the series has them, are
+    kept too.
     """
     lo = SESSION_OPEN_NS + int(round(trim_start_s * 1e9))
     hi = SESSION_CLOSE_NS - int(round(trim_end_s * 1e9))
     in_window = (series.timestamps >= lo) & (series.timestamps <= hi)
-    crossed = series.book[:, ASK_P] <= series.book[:, BID_P]
     zero_best = (series.book[:, ASK_V] == 0) | (series.book[:, BID_V] == 0)
-
-    _warn_crossed(in_window & crossed)
-
-    keep = in_window & ~crossed & ~zero_best
+    keep = in_window & ~crossed(series) & ~zero_best
     if not np.any(keep):
         raise EmptyAfterClean(f"{series.meta.ticker} {series.day}: no snapshots survive")
 

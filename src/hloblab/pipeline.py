@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import engine, forkpool, infonet, lob, preprocess, train as train_mod
 from .config import RunConfig
-from .errors import ConfigError, DigestMismatch, MalformedRow, WorkerLost
+from .errors import ConfigError, DigestMismatch, IoFailure, MalformedRow, WorkerLost
 from .files import TEMP_NAME, read_json, write_atomic
 from .infonet import SimplicialComplex
 from .model import HlobConfig, HlobModel, load_checkpoint, save_checkpoint
@@ -206,9 +207,12 @@ def run_ingest(cfg: RunConfig) -> list[str]:
     Days are independent, so with two or more CPUs and days of at least
     ``MIN_POOLED_DAY_BYTES`` of raw CSV on average they run in a pool of
     ``min(CPUs, days, forkpool.MAX_WORKERS)`` forked worker processes;
-    otherwise they run inline, in config order. The files written are
+    otherwise they run inline, in config order. Workers log nothing: each
+    day's crossed rows come back with its result and are logged here, one
+    WARNING a crossed day, in config order. The files written are
     byte-identical either way, and so are the stage's log and its error,
-    the first failing day's (see ``forkpool.run_jobs``).
+    the first failing day's (see ``forkpool.run_jobs``); a failing day logs
+    only its error.
     """
     meta = meta_from_config(cfg)
     trim_start_s, trim_end_s = cfg["trim_start_s"], cfg["trim_end_s"]
@@ -221,8 +225,10 @@ def run_ingest(cfg: RunConfig) -> list[str]:
              len(days))
     jobs = [(data_dir, clean_dir, meta, day, trim_start_s, trim_end_s) for day in days]
     try:
-        forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers,
-                          lambda i: f"the ingest of day {days[i]}")
+        for crossed in forkpool.run_jobs(lambda job: _ingest_day(*job), jobs, workers,
+                                         lambda i: f"the ingest of day {days[i]}"):
+            if crossed is not None:
+                log.warning("crossed book at line %d (%d crossed rows)", *crossed)
     except WorkerLost:  # other workers were terminated, maybe inside write_atomic
         for tmp in clean_dir.glob(TEMP_NAME.format("*", "[0-9]*")):
             tmp.unlink()
@@ -231,13 +237,17 @@ def run_ingest(cfg: RunConfig) -> list[str]:
 
 
 def _ingest_day(data_dir, clean_dir: Path, meta: lob.StockMeta, day: str,
-                trim_start_s: float, trim_end_s: float) -> None:
+                trim_start_s: float, trim_end_s: float) -> tuple[int, int] | None:
     """Parse (keeping the source lines), clean and validate one day, and
-    write its CSVs and ``.npy``."""
-    cleaned = lob.clean_session(_read_day(data_dir, meta, day, keep_rows=True),
-                                trim_start_s, trim_end_s)
+    write its CSVs and ``.npy``. Returns the raw day's first 1-based crossed
+    line and its count of crossed rows (see ``lob.crossed``), or None."""
+    raw = _read_day(data_dir, meta, day, keep_rows=True)
+    crossed = np.flatnonzero(lob.crossed(raw))
+    cleaned = lob.clean_session(raw, trim_start_s, trim_end_s)
+    del raw     # not held while the cleaned day is written
     cleaned.validate()
     _write_cache(clean_dir, cleaned, _write_day(clean_dir, cleaned))
+    return (int(crossed[0]) + 1, crossed.size) if crossed.size else None
 
 
 def _ingest_workers(data_dir, ticker: str, days: list[str]) -> int:
@@ -389,6 +399,23 @@ _REPORT_FIELDS = {"ticker": str, "year": str, "horizon": int, "f1_macro": float,
                   "mcc": float, "p_t": float, "tt": int, "confusion": list}
 
 
+def _check_report(obj: dict, path: Path) -> None:
+    """:class:`IoFailure` naming the first field of a read ``eval_report.json``
+    that ``eval`` cannot have written: ``confusion`` must be a 3x3 list of
+    counts (JSON integers, not booleans, at least 0), and each metric in its
+    closed range."""
+    confusion = obj["confusion"]
+    if not (len(confusion) == 3 and all(
+            type(row) is list and len(row) == 3
+            and all(type(n) is int and n >= 0 for n in row) for row in confusion)):
+        raise IoFailure(f"corrupt {path}: 'confusion' is not a 3x3 list of counts")
+    for key, lo, hi in (("f1_macro", 0, 1), ("mcc", -1, 1), ("p_t", 0, 1),
+                        ("tt", 0, math.inf)):
+        if not lo <= obj[key] <= hi:    # NaN is in no range
+            raise IoFailure(f"corrupt {path}: '{key}' is {obj[key]!r}, "
+                            f"outside [{lo}, {hi}]")
+
+
 def run_eval(cfg: RunConfig) -> Path:
     _log_head_threads()
     out_dir = Path(cfg["out_dir"])
@@ -414,6 +441,7 @@ def run_report(cfg: RunConfig) -> list[str]:
     reports = []
     for path in sorted(out_dir.glob("eval_report*.json")):
         obj = read_json(path, _REPORT_FIELDS)
+        _check_report(obj, path)
         _check_digest(obj.get("config_digest", ""), cfg, path.name)
         fields = {key: obj[key] for key in _REPORT_FIELDS}
         reports.append(EvalReport(**fields | {"confusion": np.array(obj["confusion"])}))

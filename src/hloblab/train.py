@@ -254,7 +254,8 @@ def f1_macro(confusion: np.ndarray) -> float:
 
 
 def mcc_multiclass(confusion: np.ndarray) -> float:
-    """Gorodkin multiclass Matthews correlation; degenerate margins give 0."""
+    """Gorodkin multiclass Matthews correlation; degenerate margins give 0.
+    Clipped to [-1, 1]: a perfect confusion can round to 1 + 2**-52."""
     c = confusion.astype(np.float64)
     s = c.sum()
     trace = np.trace(c)
@@ -262,7 +263,7 @@ def mcc_multiclass(confusion: np.ndarray) -> float:
     p = c.sum(axis=0)  # prediction counts
     num = trace * s - float(t @ p)
     denom = np.sqrt(s * s - float(p @ p)) * np.sqrt(s * s - float(t @ t))
-    return num / denom if denom > 0 else 0.0
+    return np.clip(num / denom, -1.0, 1.0) if denom > 0 else 0.0
 
 
 def round_trip_stats(predictions, labels) -> tuple[float, int]:

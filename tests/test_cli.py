@@ -15,7 +15,7 @@ import pytest
 
 from hloblab import cli, engine, forkpool, infonet, lob, pipeline, preprocess, train
 from hloblab.config import DEFAULTS, KEYS, RunConfig, parse_config_text
-from hloblab.errors import ConfigError, IoFailure, LengthMismatch, MalformedRow
+from hloblab.errors import ConfigError, IoFailure, LengthMismatch
 from hloblab.files import TEMP_NAME, read_json
 from hloblab.model import CHECKPOINT_MAGIC, HlobConfig, HlobModel, save_checkpoint
 
@@ -378,8 +378,7 @@ def int64_extremes(msg_path, ob_path):
 class TestPooledIngest:
     """Ingest on a forked pool writes, logs and fails as it does inline."""
 
-    # crossed rows inside the trimmed window: one warning from the parse and
-    # one from the clean of each of these days
+    # one crossed row inside the trimmed window of each of these days
     CROSSED = ((DAYS[1], 101), (DAYS[4], 120), (DAYS[8], 90))
 
     @staticmethod
@@ -409,8 +408,9 @@ class TestPooledIngest:
 
     @staticmethod
     def _crossed(*lines):
-        return [("WARNING", "hloblab.lob", f"crossed book at line {line} (1 crossed rows)")
-                for line in lines for _ in ("parse", "clean")]
+        """The records of days that each have one crossed row, at ``lines``."""
+        return [("WARNING", "hloblab.pipeline", f"crossed book at line {line} (1 crossed rows)")
+                for line in lines]
 
     def test_cleaned_days_equal_inline(self, tmp_path, monkeypatch, caplog, capsys):
         cfg_path, _ = self._synth(tmp_path)
@@ -425,6 +425,26 @@ class TestPooledIngest:
         assert code == 0 and err == "" and len(files) == 3 * len(DAYS)
         assert records == self._crossed(*(line for _, line in self.CROSSED))
         assert pooled[1:] == inline[1:]
+
+    def test_one_report_per_crossed_day(self, tmp_path, monkeypatch, caplog, capsys):
+        # line 1 (10:01:40) falls before the window trimmed to start at
+        # 10:02:30; lines 50, 120 and 121 fall inside it
+        overrides = {"synth.n_events": "200", "trim_start_s": "1950"}
+        cfg_path = str(write_config(tmp_path, **overrides))
+        assert cli.dispatch(["synth", "--config", cfg_path]) == 0
+        ob_path = pipeline.day_paths(tmp_path / "data", "SYN", DAYS[2])[1]
+        for line in (1, 50, 120, 121):
+            edit_row(ob_path, line, cross_book)
+        inline = self._ingest(cfg_path, caplog, capsys)
+        force_ingest_pool(monkeypatch)
+        pooled = self._ingest(str(write_config(tmp_path, **overrides,
+                                               out_dir=tmp_path / "pooled")), caplog, capsys)
+        assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
+        assert inline[1:4] == (0, "", [("WARNING", "hloblab.pipeline",
+                                        "crossed book at line 1 (4 crossed rows)")])
+        assert pooled[1:] == inline[1:]
+        cleaned = inline[4][pipeline.day_paths(".", "SYN", DAYS[2])[1].name]
+        assert cleaned.count(b"\n") == 200 - 4
 
     def test_ingest_logs_its_workers(self, tmp_path, monkeypatch, caplog):
         cfg_path = str(write_config(tmp_path))
@@ -528,13 +548,13 @@ class TestPooledIngest:
         _, code, err, records, _ = inline
         assert pooled[0] == ["ingest workers: 2 (2 CPUs, 9 days)"]
         assert code == 1 and err.count("\n") == 1
+        # the failing day logs only its error, whether its parse or its
+        # validation fails
         if first is malformed:
-            # the parse fails before the day's crossed-book warnings
             assert err.startswith("error: malformed row at line 100: ")
-            assert records == self._crossed(101)
         else:
             assert err.startswith(f"error: invalid book on {DAYS[3]} at snapshot ")
-            assert records == self._crossed(101, 110)
+        assert records == self._crossed(101)
         assert pooled[1:4] == inline[1:4]
 
     @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
@@ -654,7 +674,8 @@ class TestPooledMi:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool needs the fork start method")
 class TestRunJobs:
-    """``forkpool.run_jobs`` gives the inline results, log and error on a pool."""
+    """``forkpool.run_jobs`` gives the inline results and error on a pool, and
+    joins its workers however its iterator ends."""
 
     def test_results_in_job_order_and_the_first_error(self):
         # neither local functions nor lambdas pickle: the pool's function
@@ -664,8 +685,9 @@ class TestRunJobs:
         def square(job):
             return job[0], job[1]()
 
-        assert forkpool.run_jobs(square, jobs, 1, str) == [(i, i * i) for i in range(7)]
-        assert forkpool.run_jobs(square, iter(jobs), 2, str) == [(i, i * i) for i in range(7)]
+        for workers in (1, 2):
+            assert list(forkpool.run_jobs(square, iter(jobs), workers, str)) == [
+                (i, i * i) for i in range(7)]
 
         def fail_2_and_4(job):
             if job in (2, 4):
@@ -674,41 +696,25 @@ class TestRunJobs:
 
         for workers in (1, 2):
             with pytest.raises(ValueError, match="^job 2 failed$") as err:
-                forkpool.run_jobs(fail_2_and_4, range(6), workers, str)
+                list(forkpool.run_jobs(fail_2_and_4, range(6), workers, str))
             if workers == 2:
                 # the worker's traceback, as the cause
                 assert "in fail_2_and_4" in str(err.value.__cause__)
             assert forkpool._work is None
             assert multiprocessing.active_children() == []
 
-    def test_job_that_logs_and_raises(self, tmp_path, monkeypatch, caplog, capsys):
-        # run_ingest calls _ingest_day by name, so this one runs in the workers
-        def ingest_day(data_dir, clean_dir, meta, day, *trims):
-            logging.getLogger("hloblab.pipeline").warning("read day %s", day)
-            if day in (DAYS[4], DAYS[6]):
-                raise MalformedRow(7, "bad field", day=day)
-
-        monkeypatch.setattr(pipeline, "_ingest_day", ingest_day)
-        cfg_path = str(write_config(tmp_path))
-        results = []
-        for pooled in (False, True):
-            if pooled:
-                force_ingest_pool(monkeypatch)
-            caplog.clear()
-            capsys.readouterr()
-            with caplog.at_level(logging.INFO, logger="hloblab"):
-                code = cli.dispatch(["ingest", "--config", cfg_path])
-            assert multiprocessing.active_children() == []
-            records = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
-            results.append((code, capsys.readouterr().err, records))
-        (code, err, records), pooled = results
-        assert records[0][2] == f"ingest workers: 1 ({engine.cpu_count()} CPUs, 9 days)"
-        assert pooled[2][0][2] == "ingest workers: 2 (2 CPUs, 9 days)"
-        assert pooled[:2] == (code, err) and pooled[2][1:] == records[1:]
-        assert code == 1
-        assert err == f"error: malformed row at line 7: bad field (day {DAYS[4]})\n"
-        assert records[1:] == [("WARNING", "hloblab.pipeline", f"read day {day}")
-                               for day in DAYS[:5]]
+    @pytest.mark.parametrize("how", ["stopped", "raised"])
+    def test_abandoned_iterator_joins_its_workers(self, how):
+        if how == "stopped":
+            results = forkpool.run_jobs(lambda job: job, range(6), 2, str)
+            assert next(results) == 0
+            del results     # the pool goes with the iterator
+        else:
+            with pytest.raises(KeyError, match="^0$"):
+                for job in forkpool.run_jobs(lambda job: job, range(6), 2, str):
+                    raise KeyError(job)
+        assert multiprocessing.active_children() == []
+        assert forkpool._work is None
 
 
 def die(how):
@@ -1480,6 +1486,29 @@ class TestCorruptArtifacts:
         path = self._write_report(tmp_path, cfg_path, drop, **changes)
         assert cli.dispatch(["report", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, detail)
+
+    @pytest.mark.parametrize("changes, detail", [
+        ({"confusion": [["a", "b", "c"]] * 3}, "'confusion' is not a 3x3 list of counts"),
+        ({"confusion": [[1, 2]]}, "'confusion' is not a 3x3 list of counts"),
+        ({"confusion": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+         "'confusion' is not a 3x3 list of counts"),
+        ({"confusion": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+         "'confusion' is not a 3x3 list of counts"),
+        ({"confusion": [[1, 0, 0], [0, 1.0, 0], [0, 0, 1]]},
+         "'confusion' is not a 3x3 list of counts"),
+        ({"f1_macro": float("nan")}, "'f1_macro' is nan, outside [0, 1]"),
+        ({"f1_macro": float("inf")}, "'f1_macro' is inf, outside [0, 1]"),
+        ({"mcc": 7.5}, "'mcc' is 7.5, outside [-1, 1]"),
+        ({"p_t": -1.0}, "'p_t' is -1.0, outside [0, 1]"),
+        ({"tt": -3}, "'tt' is -3, outside [0, inf]"),
+    ], ids=["strings", "1x2", "boolean", "negative", "float", "f1-nan", "f1-inf",
+            "mcc-7.5", "p_t-negative", "tt-negative"])
+    def test_report_field_out_of_range(self, tmp_path, capsys, changes, detail):
+        cfg_path = self._run(tmp_path)
+        path = self._write_report(tmp_path, cfg_path, **changes)
+        assert cli.dispatch(["report", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, detail)
+        assert not (tmp_path / "out" / "reports").exists()
 
     def test_report_truncated(self, tmp_path, capsys):
         cfg_path = self._run(tmp_path)

@@ -8,7 +8,6 @@ from hloblab.errors import HloblabError
 # constructor arguments of the errors whose __init__ takes more than a message
 ARGS = {
     errors.MalformedRow: (7, "bad", "1970-01-04", "SYN_1970-01-04_message_10.csv"),
-    errors.CrossedBook: (12, 3),
     errors.InvalidBook: ("1970-01-04", 5, "bid prices not strictly decreasing"),
     errors.MissingClass: (2,),
     errors.NonFiniteLoss: (1, 3, float("nan")),

@@ -124,12 +124,11 @@ class TestParse:
         with pytest.raises(RowCountMismatch):
             parse_lobster_pair([make_orderbook_row()], [], META)
 
-    def test_crossed_book_reported_not_dropped(self, caplog):
+    def test_crossed_book_reported_not_dropped(self):
         row = make_orderbook_row(ask1=1000400, bid1=1000400)
-        with caplog.at_level("WARNING"):
-            series = parse_lobster_pair([row], [make_message_row()], META)
+        series = parse_lobster_pair([row], [make_message_row()], META)
         assert series.T == 1
-        assert "crossed book at line 1" in caplog.text
+        np.testing.assert_array_equal(lob.crossed(series), [True])
 
     def test_round_trip(self):
         ob_rows = [make_orderbook_row(), make_orderbook_row(ask1=1000600)]
@@ -445,30 +444,29 @@ class TestClean:
             META)
         assert clean_session(series).T == 2
 
-    def test_crossed_row_dropped_with_diagnostic(self, caplog):
+    def test_crossed_row_dropped_with_diagnostic(self):
         rows = [make_orderbook_row() for _ in range(100)]
         rows[41] = make_orderbook_row(ask1=1000400, bid1=1000400)
         msgs = [make_message_row(f"{40000 + i}.0") for i in range(100)]
         series = parse_lobster_pair(rows, msgs, META)
-        with caplog.at_level("WARNING", logger="hloblab.lob"):
-            caplog.clear()
-            cleaned = clean_session(series)
+        assert np.flatnonzero(lob.crossed(series)).tolist() == [41]
+        cleaned = clean_session(series)
         assert cleaned.T == 99
-        assert "crossed book" in caplog.text
+        np.testing.assert_array_equal(cleaned.timestamps, np.delete(series.timestamps, 41))
 
-    def test_crossed_rows_give_one_warning_per_call(self, caplog):
+    def test_crossed_rows_found_and_dropped(self):
+        # the best ask at the best bid, and in row 6 a tick below it
         rows = [make_orderbook_row() for _ in range(10)]
         for i in (2, 5, 6):
-            rows[i] = make_orderbook_row(ask1=1000400, bid1=1000400)
+            rows[i] = make_orderbook_row(ask1=1000400 - 100 * (i == 6), bid1=1000400)
         msgs = [make_message_row(f"{40000 + i}.0") for i in range(10)]
-        with caplog.at_level("WARNING", logger="hloblab.lob"):
-            series = parse_lobster_pair(rows, msgs, META)
-            assert [r.getMessage() for r in caplog.records] == [
-                "crossed book at line 3 (3 crossed rows)"]
-            caplog.clear()
-            assert clean_session(series).T == 7
-        assert [r.getMessage() for r in caplog.records] == [
-            "crossed book at line 3 (3 crossed rows)"]
+        series = parse_lobster_pair(rows, msgs, META)
+        assert series.T == 10
+        assert np.flatnonzero(lob.crossed(series)).tolist() == [2, 5, 6]
+        cleaned = clean_session(series)
+        np.testing.assert_array_equal(cleaned.timestamps,
+                                      np.delete(series.timestamps, [2, 5, 6]))
+        assert not lob.crossed(cleaned).any()
 
     def test_zero_best_volume_dropped(self):
         good = make_orderbook_row()

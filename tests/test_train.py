@@ -373,6 +373,14 @@ class TestConfusionAndScores:
         assert f1_macro(c) == 1.0
         assert mcc_multiclass(c) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("confusion, bound", [
+        (np.diag([1, 1, 1]), 1.0), (np.diag([1, 0, 3]), 1.0), (np.diag([4, 4, 1]), 1.0),
+        (np.array([[0, 1, 0], [3, 0, 0], [0, 0, 0]]), -1.0),
+    ])
+    def test_mcc_stays_within_its_bounds(self, confusion, bound):
+        # unclipped, each reads 2**-52 past its bound, which report rejects
+        assert mcc_multiclass(confusion) == bound
+
     def test_degenerate_single_column_mcc_zero(self):
         c = confusion_matrix([-1, 0, 1] * 4, [1] * 12)
         assert mcc_multiclass(c) == 0.0
