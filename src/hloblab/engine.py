@@ -1,10 +1,10 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Supplies exactly the layers the classifier needs: a fused channels-last
-convolution + LeakyReLU over the heads' (N, T, W*C) rows, optionally led
-by a chain of such layers in the same tape node (plus a tape-free form over a
-table of distinct rows and an index map of each window's rows into it,
-which runs every head layer in eval), a single-layer LSTM's final hidden
+Supplies exactly the layers the classifier needs: a chain of fused
+channels-last convolution + LeakyReLU layers over the heads' (N, T, W*C)
+rows as one tape node (plus a tape-free form of one layer over a table of
+distinct rows and an index map of each window's rows into it, which runs
+every head layer in eval), a single-layer LSTM's final hidden
 state as one fused op with hand-written backpropagation through time, which
 takes the heads' outputs as they are and writes them side by side into the
 time-major layout its steps read (plus a tape-free forward for eval), dense
@@ -13,12 +13,11 @@ tape node, stabilized softmax cross-entropy, an AdamW step with decoupled
 weight decay, and a central finite-difference gradient checker. Convolution
 weights are (O, C, kh, kw).
 
-``conv_leaky_cl`` keeps for backward only what the tape holds anyway: its
-output gives the LeakyReLU's sign, and the leading layers' outputs, never
-kept, are computed again one sample at a time. A time layer writes its input
-gradient over the spent output gradient it was handed, and
-``Tensor.backward`` releases each node once its backward has run, so a
-spent activation and its closure's buffers are freed during the backward
+``conv_leaky_cl`` keeps for backward only what the tape holds anyway, its
+input and its output: the output gives the last LeakyReLU's sign, and the
+leading layers' outputs, never kept, are computed again one sample at a
+time. ``Tensor.backward`` releases each node once its backward has run, so
+a spent activation and its closure's buffers are freed during the backward
 pass, not after it. ``conv_leaky_cl`` runs its per-sample loop
 over contiguous blocks of samples on a small thread pool (numpy releases
 the interpreter lock in matmul and in ufuncs over large arrays). Forward
@@ -66,13 +65,11 @@ class Tensor:
     def backward(self):
         """Reverse-mode gradients of this scalar into every tensor it reads.
 
-        Each node's backward is handed the node's own gradient, which
-        belongs to that node and is dropped after the call: a backward may
-        write into it, and an op whose input gradient has the output
-        gradient's shape returns it in that same buffer. A spent node drops
-        its gradient, parents and closure, and the walk lets go of it, so
-        an intermediate tensor, its data and the buffers its closure held
-        are freed before this returns; one the caller holds keeps its data.
+        Each node's backward is handed the node's own gradient, which is
+        dropped after the call. A spent node drops its gradient, parents
+        and closure, and the walk lets go of it, so an intermediate tensor,
+        its data and the buffers its closure held are freed before this
+        returns; one the caller holds keeps its data.
         """
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar")
@@ -324,59 +321,48 @@ class _ConvLayer:
         self.gb_parts = self.gw_parts = None
 
 
-def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
-                  time_pad=(0, 0), lead=()) -> Tensor:
-    """LeakyReLU of a channels-last convolution, fused into one tape node.
+def conv_leaky_cl(x: Tensor, layers, slope: float) -> Tensor:
+    """A chain of channels-last convolutions, each followed by a LeakyReLU,
+    fused into one tape node.
 
-    ``x`` is (N, T, W*C): each time row holds W columns of C channels, C
-    read from ``weight`` (O, C, kh, kw). The kernel tiles W with stride kw;
-    along T it slides at stride 1 over ``time_pad`` = (before, after)
-    zeros. Each of the kh time taps is one GEMM over a sample's
-    (T*W/kw, kw*C) rows, shift-added into the (N, To, W/kw*O) output, the
-    layout the next layer takes, so no padded copy or patch matrix is built.
-    Backward keeps no LeakyReLU mask: the output it holds has the sign.
-    When the input rows have the output rows' shape, as in the time layers
-    (C = O, kw = 1 and padding that keeps T), backward writes each sample's
-    input gradient over that sample's rows of the output gradient it was
-    handed, once it has read them, and allocates no input gradient.
+    ``x`` is (N, T, W*C): each time row holds W columns of C channels.
+    ``layers`` = ((weight, bias, time_pad), ...) runs in order: the first
+    layer reads ``x``, each next one the previous one's output, C read from
+    its ``weight`` (O, C, kh, kw). A kernel tiles W with stride kw; along T
+    it slides at stride 1 over ``time_pad`` = (before, after) zeros. Each of
+    the kh time taps is one GEMM over a sample's (T*W/kw, kw*C) rows,
+    shift-added into the (To, W/kw*O) output rows, the layout the next
+    layer takes, so no padded copy or patch matrix is built. The node's
+    output is the last layer's, (N, To, W/kw*O).
 
-    ``lead`` = ((weight, bias), ...) puts a chain of unpadded kh = 1
-    layers, each with its own LeakyReLU, in front of this one in the same
-    node: the first reads ``x``, each next one the previous one's output,
-    and the main layer the last one's. Their outputs are made one sample at
-    a time in scratch buffers and never kept. Backward runs the chain again
-    on each sample, then the main layer's backward step and the leading
-    layers' in reverse order. The output and every gradient equal those of
-    the chained nodes bit for bit.
+    The node keeps its input and its output and nothing else: the output
+    gives the last LeakyReLU's sign, and the leading layers' outputs are
+    made one sample at a time in scratch buffers and never kept. Backward
+    makes them again on each sample, then runs the last layer's backward
+    step and the leading layers' in reverse order. The output and every
+    gradient equal those of one node per layer bit for bit.
 
     Forward and backward run over contiguous sample blocks, on the head
-    pool when the samples are large enough (see ``_sample_blocks``).
-    Backward writes each sample's bias gradient and per-tap weight gradient
-    as its own partial, and adds the partials into zeroed sums in sample
-    order afterwards, which is the add order of a single serial loop.
+    pool when the samples are large enough (see ``_sample_blocks``); each
+    block has its own scratch and tap buffers. Backward writes each sample's
+    bias gradient and per-tap weight gradient as its own partial, and adds
+    the partials into zeroed sums in sample order afterwards, which is the
+    add order of a single serial loop.
     """
     n, t_len, width = x.data.shape
-    layers, dtype = [], x.data.dtype
-    for i, (w, b) in enumerate((*lead, (weight, bias))):
-        is_main = i == len(lead)
-        if layers and layers[-1].rows_out[1] != w.data.shape[1]:
-            reader = "the main layer" if is_main else f"leading layer {i}"
-            raise ShapeMismatch(f"conv_leaky_cl leading layer {i - 1} has "
-                                f"{layers[-1].rows_out[1]} outputs, {reader} reads "
-                                f"{w.data.shape[1]} channels")
-        if not is_main and w.data.shape[2] != 1:
-            raise ShapeMismatch(f"conv_leaky_cl leading layer {i} kernel "
-                                f"{w.data.shape[2:]}, expected a single time tap")
-        layers.append(_ConvLayer(w, b, slope, time_pad if is_main else (0, 0),
-                                 t_len, width, dtype))
-        width, dtype = layers[-1].width_out, layers[-1].dtype
-    *leads, main = layers
+    convs, dtype = [], x.data.dtype
+    for i, (w, b, time_pad) in enumerate(layers):
+        if convs and convs[-1].rows_out[1] != w.data.shape[1]:
+            raise ShapeMismatch(f"conv_leaky_cl layer {i - 1} has {convs[-1].rows_out[1]} "
+                                f"outputs, layer {i} reads {w.data.shape[1]} channels")
+        convs.append(_ConvLayer(w, b, slope, time_pad, t_len, width, dtype))
+        t_len, width, dtype = convs[-1].t_out, convs[-1].width_out, convs[-1].dtype
+    *leads, last = convs
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
-    xs = x.data.reshape((n,) + layers[0].rows_in)
-    y = np.empty((n,) + main.rows_out, main.dtype)
-    sample_elements = xs[0].size + y[0].size + sum(t_len * layer.width_out
-                                                    for layer in leads)
+    xs = x.data.reshape((n,) + convs[0].rows_in)
+    y = np.empty((n,) + last.rows_out, last.dtype)
+    sample_elements = xs[0].size + sum(layer.t_out * layer.width_out for layer in convs)
 
     def scratch(dtype=None):
         """One buffer per leading layer's output, in ``dtype`` or the
@@ -384,54 +370,50 @@ def conv_leaky_cl(x: Tensor, weight: Tensor, bias: Tensor, slope: float,
         (set per sample), then each buffer as the next layer's."""
         bufs = [np.empty(layer.rows_out, layer.dtype if dtype is None else dtype)
                 for layer in leads]
-        return bufs, [None] + [b.reshape(after.rows_in) for b, after in zip(bufs, layers[1:])]
+        return bufs, [None] + [b.reshape(after.rows_in) for b, after in zip(bufs, convs[1:])]
 
-    def run_leads(s, hs, rows):
+    def run_leads(s, hs, rows, tap_outs):
         """Sample ``s``'s leading-layer outputs into ``hs``; ``rows`` then
         holds each layer's input rows."""
         rows[0] = xs[s]
-        for layer, x_rows, h in zip(leads, rows, hs):
-            layer.forward(x_rows, h, None)
+        for layer, x_rows, h, tap_out in zip(leads, rows, hs, tap_outs):
+            layer.forward(x_rows, h, tap_out)
 
     def forward_block(lo, hi):
-        tap_out = main.tap_buffer(y.dtype)
+        tap_outs = [layer.tap_buffer(layer.dtype) for layer in convs]
         hs, rows = scratch()
         for s in range(lo, hi):
-            run_leads(s, hs, rows)
-            main.forward(rows[-1], y[s], tap_out)
+            run_leads(s, hs, rows, tap_outs)
+            last.forward(rows[-1], y[s], tap_outs[-1])
 
     _sample_blocks(forward_block, n, sample_elements)
-    parents = (x, *(p for pair in lead for p in pair), weight, bias)
-    out = Tensor(y.reshape(n, main.t_out, main.width_out), parents=parents)
+    parents = (x, *(p for w, b, _ in layers for p in (w, b)))
+    out = Tensor(y.reshape(n, last.t_out, last.width_out), parents=parents)
 
     def backward(g):
         g = g.reshape(y.shape)
-        gx = None
-        if x.requires_grad:
-            # a sample's input gradient is written after its g[s] is read, so
-            # input rows of the output rows' shape (the time layers) take
-            # their gradient in g, which this node owns (Tensor.backward)
-            gx = g if xs.shape == g.shape else np.empty(xs.shape, g.dtype)
-        for layer in layers:
+        gx = np.empty(xs.shape, g.dtype) if x.requires_grad else None
+        for layer in convs:
             layer.start_backward(n, g.dtype)
 
         def backward_block(lo, hi):
-            gz = np.empty(main.rows_out, g.dtype)
-            tap_out = main.tap_buffer(g.dtype, backward=True)
+            tap_outs = [layer.tap_buffer(layer.dtype) for layer in leads]
+            tap_ins = [layer.tap_buffer(g.dtype, backward=True) for layer in convs]
+            gzs = [np.empty(layer.rows_out, g.dtype) for layer in convs]
             hs, rows = scratch()
-            # each leading layer's output gradient and gz scratch; a layer's
-            # input gradient is the output gradient of the layer before it
+            # each leading layer's output gradient; a layer's input gradient
+            # is the output gradient of the layer before it
             ghs, grads_in = scratch(g.dtype)
-            gzs, _ = scratch(g.dtype)
             for s in range(lo, hi):
-                run_leads(s, hs, rows)
+                run_leads(s, hs, rows, tap_outs)
                 grads_in[0] = None if gx is None else gx[s]
-                main.backward(s, rows[-1], y[s], g[s], gz, grads_in[-1], tap_out)
-                for i in reversed(range(len(leads))):
-                    leads[i].backward(s, rows[i], hs[i], ghs[i], gzs[i], grads_in[i], None)
+                outs, out_grads = hs + [y[s]], ghs + [g[s]]
+                for i in reversed(range(len(convs))):
+                    convs[i].backward(s, rows[i], outs[i], out_grads[i], gzs[i],
+                                      grads_in[i], tap_ins[i])
 
         _sample_blocks(backward_block, n, sample_elements)
-        for layer in layers:
+        for layer in convs:
             layer.add_partials()
         if gx is not None:
             x._accumulate(gx.reshape(x.data.shape), owned=True)

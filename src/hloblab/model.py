@@ -8,12 +8,14 @@ temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
 heads run channels-last on (N, T, width*C) rows, the layout one fused
 ``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
-input and the last layer's (N, T, C) output need no reshape. The first three
-layers share one node: the (price, volume) layer's output, 16 times its
-input and the largest array a head makes, and the simplex layer's output
-are made inside the first time layer's node one sample at a time, made
-again in backward, and never kept. Weights keep the (O, C, kh, kw)
-convolution layout.
+input and the last layer's (N, T, C) output need no reshape. A head is two
+such nodes. The first three layers share one: the (price, volume) layer's
+output, 16 times its input and the largest array a head makes, and the
+simplex layer's output are made inside the first time layer's node one
+sample at a time, made again in backward, and never kept. The last two
+share the other, which makes the second time layer's output the same way,
+so the tape keeps the first time layer's output and the mix's. Weights
+keep the (O, C, kh, kw) convolution layout.
 ``_Head.layers`` lists the five layers once, for both the taped pass and
 the eval pass.
 The three (100 x 32) head outputs go as they are to a 32-unit LSTM
@@ -136,14 +138,14 @@ class _Head:
 
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
-        """Outputs (N, T, C) of (N, T, width) inputs; ``conv_pv`` and
-        ``conv_simplex`` run inside ``conv_time1``'s tape node, which does
-        not keep their outputs."""
-        (_, pv, _), (_, simplex, _), *rest = self.layers()
-        lead = (pv, simplex)
-        for _, (weight, bias), time_pad in rest:
-            x = engine.conv_leaky_cl(x, weight, bias, config.leaky_slope, time_pad, lead)
-            lead = ()
+        """Outputs (N, T, C) of (N, T, width) inputs, in two tape nodes:
+        conv_pv, conv_simplex and conv_time1, then conv_time2 and conv_mix.
+        The tape keeps conv_time1's output and the mix's; the other layers'
+        outputs are made again in backward. One node for all five would make
+        conv_time1's output again too, for more time than memory saved."""
+        layers = [(weight, bias, time_pad) for _, (weight, bias), time_pad in self.layers()]
+        for chain in (layers[:3], layers[3:]):
+            x = engine.conv_leaky_cl(x, chain, config.leaky_slope)
         return engine.dropout(x, config.dropout_rate, train, rng)
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,

@@ -402,15 +402,15 @@ _REPORT_FIELDS = {"ticker": str, "year": str, "horizon": int, "f1_macro": float,
 def _check_report(obj: dict, path: Path) -> None:
     """:class:`IoFailure` naming the first field of a read ``eval_report.json``
     that ``eval`` cannot have written: ``confusion`` must be a 3x3 list of
-    counts (JSON integers, not booleans, at least 0), and each metric in its
-    closed range."""
+    counts (JSON integers, not booleans, at least 0), ``horizon`` at least 1
+    and each metric in its closed range."""
     confusion = obj["confusion"]
     if not (len(confusion) == 3 and all(
             type(row) is list and len(row) == 3
             and all(type(n) is int and n >= 0 for n in row) for row in confusion)):
         raise IoFailure(f"corrupt {path}: 'confusion' is not a 3x3 list of counts")
-    for key, lo, hi in (("f1_macro", 0, 1), ("mcc", -1, 1), ("p_t", 0, 1),
-                        ("tt", 0, math.inf)):
+    for key, lo, hi in (("horizon", 1, math.inf), ("f1_macro", 0, 1), ("mcc", -1, 1),
+                        ("p_t", 0, 1), ("tt", 0, math.inf)):
         if not lo <= obj[key] <= hi:    # NaN is in no range
             raise IoFailure(f"corrupt {path}: '{key}' is {obj[key]!r}, "
                             f"outside [{lo}, {hi}]")
@@ -469,7 +469,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     wc = engine.Tensor(rng.normal(size=(4, 3, 4, 2)), requires_grad=True)
     bc = engine.Tensor(rng.normal(size=4), requires_grad=True)
     results["conv_leaky_cl"] = engine.grad_check(
-        lambda t: _sum_sq(engine.conv_leaky_cl(t, wc, bc, 0.01, time_pad=(1, 2))), xc)
+        lambda t: _sum_sq(engine.conv_leaky_cl(t, [(wc, bc, (1, 2))], 0.01)), xc)
 
     lstm_params = engine.LstmParams("gc", 2, 2, rng, dtype=np.float64)
     seq = engine.Tensor(rng.normal(size=(1, 3, 2)))
@@ -494,7 +494,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     def pair_loss(i, t):
         xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, w1, b1, 0.01, lead=((w0, b0),)))
+        return _sum_sq(engine.conv_leaky_cl(xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0))], 0.01))
 
     results["conv_leaky_cl_pair"] = max(
         engine.grad_check(lambda t, i=i: pair_loss(i, t), pair[i]) for i in range(len(pair)))
@@ -510,14 +510,28 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     def chain_loss(i, t):
         xt, w0, b0, w1, b1, w2, b2 = chain[:i] + [t] + chain[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, w2, b2, 0.01, (1, 2),
-                                            lead=((w0, b0), (w1, b1))))
+        return _sum_sq(engine.conv_leaky_cl(
+            xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0)), (w2, b2, (1, 2))], 0.01))
 
     chain_loss(0, chain[0]).backward()
     largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in chain]
     results["conv_leaky_cl_chain"] = max(
         engine.grad_check(lambda t, i=i: chain_loss(i, t), chain[i], coords=coords)
         for i, coords in enumerate(largest))
+
+    # the heads' last two layers as they run them: the 4x1 time layer over
+    # its (1, 2) padding inside the node of a kh = 1 layer over the whole
+    # row, checked through its input and all four parameters
+    time_mix = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((2, 5, 12), (3, 3, 4, 1), (3,), (4, 3, 1, 4), (4,))]
+
+    def time_mix_loss(i, t):
+        xt, w0, b0, w1, b1 = time_mix[:i] + [t] + time_mix[i + 1:]
+        return _sum_sq(engine.conv_leaky_cl(xt, [(w0, b0, (1, 2)), (w1, b1, (0, 0))], 0.01))
+
+    results["conv_leaky_cl_time_mix"] = max(
+        engine.grad_check(lambda t, i=i: time_mix_loss(i, t), time_mix[i])
+        for i in range(len(time_mix)))
 
     results["hlob_loss"] = hlob_loss_grad_check(seed=seed)
     return results

@@ -1244,7 +1244,8 @@ class TestGradcheckSuite:
     def test_layer_suite_under_tolerance(self):
         results = pipeline.gradcheck_suite(seed=0)
         assert set(results) == {"conv_leaky_cl", "conv_leaky_cl_pair",
-                                "conv_leaky_cl_chain", "lstm", "dense",
+                                "conv_leaky_cl_chain", "conv_leaky_cl_time_mix",
+                                "lstm", "dense",
                                 "softmax_cross_entropy", "hlob_loss"}
         for name, err in results.items():
             assert err < 1e-6, f"{name}: {err}"
@@ -1501,8 +1502,10 @@ class TestCorruptArtifacts:
         ({"mcc": 7.5}, "'mcc' is 7.5, outside [-1, 1]"),
         ({"p_t": -1.0}, "'p_t' is -1.0, outside [0, 1]"),
         ({"tt": -3}, "'tt' is -3, outside [0, inf]"),
+        ({"horizon": 0}, "'horizon' is 0, outside [1, inf]"),
+        ({"horizon": -5}, "'horizon' is -5, outside [1, inf]"),
     ], ids=["strings", "1x2", "boolean", "negative", "float", "f1-nan", "f1-inf",
-            "mcc-7.5", "p_t-negative", "tt-negative"])
+            "mcc-7.5", "p_t-negative", "tt-negative", "horizon-0", "horizon-negative"])
     def test_report_field_out_of_range(self, tmp_path, capsys, changes, detail):
         cfg_path = self._run(tmp_path)
         path = self._write_report(tmp_path, cfg_path, **changes)

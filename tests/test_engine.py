@@ -194,7 +194,7 @@ class TestConvLeakyChannelsLast:
         x = Tensor(x_cl.reshape(2, 100, width * c), requires_grad=True)
         w = Tensor(w_data.copy(), requires_grad=True)
         b = Tensor(b_data.copy(), requires_grad=True)
-        out = conv_leaky_cl(x, w, b, 0.01, pad)
+        out = conv_leaky_cl(x, [(w, b, pad)], 0.01)
         TestGradCheck.sum_sq(out).backward()
 
         xr = Tensor(x_cl.transpose(0, 3, 1, 2).copy(), requires_grad=True)
@@ -218,7 +218,7 @@ class TestConvLeakyChannelsLast:
         b = tensor64(rng, (4,))
 
         def loss(xt, wt, bt):
-            return TestGradCheck.sum_sq(conv_leaky_cl(xt, wt, bt, 0.01, (1, 2)))
+            return TestGradCheck.sum_sq(conv_leaky_cl(xt, [(wt, bt, (1, 2))], 0.01))
 
         assert grad_check(lambda t: loss(t, w, b), x) < 1e-6
         assert grad_check(lambda t: loss(x, t, b), w) < 1e-6
@@ -227,13 +227,13 @@ class TestConvLeakyChannelsLast:
     def test_width_not_tiled_by_kernel(self):
         with pytest.raises(ShapeMismatch):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 10))),
-                          Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)),
+                          [(Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
                           0.01)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
-                          Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)),
+                          [(Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
                           0.01)
 
     def test_row_width_not_whole_kernel_columns(self):
@@ -241,7 +241,7 @@ class TestConvLeakyChannelsLast:
         # channels, but not whole 4 x 2 kernel columns
         with pytest.raises(ShapeMismatch, match="row width 12"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 12))),
-                          Tensor(np.zeros((1, 2, 1, 4))), Tensor(np.zeros(1)),
+                          [(Tensor(np.zeros((1, 2, 1, 4))), Tensor(np.zeros(1)), (0, 0))],
                           0.01)
 
     @pytest.mark.parametrize("kh, kw, own, time_pad, out_rows", [
@@ -276,7 +276,7 @@ class TestConvLeakyChannelsLast:
                 np.flatnonzero((got_index >= got_shared).any(axis=0)), out_rows)
             for i in range(n):
                 want = conv_leaky_cl(Tensor(rows[index[i]].reshape(1, t_len, -1)),
-                                     Tensor(w), Tensor(b), 0.01, time_pad).data[0]
+                                     [(Tensor(w), Tensor(b), time_pad)], 0.01).data[0]
                 np.testing.assert_array_equal(got[got_index[i]].reshape(want.shape), want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
@@ -314,15 +314,16 @@ def held_arrays(fn):
 
 
 class TestLeadingLayer:
-    """``conv_leaky_cl(..., lead=((weight, bias), ...))``: a head's conv_pv
-    and conv_simplex run inside its conv_time1 node, or one leading layer
-    inside the next layer's node."""
+    """``conv_leaky_cl(x, layers, slope)`` with more than one layer: the
+    leading layers' outputs are made inside the node and never kept. A head
+    runs conv_pv, conv_simplex and conv_time1 in one node, and conv_time2
+    and conv_mix in another."""
 
     @staticmethod
     def pair_arrays(arity, dtype, main_kernel=None, n=5, t_len=100, card=10, seed=40):
-        """x, the leading (conv_pv) weight and bias, the main layer's weight
+        """x, the leading (conv_pv) weight and bias, the last layer's weight
         and bias (conv_simplex, or a ``main_kernel`` (kh, kw)), and an
-        upstream gradient for the main layer's output."""
+        upstream gradient for the last layer's output."""
         kh, kw = (1, arity) if main_kernel is None else main_kernel
         rng = np.random.default_rng(seed)
         width = card * arity * 2
@@ -331,7 +332,7 @@ class TestLeadingLayer:
                   rng.standard_normal(32),
                   rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
                   rng.standard_normal(32)]
-        # a main time kernel runs over (1, 2) padding, which keeps T
+        # a last time kernel runs over (1, 2) padding, which keeps T
         upstream = rng.standard_normal((n * t_len * (width // 2 // kw) * 32, 1))
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
@@ -350,28 +351,49 @@ class TestLeadingLayer:
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
     @staticmethod
-    def run(arrays, upstream, fused, time_pad=(0, 0), x_grad=True):
-        """The output, then the gradients of x and of each layer's weight
-        and bias, of ``arrays`` = x, then each layer's weight and bias, the
-        main layer's last: one node with leading layers, or chained nodes."""
+    def time_mix_arrays(dtype, n=5, t_len=100, card=10, seed=43):
+        """x, then the weight and bias of a 4 x 1 time layer and of a 1 x
+        ``card`` layer over the whole row, as a head runs conv_time2 and
+        conv_mix, and an upstream gradient for the mix's output."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((n, t_len, card * 32))]
+        for kh, kw in ((4, 1), (1, card)):
+            arrays += [rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
+                       rng.standard_normal(32)]
+        upstream = rng.standard_normal((n * t_len * 32, 1))
+        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
+
+    TIME_MIX_PADS = ((1, 2), (0, 0))
+
+    @staticmethod
+    def layers(arrays, pads, x_grad=True):
+        """``x`` and the (weight, bias, time_pad) chain of ``arrays`` = x,
+        then each layer's weight and bias, each layer padded by its
+        ``pads``."""
         x, *params = (Tensor(a.copy(), requires_grad=i > 0 or x_grad)
                       for i, a in enumerate(arrays))
-        *lead, (w, b) = zip(params[::2], params[1::2])
+        return x, list(zip(params[::2], params[1::2], pads))
+
+    @staticmethod
+    def run(arrays, upstream, fused, pads, x_grad=True):
+        """The output, then the gradients of x and of each layer's weight
+        and bias, of ``arrays`` = x, then each layer's weight and bias, each
+        layer padded by its ``pads``: one node, or one node per layer."""
+        x, layers = TestLeadingLayer.layers(arrays, pads, x_grad)
         if fused:
-            out = conv_leaky_cl(x, w, b, 0.01, time_pad, lead=tuple(lead))
+            out = conv_leaky_cl(x, layers, 0.01)
         else:
             out = x
-            for w0, b0 in lead:
-                out = conv_leaky_cl(out, w0, b0, 0.01)
-            out = conv_leaky_cl(out, w, b, 0.01, time_pad)
+            for layer in layers:
+                out = conv_leaky_cl(out, [layer], 0.01)
         engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
-        return out.data, x.grad, *(p.grad for p in params)
+        return out.data, x.grad, *(p.grad for w, b, _ in layers for p in (w, b))
 
-    def check_equals_chained(self, arrays, upstream, time_pad, monkeypatch, head_pool):
+    def check_equals_chained(self, arrays, upstream, pads, monkeypatch, head_pool):
         """The fused node's output and gradients equal the chained nodes'
         bit for bit at 1 to 4 head workers."""
         monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
-        chained = self.run(arrays, upstream, False, time_pad)
+        chained = self.run(arrays, upstream, False, pads)
         assert head_pool.blocks == 0
         interval = sys.getswitchinterval()
         # switch threads often, so that blocks interleave as much as they can
@@ -379,7 +401,7 @@ class TestLeadingLayer:
         try:
             for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-                got = self.run(arrays, upstream, True, time_pad)
+                got = self.run(arrays, upstream, True, pads)
                 assert len(got) == len(chained) == len(arrays) + 1
                 for g, want in zip(got, chained):
                     assert g.dtype == want.dtype
@@ -393,31 +415,43 @@ class TestLeadingLayer:
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_equals_two_chained_nodes(self, arity, dtype, monkeypatch, head_pool):
         arrays, upstream = self.pair_arrays(arity, dtype)
-        self.check_equals_chained(arrays, upstream, (0, 0), monkeypatch, head_pool)
+        self.check_equals_chained(arrays, upstream, [(0, 0)] * 2, monkeypatch, head_pool)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_two_leads_equal_three_chained_nodes(self, arity, dtype, monkeypatch,
                                                  head_pool):
         arrays, upstream = self.chain_arrays(arity, dtype)
-        self.check_equals_chained(arrays, upstream, (1, 2), monkeypatch, head_pool)
+        self.check_equals_chained(arrays, upstream, [(0, 0), (0, 0), (1, 2)],
+                                  monkeypatch, head_pool)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_time_layer_then_mix_equal_two_chained_nodes(self, dtype, monkeypatch,
+                                                         head_pool):
+        # a padded leading layer: conv_time2's shift-adds run in the node's
+        # scratch, in forward and again in backward
+        arrays, upstream = self.time_mix_arrays(dtype)
+        self.check_equals_chained(arrays, upstream, self.TIME_MIX_PADS, monkeypatch,
+                                  head_pool)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_time_kernel_main_layer(self, workers, monkeypatch, head_pool):
-        # a padded 4 x 1 main layer reads the leading layer's output rows
+        # a padded 4 x 1 last layer reads the leading layer's output rows
         # through its taps' shifted spans
         monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
         arrays, upstream = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
-        chained = self.run(arrays, upstream, fused=False, time_pad=(1, 2))
-        for got, want in zip(self.run(arrays, upstream, True, (1, 2)), chained):
+        pads = [(0, 0), (1, 2)]
+        chained = self.run(arrays, upstream, False, pads)
+        for got, want in zip(self.run(arrays, upstream, True, pads), chained):
             assert np.array_equal(got, want)
 
     def test_input_without_gradient(self):
         # training's head inputs are plain arrays: only the four parameters
         # take gradients, and the leading layer's still come back
         arrays, upstream = self.pair_arrays(3, np.float32, n=2, t_len=20)
-        got = self.run(arrays, upstream, fused=True, x_grad=False)
-        want = self.run(arrays, upstream, fused=False, x_grad=False)
+        pads = [(0, 0)] * 2
+        got = self.run(arrays, upstream, True, pads, x_grad=False)
+        want = self.run(arrays, upstream, False, pads, x_grad=False)
         assert got[1] is None and want[1] is None
         for g, w in zip(got[2:], want[2:]):
             assert np.array_equal(g, w)
@@ -433,7 +467,8 @@ class TestLeadingLayer:
 
         def loss(i, t):
             xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-            return TestGradCheck.sum_sq(conv_leaky_cl(xt, w1, b1, 0.01, lead=((w0, b0),)))
+            return TestGradCheck.sum_sq(
+                conv_leaky_cl(xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0))], 0.01))
 
         loss(0, pair[0]).backward()
         largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in pair]
@@ -441,23 +476,20 @@ class TestLeadingLayer:
             assert grad_check(lambda u, i=i: loss(i, u), t, coords=coords) < 1e-6
 
     def test_one_tape_node(self):
-        arrays, _ = self.pair_arrays(2, np.float32, n=1, t_len=4)
-        x, w0, b0, w1, b1 = (Tensor(a) for a in arrays)
-        out = conv_leaky_cl(x, w1, b1, 0.01, lead=((w0, b0),))
-        assert out._parents == (x, w0, b0, w1, b1)
-        assert out.shape == (1, 4, 10 * 32)
-        arrays, _ = self.chain_arrays(2, np.float32, n=1, t_len=4)
-        x, w0, b0, w1, b1, w2, b2 = (Tensor(a) for a in arrays)
-        out = conv_leaky_cl(x, w2, b2, 0.01, (1, 2), lead=((w0, b0), (w1, b1)))
-        assert out._parents == (x, w0, b0, w1, b1, w2, b2)
-        assert out.shape == (1, 4, 10 * 32)
+        for arrays, pads in ((self.pair_arrays(2, np.float32, n=1, t_len=4)[0],
+                              [(0, 0)] * 2),
+                             (self.chain_arrays(2, np.float32, n=1, t_len=4)[0],
+                              [(0, 0), (0, 0), (1, 2)])):
+            x, layers = self.layers(arrays, pads)
+            out = conv_leaky_cl(x, layers, 0.01)
+            assert out._parents == (x, *(p for w, b, _ in layers for p in (w, b)))
+            assert out.shape == (1, 4, 10 * 32)
 
     def test_backward_holds_no_mask_or_leading_output(self):
         arrays, _ = self.pair_arrays(3, np.float32, main_kernel=(4, 1), n=2, t_len=6)
-        x, w0, b0, w1, b1 = (Tensor(a, requires_grad=True) for a in arrays)
+        x, (pv, time) = self.layers(arrays, [(0, 0), (1, 2)])
         lead_size = 2 * 6 * 30 * 32
-        for out in (conv_leaky_cl(x, w0, b0, 0.01),
-                    conv_leaky_cl(x, w1, b1, 0.01, (1, 2), lead=((w0, b0),))):
+        for out in (conv_leaky_cl(x, [pv], 0.01), conv_leaky_cl(x, [pv, time], 0.01)):
             held = held_arrays(out._backward)
             assert not [a.shape for a in held if a.dtype == bool]
         # the pair holds its own output, and no other array the size of conv_pv's
@@ -466,58 +498,63 @@ class TestLeadingLayer:
 
     def test_leading_outputs_not_main_channels(self):
         # 4 outputs of 4 columns are 16 columns, whole 2 x 2 kernel columns,
-        # but the main layer reads 2 channels
-        with pytest.raises(ShapeMismatch, match="leading layer 0 has 4 outputs, "
-                                                "the main layer reads 2 channels"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),))
+        # but the last layer reads 2 channels
+        with pytest.raises(ShapeMismatch, match="layer 0 has 4 outputs, "
+                                                "layer 1 reads 2 channels"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
+                          [(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
+                           (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          0.01)
 
     def test_leading_row_width_not_whole_kernel_columns(self):
         with pytest.raises(ShapeMismatch, match="row width 12"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 12))), Tensor(np.zeros((1, 2, 1, 2))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2))),))
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 12))),
+                          [(Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2)), (0, 0)),
+                           (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          0.01)
 
     def test_leading_output_not_whole_main_kernel_columns(self):
         # 4 columns of 3 leading outputs are 12, not whole 3 x 3 kernel columns
         with pytest.raises(ShapeMismatch, match="row width 12"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 3))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3))),))
-
-    def test_leading_layer_with_a_time_kernel(self):
-        with pytest.raises(ShapeMismatch, match="leading layer 0 kernel .* single time tap"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 2, 1, 2))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(2))),))
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
+                          [(Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3)), (0, 0)),
+                           (Tensor(np.zeros((1, 3, 1, 3))), Tensor(np.zeros(1)), (0, 0))],
+                          0.01)
 
     def test_two_leads_hold_neither_leading_output(self):
         arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=6)
-        x, w0, b0, w1, b1, w2, b2 = (Tensor(a, requires_grad=True) for a in arrays)
-        out = conv_leaky_cl(x, w2, b2, 0.01, (1, 2), lead=((w0, b0), (w1, b1)))
+        x, layers = self.layers(arrays, [(0, 0), (0, 0), (1, 2)])
+        out = conv_leaky_cl(x, layers, 0.01)
         held = held_arrays(out._backward)
         assert not [a.shape for a in held if a.dtype == bool]
         # conv_simplex's output is the size of the node's own; conv_pv's twice that
         assert not [a.shape for a in held
                     if a.size >= out.data.size and not np.shares_memory(a, out.data)]
 
-    def test_lead_outputs_not_next_lead_channels(self):
-        # conv_pv's 4 outputs over 4 columns are 16 columns, whole 2 x 2
-        # kernel columns, but the second leading layer reads 2 channels
-        with pytest.raises(ShapeMismatch, match="leading layer 0 has 4 outputs, "
-                                                "leading layer 1 reads 2 channels"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 1))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),
-                                (Tensor(np.zeros((3, 2, 1, 2))), Tensor(np.zeros(3)))))
+    def test_time_mix_holds_no_time_output(self):
+        # the time layer's output has its input's size, which is larger
+        # than the mix's weights; the node holds its input and its own
+        # output, and nothing else of that size
+        arrays, _ = self.time_mix_arrays(np.float32, n=2, t_len=20)
+        x, layers = self.layers(arrays, self.TIME_MIX_PADS)
+        out = conv_leaky_cl(x, layers, 0.01)
+        held = held_arrays(out._backward)
+        assert not [a.shape for a in held if a.dtype == bool]
+        assert not [a.shape for a in held if a.size >= x.data.size
+                    and not np.shares_memory(a, x.data)
+                    and not np.shares_memory(a, out.data)]
 
-    def test_second_lead_with_a_time_kernel(self):
-        with pytest.raises(ShapeMismatch, match="leading layer 1 kernel .* single time tap"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 1, 1))),
-                          Tensor(np.zeros(1)), 0.01,
-                          lead=((Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4))),
-                                (Tensor(np.zeros((3, 4, 2, 2))), Tensor(np.zeros(3)))))
+    def test_lead_outputs_not_next_lead_channels(self):
+        # conv_pv's 4 outputs over 4 columns are 16 columns, whole 2 x 4
+        # kernel columns of the second leading layer, whose 3 outputs the
+        # last layer reads as 2 channels
+        with pytest.raises(ShapeMismatch, match="layer 1 has 3 outputs, "
+                                                "layer 2 reads 2 channels"):
+            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
+                          [(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
+                           (Tensor(np.zeros((3, 4, 1, 2))), Tensor(np.zeros(3)), (0, 0)),
+                           (Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(1)), (0, 0))],
+                          0.01)
 
 
 def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
@@ -580,7 +617,7 @@ class TestHeadThreads:
             monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
             x, w, b = (Tensor(a.copy(), requires_grad=True)
                        for a in (x_data, w_data, b_data))
-            out = conv_leaky_cl(x, w, b, 0.01, pad)
+            out = conv_leaky_cl(x, [(w, b, pad)], 0.01)
             if upstream is None:
                 rng = np.random.default_rng(31)
                 upstream = Tensor(rng.standard_normal((out.data.size, 1), np.float32))
@@ -613,10 +650,10 @@ class TestHeadThreads:
         monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
         # a 9-row window, as training on short windows runs it
         x, w, b, pad = self.layer_arrays("conv_time1", 32, t_len=9)
-        conv_leaky_cl(Tensor(x), Tensor(w), Tensor(b), 0.01, pad)
+        conv_leaky_cl(Tensor(x), [(Tensor(w), Tensor(b), pad)], 0.01)
         assert head_pool.blocks == 0
         x, w, b, pad = self.layer_arrays("conv_time1", 32)
-        conv_leaky_cl(Tensor(x), Tensor(w), Tensor(b), 0.01, pad)
+        conv_leaky_cl(Tensor(x), [(Tensor(w), Tensor(b), pad)], 0.01)
         assert head_pool.blocks == 3
 
     def test_a_worker_block_exception_reaches_the_caller(self, monkeypatch, head_pool):
@@ -635,16 +672,19 @@ class TestHeadThreads:
 
 
 class TestSpentOutputGradient:
-    """A time layer writes its input gradient over the output gradient it
-    is handed; layers whose input and output rows differ do not."""
+    """No node writes over the output gradient it is handed: each allocates
+    its input gradient and leaves the handed one as it was."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_time_layer_input_gradient_in_the_handed_gradient(
-            self, workers, monkeypatch, head_pool):
+    def test_time_node_leaves_the_handed_gradient(self, workers, monkeypatch, head_pool):
+        # conv_time2 and conv_mix in one node, against the serial loop run
+        # one layer at a time
         monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-        x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays("conv_time1", 5)
-        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
-        out = conv_leaky_cl(x, w, b, 0.01, pad)
+        x_data, wt_data, bt_data, pad = TestHeadThreads.layer_arrays("conv_time2", 5)
+        _, wm_data, bm_data, _ = TestHeadThreads.layer_arrays("conv_mix", 1, seed=35)
+        x, wt, bt, wm, bm = (Tensor(a.copy(), requires_grad=True)
+                             for a in (x_data, wt_data, bt_data, wm_data, bm_data))
+        out = conv_leaky_cl(x, [(wt, bt, pad), (wm, bm, (0, 0))], 0.01)
         upstream = np.random.default_rng(33).standard_normal(out.shape, np.float32)
         handed = upstream.copy()
         interval = sys.getswitchinterval()
@@ -654,24 +694,31 @@ class TestSpentOutputGradient:
             out._backward(handed)
         finally:
             sys.setswitchinterval(interval)
-        assert np.shares_memory(x.grad, handed)
-        # the serial loop, given a copy of the gradient, reads it intact
-        want = serial_conv_leaky_cl(x_data, w_data, b_data, 0.01, pad, upstream.copy())
-        for got, expect in zip((out.data, x.grad, w.grad, b.grad), want):
+        assert not np.shares_memory(x.grad, handed)
+        assert np.array_equal(handed, upstream)
+        time_out = serial_conv_leaky_cl(x_data, wt_data, bt_data, 0.01, pad,
+                                        np.zeros_like(x_data))[0]
+        mix_out, g_time, gwm, gbm = serial_conv_leaky_cl(
+            time_out, wm_data, bm_data, 0.01, (0, 0), upstream)
+        _, gx, gwt, gbt = serial_conv_leaky_cl(x_data, wt_data, bt_data, 0.01, pad, g_time)
+        for got, expect in zip((out.data, x.grad, wt.grad, bt.grad, wm.grad, bm.grad),
+                               (mix_out, gx, gwt, gbt, gwm, gbm)):
             assert np.array_equal(got, expect)
         assert head_pool.blocks == 2 * (workers - 1)
 
-    @pytest.mark.parametrize("layer", ["pair", "conv_mix"])
+    @pytest.mark.parametrize("layer", ["pair", "conv_mix", "conv_time1"])
     def test_other_layers_allocate_their_input_gradient(self, layer):
+        # a time layer alone, whose input rows have its output rows' shape,
+        # allocates too
         if layer == "pair":
             (x_data, w0, b0, w_data, b_data), _ = TestLeadingLayer.pair_arrays(
                 3, np.float32, n=2, t_len=20)
-            lead, pad = ((Tensor(w0), Tensor(b0)),), (0, 0)
+            layers, pad = [(Tensor(w0), Tensor(b0), (0, 0))], (0, 0)
         else:
-            x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays("conv_mix", 2)
-            lead = ()
+            x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays(layer, 2)
+            layers = []
         x = Tensor(x_data, requires_grad=True)
-        out = conv_leaky_cl(x, Tensor(w_data), Tensor(b_data), 0.01, pad, lead)
+        out = conv_leaky_cl(x, layers + [(Tensor(w_data), Tensor(b_data), pad)], 0.01)
         upstream = np.random.default_rng(34).standard_normal(out.shape, np.float32)
         handed = upstream.copy()
         out._backward(handed)

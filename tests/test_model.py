@@ -249,11 +249,13 @@ class TestTape:
         assert all(p.grad is not None for p in model.parameters())
 
     def test_train_step_keeps_no_simplex_output(self):
-        # conv_pv and conv_simplex run inside conv_time1's node, which reads
-        # the head input: three conv nodes a head, 56 nodes in all (36
-        # parameters, 3 inputs, 4 nodes a head, the LSTM, which reads the
-        # heads' outputs, dense's 3 and the loss). Of the (N, 100, cardinality * 32) tensors the tape keeps
-        # only conv_time1's and conv_time2's outputs, not conv_simplex's
+        # a head is two conv nodes: conv_pv, conv_simplex and conv_time1,
+        # which reads the head input, then conv_time2 and conv_mix, which
+        # reads conv_time1's output. 53 nodes in all (36 parameters, 3
+        # inputs, 3 nodes a head, the LSTM, which reads the heads' outputs,
+        # dense's 3 and the loss). Of the (N, 100, cardinality * 32)
+        # tensors the tape keeps only conv_time1's output, not
+        # conv_simplex's or conv_time2's
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         inputs = [Tensor(x) for x in random_inputs(np.random.default_rng(17), n=4,
@@ -261,14 +263,16 @@ class TestTape:
         logits = model.forward(inputs, train=True, rng=np.random.default_rng(18))
         loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
         nodes = tape_ids(loss).values()
-        assert len(nodes) == 56
+        assert len(nodes) == 53
         for head, x, card in zip(model.heads, inputs, config.cardinalities):
-            reader, = [t for t in nodes if head.conv_time1[0] in t._parents]
-            assert reader._parents == (x, *head.conv_pv, *head.conv_simplex,
-                                       *head.conv_time1)
+            time1, = [t for t in nodes if head.conv_time1[0] in t._parents]
+            assert time1._parents == (x, *head.conv_pv, *head.conv_simplex,
+                                      *head.conv_time1)
+            mix, = [t for t in nodes if head.conv_mix[0] in t._parents]
+            assert mix._parents == (time1, *head.conv_time2, *head.conv_mix)
             simplex_shaped = [t for t in nodes
                               if t.shape == (4, config.window_len, card * 32)]
-            assert len(simplex_shaped) == 2
+            assert simplex_shaped == [time1]
 
     def test_parameters_are_the_tapes_own_leaves(self):
         # the tape reads each parameter object itself, and AdamW steps the
