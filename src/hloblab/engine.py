@@ -1,6 +1,6 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Supplies exactly the layers the classifier needs: a chain of fused
+Supplies exactly the layers the classifier needs: chains of fused
 channels-last convolution + LeakyReLU layers over the heads' (N, T, W*C)
 rows as one tape node (plus a tape-free form of one layer over a table of
 distinct rows and an index map of each window's rows into it, which runs
@@ -13,12 +13,15 @@ tape node, stabilized softmax cross-entropy, an AdamW step with decoupled
 weight decay, and a central finite-difference gradient checker. Convolution
 weights are (O, C, kh, kw).
 
-``conv_leaky_cl`` keeps for backward only what the tape holds anyway, its
-input and its output: the output gives the last LeakyReLU's sign, and the
-leading layers' outputs, never kept, are computed again one sample at a
-time. ``Tensor.backward`` releases each node once its backward has run, so
-a spent activation and its closure's buffers are freed during the backward
-pass, not after it. ``conv_leaky_cl`` runs its per-sample loop
+``conv_leaky_cl`` keeps for backward its input, its output, which gives the
+last LeakyReLU's sign, and the last output of each chain (segment) but the
+last, in a private buffer. The other layers' outputs, never kept, are
+computed again one sample at a time from the kept output before them, and
+the gradient between two layers passes in per-sample scratch, never as a
+whole-batch array. ``Tensor.backward`` releases each node once its
+backward has run, so a spent activation and its closure's buffers are
+freed during the backward pass, not after it. ``conv_leaky_cl`` runs its
+per-sample loop
 over contiguous blocks of samples on a small thread pool (numpy releases
 the interpreter lock in matmul and in ufuncs over large arrays). Forward
 samples are independent. In backward each block writes its samples' input
@@ -280,8 +283,9 @@ class _ConvLayer:
     def backward(self, s: int, xs, ys, g, gz, gx, tap_out) -> None:
         """Sample ``s``'s partials, and its input gradient into ``gx`` unless
         that is None, from its input rows ``xs``, its output ``ys`` and the
-        output's gradient ``g``. ``gz`` (To*W/kw, O) and ``tap_out``
-        (:meth:`tap_buffer`) are scratch.
+        output's gradient ``g``. ``gz`` (To*W/kw, O), which may be ``ys``
+        itself, takes the LeakyReLU's gradient; ``tap_out``
+        (:meth:`tap_buffer`) is scratch.
 
         The LeakyReLU's derivative is taken as 1 where the output is >= 0,
         -0.0 included, and ``slope`` elsewhere, NaN included; with a
@@ -321,26 +325,33 @@ class _ConvLayer:
         self.gb_parts = self.gw_parts = None
 
 
-def conv_leaky_cl(x: Tensor, layers, slope: float) -> Tensor:
-    """A chain of channels-last convolutions, each followed by a LeakyReLU,
+def conv_leaky_cl(x: Tensor, segments, slope: float) -> Tensor:
+    """Chains of channels-last convolutions, each followed by a LeakyReLU,
     fused into one tape node.
 
     ``x`` is (N, T, W*C): each time row holds W columns of C channels.
-    ``layers`` = ((weight, bias, time_pad), ...) runs in order: the first
-    layer reads ``x``, each next one the previous one's output, C read from
-    its ``weight`` (O, C, kh, kw). A kernel tiles W with stride kw; along T
-    it slides at stride 1 over ``time_pad`` = (before, after) zeros. Each of
+    ``segments`` is a sequence of layer chains, each
+    ((weight, bias, time_pad), ...); their layers run in order: the first
+    reads ``x``, each next one the previous one's output, C read from its
+    ``weight`` (O, C, kh, kw). A kernel tiles W with stride kw; along T it
+    slides at stride 1 over ``time_pad`` = (before, after) zeros. Each of
     the kh time taps is one GEMM over a sample's (T*W/kw, kw*C) rows,
     shift-added into the (To, W/kw*O) output rows, the layout the next
     layer takes, so no padded copy or patch matrix is built. The node's
     output is the last layer's, (N, To, W/kw*O).
 
-    The node keeps its input and its output and nothing else: the output
-    gives the last LeakyReLU's sign, and the leading layers' outputs are
-    made one sample at a time in scratch buffers and never kept. Backward
-    makes them again on each sample, then runs the last layer's backward
-    step and the leading layers' in reverse order. The output and every
-    gradient equal those of one node per layer bit for bit.
+    The node keeps its input, its output and, in a private buffer, the last
+    output of each segment but the last: a checkpoint (Chen et al.,
+    arXiv:1604.06174). Every other layer's output is made one sample at a
+    time in scratch and never kept. Backward works one sample at a time:
+    for each segment from the last, it makes the segment's outputs again
+    from the kept output before it, then runs each layer's backward step in
+    reverse order, handing the gradient between layers in per-sample
+    scratch. A layer's output is spent once the next layer has taken its
+    weight partials and its LeakyReLU mask has been read, so every layer
+    but the last writes its LeakyReLU gradient over it; the handed gradient
+    and the node's output stay as they were. The output and every gradient
+    equal those of one node per layer bit for bit.
 
     Forward and backward run over contiguous sample blocks, on the head
     pool when the samples are large enough (see ``_sample_blocks``); each
@@ -349,6 +360,9 @@ def conv_leaky_cl(x: Tensor, layers, slope: float) -> Tensor:
     the partials into zeroed sums in sample order afterwards, which is the
     add order of a single serial loop.
     """
+    if not segments or not all(segments):
+        raise ShapeMismatch("conv_leaky_cl needs one or more non-empty segments")
+    layers = [layer for segment in segments for layer in segment]
     n, t_len, width = x.data.shape
     convs, dtype = [], x.data.dtype
     for i, (w, b, time_pad) in enumerate(layers):
@@ -357,34 +371,40 @@ def conv_leaky_cl(x: Tensor, layers, slope: float) -> Tensor:
                                 f"outputs, layer {i} reads {w.data.shape[1]} channels")
         convs.append(_ConvLayer(w, b, slope, time_pad, t_len, width, dtype))
         t_len, width, dtype = convs[-1].t_out, convs[-1].width_out, convs[-1].dtype
-    *leads, last = convs
+    last = convs[-1]
+    # (first layer, one past the last layer) of each segment
+    ends = np.cumsum([len(segment) for segment in segments]).tolist()
+    bounds = list(zip([0] + ends, ends))
     # the work runs one sample at a time so that each GEMM's output, the
     # shift-adds and the LeakyReLU passes over it stay in cache
     xs = x.data.reshape((n,) + convs[0].rows_in)
     y = np.empty((n,) + last.rows_out, last.dtype)
+    # each segment's last output but the last segment's, for every sample
+    kept = {end - 1: np.empty((n,) + convs[end - 1].rows_out, convs[end - 1].dtype)
+            for end in ends[:-1]}
     sample_elements = xs[0].size + sum(layer.t_out * layer.width_out for layer in convs)
 
-    def scratch(dtype=None):
-        """One buffer per leading layer's output, in ``dtype`` or the
-        layer's own, and the list of the layers' input rows: a sample's
-        (set per sample), then each buffer as the next layer's."""
-        bufs = [np.empty(layer.rows_out, layer.dtype if dtype is None else dtype)
-                for layer in leads]
-        return bufs, [None] + [b.reshape(after.rows_in) for b, after in zip(bufs, convs[1:])]
+    def block_rows(s, hs):
+        """Sample ``s``'s output buffer of each layer: a kept row, ``hs``'
+        scratch or ``y``'s row; and each layer's input rows, the sample's
+        own or the previous layer's output as this layer takes it."""
+        outs = [kept[i][s] if i in kept else hs[i] for i in range(len(convs) - 1)]
+        outs.append(y[s])
+        return outs, [xs[s]] + [h.reshape(after.rows_in)
+                                for h, after in zip(outs, convs[1:])]
 
-    def run_leads(s, hs, rows, tap_outs):
-        """Sample ``s``'s leading-layer outputs into ``hs``; ``rows`` then
-        holds each layer's input rows."""
-        rows[0] = xs[s]
-        for layer, x_rows, h, tap_out in zip(leads, rows, hs, tap_outs):
-            layer.forward(x_rows, h, tap_out)
+    def scratch():
+        """Per-block output buffers of the layers whose outputs are not kept."""
+        return {i: np.empty(layer.rows_out, layer.dtype)
+                for i, layer in enumerate(convs[:-1]) if i not in kept}
 
     def forward_block(lo, hi):
         tap_outs = [layer.tap_buffer(layer.dtype) for layer in convs]
-        hs, rows = scratch()
+        hs = scratch()
         for s in range(lo, hi):
-            run_leads(s, hs, rows, tap_outs)
-            last.forward(rows[-1], y[s], tap_outs[-1])
+            outs, rows = block_rows(s, hs)
+            for layer, x_rows, h, tap_out in zip(convs, rows, outs, tap_outs):
+                layer.forward(x_rows, h, tap_out)
 
     _sample_blocks(forward_block, n, sample_elements)
     parents = (x, *(p for w, b, _ in layers for p in (w, b)))
@@ -397,20 +417,26 @@ def conv_leaky_cl(x: Tensor, layers, slope: float) -> Tensor:
             layer.start_backward(n, g.dtype)
 
         def backward_block(lo, hi):
-            tap_outs = [layer.tap_buffer(layer.dtype) for layer in leads]
+            hs = scratch()
+            tap_outs = {i: convs[i].tap_buffer(convs[i].dtype) for i in hs}
             tap_ins = [layer.tap_buffer(g.dtype, backward=True) for layer in convs]
-            gzs = [np.empty(layer.rows_out, g.dtype) for layer in convs]
-            hs, rows = scratch()
-            # each leading layer's output gradient; a layer's input gradient
-            # is the output gradient of the layer before it
-            ghs, grads_in = scratch(g.dtype)
+            # each leading layer's output gradient, which is the input
+            # gradient of the layer after it; the last layer's LeakyReLU
+            # gradient, which may not go over the node's output
+            ghs = [np.empty(layer.rows_out, g.dtype) for layer in convs[:-1]]
+            gz = np.empty(last.rows_out, g.dtype)
+            grads_in = [None] + [h.reshape(after.rows_in) for h, after in zip(ghs, convs[1:])]
             for s in range(lo, hi):
-                run_leads(s, hs, rows, tap_outs)
+                outs, rows = block_rows(s, hs)
+                out_grads = ghs + [g[s]]
                 grads_in[0] = None if gx is None else gx[s]
-                outs, out_grads = hs + [y[s]], ghs + [g[s]]
-                for i in reversed(range(len(convs))):
-                    convs[i].backward(s, rows[i], outs[i], out_grads[i], gzs[i],
-                                      grads_in[i], tap_ins[i])
+                for first, end in reversed(bounds):
+                    for i in range(first, end - 1):
+                        convs[i].forward(rows[i], outs[i], tap_outs[i])
+                    for i in reversed(range(first, end)):
+                        convs[i].backward(s, rows[i], outs[i], out_grads[i],
+                                          gz if convs[i] is last else outs[i],
+                                          grads_in[i], tap_ins[i])
 
         _sample_blocks(backward_block, n, sample_elements)
         for layer in convs:

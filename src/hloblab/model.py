@@ -8,14 +8,15 @@ temporal structure, and a (1 x head-cardinality) convolution with dropout
 mixes across simplices. Every convolution is followed by a LeakyReLU; the
 heads run channels-last on (N, T, width*C) rows, the layout one fused
 ``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
-input and the last layer's (N, T, C) output need no reshape. A head is two
-such nodes. The first three layers share one: the (price, volume) layer's
-output, 16 times its input and the largest array a head makes, and the
-simplex layer's output are made inside the first time layer's node one
-sample at a time, made again in backward, and never kept. The last two
-share the other, which makes the second time layer's output the same way,
-so the tape keeps the first time layer's output and the mix's. Weights
-keep the (O, C, kh, kw) convolution layout.
+input and the last layer's (N, T, C) output need no reshape. A head is one
+such node of two segments: the first three layers, then the last two. The
+node keeps the first time layer's output in a private buffer and the mix's
+as its own; every other output, the (price, volume) layer's (16 times its
+input and the largest array a head makes) included, is made one sample at
+a time, made again in backward from the head input or from the kept
+output, and never kept. No gradient the size of a head's layer output
+passes between tape nodes. Weights keep the (O, C, kh, kw) convolution
+layout.
 ``_Head.layers`` lists the five layers once, for both the taped pass and
 the eval pass.
 The three (100 x 32) head outputs go as they are to a 32-unit LSTM
@@ -138,14 +139,14 @@ class _Head:
 
     def forward(self, x: Tensor, config: HlobConfig, train: bool,
                 rng: np.random.Generator | None) -> Tensor:
-        """Outputs (N, T, C) of (N, T, width) inputs, in two tape nodes:
-        conv_pv, conv_simplex and conv_time1, then conv_time2 and conv_mix.
-        The tape keeps conv_time1's output and the mix's; the other layers'
-        outputs are made again in backward. One node for all five would make
-        conv_time1's output again too, for more time than memory saved."""
+        """Outputs (N, T, C) of (N, T, width) inputs, in one tape node of
+        two segments: conv_pv, conv_simplex and conv_time1, then conv_time2
+        and conv_mix. The node keeps conv_time1's output as its checkpoint
+        and the mix's as its own; the other layers' outputs are made again
+        in backward, from the head input or from conv_time1's output, so
+        backward makes no layer's output twice."""
         layers = [(weight, bias, time_pad) for _, (weight, bias), time_pad in self.layers()]
-        for chain in (layers[:3], layers[3:]):
-            x = engine.conv_leaky_cl(x, chain, config.leaky_slope)
+        x = engine.conv_leaky_cl(x, (layers[:3], layers[3:]), config.leaky_slope)
         return engine.dropout(x, config.dropout_rate, train, rng)
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,

@@ -469,7 +469,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     wc = engine.Tensor(rng.normal(size=(4, 3, 4, 2)), requires_grad=True)
     bc = engine.Tensor(rng.normal(size=4), requires_grad=True)
     results["conv_leaky_cl"] = engine.grad_check(
-        lambda t: _sum_sq(engine.conv_leaky_cl(t, [(wc, bc, (1, 2))], 0.01)), xc)
+        lambda t: _sum_sq(engine.conv_leaky_cl(t, [[(wc, bc, (1, 2))]], 0.01)), xc)
 
     lstm_params = engine.LstmParams("gc", 2, 2, rng, dtype=np.float64)
     seq = engine.Tensor(rng.normal(size=(1, 3, 2)))
@@ -494,7 +494,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     def pair_loss(i, t):
         xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0))], 0.01))
+        return _sum_sq(engine.conv_leaky_cl(xt, [[(w0, b0, (0, 0)), (w1, b1, (0, 0))]], 0.01))
 
     results["conv_leaky_cl_pair"] = max(
         engine.grad_check(lambda t, i=i: pair_loss(i, t), pair[i]) for i in range(len(pair)))
@@ -511,7 +511,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     def chain_loss(i, t):
         xt, w0, b0, w1, b1, w2, b2 = chain[:i] + [t] + chain[i + 1:]
         return _sum_sq(engine.conv_leaky_cl(
-            xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0)), (w2, b2, (1, 2))], 0.01))
+            xt, [[(w0, b0, (0, 0)), (w1, b1, (0, 0)), (w2, b2, (1, 2))]], 0.01))
 
     chain_loss(0, chain[0]).backward()
     largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in chain]
@@ -527,11 +527,28 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     def time_mix_loss(i, t):
         xt, w0, b0, w1, b1 = time_mix[:i] + [t] + time_mix[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, [(w0, b0, (1, 2)), (w1, b1, (0, 0))], 0.01))
+        return _sum_sq(engine.conv_leaky_cl(xt, [[(w0, b0, (1, 2)), (w1, b1, (0, 0))]], 0.01))
 
     results["conv_leaky_cl_time_mix"] = max(
         engine.grad_check(lambda t, i=i: time_mix_loss(i, t), time_mix[i])
         for i in range(len(time_mix)))
+
+    # two segments in one node, as a head runs them: a 4x1 layer over its
+    # (1, 2) padding, whose output the node keeps, then a 4x1 layer and a
+    # kh = 1 layer over the whole row, made again from the kept output,
+    # checked through its input and all six parameters
+    segments = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((2, 5, 12), (3, 3, 4, 1), (3,), (3, 3, 4, 1), (3,),
+                              (4, 3, 1, 4), (4,))]
+
+    def segments_loss(i, t):
+        xt, w0, b0, w1, b1, w2, b2 = segments[:i] + [t] + segments[i + 1:]
+        return _sum_sq(engine.conv_leaky_cl(
+            xt, [[(w0, b0, (1, 2))], [(w1, b1, (1, 2)), (w2, b2, (0, 0))]], 0.01))
+
+    results["conv_leaky_cl_segments"] = max(
+        engine.grad_check(lambda t, i=i: segments_loss(i, t), segments[i])
+        for i in range(len(segments)))
 
     results["hlob_loss"] = hlob_loss_grad_check(seed=seed)
     return results

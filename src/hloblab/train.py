@@ -76,9 +76,12 @@ def _eval_batches(model: HlobModel, windows: DayWindows,
     layer run once over the chunk's whole batches and once over the short
     batch, which are the stacks they ran on when the short batch was a
     chunk of its own. Those stacks are kept as they are so that the logits
-    keep their bits: with OpenBLAS the LSTM's GEMMs may round differently
-    at another height (a 512-row stack and its 32-row batches differed by
-    up to 7.5e-9).
+    keep their bits: with OpenBLAS the output layer's (N, 32) @ (32, 3)
+    GEMM rounds differently at most stack heights (a 512-row stack and its
+    32-row batches differed by up to 7.5e-9 in every batch), and the LSTM's
+    GEMMs at stacks under 10 rows. The LSTM over any first 10 or more rows
+    of a 512-row stack, or over its 32-row batches, matched the stack's
+    rows bit for bit.
     """
     t_len, ends = windows.window_len, windows.ends
     starts, stops = ends - (t_len - 1), ends + 1

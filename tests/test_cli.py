@@ -1245,6 +1245,7 @@ class TestGradcheckSuite:
         results = pipeline.gradcheck_suite(seed=0)
         assert set(results) == {"conv_leaky_cl", "conv_leaky_cl_pair",
                                 "conv_leaky_cl_chain", "conv_leaky_cl_time_mix",
+                                "conv_leaky_cl_segments",
                                 "lstm", "dense",
                                 "softmax_cross_entropy", "hlob_loss"}
         for name, err in results.items():

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -194,7 +195,7 @@ class TestConvLeakyChannelsLast:
         x = Tensor(x_cl.reshape(2, 100, width * c), requires_grad=True)
         w = Tensor(w_data.copy(), requires_grad=True)
         b = Tensor(b_data.copy(), requires_grad=True)
-        out = conv_leaky_cl(x, [(w, b, pad)], 0.01)
+        out = conv_leaky_cl(x, [[(w, b, pad)]], 0.01)
         TestGradCheck.sum_sq(out).backward()
 
         xr = Tensor(x_cl.transpose(0, 3, 1, 2).copy(), requires_grad=True)
@@ -218,7 +219,7 @@ class TestConvLeakyChannelsLast:
         b = tensor64(rng, (4,))
 
         def loss(xt, wt, bt):
-            return TestGradCheck.sum_sq(conv_leaky_cl(xt, [(wt, bt, (1, 2))], 0.01))
+            return TestGradCheck.sum_sq(conv_leaky_cl(xt, [[(wt, bt, (1, 2))]], 0.01))
 
         assert grad_check(lambda t: loss(t, w, b), x) < 1e-6
         assert grad_check(lambda t: loss(x, t, b), w) < 1e-6
@@ -227,13 +228,13 @@ class TestConvLeakyChannelsLast:
     def test_width_not_tiled_by_kernel(self):
         with pytest.raises(ShapeMismatch):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 10))),
-                          [(Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
-                          [(Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((1, 3, 1, 2))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
 
     def test_row_width_not_whole_kernel_columns(self):
@@ -241,7 +242,7 @@ class TestConvLeakyChannelsLast:
         # channels, but not whole 4 x 2 kernel columns
         with pytest.raises(ShapeMismatch, match="row width 12"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 12))),
-                          [(Tensor(np.zeros((1, 2, 1, 4))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((1, 2, 1, 4))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
 
     @pytest.mark.parametrize("kh, kw, own, time_pad, out_rows", [
@@ -276,7 +277,7 @@ class TestConvLeakyChannelsLast:
                 np.flatnonzero((got_index >= got_shared).any(axis=0)), out_rows)
             for i in range(n):
                 want = conv_leaky_cl(Tensor(rows[index[i]].reshape(1, t_len, -1)),
-                                     [(Tensor(w), Tensor(b), time_pad)], 0.01).data[0]
+                                     [[(Tensor(w), Tensor(b), time_pad)]], 0.01).data[0]
                 np.testing.assert_array_equal(got[got_index[i]].reshape(want.shape), want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
@@ -308,16 +309,19 @@ def held_arrays(fn):
             stack.extend(cell.cell_contents for cell in obj.__closure__)
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
         elif isinstance(obj, engine._ConvLayer):
             stack.extend(vars(obj).values())
     return found
 
 
 class TestLeadingLayer:
-    """``conv_leaky_cl(x, layers, slope)`` with more than one layer: the
-    leading layers' outputs are made inside the node and never kept. A head
-    runs conv_pv, conv_simplex and conv_time1 in one node, and conv_time2
-    and conv_mix in another."""
+    """``conv_leaky_cl(x, segments, slope)`` with more than one layer: the
+    leading layers' outputs are made inside the node and never kept, but
+    for each segment's last output, which the node keeps in a private
+    buffer. A head is one node of two segments: conv_pv, conv_simplex and
+    conv_time1, whose output the node keeps, then conv_time2 and conv_mix."""
 
     @staticmethod
     def pair_arrays(arity, dtype, main_kernel=None, n=5, t_len=100, card=10, seed=40):
@@ -337,33 +341,39 @@ class TestLeadingLayer:
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
     @staticmethod
-    def chain_arrays(arity, dtype, n=5, t_len=100, card=10, seed=41):
+    def chain_arrays(arity, dtype, n=5, t_len=100, card=10, seed=41, mix=False):
         """x, then the weight and bias of conv_pv, conv_simplex and a padded
         4 x 1 time layer, as a head runs them, and an upstream gradient for
-        the time layer's output."""
+        the time layer's output; with ``mix``, a second 4 x 1 layer and a
+        1 x ``card`` layer follow, and the gradient is for the mix's output."""
         rng = np.random.default_rng(seed)
         width = card * arity * 2
         arrays = [rng.standard_normal((n, t_len, width))]
-        for c, kh, kw in ((1, 1, 2), (32, 1, arity), (32, 4, 1)):
+        kernels = ((1, 1, 2), (32, 1, arity), (32, 4, 1))
+        if mix:
+            kernels += ((32, 4, 1), (32, 1, card))
+        for c, kh, kw in kernels:
             arrays += [rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw),
                        rng.standard_normal(32)]
-        upstream = rng.standard_normal((n * t_len * card * 32, 1))
+        upstream = rng.standard_normal((n * t_len * (1 if mix else card) * 32, 1))
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
     @staticmethod
-    def time_mix_arrays(dtype, n=5, t_len=100, card=10, seed=43):
-        """x, then the weight and bias of a 4 x 1 time layer and of a 1 x
-        ``card`` layer over the whole row, as a head runs conv_time2 and
-        conv_mix, and an upstream gradient for the mix's output."""
+    def time_mix_arrays(dtype, n=5, t_len=100, card=10, seed=43, time_layers=1):
+        """x, then the weight and bias of ``time_layers`` 4 x 1 time layers
+        and of a 1 x ``card`` layer over the whole row, as a head runs
+        conv_time2 (conv_time1 and conv_time2 at 2) and conv_mix, and an
+        upstream gradient for the mix's output."""
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal((n, t_len, card * 32))]
-        for kh, kw in ((4, 1), (1, card)):
+        for kh, kw in ((4, 1),) * time_layers + ((1, card),):
             arrays += [rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
                        rng.standard_normal(32)]
         upstream = rng.standard_normal((n * t_len * 32, 1))
         return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
 
     TIME_MIX_PADS = ((1, 2), (0, 0))
+    HEAD_PADS = ((0, 0), (0, 0), (1, 2), (1, 2), (0, 0))
 
     @staticmethod
     def layers(arrays, pads, x_grad=True):
@@ -375,25 +385,36 @@ class TestLeadingLayer:
         return x, list(zip(params[::2], params[1::2], pads))
 
     @staticmethod
-    def run(arrays, upstream, fused, pads, x_grad=True):
+    def segments(layers, sizes):
+        """``layers`` cut into consecutive segments of ``sizes`` layers."""
+        ends = np.cumsum(sizes).tolist()
+        return [layers[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+    @staticmethod
+    def run(arrays, upstream, pads, nodes, x_grad=True):
         """The output, then the gradients of x and of each layer's weight
         and bias, of ``arrays`` = x, then each layer's weight and bias, each
-        layer padded by its ``pads``: one node, or one node per layer."""
+        layer padded by its ``pads``. ``nodes`` gives each tape node's
+        segments by their layer counts in order: ((3,),) is one node of one
+        segment of three layers, ((1,),) * 3 one node per layer and
+        ((1, 2),) one node of two segments."""
         x, layers = TestLeadingLayer.layers(arrays, pads, x_grad)
-        if fused:
-            out = conv_leaky_cl(x, layers, 0.01)
-        else:
-            out = x
-            for layer in layers:
-                out = conv_leaky_cl(out, [layer], 0.01)
+        segments = iter(TestLeadingLayer.segments(layers, [k for s in nodes for k in s]))
+        out = x
+        for sizes in nodes:
+            out = conv_leaky_cl(out, [next(segments) for _ in sizes], 0.01)
         engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
         return out.data, x.grad, *(p.grad for w, b, _ in layers for p in (w, b))
 
-    def check_equals_chained(self, arrays, upstream, pads, monkeypatch, head_pool):
-        """The fused node's output and gradients equal the chained nodes'
-        bit for bit at 1 to 4 head workers."""
+    def check_equals_chained(self, arrays, upstream, pads, monkeypatch, head_pool,
+                             sizes=None):
+        """One node of segments of ``sizes`` layers (one segment of all
+        layers when None) has the output and gradients of one node per
+        segment (per layer when None), bit for bit at 1 to 4 head workers."""
+        fused = (tuple(sizes or [len(pads)]),)
+        chained = tuple((k,) for k in sizes or [1] * len(pads))
         monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
-        chained = self.run(arrays, upstream, False, pads)
+        want = self.run(arrays, upstream, pads, chained)
         assert head_pool.blocks == 0
         interval = sys.getswitchinterval()
         # switch threads often, so that blocks interleave as much as they can
@@ -401,11 +422,11 @@ class TestLeadingLayer:
         try:
             for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-                got = self.run(arrays, upstream, True, pads)
-                assert len(got) == len(chained) == len(arrays) + 1
-                for g, want in zip(got, chained):
-                    assert g.dtype == want.dtype
-                    assert np.array_equal(g, want)
+                got = self.run(arrays, upstream, pads, fused)
+                assert len(got) == len(want) == len(arrays) + 1
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
         finally:
             sys.setswitchinterval(interval)
         # forward and backward each hand all blocks but the first to the pool
@@ -434,6 +455,21 @@ class TestLeadingLayer:
         self.check_equals_chained(arrays, upstream, self.TIME_MIX_PADS, monkeypatch,
                                   head_pool)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_segments_equal_two_chained_nodes(self, dtype, monkeypatch, head_pool):
+        # a kept padded 4 x 1 layer, then a 4 x 1 and a kh = 1 layer made
+        # again from it: each leading layer's LeakyReLU gradient goes over
+        # its kept row or its scratch output
+        arrays, upstream = self.time_mix_arrays(dtype, time_layers=2)
+        self.check_equals_chained(arrays, upstream, ((1, 2),) + self.TIME_MIX_PADS,
+                                  monkeypatch, head_pool, sizes=[1, 2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_head_segments_equal_two_chained_nodes(self, dtype, monkeypatch, head_pool):
+        arrays, upstream = self.chain_arrays(3, dtype, mix=True)
+        self.check_equals_chained(arrays, upstream, self.HEAD_PADS, monkeypatch,
+                                  head_pool, sizes=[3, 2])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_time_kernel_main_layer(self, workers, monkeypatch, head_pool):
         # a padded 4 x 1 last layer reads the leading layer's output rows
@@ -441,20 +477,22 @@ class TestLeadingLayer:
         monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
         arrays, upstream = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
         pads = [(0, 0), (1, 2)]
-        chained = self.run(arrays, upstream, False, pads)
-        for got, want in zip(self.run(arrays, upstream, True, pads), chained):
+        chained = self.run(arrays, upstream, pads, ((1,),) * 2)
+        for got, want in zip(self.run(arrays, upstream, pads, ((2,),)), chained):
             assert np.array_equal(got, want)
 
     def test_input_without_gradient(self):
-        # training's head inputs are plain arrays: only the four parameters
-        # take gradients, and the leading layer's still come back
+        # training's head inputs are plain arrays: only the parameters take
+        # gradients, and the leading layers' still come back, from one
+        # segment and from two
         arrays, upstream = self.pair_arrays(3, np.float32, n=2, t_len=20)
         pads = [(0, 0)] * 2
-        got = self.run(arrays, upstream, True, pads, x_grad=False)
-        want = self.run(arrays, upstream, False, pads, x_grad=False)
-        assert got[1] is None and want[1] is None
-        for g, w in zip(got[2:], want[2:]):
-            assert np.array_equal(g, w)
+        for nodes in (((2,),), ((1, 1),)):
+            got = self.run(arrays, upstream, pads, nodes, x_grad=False)
+            want = self.run(arrays, upstream, pads, ((1,),) * 2, x_grad=False)
+            assert got[1] is None and want[1] is None
+            for g, w in zip(got[2:], want[2:]):
+                assert np.array_equal(g, w)
 
     def test_gradcheck_with_a_one_channel_leading_layer(self):
         # conv_pv's shape: one input channel, kernel (1, 2). As
@@ -468,7 +506,7 @@ class TestLeadingLayer:
         def loss(i, t):
             xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
             return TestGradCheck.sum_sq(
-                conv_leaky_cl(xt, [(w0, b0, (0, 0)), (w1, b1, (0, 0))], 0.01))
+                conv_leaky_cl(xt, [[(w0, b0, (0, 0)), (w1, b1, (0, 0))]], 0.01))
 
         loss(0, pair[0]).backward()
         largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in pair]
@@ -476,20 +514,23 @@ class TestLeadingLayer:
             assert grad_check(lambda u, i=i: loss(i, u), t, coords=coords) < 1e-6
 
     def test_one_tape_node(self):
-        for arrays, pads in ((self.pair_arrays(2, np.float32, n=1, t_len=4)[0],
-                              [(0, 0)] * 2),
-                             (self.chain_arrays(2, np.float32, n=1, t_len=4)[0],
-                              [(0, 0), (0, 0), (1, 2)])):
+        # the node's output width: 10 columns of 32 channels, or the mix's 32
+        for arrays, pads, sizes, width in (
+                (self.pair_arrays(2, np.float32, n=1, t_len=4)[0], [(0, 0)] * 2, [2], 320),
+                (self.chain_arrays(2, np.float32, n=1, t_len=4)[0],
+                 [(0, 0), (0, 0), (1, 2)], [3], 320),
+                (self.chain_arrays(2, np.float32, n=1, t_len=4, mix=True)[0],
+                 self.HEAD_PADS, [3, 2], 32)):
             x, layers = self.layers(arrays, pads)
-            out = conv_leaky_cl(x, layers, 0.01)
+            out = conv_leaky_cl(x, self.segments(layers, sizes), 0.01)
             assert out._parents == (x, *(p for w, b, _ in layers for p in (w, b)))
-            assert out.shape == (1, 4, 10 * 32)
+            assert out.shape == (1, 4, width)
 
     def test_backward_holds_no_mask_or_leading_output(self):
         arrays, _ = self.pair_arrays(3, np.float32, main_kernel=(4, 1), n=2, t_len=6)
         x, (pv, time) = self.layers(arrays, [(0, 0), (1, 2)])
         lead_size = 2 * 6 * 30 * 32
-        for out in (conv_leaky_cl(x, [pv], 0.01), conv_leaky_cl(x, [pv, time], 0.01)):
+        for out in (conv_leaky_cl(x, [[pv]], 0.01), conv_leaky_cl(x, [[pv, time]], 0.01)):
             held = held_arrays(out._backward)
             assert not [a.shape for a in held if a.dtype == bool]
         # the pair holds its own output, and no other array the size of conv_pv's
@@ -502,29 +543,37 @@ class TestLeadingLayer:
         with pytest.raises(ShapeMismatch, match="layer 0 has 4 outputs, "
                                                 "layer 1 reads 2 channels"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
-                          [(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
-                           (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
+                            (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
 
     def test_leading_row_width_not_whole_kernel_columns(self):
         with pytest.raises(ShapeMismatch, match="row width 12"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 12))),
-                          [(Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2)), (0, 0)),
-                           (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((2, 2, 1, 4))), Tensor(np.zeros(2)), (0, 0)),
+                            (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
 
     def test_leading_output_not_whole_main_kernel_columns(self):
-        # 4 columns of 3 leading outputs are 12, not whole 3 x 3 kernel columns
-        with pytest.raises(ShapeMismatch, match="row width 12"):
-            conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
-                          [(Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3)), (0, 0)),
-                           (Tensor(np.zeros((1, 3, 1, 3))), Tensor(np.zeros(1)), (0, 0))],
-                          0.01)
+        # 4 columns of 3 leading outputs are 12, not whole 3 x 3 kernel
+        # columns; the same across a segment boundary
+        layers = [(Tensor(np.zeros((3, 1, 1, 2))), Tensor(np.zeros(3)), (0, 0)),
+                  (Tensor(np.zeros((1, 3, 1, 3))), Tensor(np.zeros(1)), (0, 0))]
+        for sizes in ([2], [1, 1]):
+            with pytest.raises(ShapeMismatch, match="row width 12"):
+                conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), self.segments(layers, sizes),
+                              0.01)
+
+    def test_no_segment_or_an_empty_one(self):
+        layer = (Tensor(np.zeros((1, 1, 1, 2))), Tensor(np.zeros(1)), (0, 0))
+        for segments in ([], [[]], [[layer], []]):
+            with pytest.raises(ShapeMismatch, match="non-empty segments"):
+                conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), segments, 0.01)
 
     def test_two_leads_hold_neither_leading_output(self):
         arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=6)
         x, layers = self.layers(arrays, [(0, 0), (0, 0), (1, 2)])
-        out = conv_leaky_cl(x, layers, 0.01)
+        out = conv_leaky_cl(x, [layers], 0.01)
         held = held_arrays(out._backward)
         assert not [a.shape for a in held if a.dtype == bool]
         # conv_simplex's output is the size of the node's own; conv_pv's twice that
@@ -537,12 +586,25 @@ class TestLeadingLayer:
         # output, and nothing else of that size
         arrays, _ = self.time_mix_arrays(np.float32, n=2, t_len=20)
         x, layers = self.layers(arrays, self.TIME_MIX_PADS)
-        out = conv_leaky_cl(x, layers, 0.01)
+        out = conv_leaky_cl(x, [layers], 0.01)
         held = held_arrays(out._backward)
         assert not [a.shape for a in held if a.dtype == bool]
         assert not [a.shape for a in held if a.size >= x.data.size
                     and not np.shares_memory(a, x.data)
                     and not np.shares_memory(a, out.data)]
+
+    def test_head_segments_hold_one_checkpoint(self):
+        # of the arrays the size of conv_simplex's output or more, the head
+        # node holds its input and one (N, T, card * 32) buffer, conv_time1's
+        # output; its own output is the mix's, (N, T, 32)
+        arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=20, mix=True)
+        x, layers = self.layers(arrays, self.HEAD_PADS)
+        out = conv_leaky_cl(x, [layers[:3], layers[3:]], 0.01)
+        held = held_arrays(out._backward)
+        assert not [a.shape for a in held if a.dtype == bool]
+        big = [a for a in held if a.size >= 2 * 20 * 10 * 32
+               and not np.shares_memory(a, x.data)]
+        assert [a.shape for a in big] == [(2, 20 * 10, 32)]
 
     def test_lead_outputs_not_next_lead_channels(self):
         # conv_pv's 4 outputs over 4 columns are 16 columns, whole 2 x 4
@@ -551,10 +613,31 @@ class TestLeadingLayer:
         with pytest.raises(ShapeMismatch, match="layer 1 has 3 outputs, "
                                                 "layer 2 reads 2 channels"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
-                          [(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
-                           (Tensor(np.zeros((3, 4, 1, 2))), Tensor(np.zeros(3)), (0, 0)),
-                           (Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(1)), (0, 0))],
+                          [[(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
+                            (Tensor(np.zeros((3, 4, 1, 2))), Tensor(np.zeros(3)), (0, 0))],
+                           [(Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(1)), (0, 0))]],
                           0.01)
+
+    def test_head_backward_allocates_under_one_simplex_array(self, monkeypatch):
+        # the edge head's node at batch 32, as a train step runs it: its
+        # backward allocates partials and per-block scratch, and no
+        # (N, T, card * 32) gradient between conv_time1 and conv_time2
+        monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
+        config = HlobConfig()
+        head = _Head("edge", 2, 54, config, np.random.default_rng(44), np.float32)
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.standard_normal((32, 100, 216), np.float32))
+        layers = [(w, b, pad) for _, (w, b), pad in head.layers()]
+        out = conv_leaky_cl(x, [layers[:3], layers[3:]], config.leaky_slope)
+        g = rng.standard_normal(out.shape, np.float32)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        simplex_array = 32 * 100 * 54 * 32 * 4
+        assert peak < simplex_array, f"{peak / 2**20:.1f} MB"
 
 
 def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
@@ -617,7 +700,7 @@ class TestHeadThreads:
             monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
             x, w, b = (Tensor(a.copy(), requires_grad=True)
                        for a in (x_data, w_data, b_data))
-            out = conv_leaky_cl(x, [(w, b, pad)], 0.01)
+            out = conv_leaky_cl(x, [[(w, b, pad)]], 0.01)
             if upstream is None:
                 rng = np.random.default_rng(31)
                 upstream = Tensor(rng.standard_normal((out.data.size, 1), np.float32))
@@ -650,10 +733,10 @@ class TestHeadThreads:
         monkeypatch.setattr(engine, "HEAD_WORKERS", 4)
         # a 9-row window, as training on short windows runs it
         x, w, b, pad = self.layer_arrays("conv_time1", 32, t_len=9)
-        conv_leaky_cl(Tensor(x), [(Tensor(w), Tensor(b), pad)], 0.01)
+        conv_leaky_cl(Tensor(x), [[(Tensor(w), Tensor(b), pad)]], 0.01)
         assert head_pool.blocks == 0
         x, w, b, pad = self.layer_arrays("conv_time1", 32)
-        conv_leaky_cl(Tensor(x), [(Tensor(w), Tensor(b), pad)], 0.01)
+        conv_leaky_cl(Tensor(x), [[(Tensor(w), Tensor(b), pad)]], 0.01)
         assert head_pool.blocks == 3
 
     def test_a_worker_block_exception_reaches_the_caller(self, monkeypatch, head_pool):
@@ -672,21 +755,25 @@ class TestHeadThreads:
 
 
 class TestSpentOutputGradient:
-    """No node writes over the output gradient it is handed: each allocates
-    its input gradient and leaves the handed one as it was."""
+    """No node writes over the output gradient it is handed or over its own
+    output: each allocates its input gradient and leaves the handed one as
+    it was. A leading layer's LeakyReLU gradient goes over its own spent
+    output, a scratch buffer or the node's kept row."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_time_node_leaves_the_handed_gradient(self, workers, monkeypatch, head_pool):
-        # conv_time2 and conv_mix in one node, against the serial loop run
-        # one layer at a time
+        # conv_time1, kept, then conv_time2 and conv_mix, in one node of two
+        # segments, against the serial loop run one layer at a time
         monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-        x_data, wt_data, bt_data, pad = TestHeadThreads.layer_arrays("conv_time2", 5)
+        x_data, w1_data, b1_data, pad = TestHeadThreads.layer_arrays("conv_time1", 5)
+        _, wt_data, bt_data, _ = TestHeadThreads.layer_arrays("conv_time2", 1, seed=36)
         _, wm_data, bm_data, _ = TestHeadThreads.layer_arrays("conv_mix", 1, seed=35)
-        x, wt, bt, wm, bm = (Tensor(a.copy(), requires_grad=True)
-                             for a in (x_data, wt_data, bt_data, wm_data, bm_data))
-        out = conv_leaky_cl(x, [(wt, bt, pad), (wm, bm, (0, 0))], 0.01)
+        x, w1, b1, wt, bt, wm, bm = (
+            Tensor(a.copy(), requires_grad=True)
+            for a in (x_data, w1_data, b1_data, wt_data, bt_data, wm_data, bm_data))
+        out = conv_leaky_cl(x, [[(w1, b1, pad)], [(wt, bt, pad), (wm, bm, (0, 0))]], 0.01)
         upstream = np.random.default_rng(33).standard_normal(out.shape, np.float32)
-        handed = upstream.copy()
+        handed, out_data = upstream.copy(), out.data.copy()
         interval = sys.getswitchinterval()
         # switch threads often, so that blocks interleave as much as they can
         sys.setswitchinterval(1e-5)
@@ -696,13 +783,20 @@ class TestSpentOutputGradient:
             sys.setswitchinterval(interval)
         assert not np.shares_memory(x.grad, handed)
         assert np.array_equal(handed, upstream)
-        time_out = serial_conv_leaky_cl(x_data, wt_data, bt_data, 0.01, pad,
+        assert np.array_equal(out.data, out_data)
+        time1_out = serial_conv_leaky_cl(x_data, w1_data, b1_data, 0.01, pad,
+                                         np.zeros_like(x_data))[0]
+        time_out = serial_conv_leaky_cl(time1_out, wt_data, bt_data, 0.01, pad,
                                         np.zeros_like(x_data))[0]
         mix_out, g_time, gwm, gbm = serial_conv_leaky_cl(
             time_out, wm_data, bm_data, 0.01, (0, 0), upstream)
-        _, gx, gwt, gbt = serial_conv_leaky_cl(x_data, wt_data, bt_data, 0.01, pad, g_time)
-        for got, expect in zip((out.data, x.grad, wt.grad, bt.grad, wm.grad, bm.grad),
-                               (mix_out, gx, gwt, gbt, gwm, gbm)):
+        _, g_time1, gwt, gbt = serial_conv_leaky_cl(time1_out, wt_data, bt_data, 0.01,
+                                                    pad, g_time)
+        _, gx, gw1, gb1 = serial_conv_leaky_cl(x_data, w1_data, b1_data, 0.01, pad,
+                                               g_time1)
+        for got, expect in zip(
+                (out.data, x.grad, w1.grad, b1.grad, wt.grad, bt.grad, wm.grad, bm.grad),
+                (mix_out, gx, gw1, gb1, gwt, gbt, gwm, gbm)):
             assert np.array_equal(got, expect)
         assert head_pool.blocks == 2 * (workers - 1)
 
@@ -718,13 +812,14 @@ class TestSpentOutputGradient:
             x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays(layer, 2)
             layers = []
         x = Tensor(x_data, requires_grad=True)
-        out = conv_leaky_cl(x, layers + [(Tensor(w_data), Tensor(b_data), pad)], 0.01)
+        out = conv_leaky_cl(x, [layers + [(Tensor(w_data), Tensor(b_data), pad)]], 0.01)
         upstream = np.random.default_rng(34).standard_normal(out.shape, np.float32)
-        handed = upstream.copy()
+        handed, out_data = upstream.copy(), out.data.copy()
         out._backward(handed)
         assert x.grad.shape == x.shape
         assert not np.shares_memory(x.grad, handed)
         assert np.array_equal(handed, upstream)
+        assert np.array_equal(out.data, out_data)
 
 
 class TestLeakyRelu:

@@ -249,13 +249,12 @@ class TestTape:
         assert all(p.grad is not None for p in model.parameters())
 
     def test_train_step_keeps_no_simplex_output(self):
-        # a head is two conv nodes: conv_pv, conv_simplex and conv_time1,
-        # which reads the head input, then conv_time2 and conv_mix, which
-        # reads conv_time1's output. 53 nodes in all (36 parameters, 3
-        # inputs, 3 nodes a head, the LSTM, which reads the heads' outputs,
-        # dense's 3 and the loss). Of the (N, 100, cardinality * 32)
-        # tensors the tape keeps only conv_time1's output, not
-        # conv_simplex's or conv_time2's
+        # a head is one conv node of two segments: conv_pv, conv_simplex and
+        # conv_time1, whose output the node keeps in a private buffer, then
+        # conv_time2 and conv_mix. 50 nodes in all (36 parameters, 3
+        # inputs, 2 nodes a head, the LSTM, which reads the heads' outputs,
+        # dense's 3 and the loss). The tape keeps none of the
+        # (N, 100, cardinality * 32) tensors
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         inputs = [Tensor(x) for x in random_inputs(np.random.default_rng(17), n=4,
@@ -263,16 +262,11 @@ class TestTape:
         logits = model.forward(inputs, train=True, rng=np.random.default_rng(18))
         loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
         nodes = tape_ids(loss).values()
-        assert len(nodes) == 53
+        assert len(nodes) == 50
         for head, x, card in zip(model.heads, inputs, config.cardinalities):
-            time1, = [t for t in nodes if head.conv_time1[0] in t._parents]
-            assert time1._parents == (x, *head.conv_pv, *head.conv_simplex,
-                                      *head.conv_time1)
-            mix, = [t for t in nodes if head.conv_mix[0] in t._parents]
-            assert mix._parents == (time1, *head.conv_time2, *head.conv_mix)
-            simplex_shaped = [t for t in nodes
-                              if t.shape == (4, config.window_len, card * 32)]
-            assert simplex_shaped == [time1]
+            conv, = [t for t in nodes if head.conv_time1[0] in t._parents]
+            assert conv._parents == (x, *head.parameters())
+            assert not [t for t in nodes if t.shape == (4, config.window_len, card * 32)]
 
     def test_parameters_are_the_tapes_own_leaves(self):
         # the tape reads each parameter object itself, and AdamW steps the

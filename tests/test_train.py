@@ -300,13 +300,14 @@ class TestSplitsJoinedOnce:
 class TestTrainStepMemory:
     def test_batch_32_step_peak(self):
         """One default-model batch-32 train step (forward, backward, AdamW)
-        allocates under 119 MB at its peak: about 85 MB at one head worker,
-        90 MB at two and 105 MB at four, as each pool block has its own
+        allocates under 108 MB at its peak: about 70 MB at one head worker,
+        79 MB at two and 95 MB at four, as each pool block has its own
         scratch. With conv_pv's output and the LeakyReLU masks on the tape
         it took about 406 MB; a new input-gradient buffer in each time
         layer and spent nodes held until backward returned took it to about
-        194 MB, conv_simplex's output on the tape to about 177 MB, and
-        conv_time2's to about 129 MB."""
+        194 MB, conv_simplex's output on the tape to about 177 MB,
+        conv_time2's to about 129 MB, and each head in two nodes, with the
+        (N, T, cardinality x 32) gradient between them, to about 105 MB."""
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         optimizer = engine.AdamW(model.parameters())
@@ -322,16 +323,18 @@ class TestTrainStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 119 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak < 108 * 2**20, f"{peak / 2**20:.1f} MB"
 
-    def test_train_feeds_a_batch_32_step_under_160_mb(self):
+    def test_train_feeds_a_batch_32_step_under_122_mb(self):
         """``train`` on 33 float64 windows of the default model (a batch-32
-        step, a batch-1 step and validation) allocates under 134 MB at its
-        peak: about 104 MB at one head worker, 110 MB at two and 124 MB at
+        step, a batch-1 step and validation) allocates under 122 MB at its
+        peak: about 89 MB at one head worker, 98 MB at two and 113 MB at
         four. Gathering the head inputs in float64, a new input-gradient
         buffer in each time layer and spent nodes held until backward
         returned took it to about 213 MB, conv_simplex's output on the tape
-        to about 196 MB, and conv_time2's to about 148 MB."""
+        to about 196 MB, conv_time2's to about 148 MB, and each head in two
+        nodes, with the (N, T, cardinality x 32) gradient between them, to
+        about 124 MB."""
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         w = np.random.default_rng(0).random((20, 20))
@@ -352,7 +355,7 @@ class TestTrainStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 134 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak < 122 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestConfusionAndScores:
