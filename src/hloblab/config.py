@@ -22,7 +22,7 @@ from . import lob
 from .errors import ConfigError
 
 ENV_PREFIX = "HLOBLAB_"
-IN_DAYS = "a nonempty list of days listed in days"
+IN_DAYS = "a nonempty list of distinct days listed in days"
 
 
 class Key(NamedTuple):
@@ -46,7 +46,7 @@ def _within(least, most) -> tuple[str, Callable]:
 def _split(key, *others) -> tuple[str, Callable]:
     """A split's rule: IN_DAYS, under its own error, and disjoint from ``others``."""
     def ok(v, cfg):
-        if not v or not set(v) <= set(cfg["days"]):
+        if not v or len(set(v)) < len(v) or not set(v) <= set(cfg["days"]):
             raise ConfigError(key, f"must be {IN_DAYS}, got {cfg.values[key]!r}")
         return not set(v) & {d for other in others for d in cfg[other]}
     return (f"disjoint from {' and '.join(others)}" if others else IN_DAYS), ok
@@ -60,10 +60,19 @@ SESSION_S = (lob.SESSION_CLOSE_NS - lob.SESSION_OPEN_NS) // 10**9
 MAX_TICK_SIZE = 1e4
 MAX_LOT_SIZE = 10**9
 
+
+def _tick_ok(v, cfg) -> bool:
+    """At most MAX_TICK_SIZE, and a whole number of price units, at least
+    one, up to float rounding: 0.07 is 700.0000000000001 units."""
+    units = lob.price_units(v)
+    return (v <= MAX_TICK_SIZE and units >= 1
+            and math.isclose(v * 10_000, units, rel_tol=1e-9))
+
+
 KEYS = {
     "ticker": Key("SYN", str),
-    "tick_size": Key("0.01", float, f"from one price unit, 0.0001, to {MAX_TICK_SIZE:g}",
-                     lambda v, cfg: v <= MAX_TICK_SIZE and lob.price_units(v) >= 1),
+    "tick_size": Key("0.01", float, "a whole number of price units of 0.0001, from "
+                                    f"0.0001 to {MAX_TICK_SIZE:g}", _tick_ok),
     "lot_size": Key("1", int, *_within(1, MAX_LOT_SIZE)),
     "year": Key("1970", str),
     "data_dir": Key("data", str),

@@ -383,8 +383,8 @@ def run_train(cfg: RunConfig) -> Path:
     cfg["horizon"]
     train_days, val_days = cfg["split.train"], cfg["split.validation"]
     complex_ = load_simplices(cfg)
-    # train samples the training days in name order, each day once
-    train_windows = _split_windows(cfg, "split.train", sorted(set(train_days)))
+    # train samples the training days in name order
+    train_windows = _split_windows(cfg, "split.train", sorted(train_days))
     val_windows = _split_windows(cfg, "split.validation", val_days)
     model = HlobModel(model_config, seed=config.seed)
     _, history = train_mod.train(model, train_windows, val_windows, complex_, config)
@@ -456,20 +456,60 @@ def describe_model(cfg: RunConfig) -> list[tuple[str, int]]:
     return HlobModel(hlob_config(cfg), seed=cfg["seed"]).param_count_table()
 
 
-def gradcheck_suite(seed: int = 0) -> dict[str, float]:
-    """Central finite-difference checks for each op the model runs, plus the full loss.
+# conv_leaky_cl's checks, one node each: (name; the shapes drawn in order,
+# the input then each layer's weight and bias; each segment's time padding,
+# one per layer; how many drawn tensors are checked, from the input on;
+# grad_check's ``top``). Three layers deep, some gradients are below
+# finite-difference resolution, not wrong, so the chain checks its 24 largest.
+_CONV_CHECKS = (
+    # a time kernel (kh > 1) over its (before, after) padding, through its input
+    ("conv_leaky_cl", ((2, 5, 12), (4, 3, 4, 2), (4,)), (((1, 2),),), 1, None),
+    # one leading layer, as conv_pv inside conv_simplex's node
+    ("conv_leaky_cl_pair", ((2, 3, 12), (3, 2, 1, 2), (3,), (4, 3, 1, 3), (4,)),
+     (((0, 0), (0, 0)),), 5, None),
+    # the heads' first three layers: conv_pv and conv_simplex inside the 4x1
+    # time layer's node
+    ("conv_leaky_cl_chain", ((2, 5, 12), (3, 1, 1, 2), (3,), (4, 3, 1, 3), (4,),
+                             (4, 4, 4, 1), (4,)),
+     (((0, 0), (0, 0), (1, 2)),), 7, 24),
+    # the heads' last two layers: the 4x1 time layer inside the node of a
+    # kh = 1 layer over the whole row
+    ("conv_leaky_cl_time_mix", ((2, 5, 12), (3, 3, 4, 1), (3,), (4, 3, 1, 4), (4,)),
+     (((1, 2), (0, 0)),), 5, None),
+    # two segments, as a head runs them: a 4x1 layer whose output the node
+    # keeps, then a 4x1 layer and the mix made again from it
+    ("conv_leaky_cl_segments", ((2, 5, 12), (3, 3, 4, 1), (3,), (3, 3, 4, 1), (3,),
+                                (4, 3, 1, 4), (4,)),
+     (((1, 2),), ((1, 2), (0, 0))), 7, None),
+)
 
-    Runs in float64; returns max relative error per check.
+
+def _conv_check(rng: np.random.Generator, shapes, pads, checked: int, top) -> float:
+    """Max relative error of a :data:`_CONV_CHECKS` row's node, each of its
+    first ``checked`` tensors swapped in for itself in turn."""
+    tensors = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in shapes]
+
+    def loss(i, t):
+        xt, *params = tensors[:i] + [t] + tensors[i + 1:]
+        layers = zip(params[::2], params[1::2])
+        segments = [[(w, b, pad) for pad, (w, b) in zip(seg, layers)] for seg in pads]
+        return _sum_sq(engine.conv_leaky_cl(xt, segments, 0.01))
+
+    return max(engine.grad_check(lambda t, i=i: loss(i, t), tensors[i], top=top)
+               for i in range(checked))
+
+
+def gradcheck_suite(seed: int = 0) -> dict[str, float]:
+    """Central finite-difference checks, in float64, of the heads' op over
+    each :data:`_CONV_CHECKS` layer chain, of the LSTM, dense and the loss,
+    and of the whole model's loss; returns each check's max relative error.
     """
     rng = np.random.default_rng(seed)
-    results: dict[str, float] = {}
-
-    # the heads' op, with a time kernel (kh > 1) over its (before, after) padding
-    xc = engine.Tensor(rng.normal(size=(2, 5, 4, 3)).reshape(2, 5, 12))
-    wc = engine.Tensor(rng.normal(size=(4, 3, 4, 2)), requires_grad=True)
-    bc = engine.Tensor(rng.normal(size=4), requires_grad=True)
-    results["conv_leaky_cl"] = engine.grad_check(
-        lambda t: _sum_sq(engine.conv_leaky_cl(t, [[(wc, bc, (1, 2))]], 0.01)), xc)
+    # the draws run in this order: the first conv check, the other ops, then
+    # the other conv checks
+    first, *others = _CONV_CHECKS
+    results = {first[0]: _conv_check(rng, *first[1:])}
 
     lstm_params = engine.LstmParams("gc", 2, 2, rng, dtype=np.float64)
     seq = engine.Tensor(rng.normal(size=(1, 3, 2)))
@@ -487,69 +527,8 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["softmax_cross_entropy"] = engine.grad_check(
         lambda t: engine.softmax_cross_entropy(t, labels), logits)
 
-    # one leading layer, conv_pv inside conv_simplex's node, checked through
-    # its input and all four parameters
-    pair = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((2, 3, 12), (3, 2, 1, 2), (3,), (4, 3, 1, 3), (4,))]
-
-    def pair_loss(i, t):
-        xt, w0, b0, w1, b1 = pair[:i] + [t] + pair[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, [[(w0, b0, (0, 0)), (w1, b1, (0, 0))]], 0.01))
-
-    results["conv_leaky_cl_pair"] = max(
-        engine.grad_check(lambda t, i=i: pair_loss(i, t), pair[i]) for i in range(len(pair)))
-
-    # the heads' first three layers as they run them, conv_pv and
-    # conv_simplex inside the 4x1 time layer's node over its (1, 2) padding,
-    # checked through its input and all six parameters at the 24
-    # largest-gradient coordinates of each: three layers deep, some
-    # gradients are below finite-difference resolution, not wrong
-    chain = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
-             for shape in ((2, 5, 12), (3, 1, 1, 2), (3,), (4, 3, 1, 3), (4,),
-                           (4, 4, 4, 1), (4,))]
-
-    def chain_loss(i, t):
-        xt, w0, b0, w1, b1, w2, b2 = chain[:i] + [t] + chain[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(
-            xt, [[(w0, b0, (0, 0)), (w1, b1, (0, 0)), (w2, b2, (1, 2))]], 0.01))
-
-    chain_loss(0, chain[0]).backward()
-    largest = [np.argsort(np.abs(t.grad).reshape(-1))[-24:] for t in chain]
-    results["conv_leaky_cl_chain"] = max(
-        engine.grad_check(lambda t, i=i: chain_loss(i, t), chain[i], coords=coords)
-        for i, coords in enumerate(largest))
-
-    # the heads' last two layers as they run them: the 4x1 time layer over
-    # its (1, 2) padding inside the node of a kh = 1 layer over the whole
-    # row, checked through its input and all four parameters
-    time_mix = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in ((2, 5, 12), (3, 3, 4, 1), (3,), (4, 3, 1, 4), (4,))]
-
-    def time_mix_loss(i, t):
-        xt, w0, b0, w1, b1 = time_mix[:i] + [t] + time_mix[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(xt, [[(w0, b0, (1, 2)), (w1, b1, (0, 0))]], 0.01))
-
-    results["conv_leaky_cl_time_mix"] = max(
-        engine.grad_check(lambda t, i=i: time_mix_loss(i, t), time_mix[i])
-        for i in range(len(time_mix)))
-
-    # two segments in one node, as a head runs them: a 4x1 layer over its
-    # (1, 2) padding, whose output the node keeps, then a 4x1 layer and a
-    # kh = 1 layer over the whole row, made again from the kept output,
-    # checked through its input and all six parameters
-    segments = [engine.Tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in ((2, 5, 12), (3, 3, 4, 1), (3,), (3, 3, 4, 1), (3,),
-                              (4, 3, 1, 4), (4,))]
-
-    def segments_loss(i, t):
-        xt, w0, b0, w1, b1, w2, b2 = segments[:i] + [t] + segments[i + 1:]
-        return _sum_sq(engine.conv_leaky_cl(
-            xt, [[(w0, b0, (1, 2))], [(w1, b1, (1, 2)), (w2, b2, (0, 0))]], 0.01))
-
-    results["conv_leaky_cl_segments"] = max(
-        engine.grad_check(lambda t, i=i: segments_loss(i, t), segments[i])
-        for i in range(len(segments)))
-
+    for name, *row in others:
+        results[name] = _conv_check(rng, *row)
     results["hlob_loss"] = hlob_loss_grad_check(seed=seed)
     return results
 
@@ -564,22 +543,17 @@ def _sum_sq(t: engine.Tensor) -> engine.Tensor:
     return out
 
 
-def hlob_loss_grad_check(seed: int = 0, n_coords: int = 24) -> float:
-    """FD-check the full composed loss through a float64 model input."""
+def hlob_loss_grad_check(seed: int = 0) -> float:
+    """FD-check the full composed loss through a float64 model input, at its
+    24 largest-gradient coordinates: elsewhere the gradient is below
+    finite-difference resolution, not wrong."""
     rng = np.random.default_rng(seed)
     config = HlobConfig()
     model = HlobModel(config, seed=seed, dtype=np.float64)
-    inputs = [rng.normal(size=(2, config.window_len, w_)).astype(np.float64)
-              for w_ in config.head_widths]
+    inputs = [rng.normal(size=(2, config.window_len, w_)) for w_ in config.head_widths]
     labels = np.array([0, 2])
-    x = engine.Tensor(inputs[0])
 
     def loss_fn(t):
         return engine.softmax_cross_entropy(model.forward([t] + inputs[1:]), labels)
 
-    # probe the most sensitive input coordinates: elsewhere the gradient is
-    # below finite-difference resolution, not wrong
-    x.requires_grad = True
-    loss_fn(x).backward()
-    coords = np.argsort(np.abs(x.grad).reshape(-1))[-n_coords:]
-    return engine.grad_check(loss_fn, x, h=1e-3, coords=coords)
+    return engine.grad_check(loss_fn, engine.Tensor(inputs[0]), h=1e-3, top=24)

@@ -1251,6 +1251,32 @@ class TestGradcheckSuite:
         for name, err in results.items():
             assert err < 1e-6, f"{name}: {err}"
 
+    def test_what_each_check_checks(self, monkeypatch):
+        # per key, in key order: how many tensors it checks, its top and its
+        # step; top None checks every coordinate
+        calls = []
+        grad_check = engine.grad_check
+
+        def spy(f, x, h=1e-4, top=None):
+            calls.append((x.data.size, top, h))
+            return grad_check(f, x, h=h, top=top)
+
+        monkeypatch.setattr(engine, "grad_check", spy)
+        checked = {"conv_leaky_cl": (1, None, 1e-4), "lstm": (1, None, 1e-4),
+                   "dense": (1, None, 1e-4), "softmax_cross_entropy": (1, None, 1e-4),
+                   "conv_leaky_cl_pair": (5, None, 1e-4),
+                   "conv_leaky_cl_chain": (7, 24, 1e-4),
+                   "conv_leaky_cl_time_mix": (5, None, 1e-4),
+                   "conv_leaky_cl_segments": (7, None, 1e-4),
+                   "hlob_loss": (1, 24, 1e-3)}
+        assert list(pipeline.gradcheck_suite(seed=0)) == list(checked)
+        # conv_leaky_cl checks its (2, 5, 12) input at all 120 coordinates
+        assert calls[0] == (120, None, 1e-4)
+        for key, (n, top, h) in checked.items():
+            mine, calls = calls[:n], calls[n:]
+            assert [call[1:] for call in mine] == [(top, h)] * n, key
+        assert not calls
+
     def test_cli_verb(self, capsys):
         assert cli.dispatch(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -1291,6 +1317,10 @@ BAD_VALUES = [
     ("split.test", DAYS[6], "eval"), ("split.test", f"{DAYS[7]},{DAYS[5]}", "eval"),
     ("split.validation", DAYS[6], "train"), ("split.validation", f"{DAYS[7]},{DAYS[5]}", "train"),
     ("split.train", f"{DAYS[5]},2024-01-06", "mi"), ("days", "", "ingest"),
+    ("split.train", f"{DAYS[5]},{DAYS[5]}", "mi"),
+    ("split.validation", f"{DAYS[7]},{DAYS[7]}", "train"),
+    ("split.test", f"{DAYS[8]},{DAYS[8]}", "eval"),
+    ("tick_size", "0.00015", "synth"), ("tick_size", "0.01005", "synth"),
 ]
 
 
