@@ -20,9 +20,11 @@ from typing import Callable, NamedTuple
 
 from . import lob
 from .errors import ConfigError
+from .preprocess import HISTORY_DAYS
 
 ENV_PREFIX = "HLOBLAB_"
-IN_DAYS = "a nonempty list of distinct days listed in days"
+# a split day is normalized by the HISTORY_DAYS days listed before it
+IN_DAYS = f"a nonempty list of distinct days listed in days after its first {HISTORY_DAYS}"
 
 
 class Key(NamedTuple):
@@ -46,7 +48,7 @@ def _within(least, most) -> tuple[str, Callable]:
 def _split(key, *others) -> tuple[str, Callable]:
     """A split's rule: IN_DAYS, under its own error, and disjoint from ``others``."""
     def ok(v, cfg):
-        if not v or len(set(v)) < len(v) or not set(v) <= set(cfg["days"]):
+        if not v or len(set(v)) < len(v) or not set(v) <= set(cfg["days"][HISTORY_DAYS:]):
             raise ConfigError(key, f"must be {IN_DAYS}, got {cfg.values[key]!r}")
         return not set(v) & {d for other in others for d in cfg[other]}
     return (f"disjoint from {' and '.join(others)}" if others else IN_DAYS), ok

@@ -6,12 +6,12 @@ rows as one tape node (plus a tape-free form of one layer over a table of
 distinct rows and an index map of each window's rows into it, which runs
 every head layer in eval), a single-layer LSTM's final hidden
 state as one fused op with hand-written backpropagation through time, which
-takes the heads' outputs as they are and writes them side by side into the
-time-major layout its steps read (plus a tape-free forward for eval), dense
-(add, matmul and transpose), inverted dropout of the heads' output as one
-tape node, stabilized softmax cross-entropy, an AdamW step with decoupled
-weight decay, and a central finite-difference gradient checker. Convolution
-weights are (O, C, kh, kw).
+takes the heads' outputs as they are and writes them side by side, each
+times its inverted-dropout mask in training, into the time-major layout its
+steps read (plus a tape-free forward for eval, which reads time-major input
+in place), dense (add, matmul and transpose), stabilized softmax
+cross-entropy, an AdamW step with decoupled weight decay, and a central
+finite-difference gradient checker. Convolution weights are (O, C, kh, kw).
 
 ``conv_leaky_cl`` keeps for backward its input, its output, which gives the
 last LeakyReLU's sign, and the last output of each chain (segment) but the
@@ -466,30 +466,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, train: bool,
-            rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout of the heads' (N, T, C) output: identity in eval mode,
-    a rescaled mask drawn from ``rng`` over (N, C, T) in train mode. That
-    order keeps the random stream trained checkpoints were drawn under, and
-    the tests' NCHW reference head draws the same way.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
-        return x
-    n, t_len, c = x.data.shape
-    keep = rng.random((n, c, t_len)) >= rate
-    mask = keep.transpose(0, 2, 1).astype(x.data.dtype) / (1.0 - rate)
-    out = Tensor(x.data * mask, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * mask, owned=True)
-
-    out._backward = backward
-    return out
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -586,24 +562,36 @@ class LstmParams:
         return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
 
-def lstm(parts, params: LstmParams) -> Tensor:
+def lstm(parts, params: LstmParams, masks=None) -> Tensor:
     """The final hidden state h_T (N, H) of a single-layer LSTM over the
     (N, T, I_k) tensors ``parts`` side by side, as one tape node; the model
     passes its heads' outputs and reads no other step's output.
 
     The parts are written once into the time-major (T, N, I) array the steps
     read, and backward hands each part its columns of the input gradient.
+    ``masks``, one array of its part's shape per part, multiplies each part
+    as it is written and each part's gradient columns (the model's inverted
+    dropout), so a masked part costs no copy of its own.
     The forward keeps the gate activations (T, N, 4H), the cell states and
     tanh(c); backward is hand-written backpropagation through time over them
     (Greff et al., arXiv:1503.04069), starting from h_T's gradient.
     """
-    x_steps = _time_major([p.data for p in parts])
-    t_len, n, i_size = x_steps.shape
+    lead = parts[0].data.shape[:2]
+    if any(p.data.ndim != 3 or p.data.shape[:2] != lead for p in parts):
+        raise ShapeMismatch(f"lstm input parts {[p.shape for p in parts]} differ in (N, T)")
+    n, t_len = lead
+    bounds = np.cumsum([0] + [p.data.shape[2] for p in parts]).tolist()
+    i_size = bounds[-1]
     if i_size != params.input_size:
         raise ShapeMismatch(f"lstm input size {i_size}, expected {params.input_size}")
+    # times 1, an unmasked part and its gradient are copied exactly
+    masks = [1] * len(parts) if masks is None else masks
+    dtype = np.result_type(*(p.data for p in parts))
+    x_steps = np.empty((t_len, n, i_size), dtype)
+    for p, mask, lo, hi in zip(parts, masks, bounds[:-1], bounds[1:], strict=True):
+        np.multiply(p.data, mask, out=x_steps[:, :, lo:hi].transpose(1, 0, 2))
     hs = params.hidden_size
     w_ih, w_hh = params.w_ih.data, params.w_hh.data
-    dtype = x_steps.dtype
     act = np.empty((t_len, n, 4 * hs), dtype)
     # c[t + 1] and h[t + 1] are the states after step t; row 0 is the zero start
     c = np.zeros((t_len + 1, n, hs), dtype)
@@ -613,7 +601,6 @@ def lstm(parts, params: LstmParams) -> Tensor:
         _lstm_step(x_steps[t], h[t], c[t], params, act[t], c[t + 1], tanh_c[t],
                    h[t + 1])
     out = Tensor(h[t_len], parents=(*parts, *params.parameters()))
-    bounds = np.cumsum([0] + [p.data.shape[2] for p in parts]).tolist()
 
     def backward(dh):
         dgates = np.empty_like(act)
@@ -648,9 +635,9 @@ def lstm(parts, params: LstmParams) -> Tensor:
             gb_ih += dgates[t].sum(axis=0)
         if any(p.requires_grad for p in parts):
             gx = (dgates.reshape(t_len * n, 4 * hs) @ w_ih).reshape(t_len, n, i_size)
-            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            for p, mask, lo, hi in zip(parts, masks, bounds[:-1], bounds[1:]):
                 if p.requires_grad:
-                    p._accumulate(gx[:, :, lo:hi].transpose(1, 0, 2))
+                    p._accumulate(gx[:, :, lo:hi].transpose(1, 0, 2) * mask, owned=True)
         for p, g in ((params.w_ih, gw_ih.T), (params.w_hh, gw_hh.T),
                      (params.b_ih, gb_ih), (params.b_hh, gb_hh)):
             if p.requires_grad:
@@ -661,12 +648,13 @@ def lstm(parts, params: LstmParams) -> Tensor:
 
 
 def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:
-    """The final hidden state (N, H) of :func:`lstm` over (N, T, I), with no tape.
+    """The final hidden state (N, H) of :func:`lstm` over the time-major
+    (T, N, I) array ``x``, read in place, with no tape.
 
     Only the current step's state is kept, so a batch of any size costs
-    (N, 4H) of scratch beside the (T, N, I) time-major copy of ``x``.
+    (N, 4H) of scratch.
     """
-    n, t_len, i_size = x.shape
+    t_len, n, i_size = x.shape
     if i_size != params.input_size:
         raise ShapeMismatch(f"lstm input size {i_size}, expected {params.input_size}")
     hs = params.hidden_size
@@ -674,17 +662,9 @@ def lstm_last(x: np.ndarray, params: LstmParams) -> np.ndarray:
     tanh_c = np.empty((n, hs), x.dtype)
     h = np.zeros((n, hs), x.dtype)
     c = np.zeros((n, hs), x.dtype)
-    for x_t in _time_major([x]):
+    for x_t in x:
         _lstm_step(x_t, h, c, params, act, c, tanh_c, h)
     return h
-
-
-def _time_major(parts) -> np.ndarray:
-    """The (N, T, I_k) arrays ``parts`` side by side as one contiguous
-    (T, N, I) array, so each step's rows are adjacent."""
-    if any(p.ndim != 3 or p.shape[:2] != parts[0].shape[:2] for p in parts):
-        raise ShapeMismatch(f"lstm input parts {[p.shape for p in parts]} differ in (N, T)")
-    return np.concatenate([p.transpose(1, 0, 2) for p in parts], axis=2)
 
 
 def _lstm_step(x_t, h, c, params: LstmParams, act, c_out, tanh_c, h_out) -> None:

@@ -4,8 +4,8 @@ Each head consumes one flattened simplicial tensor (tetrahedra, triangles,
 edges). A (1x2)/stride-(1x2) convolution first merges each (price, volume)
 pair, a stride-arity convolution merges each simplex, two time-axis (4x1)
 convolutions (zero-padded to preserve the 100-step extent) model short-range
-temporal structure, and a (1 x head-cardinality) convolution with dropout
-mixes across simplices. Every convolution is followed by a LeakyReLU; the
+temporal structure, and a (1 x head-cardinality) convolution mixes across
+simplices. Every convolution is followed by a LeakyReLU; the
 heads run channels-last on (N, T, width*C) rows, the layout one fused
 ``engine.conv_leaky_cl`` tape node takes and returns, so the (N, T, width)
 input and the last layer's (N, T, C) output need no reshape. A head is one
@@ -21,7 +21,9 @@ layout.
 the eval pass.
 The three (100 x 32) head outputs go as they are to a 32-unit LSTM
 (``engine.lstm``), which reads them side by side as one (100 x 96) sequence
-and whose final state a linear layer maps to the three class logits.
+and whose final state a linear layer maps to the three class logits. In
+training the LSTM multiplies each head's output by the dropout mask the
+model drew for it as it writes its input, so dropout adds no tape node.
 
 Overlapping windows share rows, and in eval mode only the rows next to a
 window's ends see its zero padding, so :meth:`HlobModel.head_sequences`
@@ -33,7 +35,7 @@ from the same per-tap products and leave out the taps on padding.
 Eval windows go through the heads in blocks of at most ``EVAL_BLOCK``
 windows, one table per block, and the blocks run on the head pool.
 :meth:`HlobModel.classify` then runs the LSTM and the output layer on those
-sequences without a tape.
+sequences, which come out time-major (T, N, 96), with no tape.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ class HlobConfig:
             if width != card * arity * 2:
                 raise ConfigInconsistent(
                     f"head width {width} != {card} * {arity} * 2")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigInconsistent(f"dropout rate {self.dropout_rate} outside [0, 1)")
 
     @property
     def lstm_input(self) -> int:
@@ -137,8 +141,7 @@ class _Head:
     def parameters(self) -> list[Parameter]:
         return [p for _, (w, b), _ in self.layers() for p in (w, b)]
 
-    def forward(self, x: Tensor, config: HlobConfig, train: bool,
-                rng: np.random.Generator | None) -> Tensor:
+    def forward(self, x: Tensor, slope: float) -> Tensor:
         """Outputs (N, T, C) of (N, T, width) inputs, in one tape node of
         two segments: conv_pv, conv_simplex and conv_time1, then conv_time2
         and conv_mix. The node keeps conv_time1's output as its checkpoint
@@ -146,12 +149,11 @@ class _Head:
         in backward, from the head input or from conv_time1's output, so
         backward makes no layer's output twice."""
         layers = [(weight, bias, time_pad) for _, (weight, bias), time_pad in self.layers()]
-        x = engine.conv_leaky_cl(x, (layers[:3], layers[3:]), config.leaky_slope)
-        return engine.dropout(x, config.dropout_rate, train, rng)
+        return engine.conv_leaky_cl(x, (layers[:3], layers[3:]), slope)
 
     def forward_rows(self, rows: np.ndarray, origins: np.ndarray, t_len: int,
                      slope: float) -> np.ndarray:
-        """Eval-mode outputs (N, T, C) of the windows ``rows[o:o + t_len]``.
+        """Eval-mode outputs (T, N, C) of the windows ``rows[o:o + t_len]``.
 
         ``rows`` is (R, width) and ``origins`` the N window starts. Each
         layer runs with no tape over one table of distinct rows and an
@@ -167,7 +169,7 @@ class _Head:
         for _, (weight, bias), time_pad in self.layers():
             rows, shared, index = engine.conv_leaky_windows(
                 rows, shared, index, weight.data, bias.data, slope, time_pad)
-        return rows[index, 0]
+        return rows[index.T, 0]
 
 
 class HlobModel:
@@ -203,16 +205,27 @@ class HlobModel:
 
     def forward(self, inputs, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """(N, 3) logits of the three (N, 100, width) head inputs, arrays or Tensors."""
+        """(N, 3) logits of the three (N, 100, width) head inputs, arrays or Tensors.
+
+        Train mode at a nonzero ``dropout_rate`` draws each head's
+        inverted-dropout mask from ``rng``, head by head over (N, C, T), the
+        order trained checkpoints were drawn in; ``engine.lstm`` applies them.
+        """
+        slope, rate = self.config.leaky_slope, self.config.dropout_rate
         head_outputs = [head.forward(x if isinstance(x, Tensor)
-                                     else Tensor(np.asarray(x, self.dtype)),
-                                     self.config, train, rng)
+                                     else Tensor(np.asarray(x, self.dtype)), slope)
                         for head, x in zip(self.heads, inputs)]
-        h_final = engine.lstm(head_outputs, self.lstm)
+        masks = None
+        if train and rate > 0.0:
+            masks = [(rng.random(out.data.transpose(0, 2, 1).shape) >= rate)
+                     .transpose(0, 2, 1).astype(out.data.dtype) / (1.0 - rate)
+                     for out in head_outputs]
+        h_final = engine.lstm(head_outputs, self.lstm, masks)
         return engine.dense(h_final, self.out_w, self.out_b)
 
     def classify(self, seq: np.ndarray) -> np.ndarray:
-        """Eval-mode (N, 3) logits of (N, T, 96) head sequences, with no tape.
+        """Eval-mode (N, 3) logits of time-major (T, N, 96) head sequences,
+        with no tape.
 
         The LSTM (``engine.lstm_last``) and the output layer run over all N
         rows at once. Rows do not mix, so this equals running the rows batch
@@ -222,7 +235,8 @@ class HlobModel:
         return h_final @ self.out_w.data.T + self.out_b.data
 
     def head_sequences(self, row_inputs, origins, window_len: int) -> np.ndarray:
-        """Eval-mode (N, T, 96) head sequences of windows given as rows.
+        """Eval-mode head sequences, time-major (T, N, 96), of windows given
+        as rows.
 
         ``row_inputs`` are the three heads' (R, width) inputs, one row per
         book row, and window i is rows ``origins[i]`` to
@@ -232,14 +246,14 @@ class HlobModel:
         windows read, so a row shared within a block is convolved once, and
         one shared by two blocks once in each. The blocks run on the head
         pool (``engine._sample_blocks``) and write their disjoint slices of
-        the output. Every window's sequence is bit-identical whatever the
-        blocks and the pool size, and equals the head outputs of
-        :meth:`forward` in eval mode, side by side.
+        the output. Every window's sequence, ``out[:, i]``, is
+        bit-identical whatever the blocks and the pool size, and equals the
+        head outputs of :meth:`forward` in eval mode, side by side.
         """
         origins = np.asarray(origins, np.int64)
         row_inputs = [np.asarray(rows, self.dtype) for rows in row_inputs]
         n, c = len(origins), self.config.channels
-        out = np.empty((n, window_len, c * len(self.heads)), self.dtype)
+        out = np.empty((window_len, n, c * len(self.heads)), self.dtype)
         slope = self.config.leaky_slope
 
         # the fewest blocks of at most EVAL_BLOCK windows, and when there
@@ -255,7 +269,7 @@ class HlobModel:
                 at = origins[lo:hi]
                 start, stop = at.min(), at.max() + window_len
                 for k, (head, rows) in enumerate(zip(self.heads, row_inputs)):
-                    out[lo:hi, :, k * c:(k + 1) * c] = head.forward_rows(
+                    out[:, lo:hi, k * c:(k + 1) * c] = head.forward_rows(
                         rows[start:stop], at - start, window_len, slope)
 
         block_elements = (sum(rows.size for rows in row_inputs) + out.size) // blocks

@@ -99,8 +99,8 @@ def _eval_batches(model: HlobModel, windows: DayWindows,
         seq = model.head_sequences(infonet.assemble_head_inputs(rows, complex_),
                                    at - at[0], t_len)
         whole = len(at) - len(at) % batch_size
-        logits = np.concatenate([model.classify(part)
-                                 for part in (seq[:whole], seq[whole:]) if len(part)])
+        logits = np.concatenate([model.classify(part) for part in
+                                 (seq[:, :whole], seq[:, whole:]) if part.shape[1]])
         for b in range(0, len(at), batch_size):
             yield labels[b:b + batch_size], logits[b:b + batch_size]
         lo = hi

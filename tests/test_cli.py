@@ -1320,6 +1320,11 @@ BAD_VALUES = [
     ("split.train", f"{DAYS[5]},{DAYS[5]}", "mi"),
     ("split.validation", f"{DAYS[7]},{DAYS[7]}", "train"),
     ("split.test", f"{DAYS[8]},{DAYS[8]}", "eval"),
+    # a split day needs the five days listed before it, for its
+    # normalization: mi must not average a day that cannot be trained on
+    ("split.train", f"{DAYS[2]},{DAYS[6]}", "mi"),
+    ("split.validation", DAYS[4], "train"),
+    ("split.test", DAYS[0], "eval"),
     ("tick_size", "0.00015", "synth"), ("tick_size", "0.01005", "synth"),
 ]
 
@@ -1369,8 +1374,9 @@ class TestKeyRules:
     def test_split_overlaps(self):
         # the three splits are disjoint: a validation day may not be a
         # training day, and a test day may be neither
-        cfg = RunConfig({"days": "a,b,c,d", "split.train": "a,b", "split.validation": "c",
-                         "split.test": "d"})
+        # five history days first: a split day must be listed after them
+        cfg = RunConfig({"days": "p,q,r,s,t,a,b,c,d", "split.train": "a,b",
+                         "split.validation": "c", "split.test": "d"})
         assert cfg["split.validation"] == ["c"]
         assert cfg["split.test"] == ["d"]
         for key, value in [("split.test", "a"), ("split.test", "d,c"),

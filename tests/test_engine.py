@@ -15,15 +15,14 @@ from hloblab.engine import (
     Tensor,
     conv_leaky_cl,
     dense,
-    dropout,
     grad_check,
     lstm,
     lstm_last,
     softmax,
     softmax_cross_entropy,
 )
-from hloblab.errors import BadLabel, ShapeMismatch
-from hloblab.model import HlobConfig, _Head
+from hloblab.errors import BadLabel, ConfigInconsistent, ShapeMismatch
+from hloblab.model import HlobConfig, HlobModel, _Head
 from reference_ops import conv2d, leaky_relu, mul, reshape
 
 
@@ -316,17 +315,25 @@ class TestConvLeakyChannelsLast:
                 np.testing.assert_array_equal(got[got_index[i]].reshape(want.shape), want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
+        # a train-mode forward drops out each head's output with the draw of
+        # the NCHW heads: one uniform per (N, C, T, 1) unit, head by head
         cfg = HlobConfig()
-        head = _Head("tri", 3, 52, cfg, np.random.default_rng(0), np.float64)
-        x = Tensor(np.random.default_rng(1).standard_normal((2, 100, 312)))
-        kept = head.forward(x, cfg, train=True, rng=np.random.default_rng(2))
-        full = head.forward(x, cfg, train=False, rng=None)
-        # the draw of the NCHW head: one uniform per (N, C, T, 1) unit
-        keep = np.random.default_rng(2).random((2, 32, 100, 1)) >= cfg.dropout_rate
-        mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-        expect = full.data * mask[..., 0].transpose(0, 2, 1)
-        assert kept.shape == (2, 100, 32)
-        np.testing.assert_array_equal(kept.data, expect)
+        model = HlobModel(cfg, seed=0, dtype=np.float64)
+        data = np.random.default_rng(1)
+        inputs = [data.standard_normal((2, 100, w)) for w in cfg.head_widths]
+        rng = np.random.default_rng(2)
+        got = model.forward(inputs, train=True, rng=rng)
+        nchw = np.random.default_rng(2)
+        dropped = []
+        for head, x in zip(model.heads, inputs):
+            keep = nchw.random((2, 32, 100, 1)) >= cfg.dropout_rate
+            mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+            full = head.forward(Tensor(x), cfg.leaky_slope).data
+            dropped.append(Tensor(full * mask[..., 0].transpose(0, 2, 1)))
+        want = dense(lstm(dropped, model.lstm), model.out_w, model.out_b)
+        np.testing.assert_array_equal(got.data, want.data)
+        # and nothing else is drawn
+        assert rng.bit_generator.state == nchw.bit_generator.state
 
 
 def held_arrays(fn):
@@ -930,7 +937,7 @@ class TestLstm:
         with pytest.raises(ShapeMismatch):
             lstm([Tensor(np.zeros((1, 4, 5)))], p)
         with pytest.raises(ShapeMismatch):
-            lstm_last(np.zeros((1, 4, 5)), p)
+            lstm_last(np.zeros((4, 1, 5)), p)
 
 
 def _sigmoid(x):
@@ -1087,6 +1094,33 @@ class TestFusedLstm:
         for g, ref in zip(param_grads, ref_param_grads):
             np.testing.assert_array_equal(g, ref)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masks_match_masked_parts_bit_for_bit(self, dtype):
+        # masks multiply the parts as they are written and their gradient
+        # columns after, as multiplying the parts beforehand does
+        p = self.params(dtype, i_size=96, hs=32)
+        rng = np.random.default_rng(36)
+        arrays = [rng.standard_normal((6, 20, 32)).astype(dtype) for _ in range(3)]
+        masks = [((rng.random((6, 32, 20)) >= 0.35).transpose(0, 2, 1).astype(dtype)
+                  / (1.0 - 0.35)) for _ in range(3)]
+        weights = rng.standard_normal((6, 32)).astype(dtype)
+
+        def run(masked):
+            parts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            for q in p.parameters():
+                q.grad = None
+            if masked:
+                out = lstm(parts, p, masks)
+            else:
+                out = lstm([mul(t, Tensor(m)) for t, m in zip(parts, masks)], p)
+            flat = reshape(mul(out, Tensor(weights)), (1, -1))
+            engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), dtype))).backward()
+            return [out.data] + [t.grad for t in parts] + [q.grad for q in p.parameters()]
+
+        for got, want in zip(run(True), run(False), strict=True):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_parts_differing_in_n_or_t_raise(self):
         p = self.params(np.float64)
         a = Tensor(np.zeros((2, 5, 3)))
@@ -1102,13 +1136,15 @@ class TestFusedLstm:
             {id(x)} | {id(q) for q in p.parameters()}
 
     def test_last_state_without_tape(self):
+        # lstm_last reads time-major (T, N, I) input, slices of it included
         p = self.params(np.float64)
         x = np.random.default_rng(34).standard_normal((12, 7, 6))
         h_last = lstm([Tensor(x)], p)
-        np.testing.assert_array_equal(lstm_last(x, p), h_last.data)
+        steps = np.ascontiguousarray(x.transpose(1, 0, 2))
+        np.testing.assert_array_equal(lstm_last(steps, p), h_last.data)
         # rows are independent: a stack of batches gives each batch's rows
-        split = np.concatenate([lstm_last(x[:4], p), lstm_last(x[4:], p)])
-        assert max_rel(lstm_last(x, p), split) < 1e-12
+        split = np.concatenate([lstm_last(steps[:, :4], p), lstm_last(steps[:, 4:], p)])
+        assert max_rel(lstm_last(steps, p), split) < 1e-12
 
 
     def test_saturated_gates_raise_no_overflow_warning(self):
@@ -1121,7 +1157,7 @@ class TestFusedLstm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h_last = lstm([Tensor(x)], p)
-            h = lstm_last(x, p)
+            h = lstm_last(np.ascontiguousarray(x.transpose(1, 0, 2)), p)
         assert np.all(np.isfinite(h))
         np.testing.assert_array_equal(h, h_last.data)
 
@@ -1147,32 +1183,55 @@ class TestDense:
 
 
 class TestDropout:
-    def test_eval_identity(self):
-        x = Tensor(np.ones((5, 5)))
-        assert dropout(x, 0.35, train=False, rng=None) is x
+    """The heads' inverted dropout: ``HlobModel.forward`` draws the masks
+    and ``engine.lstm`` applies them as it writes its input."""
 
-    def test_rate_zero_identity(self):
-        x = Tensor(np.ones((5, 5)))
-        assert dropout(x, 0.0, train=True,
-                       rng=np.random.default_rng(0)) is x
+    @staticmethod
+    def masks(monkeypatch, config, train, rng, n=4):
+        """The masks a forward of ``n`` random float32 windows hands the LSTM."""
+        handed = []
+        fused = engine.lstm
 
-    def test_survivor_fraction(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(np.ones((4, 2500, 100)))
-        out = dropout(x, 0.35, train=True, rng=rng)
-        frac = np.count_nonzero(out.data) / x.data.size
+        def recorder(parts, params, masks=None):
+            handed.append(masks)
+            return fused(parts, params, masks)
+
+        monkeypatch.setattr(engine, "lstm", recorder)
+        data = np.random.default_rng(1)
+        inputs = [data.standard_normal((n, config.window_len, w)).astype(np.float32)
+                  for w in config.head_widths]
+        HlobModel(config, seed=0).forward(inputs, train=train, rng=rng)
+        return handed[0]
+
+    def test_eval_identity(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert self.masks(monkeypatch, HlobConfig(), False, rng) is None
+        assert rng.bit_generator.state == state
+
+    def test_rate_zero_identity(self, monkeypatch):
+        # no mask and no draw: the rng is left as it was
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert self.masks(monkeypatch, HlobConfig(dropout_rate=0.0), True, rng) is None
+        assert rng.bit_generator.state == state
+
+    def test_survivor_fraction(self, monkeypatch):
+        masks = self.masks(monkeypatch, HlobConfig(), True, np.random.default_rng(7), n=32)
+        frac = sum(np.count_nonzero(m) for m in masks) / sum(m.size for m in masks)
         assert abs(frac - 0.65) < 0.005
 
-    def test_inverted_scaling(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(np.ones((2, 50, 10)))
-        out = dropout(x, 0.35, train=True, rng=rng)
-        survivors = out.data[out.data != 0]
-        np.testing.assert_allclose(survivors, 1.0 / 0.65, atol=1e-12)
+    def test_inverted_scaling(self, monkeypatch):
+        masks = self.masks(monkeypatch, HlobConfig(), True, np.random.default_rng(8))
+        assert len(masks) == 3
+        for mask in masks:
+            assert mask.shape == (4, 100, 32) and mask.dtype == np.float32
+            np.testing.assert_allclose(mask[mask != 0], 1.0 / 0.65, rtol=1e-6)
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones((1, 3, 1))), 1.0, train=True, rng=None)
+        for rate in (1.0, -0.1, float("nan")):
+            with pytest.raises(ConfigInconsistent, match="dropout rate"):
+                HlobConfig(dropout_rate=rate)
 
 
 class TestSoftmaxCrossEntropy:

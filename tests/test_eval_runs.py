@@ -90,10 +90,10 @@ class LayoutProbe:
 
     def head_sequences(self, row_inputs, origins, t_len):
         self.calls.append((row_inputs, origins))
-        return np.zeros((len(origins), t_len, 96))
+        return np.zeros((t_len, len(origins), 96))
 
     def classify(self, seq):
-        return np.zeros((len(seq), 3))
+        return np.zeros((seq.shape[1], 3))
 
 
 def layout(days):
@@ -251,10 +251,10 @@ class TestRunLogits:
         feats = windows.features(np.arange(9))
         heads = []
         for head, arr in zip(model.heads, assemble_head_inputs(feats, COMPLEX)):
-            heads.append(head.forward(Tensor(arr), model.config, False,
-                                      None).data)
-        want = np.concatenate(heads, axis=2)
-        assert seq.shape == (9, 20, 96)
+            heads.append(head.forward(Tensor(arr), model.config.leaky_slope).data)
+        # time-major: window i's sequence is seq[:, i]
+        want = np.concatenate(heads, axis=2).transpose(1, 0, 2)
+        assert seq.shape == (20, 9, 96)
         assert max_rel(seq, want) < 1e-12
 
     def test_float32_head_sequences_equal_forward_bit_for_bit(self):
@@ -273,9 +273,9 @@ class TestRunLogits:
         for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
                                    np.split(seq, 3, axis=2)):
             want = head.forward(Tensor(arr.astype(np.float32)),
-                                model.config, False, None).data
+                                model.config.leaky_slope).data
             assert part.dtype == want.dtype == np.float32
-            for got_window, want_window in zip(part, want):
+            for got_window, want_window in zip(part.transpose(1, 0, 2), want):
                 np.testing.assert_array_equal(got_window, want_window)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
@@ -293,9 +293,9 @@ class TestRunLogits:
         for head, arr, part in zip(model.heads, assemble_head_inputs(feats, COMPLEX),
                                    np.split(seq, 3, axis=2)):
             want = head.forward(Tensor(arr.astype(np.float32)),
-                                model.config, False, None).data
+                                model.config.leaky_slope).data
             assert part.dtype == want.dtype == np.float32
-            np.testing.assert_array_equal(part, want)
+            np.testing.assert_array_equal(part.transpose(1, 0, 2), want)
 
     def test_time_convolutions_run_only_over_shared_rows(self, monkeypatch):
         # every head layer runs tape-free over one row table, and the edge
@@ -417,7 +417,7 @@ class TestHeadBlocks:
         row_inputs, origins = layout(blocked_days(np.random.default_rng(40)))
         assert np.flatnonzero(np.diff(origins) != 1).tolist() == [6, 10]
         want = self.unblocked(monkeypatch, model, row_inputs, origins)
-        assert want.dtype == np.float32 and want.shape == (12, 100, 96)
+        assert want.dtype == np.float32 and want.shape == (100, 12, 96)
         # caps of 1 to 11 windows: 12, 6, 4, 3, 3, 2, ... blocks
         for block in range(1, len(origins)):
             monkeypatch.setattr(model_mod, "EVAL_BLOCK", block)
@@ -514,7 +514,7 @@ class TestShortLastBatch:
             return sequences(rows, origins, t_len)
 
         def counted_classify(seq):
-            stacks.append(len(seq))
+            stacks.append(seq.shape[1])
             return classify(seq)
 
         monkeypatch.setattr(model, "head_sequences", counted_heads)

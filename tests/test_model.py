@@ -105,7 +105,7 @@ class TestShapeCascade:
         model = small_model()
         rng = np.random.default_rng(0)
         inputs = random_inputs(rng, n=2)
-        outs = [head.forward(Tensor(arr), model.config, False, None)
+        outs = [head.forward(Tensor(arr), model.config.leaky_slope)
                 for head, arr in zip(model.heads, inputs)]
         seq = np.concatenate([out.data for out in outs], axis=2)
         assert seq.shape == (2, 100, 96)
@@ -251,10 +251,10 @@ class TestTape:
     def test_train_step_keeps_no_simplex_output(self):
         # a head is one conv node of two segments: conv_pv, conv_simplex and
         # conv_time1, whose output the node keeps in a private buffer, then
-        # conv_time2 and conv_mix. 50 nodes in all (36 parameters, 3
-        # inputs, 2 nodes a head, the LSTM, which reads the heads' outputs,
-        # dense's 3 and the loss). The tape keeps none of the
-        # (N, 100, cardinality * 32) tensors
+        # conv_time2 and conv_mix. 47 nodes in all (36 parameters, 3
+        # inputs, a node a head, the LSTM, which reads the heads' outputs
+        # and applies their dropout masks, dense's 3 and the loss). The tape
+        # keeps none of the (N, 100, cardinality * 32) tensors
         config = HlobConfig()
         model = HlobModel(config, seed=0)
         inputs = [Tensor(x) for x in random_inputs(np.random.default_rng(17), n=4,
@@ -262,11 +262,16 @@ class TestTape:
         logits = model.forward(inputs, train=True, rng=np.random.default_rng(18))
         loss = engine.softmax_cross_entropy(logits, np.arange(4) % 3)
         nodes = tape_ids(loss).values()
-        assert len(nodes) == 50
+        assert len(nodes) == 47
+        convs = []
         for head, x, card in zip(model.heads, inputs, config.cardinalities):
             conv, = [t for t in nodes if head.conv_time1[0] in t._parents]
             assert conv._parents == (x, *head.parameters())
             assert not [t for t in nodes if t.shape == (4, config.window_len, card * 32)]
+            convs.append(conv)
+        # nothing sits between the heads and the LSTM
+        lstm, = [t for t in nodes if model.lstm.w_ih in t._parents]
+        assert lstm._parents == (*convs, *model.lstm.parameters())
 
     def test_parameters_are_the_tapes_own_leaves(self):
         # the tape reads each parameter object itself, and AdamW steps the
