@@ -223,20 +223,37 @@ class _ConvLayer:
     per-tap weight gradient as partials, which :meth:`add_partials` sums.
     """
 
-    def __init__(self, weight: Tensor, bias: Tensor, slope: float, time_pad,
-                 t_len: int, width: int, in_dtype):
-        o, c, kh, kw = weight.data.shape
-        pb, pa = time_pad
+    @staticmethod
+    def geometry(weight_shape, bias_shape, time_pad, t_len: int, width: int,
+                 where: str, channels=None) -> tuple[int, int, int]:
+        """(To, W/kw, kw*C) of a layer of (O, C, kh, kw) weights over rows of
+        ``width`` = W*C, ``channels`` = C when the caller knows it.
+
+        A shape that does not fit raises :class:`ShapeMismatch`, its message
+        led by ``where``: a bias that is not (O,), input of other than C
+        channels, a width that is not whole kernel columns of kw x C, or a
+        kernel that leaves no output row.
+        """
+        o, c, kh, kw = weight_shape
         k = kw * c
-        if bias.data.shape != (o,):
-            raise ShapeMismatch(f"conv_leaky_cl bias shape {bias.data.shape}, expected ({o},)")
+        if bias_shape != (o,):
+            raise ShapeMismatch(f"{where} bias shape {bias_shape}, expected ({o},)")
+        if channels not in (None, c):
+            raise ShapeMismatch(f"{where} reads {c} channels, its input has {channels}")
         if width % k != 0:
-            raise ShapeMismatch(f"conv_leaky_cl row width {width} not a multiple of "
+            raise ShapeMismatch(f"{where} row width {width} not a multiple of "
                                 f"kernel width {kw} x {c} channels")
-        t_out = t_len + pb + pa - kh + 1
+        t_out = t_len + sum(time_pad) - kh + 1
         if t_out < 1:
-            raise ShapeMismatch("kernel longer than padded time axis")
-        wo = width // k
+            raise ShapeMismatch(f"{where} kernel longer than padded time axis")
+        return t_out, width // k, k
+
+    def __init__(self, weight: Tensor, bias: Tensor, slope: float, time_pad,
+                 t_len: int, width: int, in_dtype, where: str, channels=None):
+        t_out, wo, k = self.geometry(weight.data.shape, bias.data.shape, time_pad,
+                                     t_len, width, where, channels)
+        o, _, kh, _ = weight.data.shape
+        pb, pa = time_pad
         self.weight, self.bias, self.slope = weight, bias, slope
         self.taps = _tap_matrices(weight.data)
         self.dtype = np.result_type(in_dtype, self.taps[0])
@@ -246,8 +263,10 @@ class _ConvLayer:
         self.rows_out = (t_out * wo, o)
         self.spans = []
         for i in range(kh):
-            # the output and input rows of a sample that tap i connects
-            lo, hi = max(0, pb - i), min(t_out, t_len + pb - i)
+            # the output and input rows of a sample that tap i connects; a
+            # tap that reaches only padding connects none
+            lo = max(0, pb - i)
+            hi = max(lo, min(t_out, t_len + pb - i))
             self.spans.append((slice(lo * wo, hi * wo),
                                slice((lo + i - pb) * wo, (hi + i - pb) * wo)))
         self.gb_parts = self.gw_parts = None
@@ -366,10 +385,9 @@ def conv_leaky_cl(x: Tensor, segments, slope: float) -> Tensor:
     n, t_len, width = x.data.shape
     convs, dtype = [], x.data.dtype
     for i, (w, b, time_pad) in enumerate(layers):
-        if convs and convs[-1].rows_out[1] != w.data.shape[1]:
-            raise ShapeMismatch(f"conv_leaky_cl layer {i - 1} has {convs[-1].rows_out[1]} "
-                                f"outputs, layer {i} reads {w.data.shape[1]} channels")
-        convs.append(_ConvLayer(w, b, slope, time_pad, t_len, width, dtype))
+        convs.append(_ConvLayer(w, b, slope, time_pad, t_len, width, dtype,
+                                f"conv_leaky_cl layer {i}",
+                                convs[-1].rows_out[1] if convs else None))
         t_len, width, dtype = convs[-1].t_out, convs[-1].width_out, convs[-1].dtype
     last = convs[-1]
     # (first layer, one past the last layer) of each segment
@@ -709,14 +727,17 @@ def conv_leaky_windows(rows: np.ndarray, shared: int, index: np.ndarray,
     slices of the product, and the other output rows gather theirs through
     ``index``. Every output row starts at the bias and adds its taps in
     order, skipping those on padding, which is :func:`conv_leaky_cl`'s add
-    order: each window's rows are bit-identical to it.
+    order: each window's rows are bit-identical to it wherever the BLAS
+    rounds a GEMM row the same whatever the rows around it, as it does at
+    the model's shapes (a product of one row may take another path).
+    Shapes are checked as :func:`conv_leaky_cl` checks a layer's.
     """
     m, w_, c = rows.shape
-    o, _, kh, kw = weight.shape
-    before, after = time_pad
+    o, _, kh, _ = weight.shape
+    before = time_pad[0]
     n, t_len = index.shape
-    wo, k = w_ // kw, kw * c
-    t_out = t_len + before + after - kh + 1
+    t_out, wo, k = _ConvLayer.geometry(weight.shape, bias.shape, time_pad, t_len,
+                                       w_ * c, "conv_leaky_windows", c)
     # the output rows whose taps reach padding or an own row of some window
     away = np.pad((index >= shared).any(axis=0), time_pad, constant_values=True)
     edge_rows = np.flatnonzero(

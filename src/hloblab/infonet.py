@@ -341,8 +341,8 @@ def mi_matrix_from_obj(obj: dict, path="mi_avg.json") -> tuple[np.ndarray, str]:
     """The matrix and config digest of a decoded :func:`mi_matrix_to_json`.
 
     ``data`` must be a flat list of finite numbers and ``shape`` a square
-    (n, n) holding exactly that many; otherwise :class:`IoFailure` naming
-    ``path``.
+    (n, n) holding exactly that many, with n = ``N_VERTICES``; otherwise
+    :class:`IoFailure` naming ``path``.
     """
     shape = obj["shape"]
     # numpy would read a JSON boolean as 1.0 or 0.0 and a string as its number
@@ -362,6 +362,9 @@ def mi_matrix_from_obj(obj: dict, path="mi_avg.json") -> tuple[np.ndarray, str]:
     if shape[0] * shape[1] != data.size:
         raise IoFailure(f"corrupt {path}: 'shape' {shape} does not hold the "
                         f"{data.size} values of 'data'")
+    if shape[0] != N_VERTICES:
+        raise IoFailure(f"corrupt {path}: 'shape' {shape} is not ({N_VERTICES}, {N_VERTICES}), "
+                        "one row and column per volume level")
     return data.reshape(shape), obj.get("config_digest", "")
 
 
@@ -392,11 +395,15 @@ def simplices_from_json(text: str) -> tuple[SimplicialComplex, str]:
 def simplices_from_obj(obj: dict, path="simplices.json") -> tuple[SimplicialComplex, str]:
     """The complex and config digest of a decoded :func:`simplices_to_json`.
 
-    Each array must be rows of 4, 3 or 2 vertex ids in ``[0, N_VERTICES)``;
-    otherwise :class:`IoFailure` naming ``path``.
+    Each array must be rows of 4, 3 or 2 vertex ids in ``[0, N_VERTICES)``,
+    as many as a TMFG on ``N_VERTICES`` vertices has: n - 3 tetrahedra,
+    3n - 8 triangles and 3n - 6 edges; otherwise :class:`IoFailure` naming
+    ``path``.
     """
     arrays = {}
-    for key, width in (("tetrahedra", 4), ("triangles", 3), ("edges", 2)):
+    n = N_VERTICES
+    for key, width, count in (("tetrahedra", 4, n - 3), ("triangles", 3, 3 * n - 8),
+                              ("edges", 2, 3 * n - 6)):
         try:
             arr = np.array(obj[key], np.int64)
         except (TypeError, ValueError, OverflowError):
@@ -409,5 +416,8 @@ def simplices_from_obj(obj: dict, path="simplices.json") -> tuple[SimplicialComp
         if arr.size and not (arr.min() >= 0 and arr.max() < N_VERTICES):
             raise IoFailure(f"corrupt {path}: '{key}' has a vertex outside "
                             f"0..{N_VERTICES - 1}")
+        if len(arr) != count:
+            raise IoFailure(f"corrupt {path}: '{key}' has {len(arr)} rows, a TMFG on "
+                            f"{N_VERTICES} vertices has {count}")
         arrays[key] = arr
     return SimplicialComplex(**arrays), obj.get("config_digest", "")

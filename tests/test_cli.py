@@ -1481,8 +1481,8 @@ class TestCorruptArtifacts:
     """A stage artifact that does not decode or lacks a field is exit 2, one line."""
 
     @staticmethod
-    def _run(tmp_path, *verbs):
-        cfg_path = str(write_config(tmp_path))
+    def _run(tmp_path, *verbs, **overrides):
+        cfg_path = str(write_config(tmp_path, **overrides))
         for verb in verbs:
             assert cli.dispatch([verb, "--config", cfg_path]) == 0, verb
         return cfg_path
@@ -1585,6 +1585,38 @@ class TestCorruptArtifacts:
         capsys.readouterr()
         assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
         self._one_io_error(capsys, path, detail)
+
+    def test_tmfg_with_mi_of_other_than_twenty_levels(self, tmp_path, capsys):
+        # a well-formed 19 x 19 matrix: the graph would have 19 vertices
+        cfg_path = self._run(tmp_path, "synth", "ingest", "mi")
+        path = tmp_path / "out" / "mi_avg.json"
+        obj = json.loads(path.read_text())
+        obj["data"] = np.reshape(obj["data"], (20, 20))[:19, :19].ravel().tolist()
+        obj["shape"] = [19, 19]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch(["tmfg", "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, "'shape' [19, 19] is not (20, 20)")
+        assert not (tmp_path / "out" / "simplices.json").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    @pytest.mark.parametrize("key, count", [("tetrahedra", 17), ("triangles", 52),
+                                            ("edges", 54)])
+    def test_simplices_of_other_than_a_twenty_vertex_tmfg(self, tmp_path, capsys, verb,
+                                                          key, count):
+        # one simplex short: the heads' widths would not fit their kernels
+        verbs = ("synth", "ingest", "mi", "tmfg") + (("train",) if verb == "eval" else ())
+        cfg_path = self._run(tmp_path, *verbs, **{
+            "synth.n_events": "220", "window_len": "20", "train.max_epochs": "1",
+            "train.balanced_cap": "1"})
+        path = tmp_path / "out" / "simplices.json"
+        obj = json.loads(path.read_text())
+        obj[key] = obj[key][1:]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.dispatch([verb, "--config", cfg_path]) == 2
+        self._one_io_error(capsys, path, f"'{key}' has {count - 1} rows, a TMFG on 20 "
+                                         f"vertices has {count}")
 
     @pytest.mark.parametrize("key, rows, detail", [
         ("tetrahedra", [[0, 1, 2]], "'tetrahedra' is not rows of 4"),

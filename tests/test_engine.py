@@ -1,5 +1,4 @@
 import os
-import sys
 import tracemalloc
 import warnings
 import weakref
@@ -23,6 +22,8 @@ from hloblab.engine import (
 )
 from hloblab.errors import BadLabel, ConfigInconsistent, ShapeMismatch
 from hloblab.model import HlobConfig, HlobModel, _Head
+from head_checks import (SLOPE, Chain, WindowSet, check_lstm_parts, check_nchw_reference,
+                         check_one_node_per_layer, check_windows)
 from reference_ops import conv2d, leaky_relu, mul, reshape
 
 
@@ -209,7 +210,7 @@ def max_rel(a, b):
 
 class TestConvLeakyChannelsLast:
     # (input width, in channels, kernel (kh, kw), time padding) of the five
-    # layers of the "tri" head, whose oracle is conv2d followed by leaky_relu
+    # layers of the "tri" head
     HEAD_LAYERS = {
         "conv_pv": (312, 1, (1, 2), (0, 0)),
         "conv_simplex": (156, 32, (1, 3), (0, 0)),
@@ -218,33 +219,19 @@ class TestConvLeakyChannelsLast:
         "conv_mix": (52, 32, (1, 52), (0, 0)),
     }
 
+    @staticmethod
+    def layer_arrays(layer, n, dtype=np.float32, t_len=100, seed=30):
+        """x, weight, bias and time padding of a "tri" head ``layer``."""
+        width, c, (kh, kw), pad = TestConvLeakyChannelsLast.HEAD_LAYERS[layer]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, t_len, width * c)).astype(dtype)
+        w = (rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw)).astype(dtype)
+        return x, w, rng.standard_normal(32).astype(dtype), pad
+
     @pytest.mark.parametrize("layer", sorted(HEAD_LAYERS))
     def test_matches_conv2d_then_leaky_relu(self, layer):
-        width, c, (kh, kw), pad = self.HEAD_LAYERS[layer]
-        rng = np.random.default_rng(20)
-        x_cl = rng.standard_normal((2, 100, width, c))
-        w_data = rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw)
-        b_data = rng.standard_normal(32)
-
-        x = Tensor(x_cl.reshape(2, 100, width * c), requires_grad=True)
-        w = Tensor(w_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True)
-        out = conv_leaky_cl(x, [[(w, b, pad)]], 0.01)
-        TestGradCheck.sum_sq(out).backward()
-
-        xr = Tensor(x_cl.transpose(0, 3, 1, 2).copy(), requires_grad=True)
-        wr = Tensor(w_data.copy(), requires_grad=True)
-        br = Tensor(b_data.copy(), requires_grad=True)
-        ref = leaky_relu(conv2d(xr, wr, br, stride=(1, kw),
-                                padding=(pad, (0, 0))), 0.01)
-        TestGradCheck.sum_sq(ref).backward()
-
-        assert out.shape == (2, 100, width // kw * 32)
-        assert max_rel(out.data.reshape(2, 100, width // kw, 32).transpose(0, 3, 1, 2),
-                       ref.data) < 1e-12
-        assert max_rel(x.grad.reshape(x_cl.shape).transpose(0, 3, 1, 2), xr.grad) < 1e-12
-        assert max_rel(w.grad, wr.grad) < 1e-12
-        assert max_rel(b.grad, br.grad) < 1e-12
+        x, w, b, pad = self.layer_arrays(layer, 2, np.float64, seed=20)
+        check_nchw_reference(Chain.of(x, [(w, b, pad)], 0, np.random.default_rng(20)))
 
     def test_gradients_with_time_padding(self):
         rng = np.random.default_rng(21)
@@ -295,24 +282,19 @@ class TestConvLeakyChannelsLast:
         # ``own`` follow the run in the row table
         rng = np.random.default_rng(22)
         t_len, shared = 7, 12
-        w = rng.standard_normal((5, 3, kh, kw))
-        b = rng.standard_normal(5)
+        layers = [(rng.standard_normal((5, 3, kh, kw)), rng.standard_normal(5), time_pad)]
         # start -1 only where row 0 is an own row
         for starts in ([-1, 0, 4, 4], [-1]) if 0 in own else ([0, 1, 5, 5], [5]):
             n = len(starts)
             rows = rng.standard_normal((shared + n * len(own), 4, 3))
             index = np.array(starts)[:, None] + np.arange(t_len)
             index[:, own] = shared + np.arange(n * len(own)).reshape(n, len(own))
-            got, got_shared, got_index = engine.conv_leaky_windows(
-                rows, shared, index, w, b, 0.01, time_pad)
+            _, got_shared, got_index = check_windows(WindowSet(rows, shared, index, layers),
+                                                     0.01)
             assert got_shared == shared - kh + 1
             assert got_index.shape == (n, t_len)
             np.testing.assert_array_equal(
                 np.flatnonzero((got_index >= got_shared).any(axis=0)), out_rows)
-            for i in range(n):
-                want = conv_leaky_cl(Tensor(rows[index[i]].reshape(1, t_len, -1)),
-                                     [[(Tensor(w), Tensor(b), time_pad)]], 0.01).data[0]
-                np.testing.assert_array_equal(got[got_index[i]].reshape(want.shape), want)
 
     def test_head_dropout_mask_keeps_nchw_draw(self):
         # a train-mode forward drops out each head's output with the draw of
@@ -367,9 +349,8 @@ class TestLeadingLayer:
 
     @staticmethod
     def pair_arrays(arity, dtype, main_kernel=None, n=5, t_len=100, card=10, seed=40):
-        """x, the leading (conv_pv) weight and bias, the last layer's weight
-        and bias (conv_simplex, or a ``main_kernel`` (kh, kw)), and an
-        upstream gradient for the last layer's output."""
+        """x, the leading (conv_pv) weight and bias, and the last layer's
+        weight and bias (conv_simplex, or a ``main_kernel`` (kh, kw))."""
         kh, kw = (1, arity) if main_kernel is None else main_kernel
         rng = np.random.default_rng(seed)
         width = card * arity * 2
@@ -378,16 +359,13 @@ class TestLeadingLayer:
                   rng.standard_normal(32),
                   rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
                   rng.standard_normal(32)]
-        # a last time kernel runs over (1, 2) padding, which keeps T
-        upstream = rng.standard_normal((n * t_len * (width // 2 // kw) * 32, 1))
-        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
+        return [a.astype(dtype) for a in arrays]
 
     @staticmethod
     def chain_arrays(arity, dtype, n=5, t_len=100, card=10, seed=41, mix=False):
         """x, then the weight and bias of conv_pv, conv_simplex and a padded
-        4 x 1 time layer, as a head runs them, and an upstream gradient for
-        the time layer's output; with ``mix``, a second 4 x 1 layer and a
-        1 x ``card`` layer follow, and the gradient is for the mix's output."""
+        4 x 1 time layer, as a head runs them; with ``mix``, a second 4 x 1
+        layer and a 1 x ``card`` layer follow."""
         rng = np.random.default_rng(seed)
         width = card * arity * 2
         arrays = [rng.standard_normal((n, t_len, width))]
@@ -397,33 +375,29 @@ class TestLeadingLayer:
         for c, kh, kw in kernels:
             arrays += [rng.standard_normal((32, c, kh, kw)) / np.sqrt(c * kh * kw),
                        rng.standard_normal(32)]
-        upstream = rng.standard_normal((n * t_len * (1 if mix else card) * 32, 1))
-        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
+        return [a.astype(dtype) for a in arrays]
 
     @staticmethod
     def time_mix_arrays(dtype, n=5, t_len=100, card=10, seed=43, time_layers=1):
         """x, then the weight and bias of ``time_layers`` 4 x 1 time layers
         and of a 1 x ``card`` layer over the whole row, as a head runs
-        conv_time2 (conv_time1 and conv_time2 at 2) and conv_mix, and an
-        upstream gradient for the mix's output."""
+        conv_time2 (conv_time1 and conv_time2 at 2) and conv_mix."""
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal((n, t_len, card * 32))]
         for kh, kw in ((4, 1),) * time_layers + ((1, card),):
             arrays += [rng.standard_normal((32, 32, kh, kw)) / np.sqrt(32 * kh * kw),
                        rng.standard_normal(32)]
-        upstream = rng.standard_normal((n * t_len * 32, 1))
-        return [a.astype(dtype) for a in arrays], upstream.astype(dtype)
+        return [a.astype(dtype) for a in arrays]
 
     TIME_MIX_PADS = ((1, 2), (0, 0))
     HEAD_PADS = ((0, 0), (0, 0), (1, 2), (1, 2), (0, 0))
 
     @staticmethod
-    def layers(arrays, pads, x_grad=True):
+    def layers(arrays, pads):
         """``x`` and the (weight, bias, time_pad) chain of ``arrays`` = x,
         then each layer's weight and bias, each layer padded by its
         ``pads``."""
-        x, *params = (Tensor(a.copy(), requires_grad=i > 0 or x_grad)
-                      for i, a in enumerate(arrays))
+        x, *params = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         return x, list(zip(params[::2], params[1::2], pads))
 
     @staticmethod
@@ -433,108 +407,65 @@ class TestLeadingLayer:
         return [layers[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     @staticmethod
-    def run(arrays, upstream, pads, nodes, x_grad=True):
-        """The output, then the gradients of x and of each layer's weight
-        and bias, of ``arrays`` = x, then each layer's weight and bias, each
-        layer padded by its ``pads``. ``nodes`` gives each tape node's
-        segments by their layer counts in order: ((3,),) is one node of one
-        segment of three layers, ((1,),) * 3 one node per layer and
-        ((1, 2),) one node of two segments."""
-        x, layers = TestLeadingLayer.layers(arrays, pads, x_grad)
-        segments = iter(TestLeadingLayer.segments(layers, [k for s in nodes for k in s]))
-        out = x
-        for sizes in nodes:
-            out = conv_leaky_cl(out, [next(segments) for _ in sizes], 0.01)
-        engine.matmul(reshape(out, (1, out.data.size)), Tensor(upstream)).backward()
-        return out.data, x.grad, *(p.grad for w, b, _ in layers for p in (w, b))
+    def chain(arrays, pads, cut=0):
+        """The :class:`Chain` of ``arrays`` = x, then each layer's weight and
+        bias, each layer padded by its ``pads``, cut before layer ``cut``."""
+        x, *params = arrays
+        return Chain.of(x, list(zip(params[::2], params[1::2], pads)), cut,
+                        np.random.default_rng(46))
 
-    def check_equals_chained(self, arrays, upstream, pads, monkeypatch, head_pool,
-                             sizes=None):
-        """One node of segments of ``sizes`` layers (one segment of all
-        layers when None) has the output and gradients of one node per
-        segment (per layer when None), bit for bit at 1 to 4 head workers."""
-        fused = (tuple(sizes or [len(pads)]),)
-        chained = tuple((k,) for k in sizes or [1] * len(pads))
-        monkeypatch.setattr(engine, "HEAD_WORKERS", 1)
-        want = self.run(arrays, upstream, pads, chained)
-        assert head_pool.blocks == 0
-        interval = sys.getswitchinterval()
-        # switch threads often, so that blocks interleave as much as they can
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 3, 4):
-                monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-                got = self.run(arrays, upstream, pads, fused)
-                assert len(got) == len(want) == len(arrays) + 1
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype
-                    assert np.array_equal(g, w)
-        finally:
-            sys.setswitchinterval(interval)
-        # forward and backward each hand all blocks but the first to the pool
-        assert head_pool.blocks == sum(2 * (w - 1) for w in (2, 3, 4))
+    # each checks one node of one segment, or of two cut before layer
+    # ``cut``, against one node per layer, bit for bit at 1 to 4 head workers
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_equals_two_chained_nodes(self, arity, dtype, head_pool):
+        check_one_node_per_layer(self.chain(self.pair_arrays(arity, dtype), [(0, 0)] * 2),
+                                 head_pool, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_equals_two_chained_nodes(self, arity, dtype, monkeypatch, head_pool):
-        arrays, upstream = self.pair_arrays(arity, dtype)
-        self.check_equals_chained(arrays, upstream, [(0, 0)] * 2, monkeypatch, head_pool)
+    def test_two_leads_equal_three_chained_nodes(self, arity, dtype, head_pool):
+        check_one_node_per_layer(
+            self.chain(self.chain_arrays(arity, dtype), [(0, 0), (0, 0), (1, 2)]),
+            head_pool, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_two_leads_equal_three_chained_nodes(self, arity, dtype, monkeypatch,
-                                                 head_pool):
-        arrays, upstream = self.chain_arrays(arity, dtype)
-        self.check_equals_chained(arrays, upstream, [(0, 0), (0, 0), (1, 2)],
-                                  monkeypatch, head_pool)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_time_layer_then_mix_equal_two_chained_nodes(self, dtype, monkeypatch,
-                                                         head_pool):
+    def test_time_layer_then_mix_equal_two_chained_nodes(self, dtype, head_pool):
         # a padded leading layer: conv_time2's shift-adds run in the node's
         # scratch, in forward and again in backward
-        arrays, upstream = self.time_mix_arrays(dtype)
-        self.check_equals_chained(arrays, upstream, self.TIME_MIX_PADS, monkeypatch,
-                                  head_pool)
+        check_one_node_per_layer(self.chain(self.time_mix_arrays(dtype), self.TIME_MIX_PADS),
+                                 head_pool, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_two_segments_equal_two_chained_nodes(self, dtype, monkeypatch, head_pool):
+    def test_two_segments_equal_two_chained_nodes(self, dtype, head_pool):
         # a kept padded 4 x 1 layer, then a 4 x 1 and a kh = 1 layer made
         # again from it: each leading layer's LeakyReLU gradient goes over
         # its kept row or its scratch output
-        arrays, upstream = self.time_mix_arrays(dtype, time_layers=2)
-        self.check_equals_chained(arrays, upstream, ((1, 2),) + self.TIME_MIX_PADS,
-                                  monkeypatch, head_pool, sizes=[1, 2])
+        arrays = self.time_mix_arrays(dtype, time_layers=2)
+        check_one_node_per_layer(self.chain(arrays, ((1, 2),) + self.TIME_MIX_PADS, cut=1),
+                                 head_pool, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_head_segments_equal_two_chained_nodes(self, dtype, monkeypatch, head_pool):
-        arrays, upstream = self.chain_arrays(3, dtype, mix=True)
-        self.check_equals_chained(arrays, upstream, self.HEAD_PADS, monkeypatch,
-                                  head_pool, sizes=[3, 2])
+    def test_head_segments_equal_two_chained_nodes(self, dtype, head_pool):
+        check_one_node_per_layer(
+            self.chain(self.chain_arrays(3, dtype, mix=True), self.HEAD_PADS, cut=3),
+            head_pool, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_time_kernel_main_layer(self, workers, monkeypatch, head_pool):
+    def test_time_kernel_main_layer(self, workers, head_pool):
         # a padded 4 x 1 last layer reads the leading layer's output rows
         # through its taps' shifted spans
-        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-        arrays, upstream = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
-        pads = [(0, 0), (1, 2)]
-        chained = self.run(arrays, upstream, pads, ((1,),) * 2)
-        for got, want in zip(self.run(arrays, upstream, pads, ((2,),)), chained):
-            assert np.array_equal(got, want)
+        arrays = self.pair_arrays(2, np.float64, main_kernel=(4, 1))
+        check_one_node_per_layer(self.chain(arrays, [(0, 0), (1, 2)]), head_pool, (workers,))
 
-    def test_input_without_gradient(self):
+    def test_input_without_gradient(self, head_pool):
         # training's head inputs are plain arrays: only the parameters take
         # gradients, and the leading layers' still come back, from one
         # segment and from two
-        arrays, upstream = self.pair_arrays(3, np.float32, n=2, t_len=20)
-        pads = [(0, 0)] * 2
-        for nodes in (((2,),), ((1, 1),)):
-            got = self.run(arrays, upstream, pads, nodes, x_grad=False)
-            want = self.run(arrays, upstream, pads, ((1,),) * 2, x_grad=False)
-            assert got[1] is None and want[1] is None
-            for g, w in zip(got[2:], want[2:]):
-                assert np.array_equal(g, w)
+        arrays = self.pair_arrays(3, np.float32, n=2, t_len=20)
+        for cut in (0, 1):
+            check_one_node_per_layer(self.chain(arrays, [(0, 0)] * 2, cut), head_pool,
+                                     x_grad=False)
 
     def test_gradcheck_with_a_one_channel_leading_layer(self):
         # conv_pv's shape: one input channel, kernel (1, 2). As
@@ -557,10 +488,10 @@ class TestLeadingLayer:
     def test_one_tape_node(self):
         # the node's output width: 10 columns of 32 channels, or the mix's 32
         for arrays, pads, sizes, width in (
-                (self.pair_arrays(2, np.float32, n=1, t_len=4)[0], [(0, 0)] * 2, [2], 320),
-                (self.chain_arrays(2, np.float32, n=1, t_len=4)[0],
+                (self.pair_arrays(2, np.float32, n=1, t_len=4), [(0, 0)] * 2, [2], 320),
+                (self.chain_arrays(2, np.float32, n=1, t_len=4),
                  [(0, 0), (0, 0), (1, 2)], [3], 320),
-                (self.chain_arrays(2, np.float32, n=1, t_len=4, mix=True)[0],
+                (self.chain_arrays(2, np.float32, n=1, t_len=4, mix=True),
                  self.HEAD_PADS, [3, 2], 32)):
             x, layers = self.layers(arrays, pads)
             out = conv_leaky_cl(x, self.segments(layers, sizes), 0.01)
@@ -568,7 +499,7 @@ class TestLeadingLayer:
             assert out.shape == (1, 4, width)
 
     def test_backward_holds_no_mask_or_leading_output(self):
-        arrays, _ = self.pair_arrays(3, np.float32, main_kernel=(4, 1), n=2, t_len=6)
+        arrays = self.pair_arrays(3, np.float32, main_kernel=(4, 1), n=2, t_len=6)
         x, (pv, time) = self.layers(arrays, [(0, 0), (1, 2)])
         lead_size = 2 * 6 * 30 * 32
         for out in (conv_leaky_cl(x, [[pv]], 0.01), conv_leaky_cl(x, [[pv, time]], 0.01)):
@@ -581,8 +512,8 @@ class TestLeadingLayer:
     def test_leading_outputs_not_main_channels(self):
         # 4 outputs of 4 columns are 16 columns, whole 2 x 2 kernel columns,
         # but the last layer reads 2 channels
-        with pytest.raises(ShapeMismatch, match="layer 0 has 4 outputs, "
-                                                "layer 1 reads 2 channels"):
+        with pytest.raises(ShapeMismatch, match="layer 1 reads 2 channels, "
+                                                "its input has 4"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
                           [[(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
                             (Tensor(np.zeros((1, 2, 1, 2))), Tensor(np.zeros(1)), (0, 0))]],
@@ -612,7 +543,7 @@ class TestLeadingLayer:
                 conv_leaky_cl(Tensor(np.zeros((1, 3, 8))), segments, 0.01)
 
     def test_two_leads_hold_neither_leading_output(self):
-        arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=6)
+        arrays = self.chain_arrays(2, np.float32, n=2, t_len=6)
         x, layers = self.layers(arrays, [(0, 0), (0, 0), (1, 2)])
         out = conv_leaky_cl(x, [layers], 0.01)
         held = held_arrays(out._backward)
@@ -625,7 +556,7 @@ class TestLeadingLayer:
         # the time layer's output has its input's size, which is larger
         # than the mix's weights; the node holds its input and its own
         # output, and nothing else of that size
-        arrays, _ = self.time_mix_arrays(np.float32, n=2, t_len=20)
+        arrays = self.time_mix_arrays(np.float32, n=2, t_len=20)
         x, layers = self.layers(arrays, self.TIME_MIX_PADS)
         out = conv_leaky_cl(x, [layers], 0.01)
         held = held_arrays(out._backward)
@@ -638,7 +569,7 @@ class TestLeadingLayer:
         # of the arrays the size of conv_simplex's output or more, the head
         # node holds its input and one (N, T, card * 32) buffer, conv_time1's
         # output; its own output is the mix's, (N, T, 32)
-        arrays, _ = self.chain_arrays(2, np.float32, n=2, t_len=20, mix=True)
+        arrays = self.chain_arrays(2, np.float32, n=2, t_len=20, mix=True)
         x, layers = self.layers(arrays, self.HEAD_PADS)
         out = conv_leaky_cl(x, [layers[:3], layers[3:]], 0.01)
         held = held_arrays(out._backward)
@@ -651,8 +582,8 @@ class TestLeadingLayer:
         # conv_pv's 4 outputs over 4 columns are 16 columns, whole 2 x 4
         # kernel columns of the second leading layer, whose 3 outputs the
         # last layer reads as 2 channels
-        with pytest.raises(ShapeMismatch, match="layer 1 has 3 outputs, "
-                                                "layer 2 reads 2 channels"):
+        with pytest.raises(ShapeMismatch, match="layer 2 reads 2 channels, "
+                                                "its input has 3"):
             conv_leaky_cl(Tensor(np.zeros((1, 3, 8))),
                           [[(Tensor(np.zeros((4, 1, 1, 2))), Tensor(np.zeros(4)), (0, 0)),
                             (Tensor(np.zeros((3, 4, 1, 2))), Tensor(np.zeros(3)), (0, 0))],
@@ -720,50 +651,17 @@ def serial_conv_leaky_cl(x, w, b, slope, time_pad, g):
 
 class TestHeadThreads:
     HEAD_LAYERS = TestConvLeakyChannelsLast.HEAD_LAYERS
-
-    @staticmethod
-    def layer_arrays(layer, n, t_len=100, seed=30):
-        width, c, (kh, kw), pad = TestHeadThreads.HEAD_LAYERS[layer]
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, t_len, width * c), np.float32)
-        w = rng.standard_normal((32, c, kh, kw), np.float32) / np.float32(np.sqrt(c * kh * kw))
-        b = rng.standard_normal(32, np.float32)
-        return x, w, b, pad
+    layer_arrays = staticmethod(TestConvLeakyChannelsLast.layer_arrays)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 32])
     @pytest.mark.parametrize("layer", sorted(HEAD_LAYERS))
-    def test_any_pool_size_is_bit_identical(self, layer, n, monkeypatch, head_pool):
-        x_data, w_data, b_data, pad = self.layer_arrays(layer, n)
-        upstream = None
-
-        def run(workers):
-            nonlocal upstream
-            monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-            x, w, b = (Tensor(a.copy(), requires_grad=True)
-                       for a in (x_data, w_data, b_data))
-            out = conv_leaky_cl(x, [[(w, b, pad)]], 0.01)
-            if upstream is None:
-                rng = np.random.default_rng(31)
-                upstream = Tensor(rng.standard_normal((out.data.size, 1), np.float32))
-            # a random upstream gradient: d loss / d out = upstream
-            engine.matmul(reshape(out, (1, out.data.size)), upstream).backward()
-            return out.data, x.grad, w.grad, b.grad
-
-        serial = run(1)
-        for got, want in zip(serial, serial_conv_leaky_cl(
-                x_data, w_data, b_data, 0.01, pad, upstream.data)):
+    def test_any_pool_size_is_bit_identical(self, layer, n, head_pool):
+        x, w, b, pad = self.layer_arrays(layer, n)
+        chain = Chain.of(x, [(w, b, pad)], 0, np.random.default_rng(31))
+        # the node at a pool of 1, then at 2, 3 and 4
+        serial = check_one_node_per_layer(chain, head_pool, (2, 3, 4))
+        for got, want in zip(serial, serial_conv_leaky_cl(x, w, b, SLOPE, pad, chain.upstream)):
             np.testing.assert_array_equal(got, want)
-        interval = sys.getswitchinterval()
-        # switch threads often, so that blocks interleave as much as they can
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (2, 3, 4):
-                for got, want in zip(run(workers), serial):
-                    np.testing.assert_array_equal(got, want)
-        finally:
-            sys.setswitchinterval(interval)
-        # forward and backward each hand all blocks but the first to the pool
-        assert head_pool.blocks == sum(2 * (min(w, n) - 1) for w in (2, 3, 4))
 
     def test_pool_size_rule_at_one_blas_thread(self):
         assert engine.CPUS == engine.cpu_count() >= 1
@@ -802,65 +700,35 @@ class TestSpentOutputGradient:
     output, a scratch buffer or the node's kept row."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_time_node_leaves_the_handed_gradient(self, workers, monkeypatch, head_pool):
+    def test_time_node_leaves_the_handed_gradient(self, workers, head_pool):
         # conv_time1, kept, then conv_time2 and conv_mix, in one node of two
         # segments, against the serial loop run one layer at a time
-        monkeypatch.setattr(engine, "HEAD_WORKERS", workers)
-        x_data, w1_data, b1_data, pad = TestHeadThreads.layer_arrays("conv_time1", 5)
-        _, wt_data, bt_data, _ = TestHeadThreads.layer_arrays("conv_time2", 1, seed=36)
-        _, wm_data, bm_data, _ = TestHeadThreads.layer_arrays("conv_mix", 1, seed=35)
-        x, w1, b1, wt, bt, wm, bm = (
-            Tensor(a.copy(), requires_grad=True)
-            for a in (x_data, w1_data, b1_data, wt_data, bt_data, wm_data, bm_data))
-        out = conv_leaky_cl(x, [[(w1, b1, pad)], [(wt, bt, pad), (wm, bm, (0, 0))]], 0.01)
-        upstream = np.random.default_rng(33).standard_normal(out.shape, np.float32)
-        handed, out_data = upstream.copy(), out.data.copy()
-        interval = sys.getswitchinterval()
-        # switch threads often, so that blocks interleave as much as they can
-        sys.setswitchinterval(1e-5)
-        try:
-            out._backward(handed)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not np.shares_memory(x.grad, handed)
-        assert np.array_equal(handed, upstream)
-        assert np.array_equal(out.data, out_data)
-        time1_out = serial_conv_leaky_cl(x_data, w1_data, b1_data, 0.01, pad,
-                                         np.zeros_like(x_data))[0]
-        time_out = serial_conv_leaky_cl(time1_out, wt_data, bt_data, 0.01, pad,
-                                        np.zeros_like(x_data))[0]
-        mix_out, g_time, gwm, gbm = serial_conv_leaky_cl(
-            time_out, wm_data, bm_data, 0.01, (0, 0), upstream)
-        _, g_time1, gwt, gbt = serial_conv_leaky_cl(time1_out, wt_data, bt_data, 0.01,
-                                                    pad, g_time)
-        _, gx, gw1, gb1 = serial_conv_leaky_cl(x_data, w1_data, b1_data, 0.01, pad,
-                                               g_time1)
-        for got, expect in zip(
-                (out.data, x.grad, w1.grad, b1.grad, wt.grad, bt.grad, wm.grad, bm.grad),
-                (mix_out, gx, gw1, gb1, gwt, gbt, gwm, gbm)):
-            assert np.array_equal(got, expect)
-        assert head_pool.blocks == 2 * (workers - 1)
+        x, w1, b1, pad = TestHeadThreads.layer_arrays("conv_time1", 5)
+        _, wt, bt, _ = TestHeadThreads.layer_arrays("conv_time2", 1, seed=36)
+        _, wm, bm, _ = TestHeadThreads.layer_arrays("conv_mix", 1, seed=35)
+        chain = Chain.of(x, [(w1, b1, pad), (wt, bt, pad), (wm, bm, (0, 0))], 1,
+                         np.random.default_rng(33))
+        got = check_one_node_per_layer(chain, head_pool, (workers,))
+        time1_out = serial_conv_leaky_cl(x, w1, b1, SLOPE, pad, np.zeros_like(x))[0]
+        time_out = serial_conv_leaky_cl(time1_out, wt, bt, SLOPE, pad, np.zeros_like(x))[0]
+        mix_out, g_time, gwm, gbm = serial_conv_leaky_cl(time_out, wm, bm, SLOPE, (0, 0),
+                                                         chain.upstream)
+        _, g_time1, gwt, gbt = serial_conv_leaky_cl(time1_out, wt, bt, SLOPE, pad, g_time)
+        _, gx, gw1, gb1 = serial_conv_leaky_cl(x, w1, b1, SLOPE, pad, g_time1)
+        for g, want in zip(got, (mix_out, gx, gw1, gb1, gwt, gbt, gwm, gbm), strict=True):
+            np.testing.assert_array_equal(g, want)
 
     @pytest.mark.parametrize("layer", ["pair", "conv_mix", "conv_time1"])
-    def test_other_layers_allocate_their_input_gradient(self, layer):
+    def test_other_layers_allocate_their_input_gradient(self, layer, head_pool):
         # a time layer alone, whose input rows have its output rows' shape,
         # allocates too
         if layer == "pair":
-            (x_data, w0, b0, w_data, b_data), _ = TestLeadingLayer.pair_arrays(
-                3, np.float32, n=2, t_len=20)
-            layers, pad = [(Tensor(w0), Tensor(b0), (0, 0))], (0, 0)
+            chain = TestLeadingLayer.chain(
+                TestLeadingLayer.pair_arrays(3, np.float32, n=2, t_len=20), [(0, 0)] * 2)
         else:
-            x_data, w_data, b_data, pad = TestHeadThreads.layer_arrays(layer, 2)
-            layers = []
-        x = Tensor(x_data, requires_grad=True)
-        out = conv_leaky_cl(x, [layers + [(Tensor(w_data), Tensor(b_data), pad)]], 0.01)
-        upstream = np.random.default_rng(34).standard_normal(out.shape, np.float32)
-        handed, out_data = upstream.copy(), out.data.copy()
-        out._backward(handed)
-        assert x.grad.shape == x.shape
-        assert not np.shares_memory(x.grad, handed)
-        assert np.array_equal(handed, upstream)
-        assert np.array_equal(out.data, out_data)
+            x, w, b, pad = TestHeadThreads.layer_arrays(layer, 2)
+            chain = Chain.of(x, [(w, b, pad)], 0, np.random.default_rng(34))
+        check_one_node_per_layer(chain, head_pool)
 
 
 class TestLeakyRelu:
@@ -1071,55 +939,22 @@ class TestFusedLstm:
     def test_parts_match_one_part_bit_for_bit(self, dtype):
         # the parts' columns reach the GEMMs in the order of one part that
         # holds them side by side, and each part gets its columns' gradient
-        p = self.params(dtype, i_size=96, hs=32)
         rng = np.random.default_rng(35)
         x = rng.standard_normal((6, 20, 96)).astype(dtype)
         weights = rng.standard_normal((6, 32)).astype(dtype)
-
-        def run(arrays):
-            parts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            for q in p.parameters():
-                q.grad = None
-            out = lstm(parts, p)
-            flat = reshape(mul(out, Tensor(weights)), (1, -1))
-            engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), dtype))).backward()
-            return out.data, [t.grad for t in parts], [q.grad.copy() for q in p.parameters()]
-
-        out, part_grads, param_grads = run([x[:, :, :32], x[:, :, 32:72], x[:, :, 72:]])
-        ref_out, (ref_grad,), ref_param_grads = run([x])
-        np.testing.assert_array_equal(out, ref_out)
-        for g, lo, hi in zip(part_grads, (0, 32, 72), (32, 72, 96)):
-            assert g.dtype == dtype
-            np.testing.assert_array_equal(g, ref_grad[:, :, lo:hi])
-        for g, ref in zip(param_grads, ref_param_grads):
-            np.testing.assert_array_equal(g, ref)
+        check_lstm_parts(self.params(dtype, i_size=96, hs=32),
+                         [x[:, :, :32], x[:, :, 32:72], x[:, :, 72:]], None, weights)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masks_match_masked_parts_bit_for_bit(self, dtype):
         # masks multiply the parts as they are written and their gradient
         # columns after, as multiplying the parts beforehand does
-        p = self.params(dtype, i_size=96, hs=32)
         rng = np.random.default_rng(36)
         arrays = [rng.standard_normal((6, 20, 32)).astype(dtype) for _ in range(3)]
         masks = [((rng.random((6, 32, 20)) >= 0.35).transpose(0, 2, 1).astype(dtype)
                   / (1.0 - 0.35)) for _ in range(3)]
         weights = rng.standard_normal((6, 32)).astype(dtype)
-
-        def run(masked):
-            parts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            for q in p.parameters():
-                q.grad = None
-            if masked:
-                out = lstm(parts, p, masks)
-            else:
-                out = lstm([mul(t, Tensor(m)) for t, m in zip(parts, masks)], p)
-            flat = reshape(mul(out, Tensor(weights)), (1, -1))
-            engine.matmul(flat, Tensor(np.ones((flat.shape[1], 1), dtype))).backward()
-            return [out.data] + [t.grad for t in parts] + [q.grad for q in p.parameters()]
-
-        for got, want in zip(run(True), run(False), strict=True):
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+        check_lstm_parts(self.params(dtype, i_size=96, hs=32), arrays, masks, weights)
 
     def test_parts_differing_in_n_or_t_raise(self):
         p = self.params(np.float64)
